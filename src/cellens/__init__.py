@@ -15,8 +15,8 @@ from .cellwise import (CorrelationStructure, DdcConfig, ImputationResult,
                        robust_standardize)
 from .data import Dataset, GroundTruth, dataset_from_csv, dataset_to_csv
 from .errors import (CellensError, DegenerateColumn, EmptyTruth, InvalidConfig,
-                     InvariantViolation, NotPositiveDefinite, RankDeficient,
-                     ShapeMismatch, TooFewColumns)
+                     InvariantViolation, NonFiniteValue, NotPositiveDefinite,
+                     RankDeficient, ShapeMismatch, TooFewColumns)
 from .linalg import cholesky_spd, ols_fit, solve_spd
 from .metrics import EvalReport, mspe, selection_scores, timed
 from .pipeline import FitResult, fit_ensemble, passthrough_imputation
@@ -36,7 +36,7 @@ __all__ = [
     "CorrelationStructure", "Dataset", "DdcConfig", "DegenerateColumn",
     "EmptyTruth", "EnsembleModel", "EvalReport", "FitResult", "GroundTruth",
     "ImputationResult", "InvalidConfig", "InvariantViolation",
-    "NotPositiveDefinite", "RankDeficient", "RobustFit", "RobustScale",
+    "NonFiniteValue", "NotPositiveDefinite", "RankDeficient", "RobustFit", "RobustScale",
     "SCENARIOS", "SelectionConfig", "SelectionResult", "ShapeMismatch",
     "SimConfig", "TooFewColumns", "block_covariance", "cholesky_spd",
     "contaminate", "correlation_structure", "cv_error", "dataset_from_csv",

@@ -66,8 +66,9 @@ class LarsProposal:
     candidate : index of the predictor that would enter, or None when no
         finite step exists
     step : entry step size (the entry correlation level on a first step)
-    inner : inner product ``a_j`` with the equiangular direction for every
-        available predictor, keyed by predictor index
+    inner : length-p array; entry ``j`` is the inner product ``a_j`` of
+        pool predictor ``j`` with the equiangular direction, NaN for every
+        predictor outside the pool
     entry_sign : sign the candidate would carry on entry
     a_active : shared inner product ``a_k`` of the signed active set with
         the equiangular direction (1.0 on a first step)
@@ -75,7 +76,7 @@ class LarsProposal:
 
     candidate: Optional[int]
     step: float
-    inner: dict[int, float]
+    inner: np.ndarray
     entry_sign: float
     a_active: float
 
@@ -107,42 +108,38 @@ def equiangular_geometry(R_X: np.ndarray, state: SubModelState):
     return a_k, w_k
 
 
-def propose(R_X: np.ndarray, state: SubModelState, available) -> LarsProposal:
+def propose(R_X: np.ndarray, state: SubModelState,
+            available: np.ndarray) -> LarsProposal:
     """Find the next predictor to join this sub-model's path.
 
     Parameters
     ----------
     R_X : ndarray of shape (p, p)
     state : SubModelState
-    available : ordered iterable of candidate predictor indices, disjoint
-        from every active set
+    available : integer ndarray of candidate predictor indices in
+        ascending order, disjoint from every active set; ascending order
+        makes "lowest index wins" the literal tie rule
 
     Returns
     -------
     LarsProposal
-        With ``candidate=None`` and ``step=inf`` when every step size is
+        ``inner`` has length p and is NaN outside ``available``. With
+        ``candidate=None`` and ``step=inf`` when every step size is
         infinite (no predictor can tie the active correlation).
     """
-    # ascending order makes "lowest index wins" the literal tie rule
-    avail = np.sort(np.fromiter(available, dtype=int))
     r = state.corr_state
+    inner = np.full(len(r), np.nan)
     if not state.active:
-        vals = r[avail]
-        best = int(np.argmax(np.abs(vals)))
-        j_star = int(avail[best])
+        j_star = int(available[np.argmax(np.abs(r[available]))])
         sign = 1.0 if r[j_star] >= 0 else -1.0
-        inner = {int(j): sign * R_X[j, j_star] for j in avail}
-        return LarsProposal(
-            candidate=j_star,
-            step=float(abs(r[j_star])),
-            inner=inner,
-            entry_sign=sign,
-            a_active=1.0,
-        )
+        inner[available] = sign * R_X[available, j_star]
+        return LarsProposal(candidate=j_star, step=float(abs(r[j_star])),
+                            inner=inner, entry_sign=sign, a_active=1.0)
     a_k, w_k = equiangular_geometry(R_X, state)
     s = np.asarray(state.signs, dtype=float)
-    r_avail = r[avail]
-    a_vec = (R_X[np.ix_(avail, state.active)] * s) @ w_k
+    r_avail = r[available]
+    a_vec = (R_X[np.ix_(available, state.active)] * s) @ w_k
+    inner[available] = a_vec
     level = state.active_level
     with np.errstate(divide="ignore", invalid="ignore"):
         gp = np.where(a_k - a_vec > 0, (level - r_avail) / (a_k - a_vec), np.inf)
@@ -150,37 +147,39 @@ def propose(R_X: np.ndarray, state: SubModelState, available) -> LarsProposal:
     gamma = np.minimum(gp, gm)
     best = int(np.argmin(gamma))
     step = float(gamma[best])
-    inner = {int(j): float(a) for j, a in zip(avail, a_vec)}
     if not np.isfinite(step):
         return LarsProposal(candidate=None, step=np.inf, inner=inner,
                             entry_sign=1.0, a_active=float(a_k))
-    j_star = int(avail[best])
+    j_star = int(available[best])
     post = r[j_star] - step * inner[j_star]
     entry_sign = 1.0 if abs(post) < 1e-12 else float(np.sign(post))
     return LarsProposal(candidate=j_star, step=step, inner=inner,
                         entry_sign=entry_sign, a_active=float(a_k))
 
 
-def apply_step(state: SubModelState, prop: LarsProposal, available) -> SubModelState:
+def apply_step(state: SubModelState, prop: LarsProposal,
+               available: np.ndarray) -> SubModelState:
     """Advance a path state by an accepted proposal, returning a new state.
 
-    On a first entry the path does not move: the candidate joins and the
-    active level is set to its entry correlation. On later entries every
-    available correlation drops by ``step * a_j``, every active
-    correlation (and the stored level) by ``step * a_k``, and the
-    candidate joins with its entry sign.
+    ``available`` is the ascending index array the proposal was made on;
+    ``prop.inner`` must be finite on it. On a first entry the path does
+    not move: the candidate joins and the active level is set to its entry
+    correlation. On later entries every available correlation drops by
+    ``step * a_j``, every active correlation (and the stored level) by
+    ``step * a_k``, and the candidate joins with its entry sign.
 
     Raises
     ------
     InvariantViolation
-        If the candidate's post-step correlation does not match the
-        updated active level within tolerance (numerical breakdown).
+        If the proposal has no candidate, the candidate is not in
+        ``available``, or the candidate's post-step correlation does not
+        match the updated active level within tolerance (numerical
+        breakdown).
     """
     if prop.candidate is None:
         raise InvariantViolation("cannot apply a proposal without a candidate")
     j_star = int(prop.candidate)
-    avail = list(available)
-    if j_star not in avail:
+    if j_star not in available:
         raise InvariantViolation(f"candidate {j_star} is not in the available pool")
     new = state.copy()
     if not state.active:
@@ -189,10 +188,8 @@ def apply_step(state: SubModelState, prop: LarsProposal, available) -> SubModelS
         new.signs.append(prop.entry_sign)
         return new
     step = prop.step
-    for j in avail:
-        new.corr_state[j] -= step * prop.inner[j]
-    for i, s_i in zip(state.active, state.signs):
-        new.corr_state[i] -= step * s_i * prop.a_active
+    new.corr_state[available] -= step * prop.inner[available]
+    new.corr_state[state.active] -= step * np.asarray(state.signs) * prop.a_active
     new.active_level = state.active_level - step * prop.a_active
     if abs(abs(new.corr_state[j_star]) - new.active_level) > EQUICORR_TOL:
         raise InvariantViolation(
@@ -214,7 +211,7 @@ def greedy_path(R_X: np.ndarray, r_y: np.ndarray, steps: int):
     """
     p = len(r_y)
     state = SubModelState.initial(r_y)
-    available = list(range(p))
+    available = np.arange(p)
     order: list[int] = []
     sizes: list[float] = []
     states: list[SubModelState] = []
@@ -223,7 +220,7 @@ def greedy_path(R_X: np.ndarray, r_y: np.ndarray, steps: int):
         if prop.candidate is None:
             break
         state = apply_step(state, prop, available)
-        available.remove(prop.candidate)
+        available = available[available != prop.candidate]
         order.append(prop.candidate)
         sizes.append(prop.step)
         states.append(state.copy())

@@ -31,6 +31,20 @@ class DegenerateColumn(CellensError):
         super().__init__(f"degenerate column: {label} has zero robust scale")
 
 
+class NonFiniteValue(CellensError):
+    """An input column holds a NaN or infinite cell.
+
+    Numbers columns as :class:`DegenerateColumn` does: 0 is the response,
+    ``j`` is predictor ``x_j``.
+    """
+
+    def __init__(self, column: int, name: str | None = None):
+        self.column = column
+        self.name = name
+        label = name if name is not None else f"column {column}"
+        super().__init__(f"non-finite input: {label} has a NaN or infinite cell")
+
+
 class TooFewColumns(CellensError):
     """Cell prediction needs at least two columns."""
 

@@ -32,7 +32,7 @@ import csv
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -40,7 +40,8 @@ import numpy as np
 
 from . import selfcheck
 from .data import dataset_from_csv
-from .errors import CellensError, DegenerateColumn, InvalidConfig, ShapeMismatch
+from .errors import (CellensError, DegenerateColumn, InvalidConfig,
+                     NonFiniteValue, ShapeMismatch)
 from .metrics import EvalReport, mspe, selection_scores, timed
 from .pipeline import fit_ensemble
 from .robustfit import model_from_json, model_to_json, predict
@@ -95,48 +96,31 @@ class ExperimentConfig:
             raise InvalidConfig("threads must be >= 1")
 
 
+# config sections that map one-to-one onto a nested settings dataclass
+SECTIONS = {"sim": SimConfig, "contamination": ContaminationSpec,
+            "selection": SelectionConfig}
+
+
 def _build_config(doc: dict) -> ExperimentConfig:
     """Translate a JSON document into an ExperimentConfig with defaults."""
-    known = {f for f in ExperimentConfig.__dataclass_fields__}
+    known = {f.name for f in fields(ExperimentConfig)}
     alias = {"predict": "predict_spec", "output": "output_path"}
-    cfg = ExperimentConfig()
-    sim = dict(n=50, p=500, sparsity=50, snr=1.0, block_size=25,
-               rho_within=0.8, rho_background=0.2,
-               coef_range=(0.0, 5.0), seed=0)
-    cont = dict(scenario="Clean", alpha=0.0, alpha2=0.0, leverage_c=2.0,
-                marginal_shift=10.0, gamma_corr=3.0, beta_distort=100.0)
-    sel = dict(K=10, tau=0.01, cv_folds=5, max_vars=None, intercept=True, seed=0)
-    fields = {}
+    updates = {}
     for key, value in doc.items():
         key = alias.get(key, key)
-        if key == "sim":
-            bad = set(value) - set(sim)
+        if key in SECTIONS:
+            section = SECTIONS[key]
+            bad = set(value) - {f.name for f in fields(section)}
             if bad:
-                raise InvalidConfig(f"unknown sim fields: {sorted(bad)}")
-            sim.update(value)
-        elif key == "contamination":
-            bad = set(value) - set(cont)
-            if bad:
-                raise InvalidConfig(f"unknown contamination fields: {sorted(bad)}")
-            cont.update(value)
-        elif key == "selection":
-            bad = set(value) - set(sel)
-            if bad:
-                raise InvalidConfig(f"unknown selection fields: {sorted(bad)}")
-            sel.update(value)
+                raise InvalidConfig(f"unknown {key} fields: {sorted(bad)}")
+            if "coef_range" in value:
+                value = {**value, "coef_range": tuple(value["coef_range"])}
+            updates[key] = replace(section(), **value)
         elif key in known:
-            fields[key] = tuple(value) if isinstance(value, list) else value
+            updates[key] = tuple(value) if isinstance(value, list) else value
         else:
             raise InvalidConfig(f"unknown config field {key!r}")
-    sim["coef_range"] = tuple(sim["coef_range"])
-    cfg = replace(
-        cfg,
-        sim=SimConfig(**sim),
-        contamination=ContaminationSpec(**cont),
-        selection=SelectionConfig(**sel),
-        **fields,
-    )
-    return cfg
+    return replace(ExperimentConfig(), **updates)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -323,15 +307,17 @@ def fit_csv(data_path: str, sel: SelectionConfig, model_out: str) -> str:
         On malformed CSV input or fewer than 10 rows.
     DegenerateColumn
         Naming the offending constant column.
+    NonFiniteValue
+        Naming the first column with a NaN or infinite cell.
     """
     data = dataset_from_csv(data_path)
     if data.n < 10:
         raise ShapeMismatch(f"{data_path}: need at least 10 rows, found {data.n}")
     try:
         result = fit_ensemble(data.y, data.X, sel)
-    except DegenerateColumn as exc:
+    except (DegenerateColumn, NonFiniteValue) as exc:
         name = "y" if exc.column == 0 else f"x{exc.column}"
-        raise DegenerateColumn(exc.column, name) from None
+        raise type(exc)(exc.column, name) from None
     doc = model_to_json(result.model)
     Path(model_out).write_text(doc)
     lines = [f"fitted {sel.K} sub-models on {data.n}x{data.p} data"]
@@ -354,7 +340,8 @@ def predict_csv(model_path: str, X_path: str, out_path: str) -> None:
     Raises
     ------
     ShapeMismatch
-        With explicit expected-vs-found column counts.
+        With explicit expected-vs-found column counts, or naming the
+        ``path:line`` of a non-numeric field.
     """
     model = model_from_json(Path(model_path).read_text())
     with open(X_path, newline="") as fh:
@@ -376,7 +363,12 @@ def predict_csv(model_path: str, X_path: str, out_path: str) -> None:
                     f"found {len(row)}"
                 )
             vals = row[1:] if skip_first else row
-            rows.append([float(v) for v in vals])
+            try:
+                rows.append([float(v) for v in vals])
+            except ValueError as exc:
+                raise ShapeMismatch(
+                    f"{X_path}:{lineno}: non-numeric field ({exc})"
+                ) from None
     X = np.asarray(rows, dtype=float)
     preds = predict(model, X)
     with open(out_path, "w", newline="") as fh:
@@ -407,7 +399,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             cfg = replace(cfg, seed=args.seed)
         if args.out:
             cfg = replace(cfg, output_path=args.out)
-        if args.threads:
+        if args.threads is not None:
             cfg = replace(cfg, threads=args.threads)
         cfg.validate()
         cfg.sim.validate()

@@ -9,6 +9,7 @@ import numpy as np
 
 from .cellwise import (CorrelationStructure, DdcConfig, ImputationResult,
                        RobustScale, correlation_structure, ddc_impute)
+from .errors import NonFiniteValue
 from .robustfit import EnsembleModel, fit_ensemble_models, predict
 from .selection import SelectionConfig, SelectionResult, run_selection
 
@@ -58,10 +59,19 @@ def fit_ensemble(y: np.ndarray, X: np.ndarray, cfg: SelectionConfig,
     impute : bool
         When False the detection stage is skipped and the selection runs
         on correlations of the raw data (ablation mode).
+
+    Raises
+    ------
+    NonFiniteValue
+        Naming the first column of ``[y, X]`` that holds a NaN or infinite
+        cell (0 is ``y``, ``j`` is ``x_j``).
     """
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
     Z = np.column_stack([y, X])
+    nonfinite = ~np.isfinite(Z).all(axis=0)
+    if nonfinite.any():
+        raise NonFiniteValue(int(np.argmax(nonfinite)))
     if impute:
         imp = ddc_impute(Z, ddc)
     else:

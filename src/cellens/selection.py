@@ -207,26 +207,21 @@ def run_selection(structure: CorrelationStructure, imp: ImputationResult,
     min_train = n - max(np.bincount(folds, minlength=cfg.cv_folds))
 
     states = [corrlars.SubModelState.initial(structure.r_y) for _ in range(cfg.K)]
-    available: list[int] = list(range(p))
-    current_cv = [cv_error(imp, [], folds, cfg.intercept) for _ in range(cfg.K)]
+    available = np.arange(p)
+    current_cv = [cv_error(imp, [], folds, cfg.intercept)] * cfg.K
     trace: list[CompetitionRecord] = []
-    total_selected = 0
-    iteration = 0
-    stop_reason = None
 
     while True:
-        iteration += 1
-        record = CompetitionRecord(iteration=iteration, proposals=[])
-        if total_selected >= max_vars:
+        # checked before each round, so a limit that a winner reaches is
+        # reported on the winner's round
+        if p - len(available) >= max_vars:
             stop_reason = STOP_MAX_VARS
-            record.stop_reason = stop_reason
-            trace.append(record)
             break
-        if not available:
+        if not len(available):
             stop_reason = STOP_POOL_EXHAUSTED
-            record.stop_reason = stop_reason
-            trace.append(record)
             break
+        record = CompetitionRecord(iteration=len(trace) + 1, proposals=[])
+        trace.append(record)
         for k in range(cfg.K):
             # A model at fold-training capacity stops proposing; the rest
             # keep competing.
@@ -251,8 +246,6 @@ def run_selection(structure: CorrelationStructure, imp: ImputationResult,
             ))
         if not record.proposals:
             stop_reason = STOP_NO_CANDIDATES
-            record.stop_reason = stop_reason
-            trace.append(record)
             break
         best = max(pr.benefit for pr in record.proposals)
         tied = [pr for pr in record.proposals if pr.benefit == best]
@@ -267,27 +260,16 @@ def run_selection(structure: CorrelationStructure, imp: ImputationResult,
         accept = pick.benefit > 0 and base > 0 and pick.benefit / base > cfg.tau
         if not accept:
             stop_reason = STOP_BELOW_TOLERANCE
-            record.stop_reason = stop_reason
-            trace.append(record)
             break
         states[pick.model] = corrlars.apply_step(states[pick.model], pick.lars,
                                                  available)
-        available.remove(pick.candidate)
+        available = available[available != pick.candidate]
         current_cv[pick.model] = pick.cv_new
-        total_selected += 1
         record.winner = (pick.model, pick.candidate)
-        if total_selected >= max_vars:
-            stop_reason = STOP_MAX_VARS
-            record.stop_reason = stop_reason
-            trace.append(record)
-            break
-        if not available:
-            stop_reason = STOP_POOL_EXHAUSTED
-            record.stop_reason = stop_reason
-            trace.append(record)
-            break
-        trace.append(record)
 
+    if not trace:  # a limit reached before the first round
+        trace.append(CompetitionRecord(iteration=1, proposals=[]))
+    trace[-1].stop_reason = stop_reason
     sets = [list(state.active) for state in states]
     return SelectionResult(sets=sets, trace=trace, stop_reason=stop_reason)
 

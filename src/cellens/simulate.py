@@ -31,7 +31,7 @@ import numpy as np
 
 from .data import Dataset, GroundTruth
 from .errors import InvalidConfig
-from .rng import make_rng, split_seed
+from .rng import make_rng
 
 SCENARIOS = (
     "Clean",
@@ -322,8 +322,3 @@ def contaminate(data: Dataset, spec: ContaminationSpec, sigma: np.ndarray,
         else:
             _cellwise_correlation(rng, out, sigma, spec, rest, spec.alpha2)
     return out
-
-
-def experiment_seed(master: int, rep: int, stage: int) -> int:
-    """Per-replication, per-stage seed used by the experiment drivers."""
-    return split_seed(split_seed(master, rep), stage)

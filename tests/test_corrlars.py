@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cellens import NotPositiveDefinite, make_rng
+from cellens import InvariantViolation, NotPositiveDefinite, make_rng
 from cellens.corrlars import (SubModelState, apply_step, equiangular_geometry,
                               greedy_path, propose)
 from cellens.reference import classical_lars_path, standardize_columns
@@ -207,3 +207,35 @@ def test_a_active_in_unit_interval():
         for state in states[1:]:
             a_k, _ = equiangular_geometry(R, state)
             assert 0 < a_k <= 1 + 1e-12
+
+
+def test_apply_step_rejects_candidate_outside_pool():
+    R = np.array([[1.0, 0.5], [0.5, 1.0]])
+    st = make_state([0.9, 0.45])
+    prop = propose(R, st, np.array([0, 1]))
+    assert prop.candidate == 0
+    with pytest.raises(InvariantViolation, match="not in the available pool"):
+        apply_step(st, prop, np.array([1]))
+
+
+def test_inner_is_nan_outside_pool():
+    X, y = standardized_problem(51, n=60, p=8, nact=3)
+    R = X.T @ X
+    st = SubModelState.initial(X.T @ y)
+    pool = np.array([0, 2, 3, 5, 7])
+    for _ in range(3):  # the first entry and two equiangular steps
+        prop = propose(R, st, pool)
+        assert prop.inner.shape == (8,)
+        assert np.array_equal(np.flatnonzero(~np.isnan(prop.inner)), pool)
+        new = apply_step(st, prop, pool)
+        # pool correlations drop by step * a_j; everything else outside the
+        # pool and the active set keeps its value bit for bit
+        if st.active:
+            expected = st.corr_state.copy()
+            for j in pool:
+                expected[j] -= prop.step * prop.inner[j]
+            assert np.array_equal(new.corr_state[pool], expected[pool])
+        rest = np.setdiff1d(np.arange(8), np.r_[pool, st.active])
+        assert np.array_equal(new.corr_state[rest], st.corr_state[rest])
+        st = new
+        pool = pool[pool != prop.candidate]

@@ -1,10 +1,12 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cellens import DegenerateColumn, ShapeMismatch, dataset_from_csv
+from cellens import (ContaminationSpec, DegenerateColumn, InvalidConfig,
+                     NonFiniteValue, ShapeMismatch, SimConfig, dataset_from_csv)
 from cellens.data import example_csv_path
 from cellens.experiment import (RESULT_COLUMNS, ExperimentConfig, fit_csv,
                                 load_config, main, predict_csv, run_experiment)
@@ -248,3 +250,62 @@ def test_cli_threads_validation(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"mode": "fit", "threads": 0}))
     assert main(["--config", str(p)]) == 1
+    # the same value as a flag is validated too, not ignored
+    cfg = small_fit_config(tmp_path, reps=1)
+    assert main(["--config", str(cfg), "--threads", "0"]) == 1
+
+
+def test_predict_csv_non_numeric_cell(tmp_path, capsys):
+    model_out = tmp_path / "model.json"
+    fit_csv(example_csv_path(), SelectionConfig(K=2, tau=0.01, cv_folds=5,
+                                                seed=4), str(model_out))
+    xpath = tmp_path / "bad.csv"
+    header = ",".join(f"x{j}" for j in range(1, 21))
+    row = ["0.0"] * 20
+    xpath.write_text(header + "\n" + ",".join(row) + "\n"
+                     + ",".join(row[:4] + ["abc"] + row[5:]) + "\n")
+    out = tmp_path / "o.csv"
+    with pytest.raises(ShapeMismatch, match=r"bad\.csv:3: non-numeric"):
+        predict_csv(str(model_out), str(xpath), str(out))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "fit", "predict": {
+        "model": str(model_out), "X": str(xpath), "out": str(out)}}))
+    assert main(["--config", str(cfg)]) == 2
+    assert "bad.csv:3" in capsys.readouterr().err
+
+
+def test_fit_csv_nonfinite_column_named(tmp_path):
+    rng = np.random.default_rng(7)
+    path = tmp_path / "nan.csv"
+    with open(path, "w") as fh:
+        fh.write("y,x1,x2,x3\n")
+        for i in range(20):
+            x3 = "nan" if i == 11 else repr(float(rng.standard_normal()))
+            fh.write(f"{float(rng.standard_normal())!r},"
+                     f"{float(rng.standard_normal())!r},"
+                     f"{float(rng.standard_normal())!r},{x3}\n")
+    with pytest.raises(NonFiniteValue, match="x3") as info:
+        fit_csv(str(path), SelectionConfig(K=2, cv_folds=5, seed=3),
+                str(tmp_path / "m.json"))
+    assert info.value.column == 3
+
+
+def test_config_sections_take_dataclass_defaults(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"sim": {"n": 30, "coef_range": [1.0, 2.0]},
+                             "selection": {"K": 4}}))
+    cfg = load_config(str(p))
+    assert cfg.sim == replace(SimConfig(), n=30, coef_range=(1.0, 2.0))
+    assert cfg.contamination == ContaminationSpec()
+    assert cfg.selection == replace(SelectionConfig(), K=4)
+    p.write_text("{}")
+    assert load_config(str(p)) == ExperimentConfig()
+
+
+@pytest.mark.parametrize("section", ["sim", "contamination", "selection"])
+def test_config_unknown_section_field(tmp_path, section):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({section: {"bogus": 1}}))
+    with pytest.raises(InvalidConfig,
+                       match=rf"unknown {section} fields: \['bogus'\]"):
+        load_config(str(p))

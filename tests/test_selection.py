@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import cellens.selection
 from cellens import (InvalidConfig, SelectionConfig, correlation_structure,
                      cv_error, fold_assignment, make_rng, run_selection,
                      trace_to_csv)
@@ -224,3 +225,70 @@ def test_run_selection_rejects_inconsistent_inputs():
     bad = type(structure)(R_X=structure.R_X[:5, :5], r_y=structure.r_y)
     with pytest.raises(InvalidConfig):
         run_selection(bad, imp, SelectionConfig(K=2, cv_folds=5, seed=1))
+
+
+def test_proposal_inner_nan_outside_pool():
+    p = 15
+    y, X = signal_data(31, n=60, p=p, nact=6)
+    imp = make_imp(y, X)
+    structure = correlation_structure(imp)
+    res = run_selection(structure, imp,
+                        SelectionConfig(K=3, tau=0.01, cv_folds=5, seed=32))
+    taken = []
+    for rec in res.trace:
+        pool = np.setdiff1d(np.arange(p), taken)
+        for pr in rec.proposals:
+            assert pr.lars.inner.shape == (p,)
+            assert np.array_equal(np.flatnonzero(~np.isnan(pr.lars.inner)), pool)
+        if rec.winner is not None:
+            taken.append(rec.winner[1])
+    assert len(taken) >= 2
+
+
+def test_one_record_per_round():
+    y, X = signal_data(33, n=60, p=15, nact=6)
+    imp = make_imp(y, X)
+    structure = correlation_structure(imp)
+    for cfg in (SelectionConfig(K=3, tau=0.01, cv_folds=5, seed=34),
+                SelectionConfig(K=3, tau=1e-10, cv_folds=5, max_vars=4, seed=34)):
+        res = run_selection(structure, imp, cfg)
+        assert [rec.iteration for rec in res.trace] == list(
+            range(1, len(res.trace) + 1))
+        assert all(rec.stop_reason is None for rec in res.trace[:-1])
+        assert all(rec.winner is not None for rec in res.trace[:-1])
+        assert res.trace[-1].stop_reason == res.stop_reason
+    # a cap reached by a winner is reported on that winner's round
+    assert res.stop_reason == STOP_MAX_VARS
+    assert res.trace[-1].winner is not None
+    assert len(res.trace) == 4
+
+
+def test_zero_max_vars_records_one_empty_round():
+    y, X = signal_data(35, n=40, p=8)
+    imp = make_imp(y, X)
+    structure = correlation_structure(imp)
+    res = run_selection(structure, imp,
+                        SelectionConfig(K=2, cv_folds=5, max_vars=0, seed=36))
+    assert res.stop_reason == STOP_MAX_VARS
+    assert len(res.trace) == 1
+    assert res.trace[0].proposals == [] and res.trace[0].winner is None
+    assert res.trace[0].stop_reason == STOP_MAX_VARS
+    assert res.sets == [[], []]
+
+
+def test_empty_model_scored_once(monkeypatch):
+    calls = []
+
+    def counting_cv_error(imp, subset, folds, intercept):
+        calls.append(list(subset))
+        return cv_error(imp, subset, folds, intercept)
+
+    monkeypatch.setattr(cellens.selection, "cv_error", counting_cv_error)
+    y, X = signal_data(37, n=60, p=12, nact=4)
+    imp = make_imp(y, X)
+    structure = correlation_structure(imp)
+    res = run_selection(structure, imp,
+                        SelectionConfig(K=4, tau=0.01, cv_folds=5, seed=38))
+    proposals = sum(len(rec.proposals) for rec in res.trace)
+    assert calls.count([]) == 1
+    assert len(calls) == proposals + 1
