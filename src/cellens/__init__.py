@@ -16,7 +16,8 @@ from .cellwise import (CorrelationStructure, DdcConfig, ImputationResult,
 from .data import Dataset, GroundTruth, dataset_from_csv, dataset_to_csv
 from .errors import (CellensError, DegenerateColumn, EmptyTruth, InvalidConfig,
                      InvariantViolation, NonFiniteValue, NotPositiveDefinite,
-                     RankDeficient, ShapeMismatch, TooFewColumns)
+                     RankDeficient, SelftestFailed, ShapeMismatch,
+                     TooFewColumns)
 from .linalg import cholesky_spd, ols_fit, solve_spd
 from .metrics import EvalReport, mspe, selection_scores, timed
 from .pipeline import FitResult, fit_ensemble, passthrough_imputation
@@ -37,7 +38,8 @@ __all__ = [
     "EmptyTruth", "EnsembleModel", "EvalReport", "FitResult", "GroundTruth",
     "ImputationResult", "InvalidConfig", "InvariantViolation",
     "NonFiniteValue", "NotPositiveDefinite", "RankDeficient", "RobustFit", "RobustScale",
-    "SCENARIOS", "SelectionConfig", "SelectionResult", "ShapeMismatch",
+    "SCENARIOS", "SelectionConfig", "SelectionResult", "SelftestFailed",
+    "ShapeMismatch",
     "SimConfig", "TooFewColumns", "block_covariance", "cholesky_spd",
     "contaminate", "correlation_structure", "cv_error", "dataset_from_csv",
     "dataset_to_csv", "ddc_impute", "fit_ensemble", "fit_ensemble_models",

@@ -71,11 +71,19 @@ class ImputationResult:
         True where a cell was replaced.
     scales : RobustScale
         Standardization used during detection.
+    marginal : ndarray of shape (p+1,), bool
+        True for a column that had no usable partner and so fell back to
+        marginal detection. All False when omitted.
     """
 
     Z_imp: np.ndarray
     flags: np.ndarray
     scales: RobustScale
+    marginal: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.marginal is None:
+            self.marginal = np.zeros(self.Z_imp.shape[1], dtype=bool)
 
     @property
     def y_imp(self) -> np.ndarray:
@@ -177,7 +185,8 @@ def ddc_impute(Z: np.ndarray, cfg: DdcConfig | None = None) -> ImputationResult:
     A column with no partner above ``min_abs_corr`` degrades to marginal
     detection: its predicted standardized value is 0 (the robust center),
     so only cells that are univariately wild get flagged and pulled to
-    the column median. Detection runs in a single pass.
+    the column median; ``ImputationResult.marginal`` records which columns
+    did so. Detection runs in a single pass.
     """
     if cfg is None:
         cfg = DdcConfig()
@@ -188,6 +197,7 @@ def ddc_impute(Z: np.ndarray, cfg: DdcConfig | None = None) -> ImputationResult:
     Zs, scales = robust_standardize(Z)
     corr = robust_partner_correlations(Zs, cfg.trim)
     flags = np.zeros((n, C), dtype=bool)
+    marginal = np.zeros(C, dtype=bool)
     Z_imp = Z.copy()
     for j in range(C):
         c = corr[j].copy()
@@ -206,13 +216,15 @@ def ddc_impute(Z: np.ndarray, cfg: DdcConfig | None = None) -> ImputationResult:
             pred += w * slope * Zs[:, h]
             wsum += w
         # no usable partner: zhat stays 0, i.e. marginal detection only
-        zhat = pred / wsum if wsum > 0.0 else pred
+        marginal[j] = wsum == 0.0
+        zhat = pred if marginal[j] else pred / wsum
         resid = Zs[:, j] - zhat
         flagged = np.abs(resid) > cfg.flag_cutoff
         if flagged.any():
             flags[flagged, j] = True
             Z_imp[flagged, j] = zhat[flagged] * scales.scale[j] + scales.location[j]
-    return ImputationResult(Z_imp=Z_imp, flags=flags, scales=scales)
+    return ImputationResult(Z_imp=Z_imp, flags=flags, scales=scales,
+                            marginal=marginal)
 
 
 def correlation_structure(imp: ImputationResult) -> CorrelationStructure:

@@ -126,6 +126,16 @@ def propose(R_X: np.ndarray, state: SubModelState,
         ``inner`` has length p and is NaN outside ``available``. With
         ``candidate=None`` and ``step=inf`` when every step size is
         infinite (no predictor can tie the active correlation).
+
+    Notes
+    -----
+    ``inner[j]`` and the step size of predictor ``j`` depend only on
+    (state, j), bit for bit, not on which other predictors are in the
+    pool: the inner products are computed over all p rows in one fixed
+    layout and then restricted to the pool (a BLAS matrix-vector product
+    may round a row differently depending on where the row sits in the
+    matrix). So removing a predictor other than the candidate from the
+    pool leaves the proposal unchanged apart from that entry of ``inner``.
     """
     r = state.corr_state
     inner = np.full(len(r), np.nan)
@@ -138,7 +148,7 @@ def propose(R_X: np.ndarray, state: SubModelState,
     a_k, w_k = equiangular_geometry(R_X, state)
     s = np.asarray(state.signs, dtype=float)
     r_avail = r[available]
-    a_vec = (R_X[np.ix_(available, state.active)] * s) @ w_k
+    a_vec = ((R_X[:, state.active] * s) @ w_k)[available]
     inner[available] = a_vec
     level = state.active_level
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -57,6 +57,10 @@ class ShapeMismatch(CellensError):
     """Array dimensions do not agree with the expected layout."""
 
 
+class SelftestFailed(CellensError):
+    """A built-in property suite failed; the runner exits with code 3."""
+
+
 class EmptyTruth(CellensError):
     """Selection scoring requires a non-empty true active set."""
 

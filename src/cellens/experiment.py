@@ -41,7 +41,7 @@ import numpy as np
 from . import selfcheck
 from .data import dataset_from_csv
 from .errors import (CellensError, DegenerateColumn, InvalidConfig,
-                     NonFiniteValue, ShapeMismatch)
+                     NonFiniteValue, SelftestFailed, ShapeMismatch)
 from .metrics import EvalReport, mspe, selection_scores, timed
 from .pipeline import fit_ensemble
 from .robustfit import model_from_json, model_to_json, predict
@@ -224,9 +224,8 @@ def run_experiment(cfg: ExperimentConfig) -> str:
     cfg.contamination.validate()
 
     if cfg.mode == "selftest":
-        ok = selfcheck.run_all(verbose=True)
-        if not ok:
-            raise CellensError("selftest failed")
+        if not selfcheck.run_all(verbose=True):
+            raise SelftestFailed("selftest failed")
         return cfg.output_path
 
     if cfg.mode == "fit" and cfg.data_csv is not None:
@@ -342,6 +341,9 @@ def predict_csv(model_path: str, X_path: str, out_path: str) -> None:
     ShapeMismatch
         With explicit expected-vs-found column counts, or naming the
         ``path:line`` of a non-numeric field.
+    NonFiniteValue
+        Naming the ``path:line`` and the column ``xj`` of the first NaN or
+        infinite cell.
     """
     model = model_from_json(Path(model_path).read_text())
     with open(X_path, newline="") as fh:
@@ -364,11 +366,16 @@ def predict_csv(model_path: str, X_path: str, out_path: str) -> None:
                 )
             vals = row[1:] if skip_first else row
             try:
-                rows.append([float(v) for v in vals])
+                values = [float(v) for v in vals]
             except ValueError as exc:
                 raise ShapeMismatch(
                     f"{X_path}:{lineno}: non-numeric field ({exc})"
                 ) from None
+            nonfinite = ~np.isfinite(values)
+            if nonfinite.any():
+                j = int(np.argmax(nonfinite)) + 1
+                raise NonFiniteValue(j, f"{X_path}:{lineno}: x{j}")
+            rows.append(values)
     X = np.asarray(rows, dtype=float)
     preds = predict(model, X)
     with open(out_path, "w", newline="") as fh:
@@ -408,15 +415,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
-    if cfg.mode == "selftest":
-        ok = selfcheck.run_all(verbose=True)
-        return 0 if ok else 3
     try:
         path = run_experiment(cfg)
     except CellensError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(f"results written to {path}")
+        return 3 if isinstance(exc, SelftestFailed) else 2
+    if cfg.mode != "selftest":
+        print(f"results written to {path}")
     return 0
 
 

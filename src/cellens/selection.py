@@ -19,7 +19,7 @@ of (inputs, seed).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -181,6 +181,20 @@ def run_selection(structure: CorrelationStructure, imp: ImputationResult,
                   cfg: SelectionConfig) -> SelectionResult:
     """Run the full K-model competition.
 
+    Only the round's winner changes state, so a model's proposal is
+    computed afresh (``corrlars.propose`` plus ``cv_error``) only in the
+    first round, after the model wins a round, and after another model
+    wins the predictor it proposed. Every other model re-enters its
+    previous proposal unchanged (candidate, step, entry sign, ``a_active``,
+    ``cv_new`` and benefit), with the predictor that left the pool set to
+    NaN in a copy of ``inner``. This gives bit for bit the proposals a
+    fresh call would make, because a proposal depends on the pool only
+    through its candidate and the pool's entries of ``inner``. A model
+    that sits out a round (at fold-training capacity, collinear active
+    set, or no finite step) sits out for the rest of the run: none of
+    these depend on the pool, and a model that makes no proposal cannot
+    win and change its state.
+
     Parameters
     ----------
     structure : CorrelationStructure
@@ -211,39 +225,50 @@ def run_selection(structure: CorrelationStructure, imp: ImputationResult,
     current_cv = [cv_error(imp, [], folds, cfg.intercept)] * cfg.K
     trace: list[CompetitionRecord] = []
 
+    def fresh_proposal(k: int) -> Optional[Proposal]:
+        """Model k's move on the current pool, None when it sits out."""
+        # A model at fold-training capacity stops proposing; the rest
+        # keep competing.
+        if len(states[k].active) + 1 + int(cfg.intercept) >= min_train:
+            return None
+        try:
+            prop = corrlars.propose(structure.R_X, states[k], available)
+        except NotPositiveDefinite:
+            return None
+        if prop.candidate is None:
+            return None
+        try:
+            new_cv = cv_error(imp, states[k].active + [prop.candidate],
+                              folds, cfg.intercept)
+            benefit = current_cv[k] - new_cv
+        except RankDeficient:
+            new_cv = np.inf
+            benefit = -np.inf
+        return Proposal(model=k, candidate=prop.candidate, gamma=prop.step,
+                        benefit=benefit, lars=prop, cv_new=new_cv)
+
+    # each model's latest move (None: it sits out) and whether the move
+    # must be made afresh next round; see the docstring for why reuse is exact
+    cached: list[Optional[Proposal]] = [None] * cfg.K
+    stale = [True] * cfg.K
+
     while True:
         # checked before each round, so a limit that a winner reaches is
         # reported on the winner's round
-        if p - len(available) >= max_vars:
-            stop_reason = STOP_MAX_VARS
-            break
         if not len(available):
             stop_reason = STOP_POOL_EXHAUSTED
+            break
+        if p - len(available) >= max_vars:
+            stop_reason = STOP_MAX_VARS
             break
         record = CompetitionRecord(iteration=len(trace) + 1, proposals=[])
         trace.append(record)
         for k in range(cfg.K):
-            # A model at fold-training capacity stops proposing; the rest
-            # keep competing.
-            if len(states[k].active) + 1 + int(cfg.intercept) >= min_train:
-                continue
-            try:
-                prop = corrlars.propose(structure.R_X, states[k], available)
-            except NotPositiveDefinite:
-                continue
-            if prop.candidate is None:
-                continue
-            try:
-                new_cv = cv_error(imp, states[k].active + [prop.candidate],
-                                  folds, cfg.intercept)
-                benefit = current_cv[k] - new_cv
-            except RankDeficient:
-                new_cv = np.inf
-                benefit = -np.inf
-            record.proposals.append(Proposal(
-                model=k, candidate=prop.candidate, gamma=prop.step,
-                benefit=benefit, lars=prop, cv_new=new_cv,
-            ))
+            if stale[k]:
+                cached[k] = fresh_proposal(k)
+                stale[k] = False
+            if cached[k] is not None:
+                record.proposals.append(cached[k])
         if not record.proposals:
             stop_reason = STOP_NO_CANDIDATES
             break
@@ -266,6 +291,15 @@ def run_selection(structure: CorrelationStructure, imp: ImputationResult,
         available = available[available != pick.candidate]
         current_cv[pick.model] = pick.cv_new
         record.winner = (pick.model, pick.candidate)
+        for k, prop in enumerate(cached):
+            if k == pick.model or (prop is not None
+                                   and prop.candidate == pick.candidate):
+                stale[k] = True
+            elif prop is not None:
+                # the record keeps its own copy: NaN outside that round's pool
+                inner = prop.lars.inner.copy()
+                inner[pick.candidate] = np.nan
+                cached[k] = replace(prop, lars=replace(prop.lars, inner=inner))
 
     if not trace:  # a limit reached before the first round
         trace.append(CompetitionRecord(iteration=1, proposals=[]))

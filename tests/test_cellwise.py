@@ -6,6 +6,7 @@ from cellens import (ContaminationSpec, DdcConfig, DegenerateColumn, SimConfig,
                      correlation_structure, ddc_impute, generate_clean,
                      make_rng, robust_standardize)
 from cellens.cellwise import FLAG_CUTOFF
+from cellens.pipeline import passthrough_imputation
 from cellens.reference import pearson_matrix
 
 
@@ -107,6 +108,21 @@ def test_marginal_fallback_flags_standalone_outlier():
     assert imp.flags[11, 3]
     # imputed to the robust column center
     assert abs(imp.Z_imp[11, 3] - np.median(Z[:, 3])) < 0.2
+
+
+def test_marginal_fallback_columns_recorded():
+    # independent columns have no partner: every column falls back
+    rng = make_rng(9)
+    Z = rng.standard_normal((120, 6))
+    Z[11, 3] = 40.0
+    imp = ddc_impute(Z)
+    assert imp.marginal.dtype == bool
+    assert np.array_equal(imp.marginal, np.ones(6, dtype=bool))
+    # one strongly correlated pair gets partner prediction, the rest do not
+    Z[:, 5] = Z[:, 1] + 0.1 * rng.standard_normal(120)
+    imp = ddc_impute(Z)
+    assert np.array_equal(imp.marginal, [True, False, True, True, True, False])
+    assert not passthrough_imputation(Z).marginal.any()
 
 
 def test_correlation_structure_examples():

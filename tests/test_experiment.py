@@ -5,6 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import cellens.selfcheck
+
 from cellens import (ContaminationSpec, DegenerateColumn, InvalidConfig,
                      NonFiniteValue, ShapeMismatch, SimConfig, dataset_from_csv)
 from cellens.data import example_csv_path
@@ -309,3 +311,42 @@ def test_config_unknown_section_field(tmp_path, section):
     with pytest.raises(InvalidConfig,
                        match=rf"unknown {section} fields: \['bogus'\]"):
         load_config(str(p))
+
+
+def test_predict_csv_nonfinite_cell(tmp_path, capsys):
+    model_out = tmp_path / "model.json"
+    fit_csv(example_csv_path(), SelectionConfig(K=2, tau=0.01, cv_folds=5,
+                                                seed=4), str(model_out))
+    header = ",".join(f"x{j}" for j in range(1, 21))
+    row = ["0.0"] * 20
+    out = tmp_path / "o.csv"
+    for bad_value, column in (("nan", 7), ("inf", 1), ("-inf", 20)):
+        xpath = tmp_path / "bad.csv"
+        bad = list(row)
+        bad[column - 1] = bad_value
+        xpath.write_text(header + "\n" + ",".join(row) + "\n"
+                         + ",".join(bad) + "\n")
+        with pytest.raises(NonFiniteValue, match=rf"bad\.csv:3: x{column} ") as info:
+            predict_csv(str(model_out), str(xpath), str(out))
+        assert info.value.column == column
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": "fit", "predict": {
+            "model": str(model_out), "X": str(xpath), "out": str(out)}}))
+        assert main(["--config", str(cfg)]) == 2
+        assert f"bad.csv:3: x{column} " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("passed, code", [(True, 0), (False, 3)])
+def test_cli_selftest_exit_code(monkeypatch, capsys, passed, code):
+    calls = []
+
+    def fake_run_all(verbose=True):
+        calls.append(verbose)
+        return passed
+
+    monkeypatch.setattr(cellens.selfcheck, "run_all", fake_run_all)
+    assert main(["--mode", "selftest"]) == code
+    assert len(calls) == 1
+    err = capsys.readouterr().err
+    assert ("selftest failed" in err) == (not passed)

@@ -5,6 +5,8 @@ import cellens.selection
 from cellens import (InvalidConfig, SelectionConfig, correlation_structure,
                      cv_error, fold_assignment, make_rng, run_selection,
                      trace_to_csv)
+from cellens.corrlars import SubModelState, apply_step, greedy_path, propose
+from cellens.errors import RankDeficient
 from cellens.pipeline import passthrough_imputation
 from cellens.reference import (classical_lars_path, cv_error_oracle,
                                standardize_columns)
@@ -23,6 +25,19 @@ def signal_data(seed, n=60, p=12, nact=4, noise=0.5):
     beta[:nact] = rng.uniform(1.5, 3.0, nact)
     y = X @ beta + noise * rng.standard_normal(n)
     return y, X
+
+
+def recomputed_proposals(res):
+    """Recorded proposals that a model had to make afresh: every proposal
+    of the first round, then those of a model that won the previous round
+    or whose previous candidate the winner took."""
+    fresh = len(res.trace[0].proposals)
+    for before, rec in zip(res.trace, res.trace[1:]):
+        model, taken = before.winner
+        stale = {pr.model for pr in before.proposals
+                 if pr.model == model or pr.candidate == taken}
+        fresh += sum(pr.model in stale for pr in rec.proposals)
+    return fresh
 
 
 def test_fold_assignment_sizes():
@@ -168,6 +183,19 @@ def test_pool_exhaustion():
         assert res.union() == {0, 1, 2}
 
 
+def test_pool_exhaustion_reported():
+    # max_vars defaults to p here, so the empty pool and the cap coincide;
+    # the empty pool is the reason reported
+    y, X = signal_data(21, n=60, p=3, nact=3, noise=0.1)
+    imp = make_imp(y, X)
+    structure = correlation_structure(imp)
+    res = run_selection(structure, imp,
+                        SelectionConfig(K=2, tau=1e-12, cv_folds=5, seed=22))
+    assert res.union() == {0, 1, 2}
+    assert res.stop_reason == STOP_POOL_EXHAUSTED
+    assert res.trace[-1].winner is not None
+
+
 def test_cv_cache_soundness():
     # each accepted winner's stored error must equal a from-scratch
     # recomputation on the same folds, bit for bit
@@ -291,4 +319,66 @@ def test_empty_model_scored_once(monkeypatch):
                         SelectionConfig(K=4, tau=0.01, cv_folds=5, seed=38))
     proposals = sum(len(rec.proposals) for rec in res.trace)
     assert calls.count([]) == 1
-    assert len(calls) == proposals + 1
+    # one call per proposal made afresh; reused proposals cost none
+    fresh = recomputed_proposals(res)
+    assert fresh < proposals
+    assert len(calls) == fresh + 1
+
+
+def test_replayed_proposals_match_trace():
+    # every recorded proposal, reused or not, must equal bit for bit what
+    # a fresh proposer call and CV score give on that round's state and pool
+    p = 40
+    y, X = signal_data(43, n=80, p=p, nact=14, noise=0.5)
+    imp = make_imp(y, X)
+    structure = correlation_structure(imp)
+    cfg = SelectionConfig(K=3, tau=1e-9, cv_folds=5, seed=44)
+    res = run_selection(structure, imp, cfg)
+    folds = fold_assignment(len(y), cfg.cv_folds, make_rng(cfg.seed))
+    states = [SubModelState.initial(structure.r_y) for _ in range(cfg.K)]
+    current_cv = [cv_error(imp, [], folds, cfg.intercept)] * cfg.K
+    available = np.arange(p)
+    for rec in res.trace:
+        for pr in rec.proposals:
+            k = pr.model
+            lars = propose(structure.R_X, states[k], available)
+            assert lars.candidate == pr.candidate == pr.lars.candidate
+            assert lars.step == pr.lars.step == pr.gamma
+            assert lars.entry_sign == pr.lars.entry_sign
+            assert lars.a_active == pr.lars.a_active
+            assert lars.inner.tobytes() == pr.lars.inner.tobytes()
+            try:
+                cv_new = cv_error(imp, states[k].active + [pr.candidate],
+                                  folds, cfg.intercept)
+            except RankDeficient:
+                cv_new = np.inf
+            assert cv_new == pr.cv_new
+            benefit = current_cv[k] - cv_new if np.isfinite(cv_new) else -np.inf
+            assert benefit == pr.benefit
+        if rec.winner is not None:
+            k, j = rec.winner
+            (win,) = [pr for pr in rec.proposals if (pr.model, pr.candidate) == (k, j)]
+            states[k] = apply_step(states[k], win.lars, available)
+            available = available[available != j]
+            current_cv[k] = win.cv_new
+    assert max(len(s) for s in res.sets) >= 8
+    assert recomputed_proposals(res) < sum(len(rec.proposals) for rec in res.trace)
+
+
+def test_inner_independent_of_rest_of_pool():
+    # with 8 active predictors, dropping any non-candidate from the pool
+    # must leave every other entry of inner bit-identical (a matrix-vector
+    # product over the pool's rows alone rounds rows by their position)
+    p = 20
+    y, X = signal_data(0, n=60, p=p, nact=10)
+    structure = correlation_structure(make_imp(y, X))
+    _, _, states = greedy_path(structure.R_X, structure.r_y, 8)
+    state = states[7]
+    pool = np.setdiff1d(np.arange(p), state.active)
+    full = propose(structure.R_X, state, pool)
+    for drop in pool[pool != full.candidate]:
+        rest = pool[pool != drop]
+        part = propose(structure.R_X, state, rest)
+        assert part.candidate == full.candidate
+        assert part.step == full.step
+        assert part.inner[rest].tobytes() == full.inner[rest].tobytes()
