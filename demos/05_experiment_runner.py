@@ -84,5 +84,5 @@ print(f"wrote {n_preds} predictions to {preds_path}")
 # 5. the built-in property checks
 #    CLI: cellens --mode selftest   (exit code 3 on failure)
 # ---------------------------------------------------------------------------
-print("\nselftest runs the invariance and path-equivalence suites; see")
-print("`cellens --mode selftest` or cellens.selfcheck.run_all()")
+print("\nselftest runs the invariance, path-equivalence and S-scale suites;")
+print("see `cellens --mode selftest` or cellens.selfcheck.run_all()")

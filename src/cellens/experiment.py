@@ -339,13 +339,17 @@ def predict_csv(model_path: str, X_path: str, out_path: str) -> None:
     Raises
     ------
     ShapeMismatch
-        With explicit expected-vs-found column counts, or naming the
-        ``path:line`` of a non-numeric field.
+        With explicit expected-vs-found column counts, naming the
+        ``path:line`` of a non-numeric field, or naming the model path and
+        the field of a malformed model document.
     NonFiniteValue
         Naming the ``path:line`` and the column ``xj`` of the first NaN or
         infinite cell.
     """
-    model = model_from_json(Path(model_path).read_text())
+    try:
+        model = model_from_json(Path(model_path).read_text())
+    except ShapeMismatch as exc:
+        raise ShapeMismatch(f"{model_path}: {exc}") from None
     with open(X_path, newline="") as fh:
         reader = csv.reader(fh)
         header = [h.strip() for h in next(reader)]

@@ -30,6 +30,9 @@ N_ELEMENTAL_STARTS = 20
 S_STAGE_MAX_ITER = 50
 M_STAGE_MAX_ITER = 500
 M_STAGE_TOL = 1e-8
+# Newton's method reaches any rtol above rounding in a few steps; this
+# only bounds a solve asked for an rtol that rounding never reaches
+S_SCALE_MAX_ITER = 100
 
 
 def bisquare_rho(u: np.ndarray, c: float) -> np.ndarray:
@@ -41,55 +44,59 @@ def bisquare_rho(u: np.ndarray, c: float) -> np.ndarray:
 def bisquare_weight(u: np.ndarray, c: float) -> np.ndarray:
     """IRLS weight psi(u)/u for the bisquare, zero beyond c."""
     z = (np.asarray(u) / c) ** 2
-    w = (1.0 - z) ** 2
-    w[z > 1.0] = 0.0
-    return w
+    return np.where(z > 1.0, 0.0, (1.0 - z) ** 2)
 
 
-def _s_scale_bisect(r: np.ndarray, c0: float, rtol: float,
-                    guess: float | None = None) -> float:
-    """Bisection for the S-scale equation on |residuals| ``r``.
+def _solve_s_scale(r: np.ndarray, c0: float, rtol: float,
+                   guess: float | None = None) -> float:
+    """Newton solve of the S-scale equation on residuals ``r``.
 
-    ``guess`` warm-starts the bracket (e.g. the scale of the previous
-    IRLS iterate), which cuts the iteration count sharply.
+    With a_i = (r_i / c0)^2 and s = 1 / sigma^2, mean rho(r / sigma) is
+    ``1 - mean((1 - min(a s, 1))^3)``: concave and nondecreasing in s.
+    From the left of the root Newton therefore rises to it without
+    overshooting, and from the right its first step lands on the left.
+    A step that would not keep s positive (or a zero slope, every row
+    saturated) restarts the solve from a point below the root. Steps stop
+    once they are below ``rtol`` relative to s. ``guess`` warm-starts the
+    solve at that sigma (e.g. the scale of the previous IRLS iterate).
     """
     n = r.size
-    nonzero = r[r > 0]
-    if nonzero.size <= n / 2.0:
+    if np.count_nonzero(r) <= n / 2.0:
         return 0.0
-
-    def excess(sigma: float) -> float:
-        return float(np.mean(bisquare_rho(r / sigma, c0))) - 0.5
-
-    start = guess if guess and guess > 0 else float(np.median(nonzero))
-    lo = hi = start
-    while excess(hi) > 0:
-        hi *= 2.0
-    while excess(lo) < 0:
-        lo /= 2.0
-        if lo < 1e-300:
-            return 0.0
-    while hi - lo > rtol * hi:
-        mid = 0.5 * (lo + hi)
-        if excess(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    a = (r / c0) ** 2
+    # 1 - (1 - x)^3 < 3x, so mean rho < 3 s_low mean(a) = 1/2: s_low lies
+    # below the root, and Newton rises from it monotonically
+    s_low = 1.0 / (6.0 * np.mean(a))
+    s = 1.0 / guess ** 2 if guess and guess > 0 else s_low
+    for _ in range(S_SCALE_MAX_ITER):
+        # one pass: saturated rows give t = 0, rho = 1 and no slope
+        t = np.maximum(1.0 - a * s, 0.0)
+        t2 = t * t
+        excess = 0.5 - t2.dot(t) / n
+        slope = 3.0 * a.dot(t2) / n
+        step = excess / slope if slope > 0 else np.inf
+        if step >= s:
+            # every row saturated, or the step would not keep s > 0
+            s = s_low
+            continue
+        s -= step
+        if abs(step) <= rtol * s:
+            break
+    return float(1.0 / np.sqrt(s))
 
 
 def s_scale(residuals: np.ndarray, c0: float = C_BREAKDOWN,
             rtol: float = 1e-10) -> float:
     """Bisquare S-scale: sigma with mean rho(r/sigma) equal to half its max.
 
-    Solved by bisection to relative tolerance ``rtol``. Returns 0.0 when
-    at least half the residuals are exactly zero (exact-fit case, where
-    no positive solution exists).
+    Solved by Newton's method in 1/sigma^2 to relative tolerance ``rtol``.
+    Returns 0.0 when at least half the residuals are exactly zero
+    (exact-fit case, where no positive solution exists).
     """
-    r = np.abs(np.asarray(residuals, dtype=float))
+    r = np.asarray(residuals, dtype=float)
     if r.size == 0:
         raise ShapeMismatch("empty residual vector")
-    return _s_scale_bisect(r, c0, rtol)
+    return _solve_s_scale(r.ravel(), c0, rtol)
 
 
 @dataclass
@@ -133,33 +140,33 @@ def _irls_s_stage(D: np.ndarray, y: np.ndarray, theta0: np.ndarray, c0: float,
                   final_rtol: float = 1e-10):
     """Iterate reweighted LS toward a local minimum of the S-scale.
 
-    The scale is re-solved each iterate by warm-bracketed bisection at
-    ``scale_rtol``; the returned scale is re-solved at ``final_rtol``.
+    The scale is re-solved each iterate by a Newton solve warm-started at
+    the previous scale, to ``scale_rtol``; the returned scale is re-solved
+    at ``final_rtol``. Iteration stops once the scale falls by less than
+    ``scale_rtol`` relative, the accuracy each scale is solved to.
     """
     theta = theta0.copy()
-    r = np.abs(y - D @ theta)
-    sigma = _s_scale_bisect(r, c0, scale_rtol)
+    r = y - D @ theta
+    sigma = _solve_s_scale(r, c0, scale_rtol)
     if sigma == 0.0:
         return theta, 0.0
     for _ in range(max_iter):
-        w = bisquare_weight((y - D @ theta) / sigma, c0)
+        w = bisquare_weight(r / sigma, c0)
         if w.sum() <= 0:
             break
-        theta_new = _weighted_ls(D, y, w)
-        r = np.abs(y - D @ theta_new)
-        sigma_new = _s_scale_bisect(r, c0, scale_rtol, guess=sigma)
-        theta = theta_new
+        theta = _weighted_ls(D, y, w)
+        r = y - D @ theta
+        sigma_new = _solve_s_scale(r, c0, scale_rtol, guess=sigma)
         if sigma_new == 0.0:
             return theta, 0.0
         # the objective is the scale itself: stop once it stalls (the
         # fixed-scale stage polishes the coefficients afterwards)
-        done = sigma_new >= sigma * (1 - 1e-9)
+        done = sigma_new >= sigma * (1 - scale_rtol)
         sigma = sigma_new
         if done:
             break
     if final_rtol < scale_rtol:
-        sigma = _s_scale_bisect(np.abs(y - D @ theta), c0, final_rtol,
-                                guess=sigma)
+        sigma = _solve_s_scale(r, c0, final_rtol, guess=sigma)
     return theta, sigma
 
 
@@ -338,19 +345,54 @@ def model_to_json(model: EnsembleModel) -> str:
     return json.dumps(doc, indent=2)
 
 
+_MODEL_FIT_FIELDS = ("coefficients", "intercepts", "scales", "converged",
+                     "iterations")
+
+
 def model_from_json(text: str) -> EnsembleModel:
-    """Inverse of :func:`model_to_json`."""
-    doc = json.loads(text)
+    """Inverse of :func:`model_to_json`.
+
+    Raises
+    ------
+    ShapeMismatch
+        Naming the field, when the text is not a JSON object of the current
+        schema, a field is missing, a per-fit list does not hold one entry
+        per set, a coefficient list does not match its set, or an index is
+        outside ``0..p-1``.
+    """
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ShapeMismatch(f"model is not valid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ShapeMismatch("model is not a JSON object")
     if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
         raise ShapeMismatch(
             f"unsupported model schema_version {doc.get('schema_version')!r}"
         )
+    for key in ("p", "intercept", "sets") + _MODEL_FIT_FIELDS:
+        if key not in doc:
+            raise ShapeMismatch(f"model field {key!r} is missing")
+    p, sets = int(doc["p"]), doc["sets"]
+    if not sets:
+        raise ShapeMismatch("model field 'sets' is empty")
+    for key in _MODEL_FIT_FIELDS:
+        if len(doc[key]) != len(sets):
+            raise ShapeMismatch(f"model field {key!r} has {len(doc[key])} "
+                                f"entries for {len(sets)} sets")
+    for k, (subset, coef) in enumerate(zip(sets, doc["coefficients"])):
+        if len(coef) != len(subset):
+            raise ShapeMismatch(
+                f"model field 'coefficients'[{k}] has {len(coef)} entries "
+                f"for {len(subset)} indices in 'sets'[{k}]")
+        outside = [j for j in subset if not 0 <= j < p]
+        if outside:
+            raise ShapeMismatch(f"model field 'sets'[{k}] holds index "
+                                f"{outside[0]} outside 0..{p - 1}")
     fits = [
         RobustFit(coefficients=np.asarray(c, dtype=float), intercept=b,
                   scale=s, converged=cv, iterations=it)
-        for c, b, s, cv, it in zip(doc["coefficients"], doc["intercepts"],
-                                   doc["scales"], doc["converged"],
-                                   doc["iterations"])
+        for c, b, s, cv, it in zip(*(doc[key] for key in _MODEL_FIT_FIELDS))
     ]
-    return EnsembleModel(fits=fits, sets=[list(map(int, s)) for s in doc["sets"]],
-                         p=int(doc["p"]), intercept=bool(doc["intercept"]))
+    return EnsembleModel(fits=fits, sets=[list(map(int, s)) for s in sets],
+                         p=p, intercept=bool(doc["intercept"]))

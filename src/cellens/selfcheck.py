@@ -1,7 +1,9 @@
-"""Built-in property suites: invariances, stability, and path equivalence.
+"""Built-in property suites: invariances, stability, path equivalence and
+the robust stage's S-scale.
 
-Each check runs the real pipeline on seeded synthetic data and verifies
-a structural property end to end. The experiment runner's selftest mode
+Each check runs the real pipeline (or, for the S-scale, the robust
+stage's scale solve) on seeded synthetic data and verifies a structural
+property or an oracle agreement. The experiment runner's selftest mode
 executes all of them; the test suite reuses them with larger budgets.
 Every function returns a list of human-readable failure strings (empty
 means the property held).
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import corrlars, reference
+from . import corrlars, reference, robustfit
 from .cellwise import CorrelationStructure, correlation_structure, ddc_impute
 from .pipeline import fit_ensemble
 from .rng import make_rng, split_seed
@@ -161,6 +163,34 @@ def check_path_equivalence(n_runs: int = 50, n: int = 60, p: int = 25,
     return failures
 
 
+def check_s_scale(n_runs: int = 9, tol: float = 1e-6) -> list[str]:
+    """The robust stage's S-scale must match the grid-refinement oracle.
+
+    Runs cycle through heavy-tailed (t with 2 degrees of freedom)
+    residuals, residuals with 45% gross outliers that saturate the
+    bisquare at the root, and tiny samples with one exact zero.
+    """
+    failures = []
+    c0 = robustfit.C_BREAKDOWN
+    for run in range(n_runs):
+        rng = make_rng(split_seed(1313, run))
+        kind = run % 3
+        if kind == 0:
+            r = rng.standard_t(2, 200)
+        elif kind == 1:
+            r = rng.standard_normal(200)
+            r[:90] = rng.choice([-1.0, 1.0], 90) * rng.uniform(30, 60, 90)
+        else:
+            r = np.append(rng.standard_normal(2), 0.0)
+        r *= rng.uniform(0.5, 3.0)
+        got = robustfit.s_scale(r, c0)
+        want = reference.s_scale_grid(r, c0)
+        if not abs(got - want) <= tol:
+            failures.append(f"s-scale run {run}: {got!r} against oracle "
+                            f"{want!r}")
+    return failures
+
+
 def run_all(verbose: bool = True) -> bool:
     """Run every property suite; True when all pass."""
     suites = [
@@ -169,6 +199,7 @@ def run_all(verbose: bool = True) -> bool:
         ("permutation-equivariance", lambda: check_permutation_equivariance(n_runs=5)),
         ("intercept-invariance", lambda: check_intercept_invariance(n_runs=5)),
         ("local-stability", lambda: check_local_stability(n_runs=5)),
+        ("s-scale", check_s_scale),
     ]
     ok = True
     for name, fn in suites:

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -334,6 +335,41 @@ def test_predict_csv_nonfinite_cell(tmp_path, capsys):
             "model": str(model_out), "X": str(xpath), "out": str(out)}}))
         assert main(["--config", str(cfg)]) == 2
         assert f"bad.csv:3: x{column} " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_predict_csv_malformed_model(tmp_path, capsys):
+    model_out = tmp_path / "model.json"
+    fit_csv(example_csv_path(), SelectionConfig(K=2, tau=0.01, cv_folds=5,
+                                                seed=4), str(model_out))
+    good = json.loads(model_out.read_text())
+    assert all(good["sets"])
+    out = tmp_path / "o.csv"
+    bad_model = tmp_path / "bad_model.json"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "fit", "predict": {
+        "model": str(bad_model), "X": example_csv_path(), "out": str(out)}}))
+    truncated = dict(good, scales=good["scales"][:1])
+    long_coef = dict(good, coefficients=[good["coefficients"][0] + [1.0],
+                                         good["coefficients"][1]])
+    big_index = dict(good, sets=[good["sets"][0],
+                                 [good["p"]] + good["sets"][1][1:]])
+    missing = {k: v for k, v in good.items() if k != "iterations"}
+    cases = [
+        (json.dumps(truncated),
+         "model field 'scales' has 1 entries for 2 sets"),
+        (json.dumps(long_coef), "model field 'coefficients'[0]"),
+        (json.dumps(big_index),
+         f"model field 'sets'[1] holds index {good['p']}"),
+        (json.dumps(missing), "model field 'iterations' is missing"),
+        (model_out.read_text()[:-5], "model is not valid JSON"),
+    ]
+    for text, message in cases:
+        bad_model.write_text(text)
+        with pytest.raises(ShapeMismatch, match=re.escape(message)):
+            predict_csv(str(bad_model), example_csv_path(), str(out))
+        assert main(["--config", str(cfg)]) == 2
+        assert f"{bad_model}: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 

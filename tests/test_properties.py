@@ -3,7 +3,7 @@ test_acceptance.py)."""
 
 import numpy as np
 
-from cellens import selfcheck
+from cellens import robustfit, selfcheck
 from cellens.pipeline import passthrough_imputation
 
 
@@ -25,6 +25,19 @@ def test_intercept_invariance_property():
 
 def test_local_stability_property():
     assert selfcheck.check_local_stability(n_runs=4) == []
+
+
+def test_s_scale_property():
+    assert selfcheck.check_s_scale() == []
+
+
+def test_s_scale_check_catches_off_solver(monkeypatch):
+    s_scale = robustfit.s_scale
+    monkeypatch.setattr(robustfit, "s_scale",
+                        lambda r, c0: s_scale(r, c0) * (1 + 1e-5))
+    failures = selfcheck.check_s_scale(n_runs=3)
+    assert [f.split(":")[0] for f in failures] == [
+        f"s-scale run {run}" for run in range(3)]
 
 
 def test_passthrough_imputation_identity():

@@ -1,10 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
 from cellens import (EnsembleModel, RankDeficient, RobustFit, ShapeMismatch,
                      fit_ensemble_models, make_rng, mm_fit, model_from_json,
                      model_to_json, ols_fit, predict, s_scale)
-from cellens.robustfit import C_BREAKDOWN, bisquare_rho
+from cellens.robustfit import (C_BREAKDOWN, S_STAGE_MAX_ITER, _irls_s_stage,
+                               _solve_s_scale, bisquare_rho, bisquare_weight)
 from cellens.reference import s_scale_grid
 
 
@@ -42,6 +45,78 @@ def test_s_scale_exact_fit():
     assert s_scale(np.zeros(10)) == 0.0
     # more than half zeros: no positive solution
     assert s_scale(np.array([0.0] * 6 + [1.0] * 4)) == 0.0
+
+
+def _hard_residuals(kind):
+    rng = make_rng(20)
+    if kind == "t2":
+        return rng.standard_t(2, 300)
+    if kind == "saturated":
+        r = rng.standard_normal(100)
+        r[:45] = rng.choice([-1.0, 1.0], 45) * rng.uniform(20, 80, 45)
+        return r
+    return np.array([0.0, 1.3, -0.4])
+
+
+@pytest.mark.parametrize("kind", ["t2", "saturated", "tiny"])
+def test_s_scale_matches_grid_oracle_hard_cases(kind):
+    r = _hard_residuals(kind)
+    sigma = s_scale(r)
+    assert sigma == pytest.approx(s_scale_grid(r, C_BREAKDOWN), abs=1e-6)
+    if kind == "saturated":
+        assert np.mean(np.abs(r) / sigma >= C_BREAKDOWN) >= 0.4
+
+
+@pytest.mark.parametrize("kind", ["t2", "saturated", "tiny"])
+@pytest.mark.parametrize("factor", [1e-6, 1e6])
+def test_s_scale_warm_start_far_from_root(kind, factor):
+    r = _hard_residuals(kind)
+    root = s_scale(r, rtol=1e-14)
+    got = _solve_s_scale(r, C_BREAKDOWN, 1e-12, guess=factor * root)
+    assert got == pytest.approx(root, rel=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["t2", "saturated", "tiny"])
+def test_s_scale_scale_equivariance_tight(kind):
+    r = _hard_residuals(kind)
+    for c in (1e-3, 0.7, 3.0, 1e4):
+        assert s_scale(c * r) == pytest.approx(c * s_scale(r), rel=1e-12)
+
+
+def test_s_stage_stops_at_scale_accuracy(monkeypatch):
+    import cellens.robustfit as robustfit
+
+    rng = make_rng(3)
+    n = 200
+    X = rng.standard_normal((n, 4))
+    y = X @ rng.uniform(-2, 2, 4) + rng.standard_normal(n)
+    out = rng.choice(n, size=n * 15 // 100, replace=False)
+    y[out] += rng.uniform(10, 30, out.size)
+    D = np.column_stack([np.ones(n), X])
+    coef, b0 = ols_fit(X, y, intercept=True)
+    theta0 = np.concatenate([[b0], coef])
+
+    rounds = []
+    weighted_ls = robustfit._weighted_ls
+
+    def counted(*args):
+        rounds.append(1)
+        return weighted_ls(*args)
+
+    monkeypatch.setattr(robustfit, "_weighted_ls", counted)
+    _, sigma = _irls_s_stage(D, y, theta0, C_BREAKDOWN, scale_rtol=1e-5)
+    assert len(rounds) < S_STAGE_MAX_ITER
+    _, converged = _irls_s_stage(D, y, theta0, C_BREAKDOWN, max_iter=10_000,
+                                 scale_rtol=1e-13)
+    assert sigma == pytest.approx(converged, rel=1e-4)
+
+
+def test_bisquare_weight_accepts_scalars():
+    assert bisquare_weight(0.5, 1.0) == pytest.approx(0.5625)
+    assert bisquare_weight(2.0, 1.0) == 0.0
+    u = np.array([-2.0, -0.5, 0.0, 0.5, 1.0, 3.0])
+    assert np.array_equal(bisquare_weight(u, 1.0),
+                          [bisquare_weight(v, 1.0) for v in u])
 
 
 def test_mm_exact_fit():
@@ -198,3 +273,36 @@ def test_model_json_rejects_unknown_schema():
     doc["schema_version"] = 99
     with pytest.raises(ShapeMismatch):
         model_from_json(json.dumps(doc))
+
+
+def _two_set_doc():
+    import json
+
+    rng = make_rng(17)
+    X = rng.standard_normal((30, 4))
+    y = X[:, 0] - X[:, 3] + 0.1 * rng.standard_normal(30)
+    return json.loads(model_to_json(fit_ensemble_models(y, X, [[0, 1], [3]])))
+
+
+@pytest.mark.parametrize("field, mutate", [
+    ("'scales'", lambda d: d["scales"].pop()),
+    ("'coefficients'[1]", lambda d: d["coefficients"][1].append(0.5)),
+    ("'sets'[0]", lambda d: d["sets"][0].__setitem__(1, 4)),
+    ("'sets'[1]", lambda d: d["sets"][1].__setitem__(0, -1)),
+    ("'intercepts'", lambda d: d.pop("intercepts")),
+    ("'sets'", lambda d: d["sets"].clear()),
+])
+def test_model_json_rejects_malformed_document(field, mutate):
+    import json
+
+    doc = _two_set_doc()
+    mutate(doc)
+    with pytest.raises(ShapeMismatch, match=f"model field {re.escape(field)}"):
+        model_from_json(json.dumps(doc))
+
+
+def test_model_json_rejects_invalid_json():
+    with pytest.raises(ShapeMismatch, match="not valid JSON"):
+        model_from_json('{"schema_version": 1,')
+    with pytest.raises(ShapeMismatch, match="not a JSON object"):
+        model_from_json("[1, 2]")
