@@ -151,19 +151,47 @@ def robust_partner_correlations(Zs: np.ndarray, trim: float = 0.10) -> np.ndarra
     same-trimmed second moments so the estimate is near the true
     correlation for Gaussian data. Trimming by absolute magnitude makes
     the estimate flip sign exactly under per-column sign flips.
+
+    Each of the C(C+1)/2 pairs is computed once. Row ``j`` is formed over
+    columns ``j..C-1`` in the ``(n, C - j)`` layout, whose axis-0 sums add
+    the rows in order for every column; it is normalized in place by
+    ``sqrt(t2[j] * t2[j:])`` and written to row and column ``j``. The
+    result is therefore exactly symmetric, and the C x C output is the only
+    C x C array held. The last row keeps a two-column slice, because numpy
+    sums a one-column slice in another order.
     """
     n, C = Zs.shape
     keep = n - int(np.floor(trim * n))
     t2 = _trimmed_second_moments(Zs, trim)
     corr = np.empty((C, C))
-    denom = np.sqrt(np.outer(t2, t2))
     for j in range(C):
-        P = Zs * Zs[:, [j]]
+        lo = min(j, C - 2) if C > 1 else 0
+        P = Zs[:, lo:] * Zs[:, [j]]
         A = np.abs(P)
         thr = np.partition(A, keep - 1, axis=0)[keep - 1]
         mask = A <= thr
-        corr[j] = (P * mask).sum(axis=0) / mask.sum(axis=0)
-    return corr / denom
+        row = (P * mask).sum(axis=0) / mask.sum(axis=0)
+        row /= np.sqrt(t2[j] * t2[lo:])
+        corr[j, lo:] = row
+        corr[lo:, j] = row
+    return corr
+
+
+def median_ratio_slopes(z: np.ndarray, Zh: np.ndarray,
+                        usable: np.ndarray) -> np.ndarray:
+    """Median-of-ratios slopes of ``z`` on each column of ``Zh`` at once.
+
+    Column ``i`` of the result is ``np.median(z[u] / Zh[u, i])`` with
+    ``u = usable[:, i]``, bit for bit: the ratios are sorted with ``inf`` in
+    the unusable rows, and the median of the ``m`` usable ones is
+    ``(R[(m-1)//2] + R[m//2]) / 2``. Every column needs at least one usable
+    row.
+    """
+    R = np.divide(z[:, None], Zh, out=np.full(Zh.shape, np.inf), where=usable)
+    R.sort(axis=0)
+    m = usable.sum(axis=0)
+    cols = np.arange(Zh.shape[1])
+    return (R[(m - 1) // 2, cols] + R[m // 2, cols]) / 2
 
 
 def ddc_impute(Z: np.ndarray, cfg: DdcConfig | None = None) -> ImputationResult:
@@ -186,7 +214,11 @@ def ddc_impute(Z: np.ndarray, cfg: DdcConfig | None = None) -> ImputationResult:
     detection: its predicted standardized value is 0 (the robust center),
     so only cells that are univariately wild get flagged and pulled to
     the column median; ``ImputationResult.marginal`` records which columns
-    did so. Detection runs in a single pass.
+    did so. Detection runs in a single pass. A column's partners are its
+    ``k_neighbors`` largest ``|corr|`` at or above ``min_abs_corr`` (ties to
+    the lowest index); their slopes come from one batched
+    :func:`median_ratio_slopes` call, and partners with no row above
+    ``ratio_floor`` are skipped.
     """
     if cfg is None:
         cfg = DdcConfig()
@@ -199,19 +231,20 @@ def ddc_impute(Z: np.ndarray, cfg: DdcConfig | None = None) -> ImputationResult:
     flags = np.zeros((n, C), dtype=bool)
     marginal = np.zeros(C, dtype=bool)
     Z_imp = Z.copy()
+    usable = np.abs(Zs) > cfg.ratio_floor
+    has_usable = usable.any(axis=0)
     for j in range(C):
         c = corr[j].copy()
         c[j] = 0.0
         cand = np.flatnonzero(np.abs(c) >= cfg.min_abs_corr)
         order = cand[np.argsort(-np.abs(c[cand]), kind="stable")]
         partners = order[: cfg.k_neighbors]
+        partners = partners[has_usable[partners]]
+        slopes = median_ratio_slopes(Zs[:, j], Zs[:, partners],
+                                     usable[:, partners])
         pred = np.zeros(n)
         wsum = 0.0
-        for h in partners:
-            usable = np.abs(Zs[:, h]) > cfg.ratio_floor
-            if not usable.any():
-                continue
-            slope = np.median(Zs[usable, j] / Zs[usable, h])
+        for h, slope in zip(partners, slopes):
             w = abs(c[h])
             pred += w * slope * Zs[:, h]
             wsum += w
@@ -233,6 +266,9 @@ def correlation_structure(imp: ImputationResult) -> CorrelationStructure:
     Returns the p x p predictor correlation matrix and the p-vector of
     predictor-response correlations. The matrix is a Gram matrix of
     centered, normalized columns and therefore positive semi-definite.
+    ``R_X`` and ``r_y`` are views of the one ``(p+1, p+1)`` Gram matrix
+    ``U.T @ U``, clipped to [-1, 1] and given a unit ``R_X`` diagonal in
+    place, so no second C x C array is made.
 
     Raises
     ------
@@ -247,8 +283,8 @@ def correlation_structure(imp: ImputationResult) -> CorrelationStructure:
         raise DegenerateColumn(int(bad[0]))
     U = centered / norms
     R_full = U.T @ U
-    R_X = R_full[1:, 1:].copy()
-    r_y = R_full[1:, 0].copy()
+    R_X = R_full[1:, 1:]
+    r_y = R_full[1:, 0]
     np.clip(R_X, -1.0, 1.0, out=R_X)
     np.clip(r_y, -1.0, 1.0, out=r_y)
     np.fill_diagonal(R_X, 1.0)

@@ -10,6 +10,7 @@ row per observation; masks use the same layout with 0/1 entries.
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Optional
@@ -105,21 +106,38 @@ def dataset_to_csv(data: Dataset, path: str, mask_path: str | None = None) -> No
                 writer.writerow([int(my[i])] + [int(v) for v in mX[i]])
 
 
+@contextmanager
+def open_csv(path: str):
+    """Open a CSV for reading; yields its stripped header and a row reader.
+
+    Raises
+    ------
+    ShapeMismatch
+        Naming the path, when the file cannot be opened or is empty.
+    """
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise ShapeMismatch(f"{path}: cannot open ({exc.strerror})") from None
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ShapeMismatch(f"{path}: empty file") from None
+        yield [h.strip() for h in header], reader
+
+
 def dataset_from_csv(path: str) -> Dataset:
     """Read a ``y,x1,...,xp`` CSV into a Dataset.
 
     Raises
     ------
     ShapeMismatch
-        On a malformed header, ragged rows, or non-numeric fields.
+        Naming the path, when it cannot be opened or is empty, and on a
+        malformed header, ragged rows, or non-numeric fields.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ShapeMismatch(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
+    with open_csv(path) as (header, reader):
         if not header or header[0] != "y":
             raise ShapeMismatch(f"{path}: first header field must be 'y', got {header[:1]}")
         p = len(header) - 1

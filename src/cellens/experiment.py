@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from . import selfcheck
-from .data import dataset_from_csv
+from .data import dataset_from_csv, open_csv
 from .errors import (CellensError, DegenerateColumn, InvalidConfig,
                      NonFiniteValue, SelftestFailed, ShapeMismatch)
 from .metrics import EvalReport, mspe, selection_scores, timed
@@ -339,7 +339,9 @@ def predict_csv(model_path: str, X_path: str, out_path: str) -> None:
     Raises
     ------
     ShapeMismatch
-        With explicit expected-vs-found column counts, naming the
+        Naming the path of a model or predictor file that cannot be
+        opened, or of an empty predictor file; with explicit
+        expected-vs-found column counts, naming the
         ``path:line`` of a non-numeric field, or naming the model path and
         the field of a malformed model document.
     NonFiniteValue
@@ -348,11 +350,11 @@ def predict_csv(model_path: str, X_path: str, out_path: str) -> None:
     """
     try:
         model = model_from_json(Path(model_path).read_text())
+    except OSError as exc:
+        raise ShapeMismatch(f"{model_path}: cannot open ({exc.strerror})") from None
     except ShapeMismatch as exc:
         raise ShapeMismatch(f"{model_path}: {exc}") from None
-    with open(X_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader)]
+    with open_csv(X_path) as (header, reader):
         skip_first = header and header[0] == "y"
         width = len(header) - (1 if skip_first else 0)
         if width != model.p:

@@ -9,6 +9,7 @@ test suite and the built-in self-check; they are deliberately slow.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,6 +124,30 @@ def pearson_matrix(X: np.ndarray) -> np.ndarray:
             out[j, h] = r
             out[h, j] = r
     return out
+
+
+def trimmed_correlation_pair(z_j, z_h, trim: float) -> float:
+    """Trimmed partner correlation of two standardized columns, by definition.
+
+    With ``keep = n - floor(trim * n)``, a trimmed mean averages the values
+    whose magnitude is at most the ``keep``-th smallest magnitude (ties at
+    that magnitude are all kept). The correlation is the trimmed mean of
+    the cross products over the square root of the product of the two
+    trimmed mean squares. Plain Python over sorted lists, one pair at a time.
+    """
+    z_j = [float(v) for v in z_j]
+    z_h = [float(v) for v in z_h]
+    n = len(z_j)
+    keep = n - int(math.floor(trim * n))
+
+    def trimmed_mean(values):
+        cutoff = sorted(abs(v) for v in values)[keep - 1]
+        kept = [v for v in values if abs(v) <= cutoff]
+        return sum(kept) / len(kept)
+
+    cross = trimmed_mean([a * b for a, b in zip(z_j, z_h)])
+    return cross / math.sqrt(trimmed_mean([a * a for a in z_j])
+                             * trimmed_mean([b * b for b in z_h]))
 
 
 def gaussian_elimination_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ the location stage 95% efficiency.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -349,6 +350,24 @@ _MODEL_FIT_FIELDS = ("coefficients", "intercepts", "scales", "converged",
                      "iterations")
 
 
+def _is_index(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+# per-fit fields holding one scalar per set: (field, check, expected kind)
+_SCALAR_FIT_FIELDS = (
+    ("intercepts", _is_finite_number, "a finite number"),
+    ("scales", _is_finite_number, "a finite number"),
+    ("converged", lambda v: isinstance(v, bool), "a boolean"),
+    ("iterations", _is_index, "an integer"),
+)
+
+
 def model_from_json(text: str) -> EnsembleModel:
     """Inverse of :func:`model_to_json`.
 
@@ -356,9 +375,13 @@ def model_from_json(text: str) -> EnsembleModel:
     ------
     ShapeMismatch
         Naming the field, when the text is not a JSON object of the current
-        schema, a field is missing, a per-fit list does not hold one entry
-        per set, a coefficient list does not match its set, or an index is
-        outside ``0..p-1``.
+        schema, a field is missing, ``p`` is not a positive integer, a
+        per-fit field is not a list with one entry per set, a set is not a
+        list of integer indices in ``0..p-1``, a coefficient list does not
+        match its set, a coefficient, intercept or scale is not a finite
+        number, a ``converged`` entry is not a boolean, or an
+        ``iterations`` entry is not an integer. Booleans count as neither
+        integers nor numbers.
     """
     try:
         doc = json.loads(text)
@@ -373,26 +396,47 @@ def model_from_json(text: str) -> EnsembleModel:
     for key in ("p", "intercept", "sets") + _MODEL_FIT_FIELDS:
         if key not in doc:
             raise ShapeMismatch(f"model field {key!r} is missing")
-    p, sets = int(doc["p"]), doc["sets"]
-    if not sets:
-        raise ShapeMismatch("model field 'sets' is empty")
+    p, sets = doc["p"], doc["sets"]
+    if not _is_index(p) or p < 1:
+        raise ShapeMismatch(f"model field 'p' is {p!r}, not a positive integer")
+    if not isinstance(sets, list) or not sets:
+        raise ShapeMismatch("model field 'sets' is not a non-empty list")
     for key in _MODEL_FIT_FIELDS:
+        if not isinstance(doc[key], list):
+            raise ShapeMismatch(f"model field {key!r} is not a list")
         if len(doc[key]) != len(sets):
             raise ShapeMismatch(f"model field {key!r} has {len(doc[key])} "
                                 f"entries for {len(sets)} sets")
+    for key, valid, kind in _SCALAR_FIT_FIELDS:
+        wrong = [v for v in doc[key] if not valid(v)]
+        if wrong:
+            raise ShapeMismatch(f"model field {key!r} holds {wrong[0]!r}, "
+                                f"not {kind}")
     for k, (subset, coef) in enumerate(zip(sets, doc["coefficients"])):
+        if not isinstance(subset, list):
+            raise ShapeMismatch(f"model field 'sets'[{k}] is not a list")
+        if not isinstance(coef, list):
+            raise ShapeMismatch(f"model field 'coefficients'[{k}] is not a list")
         if len(coef) != len(subset):
             raise ShapeMismatch(
                 f"model field 'coefficients'[{k}] has {len(coef)} entries "
                 f"for {len(subset)} indices in 'sets'[{k}]")
+        wrong = [j for j in subset if not _is_index(j)]
+        if wrong:
+            raise ShapeMismatch(f"model field 'sets'[{k}] holds {wrong[0]!r}, "
+                                f"not an integer index")
         outside = [j for j in subset if not 0 <= j < p]
         if outside:
             raise ShapeMismatch(f"model field 'sets'[{k}] holds index "
                                 f"{outside[0]} outside 0..{p - 1}")
+        wrong = [c for c in coef if not _is_finite_number(c)]
+        if wrong:
+            raise ShapeMismatch(f"model field 'coefficients'[{k}] holds "
+                                f"{wrong[0]!r}, not a finite number")
     fits = [
         RobustFit(coefficients=np.asarray(c, dtype=float), intercept=b,
                   scale=s, converged=cv, iterations=it)
         for c, b, s, cv, it in zip(*(doc[key] for key in _MODEL_FIT_FIELDS))
     ]
-    return EnsembleModel(fits=fits, sets=[list(map(int, s)) for s in sets],
+    return EnsembleModel(fits=fits, sets=[list(s) for s in sets],
                          p=p, intercept=bool(doc["intercept"]))

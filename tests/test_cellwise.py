@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,10 @@ from cellens import (ContaminationSpec, DdcConfig, DegenerateColumn, SimConfig,
                      TooFewColumns, block_covariance, contaminate,
                      correlation_structure, ddc_impute, generate_clean,
                      make_rng, robust_standardize)
-from cellens.cellwise import FLAG_CUTOFF
+from cellens.cellwise import (FLAG_CUTOFF, median_ratio_slopes,
+                              robust_partner_correlations)
 from cellens.pipeline import passthrough_imputation
-from cellens.reference import pearson_matrix
+from cellens.reference import pearson_matrix, trimmed_correlation_pair
 
 
 def correlated_matrix(seed, n=100, p=20, rho=0.8):
@@ -181,3 +184,99 @@ def test_detection_rates_on_marginal_contamination():
 def test_flag_cutoff_constant():
     assert abs(FLAG_CUTOFF - 2.5758293) < 1e-6
     assert DdcConfig().flag_cutoff == FLAG_CUTOFF
+
+
+@pytest.mark.parametrize("trim, discrete", [(0.10, False), (0.0, False),
+                                            (0.25, True), (0.10, True)])
+def test_partner_correlations_match_pair_oracle(trim, discrete):
+    rng = make_rng(21)
+    Z = correlated_matrix(22, n=37, p=12, rho=0.6)
+    Z[rng.random(Z.shape) < 0.08] += 9.0
+    if discrete:
+        Z = np.round(Z)  # tied products, ties at the trimming threshold
+    Zs, _ = robust_standardize(Z)
+    corr = robust_partner_correlations(Zs, trim)
+    assert np.array_equal(corr, corr.T)
+    assert np.array_equal(np.diag(corr), np.ones(12))
+    for j in range(12):
+        for h in range(12):
+            oracle = trimmed_correlation_pair(Zs[:, j], Zs[:, h], trim)
+            assert abs(corr[j, h] - oracle) < 1e-12
+
+
+def test_partner_correlations_two_columns():
+    Zs, _ = robust_standardize(correlated_matrix(23, n=15, p=2))
+    corr = robust_partner_correlations(Zs)
+    assert np.array_equal(corr, corr.T)
+    for j, h in ((0, 0), (0, 1), (1, 1)):
+        assert abs(corr[j, h] - trimmed_correlation_pair(Zs[:, j], Zs[:, h],
+                                                         0.10)) < 1e-12
+
+
+def test_median_ratio_slopes_equal_np_median():
+    rng = make_rng(24)
+    n = 20
+    z = np.round(rng.standard_normal(n), 1)  # tied ratios
+    Zh = np.round(rng.choice([-1.0, 1.0], (n, 6))
+                  * rng.uniform(0.2, 3.0, (n, 6)), 1)
+    Zh[:3, 1] = 0.05  # 17 usable rows: odd count; column 0 has 20
+    Zh[:, 2] = Zh[:, 0]
+    Zh[0, 2] = -Zh[0, 2]  # ties at the median position
+    Zh[:, 4] = 0.05
+    Zh[7, 4] = 1.5  # a single usable row
+    Zh[:, 5] = 0.05
+    Zh[[3, 11], 5] = [2.0, -0.5]  # only two usable rows
+    usable = np.abs(Zh) > 0.1
+    assert list(usable.sum(axis=0)[[0, 1, 4, 5]]) == [20, 17, 1, 2]
+    slopes = median_ratio_slopes(z, Zh, usable)
+    for i in range(6):
+        u = usable[:, i]
+        assert slopes[i] == np.median(z[u] / Zh[u, i])
+    assert median_ratio_slopes(z, Zh[:, :0], usable[:, :0]).shape == (0,)
+
+
+def block_factor_matrix(seed, n, C, block=25, alpha=0.1):
+    """Block-correlated joint matrix with cellwise outliers.
+
+    Drawn elementwise only (no matrix product), so its bits do not depend
+    on the BLAS thread count.
+    """
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, 1))
+    h = rng.standard_normal((n, C // block + 1))
+    Z = (0.4 * g + 0.75 * h[:, np.arange(C) // block]
+         + 0.5 * rng.standard_normal((n, C)))
+    cells = rng.random((n, C)) < alpha
+    Z[cells] += (rng.choice([-1.0, 1.0], cells.sum())
+                 * rng.uniform(4, 10, cells.sum()))
+    return Z
+
+
+@pytest.mark.parametrize("n, C, seed, digest", [
+    (100, 2001, 7, "19353060c7942484"),
+    (100, 2001, 8, "7921d1042015cc86"),
+    (300, 301, 7, "8ece200b06469187"),
+    (300, 301, 8, "57a919e6e1253d4f"),
+    (50, 201, 7, "0cb829a17d3a1b9c"),
+    (50, 201, 8, "2c36beaa174762c2"),
+])
+def test_ddc_impute_seeded_digest(n, C, seed, digest):
+    # digests of flags, Z_imp and marginal recorded from the implementation
+    # that computed every pair twice and every slope with np.median
+    imp = ddc_impute(block_factor_matrix(seed, n, C))
+    h = hashlib.sha256()
+    for a in (imp.flags, imp.Z_imp, imp.marginal):
+        h.update(np.ascontiguousarray(a).tobytes())
+    assert h.hexdigest()[:16] == digest
+    assert imp.marginal.any() and not imp.marginal.all()
+
+
+def test_correlation_structure_shares_one_gram_matrix():
+    imp = ddc_impute(correlated_matrix(25, n=40, p=9))
+    structure = correlation_structure(imp)
+    assert structure.R_X.base is not None
+    assert structure.R_X.base is structure.r_y.base
+    assert np.array_equal(np.diag(structure.R_X), np.ones(8))
+    ref = pearson_matrix(imp.Z_imp)
+    assert np.max(np.abs(structure.R_X - ref[1:, 1:])) < 1e-12
+    assert np.max(np.abs(structure.r_y - ref[1:, 0])) < 1e-12

@@ -386,3 +386,40 @@ def test_cli_selftest_exit_code(monkeypatch, capsys, passed, code):
     assert len(calls) == 1
     err = capsys.readouterr().err
     assert ("selftest failed" in err) == (not passed)
+
+
+@pytest.mark.parametrize("case", ["model", "X", "empty X", "data_csv"])
+def test_missing_or_empty_input_path_exits_2(tmp_path, capsys, case):
+    model_out = tmp_path / "model.json"
+    fit_csv(example_csv_path(), SelectionConfig(K=2, tau=0.01, cv_folds=5,
+                                                seed=4), str(model_out))
+    capsys.readouterr()
+    missing = tmp_path / "missing.csv"
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    out = tmp_path / "o.csv"
+    predict_spec, message = {  # predict section (None: data_csv), error text
+        "model": ({"model": str(tmp_path / "nope.json"),
+                   "X": example_csv_path()},
+                  f"{tmp_path / 'nope.json'}: cannot open"),
+        "X": ({"model": str(model_out), "X": str(missing)},
+              f"{missing}: cannot open"),
+        "empty X": ({"model": str(model_out), "X": str(empty)},
+                    f"{empty}: empty file"),
+        "data_csv": (None, f"{missing}: cannot open"),
+    }[case]
+    if predict_spec is None:
+        with pytest.raises(ShapeMismatch, match=re.escape(message)):
+            dataset_from_csv(str(missing))
+        doc = {"mode": "fit", "data_csv": str(missing),
+               "model_out": str(tmp_path / "m.json")}
+    else:
+        with pytest.raises(ShapeMismatch, match=re.escape(message)):
+            predict_csv(predict_spec["model"], predict_spec["X"], str(out))
+        doc = {"mode": "fit", "predict": dict(predict_spec, out=str(out))}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "m.json").exists()

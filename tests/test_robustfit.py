@@ -301,6 +301,34 @@ def test_model_json_rejects_malformed_document(field, mutate):
         model_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("field, mutate", [
+    ("'p' is 'abc'", lambda d: d.__setitem__("p", "abc")),
+    ("'p' is True", lambda d: d.__setitem__("p", True)),
+    ("'p' is 4.0", lambda d: d.__setitem__("p", 4.0)),
+    ("'sets'[0] holds '1'", lambda d: d["sets"][0].__setitem__(1, "1")),
+    ("'sets'[1] holds 0.7", lambda d: d["sets"][1].__setitem__(0, 0.7)),
+    ("'sets'[0] holds False", lambda d: d["sets"][0].__setitem__(0, False)),
+    ("'coefficients'[1] holds 'x'",
+     lambda d: d["coefficients"][1].__setitem__(0, "x")),
+    ("'coefficients'[0] holds nan",
+     lambda d: d["coefficients"][0].__setitem__(1, float("nan"))),
+    ("'intercepts' holds inf", lambda d: d["intercepts"].__setitem__(0, float("inf"))),
+    ("'intercepts' holds None", lambda d: d["intercepts"].__setitem__(1, None)),
+    ("'scales' holds '1.0'", lambda d: d["scales"].__setitem__(0, "1.0")),
+    ("'scales' holds True", lambda d: d["scales"].__setitem__(1, True)),
+    ("'converged' holds 'no'", lambda d: d["converged"].__setitem__(0, "no")),
+    ("'iterations' holds 2.5", lambda d: d["iterations"].__setitem__(1, 2.5)),
+])
+def test_model_json_rejects_wrong_field_values(field, mutate):
+    import json
+    import re
+
+    doc = _two_set_doc()
+    mutate(doc)
+    with pytest.raises(ShapeMismatch, match=f"model field {re.escape(field)}"):
+        model_from_json(json.dumps(doc))
+
+
 def test_model_json_rejects_invalid_json():
     with pytest.raises(ShapeMismatch, match="not valid JSON"):
         model_from_json('{"schema_version": 1,')
