@@ -1,4 +1,4 @@
-"""Config-driven experiments: replicated runs, sweeps, benchmarks, CSV fits.
+"""Config-driven experiments: replicated runs, sweeps, CSV fits.
 
 Everything the command line does is available programmatically. A JSON
 config fixes the simulation, corruption, and selection settings; results
@@ -16,7 +16,8 @@ from cellens.data import example_csv_path
 from cellens.experiment import load_config, run_experiment, fit_csv, predict_csv
 from cellens.selection import SelectionConfig
 
-workdir = Path(tempfile.mkdtemp(prefix="cellens_demo_"))
+tmp = tempfile.TemporaryDirectory(prefix="cellens_demo_")
+workdir = Path(tmp.name)
 
 # ---------------------------------------------------------------------------
 # 1. replicated simulation runs
@@ -55,19 +56,7 @@ out = run_experiment(load_config(str(workdir / "sweep.json")))
 print(f"\nsweep-k mode: wrote {out}")
 
 # ---------------------------------------------------------------------------
-# 3. timing benchmark over an (n, p) grid, with a median summary file
-#    CLI: cellens --config bench.json --mode benchmark --out bench.csv
-# ---------------------------------------------------------------------------
-bench_cfg = dict(fit_cfg, mode="benchmark", n_grid=[40], p_grid=[50, 100],
-                 benchmark_reps=2, output=str(workdir / "bench.csv"))
-(workdir / "bench.json").write_text(json.dumps(bench_cfg))
-out = run_experiment(load_config(str(workdir / "bench.json")))
-with open(workdir / "bench_medians.csv", newline="") as fh:
-    for row in csv.reader(fh):
-        print(f"  {row}")
-
-# ---------------------------------------------------------------------------
-# 4. fitting a user CSV and scoring a saved model
+# 3. fitting a user CSV and scoring a saved model
 #    CLI: cellens --config fitcsv.json --mode fit
 #    with {"data_csv": ..., "model_out": ...} in the config
 # ---------------------------------------------------------------------------
@@ -81,8 +70,9 @@ n_preds = sum(1 for _ in open(preds_path)) - 1
 print(f"wrote {n_preds} predictions to {preds_path}")
 
 # ---------------------------------------------------------------------------
-# 5. the built-in property checks
+# 4. the built-in property checks
 #    CLI: cellens --mode selftest   (exit code 3 on failure)
 # ---------------------------------------------------------------------------
 print("\nselftest runs the invariance, path-equivalence and S-scale suites;")
 print("see `cellens --mode selftest` or cellens.selfcheck.run_all()")
+tmp.cleanup()

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateColumn, TooFewColumns
+from .errors import DegenerateColumn, InvalidConfig, TooFewColumns
 
 # abs standardized residual above which a cell is flagged; equals the
 # 99.5% standard normal quantile, i.e. sqrt of the chi-square(1) 0.99 point
@@ -50,6 +50,24 @@ class DdcConfig:
     trim: float = 0.10
     ratio_floor: float = 0.1
     flag_cutoff: float = FLAG_CUTOFF
+
+    def validate(self) -> None:
+        """Raise InvalidConfig naming the first out-of-range field.
+
+        Written as positive range tests so that NaN fails every one.
+        """
+        if not 0 <= self.trim < 1:
+            raise InvalidConfig(f"trim={self.trim} outside [0, 1)")
+        if not self.k_neighbors >= 1:
+            raise InvalidConfig(f"k_neighbors={self.k_neighbors} must be >= 1")
+        if not 0 <= self.min_abs_corr <= 1:
+            raise InvalidConfig(
+                f"min_abs_corr={self.min_abs_corr} outside [0, 1]")
+        if not self.ratio_floor >= 0:
+            raise InvalidConfig(f"ratio_floor={self.ratio_floor} must be >= 0")
+        if not self.flag_cutoff > 0:
+            raise InvalidConfig(
+                f"flag_cutoff={self.flag_cutoff} must be positive")
 
 
 @dataclass
@@ -143,7 +161,8 @@ def _trimmed_second_moments(Zs: np.ndarray, trim: float) -> np.ndarray:
     return (sq * mask).sum(axis=0) / mask.sum(axis=0)
 
 
-def robust_partner_correlations(Zs: np.ndarray, trim: float = 0.10) -> np.ndarray:
+def robust_partner_correlations(Zs: np.ndarray,
+                                trim: float = DdcConfig.trim) -> np.ndarray:
     """Outlier-resistant correlation matrix of standardized columns.
 
     For each pair, the mean of cross products is taken after trimming the
@@ -208,6 +227,11 @@ def ddc_impute(Z: np.ndarray, cfg: DdcConfig | None = None) -> ImputationResult:
     -------
     ImputationResult
 
+    Raises
+    ------
+    InvalidConfig
+        Naming the field, when ``cfg`` fails :meth:`DdcConfig.validate`.
+
     Notes
     -----
     A column with no partner above ``min_abs_corr`` degrades to marginal
@@ -222,6 +246,7 @@ def ddc_impute(Z: np.ndarray, cfg: DdcConfig | None = None) -> ImputationResult:
     """
     if cfg is None:
         cfg = DdcConfig()
+    cfg.validate()
     Z = np.asarray(Z, dtype=float)
     n, C = Z.shape
     if C < 2:

@@ -16,9 +16,6 @@ sweep-k
     The fit loop repeated over a grid of ensemble sizes.
 sweep-contamination
     The fit loop repeated over scenario/rate combinations.
-benchmark
-    Full-factorial (n, p) timing grid; per-replication rows plus a
-    ``*_medians.csv`` summary of the median fit time per cell.
 selftest
     Runs the built-in property suites; exits nonzero on failure.
 
@@ -58,7 +55,7 @@ RESULT_COLUMNS = [
     "selected_count", "cpu_seconds",
 ]
 
-MODES = ("fit", "sweep-k", "sweep-contamination", "benchmark", "selftest")
+MODES = ("fit", "sweep-k", "sweep-contamination", "selftest")
 
 
 @dataclass
@@ -78,14 +75,12 @@ class ExperimentConfig:
     k_grid: tuple[int, ...] = tuple(range(1, 21))
     scenario_grid: tuple[str, ...] = SCENARIOS
     alpha_grid: tuple[float, ...] = (0.05, 0.1)
-    n_grid: tuple[int, ...] = (50, 100)
-    p_grid: tuple[int, ...] = (250, 500, 1000)
-    benchmark_reps: int = 3
     data_csv: Optional[str] = None
     model_out: Optional[str] = None
     predict_spec: Optional[dict] = None
 
     def validate(self) -> None:
+        """Check settings, including the ``sim`` and ``contamination`` ones."""
         if self.mode not in MODES:
             raise InvalidConfig(f"mode {self.mode!r} not one of {MODES}")
         if self.replications < 1:
@@ -94,6 +89,8 @@ class ExperimentConfig:
             raise InvalidConfig("test_size must be >= 1")
         if self.threads < 1:
             raise InvalidConfig("threads must be >= 1")
+        self.sim.validate()
+        self.contamination.validate()
 
 
 # config sections that map one-to-one onto a nested settings dataclass
@@ -187,11 +184,11 @@ def _row(cfg: ExperimentConfig, sim: SimConfig, cont: ContaminationSpec,
 def _run_grid(cfg: ExperimentConfig, cells: list[tuple[SimConfig,
                                                        ContaminationSpec,
                                                        SelectionConfig]],
-              reps: int, writer) -> list[list]:
+              writer) -> None:
     """Run replications for every grid cell, writing rows in stable order."""
     jobs = []
     for cell_idx, (sim, cont, sel) in enumerate(cells):
-        for rep in range(reps):
+        for rep in range(cfg.replications):
             rep_seed = split_seed(split_seed(cfg.seed, cell_idx), rep)
             jobs.append((cell_idx, rep, rep_seed, sim, cont, sel))
     results: dict[tuple[int, int], EvalReport] = {}
@@ -208,20 +205,14 @@ def _run_grid(cfg: ExperimentConfig, cells: list[tuple[SimConfig,
         for cell_idx, rep, rep_seed, sim, cont, sel in jobs:
             results[(cell_idx, rep)] = run_single(sim, cont, sel, rep_seed,
                                                   cfg.test_size, cfg.impute)
-    rows = []
     for cell_idx, rep, rep_seed, sim, cont, sel in jobs:
-        report = results[(cell_idx, rep)]
-        row = _row(cfg, sim, cont, sel, rep, rep_seed, report)
-        writer.writerow(row)
-        rows.append(row)
-    return rows
+        writer.writerow(_row(cfg, sim, cont, sel, rep, rep_seed,
+                             results[(cell_idx, rep)]))
 
 
 def run_experiment(cfg: ExperimentConfig) -> str:
     """Execute the configured mode; returns the results path."""
     cfg.validate()
-    cfg.sim.validate()
-    cfg.contamination.validate()
 
     if cfg.mode == "selftest":
         if not selfcheck.run_all(verbose=True):
@@ -239,60 +230,31 @@ def run_experiment(cfg: ExperimentConfig) -> str:
         predict_csv(spec["model"], spec["X"], spec["out"])
         return spec["out"]
 
+    if cfg.mode == "fit":
+        cells = [(cfg.sim, cfg.contamination, cfg.selection)]
+    elif cfg.mode == "sweep-k":
+        cells = [(cfg.sim, cfg.contamination, replace(cfg.selection, K=k))
+                 for k in cfg.k_grid]
+    else:  # sweep-contamination
+        cells = []
+        for scen in cfg.scenario_grid:
+            if scen == "Clean":
+                cells.append((cfg.sim, ContaminationSpec(scenario="Clean"),
+                              cfg.selection))
+                continue
+            for alpha in cfg.alpha_grid:
+                spec = replace(cfg.contamination, scenario=scen, alpha=alpha)
+                if scen.startswith("Mixture") and spec.alpha2 <= 0:
+                    spec = replace(spec, alpha2=0.05)
+                cells.append((cfg.sim, spec, cfg.selection))
+
     out = Path(cfg.output_path)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RESULT_COLUMNS)
-        if cfg.mode == "fit":
-            cells = [(cfg.sim, cfg.contamination, cfg.selection)]
-            _run_grid(cfg, cells, cfg.replications, writer)
-        elif cfg.mode == "sweep-k":
-            cells = [(cfg.sim, cfg.contamination, replace(cfg.selection, K=k))
-                     for k in cfg.k_grid]
-            _run_grid(cfg, cells, cfg.replications, writer)
-        elif cfg.mode == "sweep-contamination":
-            cells = []
-            for scen in cfg.scenario_grid:
-                if scen == "Clean":
-                    cells.append((cfg.sim, ContaminationSpec(scenario="Clean"),
-                                  cfg.selection))
-                    continue
-                for alpha in cfg.alpha_grid:
-                    spec = replace(cfg.contamination, scenario=scen, alpha=alpha)
-                    if scen.startswith("Mixture") and spec.alpha2 <= 0:
-                        spec = replace(spec, alpha2=0.05)
-                    cells.append((cfg.sim, spec, cfg.selection))
-            _run_grid(cfg, cells, cfg.replications, writer)
-        elif cfg.mode == "benchmark":
-            cells = []
-            for n in cfg.n_grid:
-                for p in cfg.p_grid:
-                    sim = replace(cfg.sim, n=n, p=p)
-                    cells.append((sim, cfg.contamination, cfg.selection))
-            rows = _run_grid(cfg, cells, cfg.benchmark_reps, writer)
-            _write_benchmark_medians(out, rows)
+        _run_grid(cfg, cells, writer)
     return str(out)
-
-
-def _write_benchmark_medians(out: Path, rows: list[list]) -> None:
-    """Companion CSV with the median fit time per (n, p) cell."""
-    cells: dict[tuple, list[float]] = {}
-    idx_n = RESULT_COLUMNS.index("n")
-    idx_p = RESULT_COLUMNS.index("p")
-    idx_k = RESULT_COLUMNS.index("K")
-    idx_t = RESULT_COLUMNS.index("cpu_seconds")
-    for row in rows:
-        key = (row[idx_n], row[idx_p], row[idx_k])
-        cells.setdefault(key, []).append(float(row[idx_t]))
-    med_path = out.with_name(out.stem + "_medians.csv")
-    with open(med_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["schema_version", "mode", "n", "p", "K",
-                         "median_cpu_seconds"])
-        for (n, p, k), times in cells.items():
-            writer.writerow([CSV_SCHEMA_VERSION, "benchmark", n, p, k,
-                             repr(float(np.median(times)))])
 
 
 def fit_csv(data_path: str, sel: SelectionConfig, model_out: str) -> str:
@@ -340,8 +302,8 @@ def predict_csv(model_path: str, X_path: str, out_path: str) -> None:
     ------
     ShapeMismatch
         Naming the path of a model or predictor file that cannot be
-        opened, or of an empty predictor file; with explicit
-        expected-vs-found column counts, naming the
+        opened, or of a predictor file that is empty or has no data rows;
+        with explicit expected-vs-found column counts, naming the
         ``path:line`` of a non-numeric field, or naming the model path and
         the field of a malformed model document.
     NonFiniteValue
@@ -382,6 +344,8 @@ def predict_csv(model_path: str, X_path: str, out_path: str) -> None:
                 j = int(np.argmax(nonfinite)) + 1
                 raise NonFiniteValue(j, f"{X_path}:{lineno}: x{j}")
             rows.append(values)
+    if not rows:
+        raise ShapeMismatch(f"{X_path}: no data rows")
     X = np.asarray(rows, dtype=float)
     preds = predict(model, X)
     with open(out_path, "w", newline="") as fh:
@@ -415,8 +379,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.threads is not None:
             cfg = replace(cfg, threads=args.threads)
         cfg.validate()
-        cfg.sim.validate()
-        cfg.contamination.validate()
     except (InvalidConfig, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -34,6 +34,8 @@ M_STAGE_TOL = 1e-8
 # Newton's method reaches any rtol above rounding in a few steps; this
 # only bounds a solve asked for an rtol that rounding never reaches
 S_SCALE_MAX_ITER = 100
+# relative accuracy of a returned S-scale
+S_SCALE_RTOL = 1e-10
 
 
 def bisquare_rho(u: np.ndarray, c: float) -> np.ndarray:
@@ -87,7 +89,7 @@ def _solve_s_scale(r: np.ndarray, c0: float, rtol: float,
 
 
 def s_scale(residuals: np.ndarray, c0: float = C_BREAKDOWN,
-            rtol: float = 1e-10) -> float:
+            rtol: float = S_SCALE_RTOL) -> float:
     """Bisquare S-scale: sigma with mean rho(r/sigma) equal to half its max.
 
     Solved by Newton's method in 1/sigma^2 to relative tolerance ``rtol``.
@@ -121,11 +123,13 @@ class EnsembleModel:
     intercept: bool
 
 
-def _design(X: np.ndarray, intercept: bool) -> np.ndarray:
-    n = X.shape[0]
-    if intercept:
-        return np.column_stack([np.ones(n), X])
-    return X
+def _split_fit(theta: np.ndarray, intercept: bool, scale: float,
+               converged: bool, iterations: int) -> RobustFit:
+    """RobustFit from ``theta`` over the design (intercept column first)."""
+    return RobustFit(coefficients=theta[1:] if intercept else theta,
+                     intercept=float(theta[0]) if intercept else 0.0,
+                     scale=float(scale), converged=converged,
+                     iterations=iterations)
 
 
 def _weighted_ls(D: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -137,8 +141,8 @@ def _weighted_ls(D: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _irls_s_stage(D: np.ndarray, y: np.ndarray, theta0: np.ndarray, c0: float,
-                  max_iter: int = S_STAGE_MAX_ITER, scale_rtol: float = 1e-6,
-                  final_rtol: float = 1e-10):
+                  scale_rtol: float, max_iter: int = S_STAGE_MAX_ITER,
+                  final_rtol: float = S_SCALE_RTOL):
     """Iterate reweighted LS toward a local minimum of the S-scale.
 
     The scale is re-solved each iterate by a Newton solve warm-started at
@@ -203,17 +207,15 @@ def mm_fit(X: np.ndarray, y: np.ndarray, intercept: bool = True,
     n, q = X.shape
     if q + int(intercept) >= n:
         raise RankDeficient(f"{q} predictors (+intercept={intercept}) with only {n} rows")
-    D = _design(X, intercept)
+    D = np.column_stack([np.ones(n), X]) if intercept else X
     ncol = D.shape[1]
     if ncol == 0:
-        sigma = s_scale(y)
-        return RobustFit(coefficients=np.zeros(0), intercept=0.0,
-                         scale=float(sigma), converged=True, iterations=0)
+        return _split_fit(np.zeros(0), False, s_scale(y), True, 0)
 
+    # ols_fit's intercept-only branch returns mean(y), which the normal
+    # equations on the ones column miss by an ulp in most inputs
     coef0, b0 = ols_fit(X, y, intercept=intercept)
-    theta_ols = np.concatenate([[b0], coef0]) if intercept else coef0
-
-    starts = [theta_ols]
+    starts = [np.concatenate([[b0], coef0]) if intercept else coef0]
     rng = make_rng(seed)
     for _ in range(N_ELEMENTAL_STARTS):
         for _attempt in range(50):
@@ -249,11 +251,7 @@ def mm_fit(X: np.ndarray, y: np.ndarray, intercept: bool = True,
 
     if sigma == 0.0:
         # exact fit: the S-stage already interpolates the tightest half
-        if intercept:
-            return RobustFit(coefficients=theta[1:], intercept=float(theta[0]),
-                             scale=0.0, converged=True, iterations=0)
-        return RobustFit(coefficients=theta, intercept=0.0, scale=0.0,
-                         converged=True, iterations=0)
+        return _split_fit(theta, intercept, 0.0, True, 0)
 
     # M-stage at fixed scale, wider tuning constant
     r = y - D @ theta
@@ -279,12 +277,7 @@ def mm_fit(X: np.ndarray, y: np.ndarray, intercept: bool = True,
         if delta < M_STAGE_TOL:
             converged = True
             break
-    if intercept:
-        return RobustFit(coefficients=theta[1:], intercept=float(theta[0]),
-                         scale=float(sigma), converged=converged,
-                         iterations=iterations)
-    return RobustFit(coefficients=theta, intercept=0.0, scale=float(sigma),
-                     converged=converged, iterations=iterations)
+    return _split_fit(theta, intercept, sigma, converged, iterations)
 
 
 def fit_ensemble_models(imp_y: np.ndarray, imp_X: np.ndarray,

@@ -11,6 +11,8 @@ means the property held).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import corrlars, reference, robustfit
@@ -30,7 +32,7 @@ def _generic_dataset(seed: int, n: int = 50, p: int = 80):
 
 
 def _selection_cfg(seed: int, K: int = 5) -> SelectionConfig:
-    return SelectionConfig(K=K, tau=0.01, cv_folds=5, intercept=True, seed=seed)
+    return SelectionConfig(K=K, seed=seed)
 
 
 def _affine_maps(rng: np.random.Generator, count: int):
@@ -91,9 +93,7 @@ def check_intercept_invariance(n_runs: int = 20, n: int = 50,
         imp.Z_imp -= imp.Z_imp.mean(axis=0)
         structure = correlation_structure(imp)
         cfg_on = _selection_cfg(seed=split_seed(808, run))
-        cfg_off = SelectionConfig(K=cfg_on.K, tau=cfg_on.tau,
-                                  cv_folds=cfg_on.cv_folds, intercept=False,
-                                  seed=cfg_on.seed)
+        cfg_off = replace(cfg_on, intercept=False)
         res_on = run_selection(structure, imp, cfg_on)
         res_off = run_selection(structure, imp, cfg_off)
         if res_on.winner_sequence() != res_off.winner_sequence():

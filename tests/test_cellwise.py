@@ -3,8 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from cellens import (ContaminationSpec, DdcConfig, DegenerateColumn, SimConfig,
-                     TooFewColumns, block_covariance, contaminate,
+from cellens import (ContaminationSpec, DdcConfig, DegenerateColumn,
+                     InvalidConfig, SimConfig, TooFewColumns,
+                     block_covariance, contaminate,
                      correlation_structure, ddc_impute, generate_clean,
                      make_rng, robust_standardize)
 from cellens.cellwise import (FLAG_CUTOFF, median_ratio_slopes,
@@ -184,6 +185,25 @@ def test_detection_rates_on_marginal_contamination():
 def test_flag_cutoff_constant():
     assert abs(FLAG_CUTOFF - 2.5758293) < 1e-6
     assert DdcConfig().flag_cutoff == FLAG_CUTOFF
+
+
+@pytest.mark.parametrize("field, bad, good", [
+    ("trim", [-0.5, 1.0, 1.5], [0.0, 0.99]),
+    ("k_neighbors", [0, -1], [1]),
+    ("min_abs_corr", [-0.1, 1.5, 2.0], [0.0, 1.0]),
+    ("ratio_floor", [-0.1], [0.0]),
+    ("flag_cutoff", [0.0, -1.0], [0.5]),
+])
+def test_ddc_config_rejects_out_of_range(field, bad, good):
+    Z = correlated_matrix(25, n=20, p=5)
+    for value in bad + [float("nan")]:
+        cfg = DdcConfig(**{field: value})
+        with pytest.raises(InvalidConfig, match=rf"^{field}="):
+            cfg.validate()
+        with pytest.raises(InvalidConfig, match=rf"^{field}="):
+            ddc_impute(Z, cfg)
+    for value in good:
+        ddc_impute(Z, DdcConfig(**{field: value}))
 
 
 @pytest.mark.parametrize("trim, discrete", [(0.10, False), (0.0, False),

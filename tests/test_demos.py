@@ -1,0 +1,25 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_demos_found():
+    assert len(DEMOS) >= 5
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    """Each demo exits 0 and leaves nothing in the temporary directory."""
+    env = dict(os.environ, TMPDIR=str(tmp_path))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert list(tmp_path.iterdir()) == []

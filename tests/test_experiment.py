@@ -83,28 +83,25 @@ def test_sweep_k_rows(tmp_path):
     assert ks == ["1", "1", "3", "3"]
 
 
-def test_benchmark_medians(tmp_path):
-    doc = {
-        "mode": "benchmark",
-        "seed": 3,
-        "benchmark_reps": 2,
-        "test_size": 50,
-        "n_grid": [30],
-        "p_grid": [20, 40],
-        "output": str(tmp_path / "bench.csv"),
-        "sim": {"n": 30, "p": 20, "sparsity": 5, "block_size": 5, "seed": 0},
-        "contamination": {"scenario": "CellwiseMarginal", "alpha": 0.05},
-        "selection": {"K": 2, "cv_folds": 5},
-    }
+@pytest.mark.parametrize("doc, message", [
+    ({"mode": "benchmark"}, "mode 'benchmark' not one of"),
+    ({"n_grid": [30]}, "unknown config field 'n_grid'"),
+    ({"p_grid": [20, 40]}, "unknown config field 'p_grid'"),
+    ({"benchmark_reps": 2}, "unknown config field 'benchmark_reps'"),
+])
+def test_benchmark_mode_and_fields_rejected(tmp_path, capsys, doc, message):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(doc))
-    out = run_experiment(load_config(str(p)))
-    rows = read_rows(out)
-    assert len(rows) == 1 + 2 * 2
-    med = read_rows(tmp_path / "bench_medians.csv")
-    assert med[0] == ["schema_version", "mode", "n", "p", "K",
-                      "median_cpu_seconds"]
-    assert len(med) == 3
+    assert main(["--config", str(p)]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_validate_checks_sim_and_contamination():
+    with pytest.raises(InvalidConfig, match="n=0"):
+        ExperimentConfig(sim=replace(SimConfig(), n=0)).validate()
+    with pytest.raises(InvalidConfig, match="unknown scenario"):
+        ExperimentConfig(
+            contamination=ContaminationSpec(scenario="Bogus")).validate()
 
 
 def test_config_unknown_field(tmp_path):
@@ -388,7 +385,8 @@ def test_cli_selftest_exit_code(monkeypatch, capsys, passed, code):
     assert ("selftest failed" in err) == (not passed)
 
 
-@pytest.mark.parametrize("case", ["model", "X", "empty X", "data_csv"])
+@pytest.mark.parametrize("case", ["model", "X", "empty X", "header-only X",
+                                  "data_csv"])
 def test_missing_or_empty_input_path_exits_2(tmp_path, capsys, case):
     model_out = tmp_path / "model.json"
     fit_csv(example_csv_path(), SelectionConfig(K=2, tau=0.01, cv_folds=5,
@@ -397,6 +395,8 @@ def test_missing_or_empty_input_path_exits_2(tmp_path, capsys, case):
     missing = tmp_path / "missing.csv"
     empty = tmp_path / "empty.csv"
     empty.write_text("")
+    header_only = tmp_path / "header.csv"
+    header_only.write_text(",".join(f"x{j}" for j in range(1, 21)) + "\n")
     out = tmp_path / "o.csv"
     predict_spec, message = {  # predict section (None: data_csv), error text
         "model": ({"model": str(tmp_path / "nope.json"),
@@ -406,6 +406,8 @@ def test_missing_or_empty_input_path_exits_2(tmp_path, capsys, case):
               f"{missing}: cannot open"),
         "empty X": ({"model": str(model_out), "X": str(empty)},
                     f"{empty}: empty file"),
+        "header-only X": ({"model": str(model_out), "X": str(header_only)},
+                          f"{header_only}: no data rows"),
         "data_csv": (None, f"{missing}: cannot open"),
     }[case]
     if predict_spec is None:
