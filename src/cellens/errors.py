@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check
+that config validators raise :class:`InvalidConfig` from."""
+
+from numbers import Integral
 
 
 class CellensError(Exception):
@@ -51,6 +54,17 @@ class TooFewColumns(CellensError):
 
 class InvalidConfig(CellensError):
     """A configuration value is inconsistent or out of range."""
+
+
+def require_integers(config, names: tuple[str, ...]) -> None:
+    """Raise InvalidConfig unless every named field of ``config`` is an integer.
+
+    Booleans are rejected although Python counts them as integers.
+    """
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise InvalidConfig(f"{name}={value!r} must be an integer")
 
 
 class ShapeMismatch(CellensError):

@@ -38,7 +38,8 @@ import numpy as np
 from . import selfcheck
 from .data import dataset_from_csv, open_csv
 from .errors import (CellensError, DegenerateColumn, InvalidConfig,
-                     NonFiniteValue, SelftestFailed, ShapeMismatch)
+                     NonFiniteValue, SelftestFailed, ShapeMismatch,
+                     require_integers)
 from .metrics import EvalReport, mspe, selection_scores, timed
 from .pipeline import fit_ensemble
 from .robustfit import model_from_json, model_to_json, predict
@@ -80,17 +81,49 @@ class ExperimentConfig:
     predict_spec: Optional[dict] = None
 
     def validate(self) -> None:
-        """Check settings, including the ``sim`` and ``contamination`` ones."""
+        """Check settings, including every grid cell's ``sim`` and
+        ``contamination`` settings and its ``selection`` settings that do
+        not depend on the data."""
         if self.mode not in MODES:
             raise InvalidConfig(f"mode {self.mode!r} not one of {MODES}")
+        require_integers(self, ("replications", "test_size", "threads", "seed"))
         if self.replications < 1:
             raise InvalidConfig("replications must be >= 1")
         if self.test_size < 1:
             raise InvalidConfig("test_size must be >= 1")
         if self.threads < 1:
             raise InvalidConfig("threads must be >= 1")
-        self.sim.validate()
-        self.contamination.validate()
+        cells = _grid_cells(self)
+        if not cells:
+            raise InvalidConfig(f"the {self.mode} grid has no cells")
+        for sim, cont, sel in cells:
+            sim.validate()
+            cont.validate()
+            sel.validate()
+
+
+Cell = tuple[SimConfig, ContaminationSpec, SelectionConfig]
+
+
+def _grid_cells(cfg: ExperimentConfig) -> list[Cell]:
+    """The settings of each grid cell: one cell outside the sweep modes."""
+    if cfg.mode == "sweep-k":
+        return [(cfg.sim, cfg.contamination, replace(cfg.selection, K=k))
+                for k in cfg.k_grid]
+    if cfg.mode != "sweep-contamination":
+        return [(cfg.sim, cfg.contamination, cfg.selection)]
+    cells = []
+    for scen in cfg.scenario_grid:
+        if scen == "Clean":
+            cells.append((cfg.sim, ContaminationSpec(scenario="Clean"),
+                          cfg.selection))
+            continue
+        for alpha in cfg.alpha_grid:
+            spec = replace(cfg.contamination, scenario=scen, alpha=alpha)
+            if scen.startswith("Mixture") and spec.alpha2 <= 0:
+                spec = replace(spec, alpha2=0.05)
+            cells.append((cfg.sim, spec, cfg.selection))
+    return cells
 
 
 # config sections that map one-to-one onto a nested settings dataclass
@@ -181,10 +214,7 @@ def _row(cfg: ExperimentConfig, sim: SimConfig, cont: ContaminationSpec,
     ]
 
 
-def _run_grid(cfg: ExperimentConfig, cells: list[tuple[SimConfig,
-                                                       ContaminationSpec,
-                                                       SelectionConfig]],
-              writer) -> None:
+def _run_grid(cfg: ExperimentConfig, cells: list[Cell], writer) -> None:
     """Run replications for every grid cell, writing rows in stable order."""
     jobs = []
     for cell_idx, (sim, cont, sel) in enumerate(cells):
@@ -230,30 +260,12 @@ def run_experiment(cfg: ExperimentConfig) -> str:
         predict_csv(spec["model"], spec["X"], spec["out"])
         return spec["out"]
 
-    if cfg.mode == "fit":
-        cells = [(cfg.sim, cfg.contamination, cfg.selection)]
-    elif cfg.mode == "sweep-k":
-        cells = [(cfg.sim, cfg.contamination, replace(cfg.selection, K=k))
-                 for k in cfg.k_grid]
-    else:  # sweep-contamination
-        cells = []
-        for scen in cfg.scenario_grid:
-            if scen == "Clean":
-                cells.append((cfg.sim, ContaminationSpec(scenario="Clean"),
-                              cfg.selection))
-                continue
-            for alpha in cfg.alpha_grid:
-                spec = replace(cfg.contamination, scenario=scen, alpha=alpha)
-                if scen.startswith("Mixture") and spec.alpha2 <= 0:
-                    spec = replace(spec, alpha2=0.05)
-                cells.append((cfg.sim, spec, cfg.selection))
-
     out = Path(cfg.output_path)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RESULT_COLUMNS)
-        _run_grid(cfg, cells, writer)
+        _run_grid(cfg, _grid_cells(cfg), writer)
     return str(out)
 
 

@@ -26,7 +26,8 @@ import numpy as np
 
 from . import corrlars
 from .cellwise import CorrelationStructure, ImputationResult
-from .errors import InvalidConfig, NotPositiveDefinite, RankDeficient
+from .errors import (InvalidConfig, NotPositiveDefinite, RankDeficient,
+                     require_integers)
 from .linalg import ols_fit
 from .rng import make_rng
 
@@ -57,15 +58,24 @@ class SelectionConfig:
     intercept: bool = True
     seed: int = 0
 
-    def validate(self, n: int, p: int) -> None:
+    def validate(self, n: Optional[int] = None, p: Optional[int] = None) -> None:
+        """Check the settings; the bounds set by the data's ``n`` and ``p``
+        only when they are given."""
+        require_integers(self, ("K", "cv_folds", "seed"))
+        if self.max_vars is not None:
+            require_integers(self, ("max_vars",))
         if self.K < 1:
             raise InvalidConfig(f"K={self.K} must be >= 1")
         if not self.tau > 0:
             raise InvalidConfig(f"tau={self.tau} must be positive")
-        if self.cv_folds < 2 or self.cv_folds > n:
-            raise InvalidConfig(f"cv_folds={self.cv_folds} outside [2, n={n}]")
-        if self.max_vars is not None and not 0 <= self.max_vars <= p:
-            raise InvalidConfig(f"max_vars={self.max_vars} outside [0, p={p}]")
+        if self.cv_folds < 2:
+            raise InvalidConfig(f"cv_folds={self.cv_folds} must be >= 2")
+        if self.max_vars is not None and self.max_vars < 0:
+            raise InvalidConfig(f"max_vars={self.max_vars} must be >= 0")
+        if n is not None and self.cv_folds > n:
+            raise InvalidConfig(f"cv_folds={self.cv_folds} exceeds n={n}")
+        if p is not None and self.max_vars is not None and self.max_vars > p:
+            raise InvalidConfig(f"max_vars={self.max_vars} exceeds p={p}")
 
     def resolved_max_vars(self, n: int, p: int) -> int:
         if self.max_vars is not None:

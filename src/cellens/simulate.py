@@ -2,14 +2,24 @@
 
 The generator draws rows from a zero-mean Gaussian whose correlation
 matrix places the active predictors in equicorrelated blocks against a
-constant background correlation, scales the noise to a target
-signal-to-noise ratio, and then applies one of five corruption
-mechanisms:
+constant background correlation ``rho_background`` in [0, rho_within).
+It draws them from the factor form of that matrix: with one background
+factor g, one factor h_b per active block b and independent noise e_j,
+
+    x_j = sqrt(rho_bg) g + sqrt(rho_j - rho_bg) h_b(j) + sqrt(1 - rho_j) e_j,
+
+where rho_j is ``rho_within`` on the active blocks and ``rho_background``
+elsewhere. Draws and signals are elementwise numpy: no p x p matrix is
+factorized and no BLAS product is taken (correlation-structured
+corruption solves eigenproblems of at most 15 x 15 only), so seeded
+data do not depend on the BLAS thread count. The generator scales the
+noise to a target signal-to-noise ratio, and then applies one of five
+corruption mechanisms:
 
 - ``Clean``: no corruption.
 - ``Casewise``: whole rows replaced by high-leverage points along the
-  direction of least variance, with responses generated from distorted
-  coefficients.
+  direction of least variance, (e_0 - e_1) / sqrt(2), with responses
+  generated from distorted coefficients.
 - ``CellwiseMarginal``: individual cells replaced by draws far from the
   clean center (detectable per column).
 - ``CellwiseCorrelation``: cell groups replaced by a multiple of the
@@ -30,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, GroundTruth
-from .errors import InvalidConfig
+from .errors import InvalidConfig, require_integers
 from .rng import make_rng
 
 SCENARIOS = (
@@ -54,9 +64,10 @@ class SimConfig:
     ``sparsity`` active predictors occupy the leading indices, grouped in
     consecutive blocks of ``block_size`` with within-block correlation
     ``rho_within``; every other pair of predictors has correlation
-    ``rho_background``. Nonzero coefficients are drawn uniformly from
-    ``coef_range`` with random signs, and the error variance is set so
-    the empirical Var(X beta) / Var(eps) equals ``snr``.
+    ``rho_background``, with 0 <= rho_background < rho_within < 1.
+    Nonzero coefficients are drawn uniformly from ``coef_range`` with
+    random signs, and the error variance is set so the empirical
+    Var(X beta) / Var(eps) equals ``snr``.
     """
 
     n: int = 50
@@ -70,6 +81,7 @@ class SimConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        require_integers(self, ("n", "p", "sparsity", "block_size", "seed"))
         if self.n < 1 or self.p < 1:
             raise InvalidConfig(f"n={self.n}, p={self.p} must be positive")
         if not 0 <= self.sparsity <= self.p:
@@ -81,16 +93,18 @@ class SimConfig:
                 raise InvalidConfig(
                     f"block_size={self.block_size} must divide sparsity={self.sparsity}"
                 )
-        for name, rho in (("rho_within", self.rho_within),
-                          ("rho_background", self.rho_background)):
-            if not -1 < rho < 1:
-                raise InvalidConfig(f"{name}={rho} outside (-1, 1)")
-        if self.rho_within <= self.rho_background:
-            raise InvalidConfig("rho_within must exceed rho_background")
-        if self.snr <= 0:
-            raise InvalidConfig(f"snr={self.snr} must be positive")
-        if self.coef_range[0] > self.coef_range[1]:
-            raise InvalidConfig(f"coef_range {self.coef_range} is inverted")
+        if not 0 <= self.rho_background < 1:
+            raise InvalidConfig(
+                f"rho_background={self.rho_background} outside [0, 1)")
+        if not self.rho_background < self.rho_within < 1:
+            raise InvalidConfig(
+                f"rho_within={self.rho_within} outside (rho_background, 1)")
+        if not 0 < self.snr < np.inf:
+            raise InvalidConfig(f"snr={self.snr} must be positive and finite")
+        if (len(self.coef_range) != 2
+                or not -np.inf < self.coef_range[0] <= self.coef_range[1] < np.inf):
+            raise InvalidConfig(
+                f"coef_range={self.coef_range} must be a finite (low, high) pair")
 
 
 @dataclass(frozen=True)
@@ -127,12 +141,17 @@ class ContaminationSpec:
 
 
 def block_covariance(cfg: SimConfig) -> np.ndarray:
-    """Build the block correlation matrix used to draw predictor rows.
+    """Fill in the block correlation matrix of the simulated predictors.
+
+    The draw never reads it (see :func:`_draw_design`); it is the matrix
+    :func:`contaminate` takes for correlation-structured corruption. It
+    is positive definite for every valid config, being the covariance of
+    the factor form.
 
     Raises
     ------
     InvalidConfig
-        If the requested structure is not positive definite.
+        If ``cfg`` is invalid.
     """
     cfg.validate()
     p = cfg.p
@@ -142,31 +161,41 @@ def block_covariance(cfg: SimConfig) -> np.ndarray:
             stop = start + cfg.block_size
             sigma[start:stop, start:stop] = cfg.rho_within
     np.fill_diagonal(sigma, 1.0)
-    try:
-        np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError:
-        raise InvalidConfig("block covariance is not positive definite") from None
     return sigma
 
 
-def _draw_design(rng: np.random.Generator, n: int, sigma: np.ndarray) -> np.ndarray:
-    L = np.linalg.cholesky(sigma)
-    return rng.standard_normal((n, sigma.shape[0])) @ L.T
+def _draw_design(rng: np.random.Generator, n: int, cfg: SimConfig) -> np.ndarray:
+    """Draw ``n`` design rows from the factor form of the block correlation.
+
+    x_j = sqrt(rho_bg) g + sqrt(rho_j - rho_bg) h_b(j) + sqrt(1 - rho_j) e_j
+    with standard normal g, h_b and e_j: unit variances, ``rho_within``
+    inside an active block and ``rho_background`` across all other pairs.
+    """
+    s = cfg.sparsity
+    rho = np.full(cfg.p, cfg.rho_background)
+    rho[:s] = cfg.rho_within
+    g = rng.standard_normal((n, 1))
+    X = np.sqrt(1.0 - rho) * rng.standard_normal((n, cfg.p))
+    X += np.sqrt(cfg.rho_background) * g
+    if s > 0:
+        h = rng.standard_normal((n, s // cfg.block_size))
+        X[:, :s] += (np.sqrt(cfg.rho_within - cfg.rho_background)
+                     * np.repeat(h, cfg.block_size, axis=1))
+    return X
 
 
 def generate_clean(cfg: SimConfig) -> Dataset:
     """Draw a clean dataset with full ground truth and all-zero masks."""
     cfg.validate()
-    sigma = block_covariance(cfg)
     rng = make_rng(cfg.seed)
-    X = _draw_design(rng, cfg.n, sigma)
+    X = _draw_design(rng, cfg.n, cfg)
     beta = np.zeros(cfg.p)
     if cfg.sparsity > 0:
         lo, hi = cfg.coef_range
         mags = rng.uniform(lo, hi, cfg.sparsity)
         signs = rng.choice([-1.0, 1.0], cfg.sparsity)
         beta[: cfg.sparsity] = mags * signs
-    signal = X @ beta
+    signal = (X * beta).sum(axis=1)
     if cfg.sparsity > 0 and np.var(signal, ddof=1) > 0:
         noise_sd = float(np.sqrt(np.var(signal, ddof=1) / cfg.snr))
     else:
@@ -186,16 +215,16 @@ def make_test_set(cfg: SimConfig, m: int, beta: np.ndarray, noise_sd: float,
                   seed: int) -> Dataset:
     """Draw ``m`` fresh clean rows with the given realized coefficients.
 
-    Uses the same block covariance as :func:`generate_clean` but a caller
+    Uses the same block design as :func:`generate_clean` but a caller
     supplied seed, so a training set and its test set never share draws.
     """
+    cfg.validate()
     if m < 1:
         raise InvalidConfig(f"test size m={m} must be >= 1")
-    sigma = block_covariance(cfg)
     rng = make_rng(seed)
-    X = _draw_design(rng, m, sigma)
+    X = _draw_design(rng, m, cfg)
     beta = np.asarray(beta, dtype=float)
-    y = X @ beta + noise_sd * rng.standard_normal(m)
+    y = (X * beta).sum(axis=1) + noise_sd * rng.standard_normal(m)
     truth = GroundTruth(
         beta=beta,
         mask_X=np.zeros((m, cfg.p), dtype=int),
@@ -205,19 +234,31 @@ def make_test_set(cfg: SimConfig, m: int, beta: np.ndarray, noise_sd: float,
     return Dataset(y=y, X=X, truth=truth)
 
 
-def _casewise_rows(rng, data, sigma, spec, rows):
+def _least_variance_direction(p: int) -> np.ndarray:
+    """Unit eigenvector of the least eigenvalue of any block correlation.
+
+    It is u = (e_0 - e_1) / sqrt(2) (e_0 when p = 1). Rows 0 and 1 of
+    every block correlation matrix agree outside columns 0 and 1, so u
+    is an eigenvector with eigenvalue 1 - sigma_01, the least one:
+    1 - rho_within, or 1 - rho_background when no block has two columns.
+    """
+    u = np.zeros(p)
+    u[0] = 1.0
+    if p > 1:
+        u[:2] = np.array([1.0, -1.0]) / np.sqrt(2.0)
+    return u
+
+
+def _casewise_rows(rng, data, spec, rows):
     """Replace the given rows by low-variance-direction leverage points."""
-    n, p = data.X.shape
-    eigvals, eigvecs = np.linalg.eigh(sigma)
-    u = eigvecs[:, 0]
-    if u[np.flatnonzero(u)[0]] < 0:
-        u = -u
+    p = data.p
+    u = _least_variance_direction(p)
     beta_cont = data.truth.beta.copy()
     active = sorted(data.truth.active_set)
     beta_cont[active] = beta_cont[active] * spec.beta_distort
     X_rows = rng.standard_normal((len(rows), p)) * np.sqrt(0.1) + spec.leverage_c * u
     data.X[rows] = X_rows
-    data.y[rows] = X_rows @ beta_cont
+    data.y[rows] = (X_rows * beta_cont).sum(axis=1)
     data.truth.mask_X[rows] = 1
     data.truth.mask_y[rows] = 1
 
@@ -283,8 +324,9 @@ def contaminate(data: Dataset, spec: ContaminationSpec, sigma: np.ndarray,
     """Apply a corruption mechanism, returning a new Dataset with exact masks.
 
     ``sigma`` must be the covariance used to generate the clean rows (see
-    :func:`block_covariance`); the structured scenarios read eigenvectors
-    from it. The input dataset is not modified.
+    :func:`block_covariance`); correlation-structured cell corruption
+    reads eigenvectors of its small submatrices. The input dataset is not
+    modified.
     """
     spec.validate()
     if data.truth is None:
@@ -307,7 +349,7 @@ def contaminate(data: Dataset, spec: ContaminationSpec, sigma: np.ndarray,
     if spec.scenario == "Casewise":
         k = int(round(spec.alpha * n))
         rows = rng.choice(all_rows, size=k, replace=False)
-        _casewise_rows(rng, out, sigma, spec, np.sort(rows))
+        _casewise_rows(rng, out, spec, np.sort(rows))
     elif spec.scenario == "CellwiseMarginal":
         _cellwise_marginal(rng, out, spec, all_rows, spec.alpha)
     elif spec.scenario == "CellwiseCorrelation":
@@ -315,7 +357,7 @@ def contaminate(data: Dataset, spec: ContaminationSpec, sigma: np.ndarray,
     else:  # mixtures
         k = int(round(spec.alpha * n))
         case_rows = np.sort(rng.choice(all_rows, size=k, replace=False))
-        _casewise_rows(rng, out, sigma, spec, case_rows)
+        _casewise_rows(rng, out, spec, case_rows)
         rest = np.setdiff1d(all_rows, case_rows)
         if spec.scenario == "MixtureMarginal":
             _cellwise_marginal(rng, out, spec, rest, spec.alpha2)

@@ -425,3 +425,61 @@ def test_missing_or_empty_input_path_exits_2(tmp_path, capsys, case):
     assert message in capsys.readouterr().err
     assert not out.exists()
     assert not (tmp_path / "m.json").exists()
+
+
+def _grid_doc(tmp_path, **updates):
+    doc = {"replications": 1, "test_size": 50, "seed": 3,
+           "output": str(tmp_path / "grid.csv"),
+           "sim": {"n": 30, "p": 20, "sparsity": 5, "block_size": 5},
+           "selection": {"K": 2, "cv_folds": 5}}
+    doc.update(updates)
+    return doc
+
+
+@pytest.mark.parametrize("updates, message", [
+    ({"selection": {"K": 0}}, "K=0 must be >= 1"),
+    ({"selection": {"tau": 0.0}}, "tau=0.0 must be positive"),
+    ({"selection": {"cv_folds": 1}}, "cv_folds=1 must be >= 2"),
+    ({"selection": {"max_vars": -1}}, "max_vars=-1 must be >= 0"),
+    ({"mode": "sweep-k", "k_grid": [2, 0]}, "K=0 must be >= 1"),
+    ({"mode": "sweep-k", "k_grid": []}, "the sweep-k grid has no cells"),
+    ({"mode": "sweep-contamination", "scenario_grid": ["Clean", "Bogus"]},
+     "unknown scenario 'Bogus'"),
+    ({"mode": "sweep-contamination", "alpha_grid": [0.1, 1.5]},
+     "alpha and alpha2 must lie in [0, 1)"),
+])
+def test_grid_config_error_exits_1_without_csv(tmp_path, capsys, updates,
+                                               message):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(_grid_doc(tmp_path, **updates)))
+    assert main(["--config", str(p)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "grid.csv").exists()
+
+
+@pytest.mark.parametrize("updates, message", [
+    ({"replications": 1.5}, "replications=1.5 must be an integer"),
+    ({"test_size": 50.0}, "test_size=50.0 must be an integer"),
+    ({"threads": True}, "threads=True must be an integer"),
+    ({"seed": 3.5}, "seed=3.5 must be an integer"),
+    ({"sim": {"n": 30.0}}, "n=30.0 must be an integer"),
+    ({"sim": {"p": 20.0}}, "p=20.0 must be an integer"),
+    ({"sim": {"sparsity": 5.0}}, "sparsity=5.0 must be an integer"),
+    ({"sim": {"sparsity": 5, "block_size": 5.0}},
+     "block_size=5.0 must be an integer"),
+    ({"sim": {"seed": False}}, "seed=False must be an integer"),
+    ({"sim": {"snr": float("nan")}}, "snr=nan must be positive"),
+    ({"sim": {"coef_range": [float("nan"), 5.0]}}, "coef_range=(nan, 5.0)"),
+    ({"selection": {"K": 2.0}}, "K=2.0 must be an integer"),
+])
+def test_non_integer_count_or_nan_exits_1_without_csv(tmp_path, capsys,
+                                                      updates, message):
+    doc = _grid_doc(tmp_path)
+    for key, value in updates.items():
+        doc[key] = ({**doc.get(key, {}), **value} if isinstance(value, dict)
+                    else value)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(doc))
+    assert main(["--config", str(p)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "grid.csv").exists()

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from cellens import (ContaminationSpec, InvalidConfig, SimConfig,
                      block_covariance, contaminate, generate_clean,
                      make_test_set)
+from cellens.simulate import _least_variance_direction
 
 
 def headline_cfg(**kw):
@@ -161,3 +164,43 @@ def test_make_test_set_size():
     data = generate_clean(cfg)
     t = make_test_set(cfg, 5000, data.truth.beta, data.truth.noise_sd, seed=8)
     assert t.X.shape == (5000, 10)
+
+
+@pytest.mark.parametrize("p, sparsity, block_size", [
+    (30, 10, 1),     # blocks of one column: only the background correlation
+    (30, 0, 25),     # no active blocks
+    (40, 20, 5),     # several blocks
+    (2, 2, 2),       # p = 2, one block
+    (2, 0, 1),       # p = 2, background only
+    (1, 1, 1),       # p = 1: u = e_0
+])
+def test_least_variance_direction_matches_eigvalsh(p, sparsity, block_size):
+    cfg = headline_cfg(n=10, p=p, sparsity=sparsity, block_size=block_size)
+    sigma = block_covariance(cfg)
+    u = _least_variance_direction(p)
+    lam = np.linalg.eigvalsh(sigma)[0]
+    assert abs(np.linalg.norm(u) - 1.0) < 1e-15
+    assert np.max(np.abs(sigma @ u - lam * u)) < 1e-14
+
+
+@pytest.mark.parametrize("field, value", [
+    ("rho_background", -0.05), ("rho_background", float("nan")),
+    ("rho_within", float("nan")),
+    ("rho_within", 0.1), ("rho_within", 1.0), ("snr", float("nan")),
+    ("snr", float("inf")), ("coef_range", (float("nan"), 1.0)),
+    ("coef_range", (0.0, float("inf"))), ("n", 30.0), ("p", True),
+])
+def test_sim_config_rejects(field, value):
+    with pytest.raises(InvalidConfig, match=re.escape(f"{field}={value!r}")):
+        generate_clean(headline_cfg(**{field: value}))
+
+
+def test_casewise_rows_sit_on_least_variance_direction():
+    # the row mean of the leverage points estimates leverage_c * u
+    cfg = headline_cfg(n=400, p=6, sparsity=4, block_size=2)
+    data = generate_clean(cfg)
+    spec = ContaminationSpec(scenario="Casewise", alpha=0.5, leverage_c=4.0)
+    out = contaminate(data, spec, block_covariance(cfg), seed=9)
+    rows = np.flatnonzero(out.truth.mask_y)
+    center = out.X[rows].mean(axis=0)
+    assert np.max(np.abs(center - 4.0 * _least_variance_direction(6))) < 0.1
