@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateColumn, InvalidConfig, TooFewColumns
+from .errors import (DegenerateColumn, InvalidConfig, TooFewColumns,
+                     require_integers)
 
 # abs standardized residual above which a cell is flagged; equals the
 # 99.5% standard normal quantile, i.e. sqrt of the chi-square(1) 0.99 point
@@ -58,6 +59,7 @@ class DdcConfig:
         """
         if not 0 <= self.trim < 1:
             raise InvalidConfig(f"trim={self.trim} outside [0, 1)")
+        require_integers(self, ("k_neighbors",))
         if not self.k_neighbors >= 1:
             raise InvalidConfig(f"k_neighbors={self.k_neighbors} must be >= 1")
         if not 0 <= self.min_abs_corr <= 1:

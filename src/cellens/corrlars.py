@@ -67,8 +67,8 @@ class LarsProposal:
         finite step exists
     step : entry step size (the entry correlation level on a first step)
     inner : length-p array; entry ``j`` is the inner product ``a_j`` of
-        pool predictor ``j`` with the equiangular direction, NaN for every
-        predictor outside the pool
+        predictor ``j`` with the equiangular direction, a function of the
+        path state alone
     entry_sign : sign the candidate would carry on entry
     a_active : shared inner product ``a_k`` of the signed active set with
         the equiangular direction (1.0 on a first step)
@@ -123,33 +123,30 @@ def propose(R_X: np.ndarray, state: SubModelState,
     Returns
     -------
     LarsProposal
-        ``inner`` has length p and is NaN outside ``available``. With
-        ``candidate=None`` and ``step=inf`` when every step size is
+        With ``candidate=None`` and ``step=inf`` when every step size is
         infinite (no predictor can tie the active correlation).
 
     Notes
     -----
-    ``inner[j]`` and the step size of predictor ``j`` depend only on
-    (state, j), bit for bit, not on which other predictors are in the
-    pool: the inner products are computed over all p rows in one fixed
-    layout and then restricted to the pool (a BLAS matrix-vector product
-    may round a row differently depending on where the row sits in the
-    matrix). So removing a predictor other than the candidate from the
-    pool leaves the proposal unchanged apart from that entry of ``inner``.
+    ``inner`` covers all p predictors and depends only on ``state``, bit
+    for bit: it is computed over all p rows in one fixed layout (a BLAS
+    matrix-vector product may round a row differently depending on where
+    the row sits in the matrix). The pool enters only through the argmin
+    that picks the candidate and its step, so removing any predictor
+    other than the candidate leaves the whole proposal unchanged.
     """
     r = state.corr_state
-    inner = np.full(len(r), np.nan)
     if not state.active:
         j_star = int(available[np.argmax(np.abs(r[available]))])
         sign = 1.0 if r[j_star] >= 0 else -1.0
-        inner[available] = sign * R_X[available, j_star]
+        inner = sign * R_X[:, j_star]
         return LarsProposal(candidate=j_star, step=float(abs(r[j_star])),
                             inner=inner, entry_sign=sign, a_active=1.0)
     a_k, w_k = equiangular_geometry(R_X, state)
     s = np.asarray(state.signs, dtype=float)
     r_avail = r[available]
-    a_vec = ((R_X[:, state.active] * s) @ w_k)[available]
-    inner[available] = a_vec
+    inner = (R_X[:, state.active] * s) @ w_k
+    a_vec = inner[available]
     level = state.active_level
     with np.errstate(divide="ignore", invalid="ignore"):
         gp = np.where(a_k - a_vec > 0, (level - r_avail) / (a_k - a_vec), np.inf)
@@ -171,10 +168,9 @@ def apply_step(state: SubModelState, prop: LarsProposal,
                available: np.ndarray) -> SubModelState:
     """Advance a path state by an accepted proposal, returning a new state.
 
-    ``available`` is the ascending index array the proposal was made on;
-    ``prop.inner`` must be finite on it. On a first entry the path does
-    not move: the candidate joins and the active level is set to its entry
-    correlation. On later entries every available correlation drops by
+    ``available`` is the current ascending pool, which must contain the
+    candidate. On a first entry the path does not move: the candidate
+    joins and the active level is set to its entry correlation. On later entries every available correlation drops by
     ``step * a_j``, every active correlation (and the stored level) by
     ``step * a_k``, and the candidate joins with its entry sign.
 

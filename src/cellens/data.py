@@ -128,6 +128,37 @@ def open_csv(path: str):
         yield [h.strip() for h in header], reader
 
 
+def csv_rows(path: str, reader, width: int, skip: int = 0):
+    """Yield ``(line, values)`` for each non-blank row of a CSV ``reader``
+    positioned after its header.
+
+    Every row must have ``width`` fields; the first ``skip`` are dropped
+    unread and the rest parsed as floats.
+
+    Raises
+    ------
+    ShapeMismatch
+        Naming ``path:line`` for a ragged row or a non-numeric field, and
+        naming ``path`` once the rows run out when there were none.
+    """
+    found = False
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            raise ShapeMismatch(
+                f"{path}:{lineno}: expected {width} fields, found {len(row)}"
+            )
+        try:
+            values = [float(v) for v in row[skip:]]
+        except ValueError as exc:
+            raise ShapeMismatch(f"{path}:{lineno}: non-numeric field ({exc})") from None
+        found = True
+        yield lineno, values
+    if not found:
+        raise ShapeMismatch(f"{path}: no data rows")
+
+
 def dataset_from_csv(path: str) -> Dataset:
     """Read a ``y,x1,...,xp`` CSV into a Dataset.
 
@@ -143,20 +174,7 @@ def dataset_from_csv(path: str) -> Dataset:
         p = len(header) - 1
         if p < 1:
             raise ShapeMismatch(f"{path}: no predictor columns found")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != p + 1:
-                raise ShapeMismatch(
-                    f"{path}:{lineno}: expected {p + 1} fields, found {len(row)}"
-                )
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise ShapeMismatch(f"{path}:{lineno}: non-numeric field ({exc})") from None
-    if not rows:
-        raise ShapeMismatch(f"{path}: no data rows")
+        rows = [values for _, values in csv_rows(path, reader, p + 1)]
     arr = np.asarray(rows, dtype=float)
     return Dataset(y=arr[:, 0], X=arr[:, 1:])
 

@@ -30,13 +30,14 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
+from itertools import repeat
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from . import selfcheck
-from .data import dataset_from_csv, open_csv
+from .data import csv_rows, dataset_from_csv, open_csv
 from .errors import (CellensError, DegenerateColumn, InvalidConfig,
                      NonFiniteValue, SelftestFailed, ShapeMismatch,
                      require_integers)
@@ -215,29 +216,23 @@ def _row(cfg: ExperimentConfig, sim: SimConfig, cont: ContaminationSpec,
 
 
 def _run_grid(cfg: ExperimentConfig, cells: list[Cell], writer) -> None:
-    """Run replications for every grid cell, writing rows in stable order."""
-    jobs = []
-    for cell_idx, (sim, cont, sel) in enumerate(cells):
-        for rep in range(cfg.replications):
-            rep_seed = split_seed(split_seed(cfg.seed, cell_idx), rep)
-            jobs.append((cell_idx, rep, rep_seed, sim, cont, sel))
-    results: dict[tuple[int, int], EvalReport] = {}
+    """Run replications for every grid cell, writing rows in stable order.
+
+    Replications run in job order (in a process pool when ``threads > 1``);
+    the first failing one raises before any row is written.
+    """
+    jobs = [(sim, cont, sel, rep, split_seed(split_seed(cfg.seed, cell_idx), rep))
+            for cell_idx, (sim, cont, sel) in enumerate(cells)
+            for rep in range(cfg.replications)]
+    sims, conts, sels, _, seeds = zip(*jobs)
+    args = (sims, conts, sels, seeds, repeat(cfg.test_size), repeat(cfg.impute))
     if cfg.threads > 1:
         with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-            futures = {
-                (cell_idx, rep): pool.submit(run_single, sim, cont, sel,
-                                             rep_seed, cfg.test_size, cfg.impute)
-                for cell_idx, rep, rep_seed, sim, cont, sel in jobs
-            }
-            for key, fut in futures.items():
-                results[key] = fut.result()
+            reports = list(pool.map(run_single, *args))
     else:
-        for cell_idx, rep, rep_seed, sim, cont, sel in jobs:
-            results[(cell_idx, rep)] = run_single(sim, cont, sel, rep_seed,
-                                                  cfg.test_size, cfg.impute)
-    for cell_idx, rep, rep_seed, sim, cont, sel in jobs:
-        writer.writerow(_row(cfg, sim, cont, sel, rep, rep_seed,
-                             results[(cell_idx, rep)]))
+        reports = list(map(run_single, *args))
+    for (sim, cont, sel, rep, rep_seed), report in zip(jobs, reports):
+        writer.writerow(_row(cfg, sim, cont, sel, rep, rep_seed, report))
 
 
 def run_experiment(cfg: ExperimentConfig) -> str:
@@ -329,35 +324,19 @@ def predict_csv(model_path: str, X_path: str, out_path: str) -> None:
     except ShapeMismatch as exc:
         raise ShapeMismatch(f"{model_path}: {exc}") from None
     with open_csv(X_path) as (header, reader):
-        skip_first = header and header[0] == "y"
-        width = len(header) - (1 if skip_first else 0)
+        skip = 1 if header and header[0] == "y" else 0
+        width = len(header) - skip
         if width != model.p:
             raise ShapeMismatch(
                 f"{X_path}: expected {model.p} predictor columns, found {width}"
             )
         rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ShapeMismatch(
-                    f"{X_path}:{lineno}: expected {len(header)} fields, "
-                    f"found {len(row)}"
-                )
-            vals = row[1:] if skip_first else row
-            try:
-                values = [float(v) for v in vals]
-            except ValueError as exc:
-                raise ShapeMismatch(
-                    f"{X_path}:{lineno}: non-numeric field ({exc})"
-                ) from None
+        for lineno, values in csv_rows(X_path, reader, len(header), skip):
             nonfinite = ~np.isfinite(values)
             if nonfinite.any():
                 j = int(np.argmax(nonfinite)) + 1
                 raise NonFiniteValue(j, f"{X_path}:{lineno}: x{j}")
             rows.append(values)
-    if not rows:
-        raise ShapeMismatch(f"{X_path}: no data rows")
     X = np.asarray(rows, dtype=float)
     preds = predict(model, X)
     with open(out_path, "w", newline="") as fh:

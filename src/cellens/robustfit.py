@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankDeficient, ShapeMismatch
+from .errors import NonFiniteValue, RankDeficient, ShapeMismatch
 from .linalg import ols_fit
 from .rng import make_rng
 
@@ -301,15 +301,25 @@ def predict(model: EnsembleModel, Xnew: np.ndarray) -> np.ndarray:
     Raises
     ------
     ShapeMismatch
-        If ``Xnew`` does not have the training predictor count.
+        If ``Xnew`` is not a matrix (or a vector, one row) with the
+        training predictor count.
+    NonFiniteValue
+        Naming the first predictor ``x_j`` of ``Xnew`` (in any column, not
+        only the selected ones) that holds a NaN or infinite cell.
     """
     Xnew = np.asarray(Xnew, dtype=float)
     if Xnew.ndim == 1:
         Xnew = Xnew[None, :]
+    if Xnew.ndim != 2:
+        raise ShapeMismatch(f"Xnew must be a matrix, got shape {Xnew.shape}")
     if Xnew.shape[1] != model.p:
         raise ShapeMismatch(
             f"expected {model.p} predictor columns, found {Xnew.shape[1]}"
         )
+    nonfinite = ~np.isfinite(Xnew).all(axis=0)
+    if nonfinite.any():
+        j = int(np.argmax(nonfinite)) + 1
+        raise NonFiniteValue(j, f"x{j}")
     m = Xnew.shape[0]
     total = np.zeros(m)
     for fit, subset in zip(model.fits, model.sets):

@@ -19,7 +19,7 @@ of (inputs, seed).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -194,16 +194,14 @@ def run_selection(structure: CorrelationStructure, imp: ImputationResult,
     Only the round's winner changes state, so a model's proposal is
     computed afresh (``corrlars.propose`` plus ``cv_error``) only in the
     first round, after the model wins a round, and after another model
-    wins the predictor it proposed. Every other model re-enters its
-    previous proposal unchanged (candidate, step, entry sign, ``a_active``,
-    ``cv_new`` and benefit), with the predictor that left the pool set to
-    NaN in a copy of ``inner``. This gives bit for bit the proposals a
-    fresh call would make, because a proposal depends on the pool only
-    through its candidate and the pool's entries of ``inner``. A model
-    that sits out a round (at fold-training capacity, collinear active
-    set, or no finite step) sits out for the rest of the run: none of
-    these depend on the pool, and a model that makes no proposal cannot
-    win and change its state.
+    wins the predictor it proposed. Every other model re-enters the same
+    ``Proposal`` object: a proposal is a function of the model's state,
+    and the pool enters it only through the choice of candidate and step,
+    which changes only when the candidate leaves. A model that sits out a
+    round (at fold-training capacity, collinear active set, or no finite
+    step) sits out for the rest of the run: none of these depend on the
+    pool, and a model that makes no proposal cannot win and change its
+    state.
 
     Parameters
     ----------
@@ -305,11 +303,6 @@ def run_selection(structure: CorrelationStructure, imp: ImputationResult,
             if k == pick.model or (prop is not None
                                    and prop.candidate == pick.candidate):
                 stale[k] = True
-            elif prop is not None:
-                # the record keeps its own copy: NaN outside that round's pool
-                inner = prop.lars.inner.copy()
-                inner[pick.candidate] = np.nan
-                cached[k] = replace(prop, lars=replace(prop.lars, inner=inner))
 
     if not trace:  # a limit reached before the first round
         trace.append(CompetitionRecord(iteration=1, proposals=[]))

@@ -189,7 +189,7 @@ def test_flag_cutoff_constant():
 
 @pytest.mark.parametrize("field, bad, good", [
     ("trim", [-0.5, 1.0, 1.5], [0.0, 0.99]),
-    ("k_neighbors", [0, -1], [1]),
+    ("k_neighbors", [0, -1, 2.5, True], [1]),
     ("min_abs_corr", [-0.1, 1.5, 2.0], [0.0, 1.0]),
     ("ratio_floor", [-0.1], [0.0]),
     ("flag_cutoff", [0.0, -1.0], [0.5]),

@@ -218,7 +218,7 @@ def test_apply_step_rejects_candidate_outside_pool():
         apply_step(st, prop, np.array([1]))
 
 
-def test_inner_is_nan_outside_pool():
+def test_inner_covers_all_predictors():
     X, y = standardized_problem(51, n=60, p=8, nact=3)
     R = X.T @ X
     st = SubModelState.initial(X.T @ y)
@@ -226,7 +226,11 @@ def test_inner_is_nan_outside_pool():
     for _ in range(3):  # the first entry and two equiangular steps
         prop = propose(R, st, pool)
         assert prop.inner.shape == (8,)
-        assert np.array_equal(np.flatnonzero(~np.isnan(prop.inner)), pool)
+        assert np.isfinite(prop.inner).all()
+        # inner depends on the state only: a full-pool proposal has it too
+        full_pool = np.setdiff1d(np.arange(8), st.active)
+        full = propose(R, st, full_pool)
+        assert full.inner.tobytes() == prop.inner.tobytes()
         new = apply_step(st, prop, pool)
         # pool correlations drop by step * a_j; everything else outside the
         # pool and the active set keeps its value bit for bit

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cellens import NonFiniteValue, SelectionConfig, fit_ensemble, make_rng
+from cellens import (NonFiniteValue, SelectionConfig, ShapeMismatch,
+                     fit_ensemble, make_rng)
 
 
 def noisy_inputs(seed, n=40, p=30):
@@ -37,3 +38,45 @@ def test_finite_input_still_fits():
     _, y, X = noisy_inputs(65)
     result = fit_ensemble(y, X, SelectionConfig(K=3, seed=66))
     assert np.isfinite(result.predict(X)).all()
+
+
+@pytest.mark.parametrize("shape_y, shape_X, message", [
+    ((30,), (40, 30), "y has length 30, X has 40 rows"),
+    ((40,), (40, 30, 1), r"got shapes \(40,\) and \(40, 30, 1\)"),
+    ((0,), (0, 30), "no rows"),
+], ids=["short y", "3-D X", "zero rows"])
+def test_malformed_shape_is_a_shape_mismatch(shape_y, shape_X, message):
+    _, y, X = noisy_inputs(67)
+    y = y[:shape_y[0]]
+    X = X[:shape_X[0]].reshape(shape_X)
+    with pytest.raises(ShapeMismatch, match=message):
+        fit_ensemble(y, X, SelectionConfig(K=3, seed=68))
+
+
+def test_single_column_inputs_still_fit():
+    # a one-column y and a vector X (one predictor) mean what they did
+    _, y, X = noisy_inputs(73)
+    cfg = SelectionConfig(K=2, seed=74)
+    base = fit_ensemble(y, X[:, :1], cfg)
+    for yy, XX in ((y[:, None], X[:, :1]), (y, X[:, 0])):
+        assert fit_ensemble(yy, XX, cfg).model.sets == base.model.sets
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_predict_names_nonfinite_predictor(value):
+    # checked on every column, selected or not
+    _, y, X = noisy_inputs(75)
+    result = fit_ensemble(y, X, SelectionConfig(K=3, seed=76))
+    unused = min(set(range(X.shape[1])) - result.selected_union())
+    Xnew = X[:5].copy()
+    Xnew[2, unused] = value
+    with pytest.raises(NonFiniteValue, match=f"x{unused + 1} ") as info:
+        result.predict(Xnew)
+    assert info.value.column == unused + 1
+
+
+def test_predict_three_dimensional_input_is_a_shape_mismatch():
+    _, y, X = noisy_inputs(77)
+    result = fit_ensemble(y, X, SelectionConfig(K=3, seed=78))
+    with pytest.raises(ShapeMismatch, match="must be a matrix"):
+        result.predict(X[:, :, None])
