@@ -1,9 +1,13 @@
 """Dense linear-algebra primitives: SPD solves and least squares.
 
-All routines work on plain ``numpy`` arrays with explicit shapes; no
-implicit broadcasting is relied upon. Rank and positive-definiteness are
-judged with a scale-relative tolerance so the results survive per-column
-affine rescaling of the inputs.
+All routines work on plain ``numpy`` arrays with explicit shapes. Each
+accepts a stack of independent systems along leading axes (``(..., m, m)``
+matrices, ``(..., n, q)`` designs) and factors every slice in one batched
+LAPACK call; operand shapes must agree exactly, no broadcasting is relied
+upon. A Cholesky pivot counts as zero when ``L_kk^2 <= PIVOT_RTOL * A_kk``:
+the ratio ``L_kk^2 / A_kk`` is 1 - R^2 of column k regressed on the
+columns before it, so the rule is unchanged by rescaling any column (or
+row and column of ``A``) by a positive factor.
 """
 
 from __future__ import annotations
@@ -12,46 +16,48 @@ import numpy as np
 
 from .errors import NotPositiveDefinite, RankDeficient, ShapeMismatch
 
-# A pivot counts as zero when below PIVOT_RTOL times the largest diagonal
-# magnitude of the input matrix.
+# A pivot counts as zero when L_kk^2 is at most PIVOT_RTOL times A_kk,
+# i.e. when column k is collinear with the earlier ones to within 1 - R^2
 PIVOT_RTOL = 1e-10
 
 
 def cholesky_spd(A: np.ndarray) -> np.ndarray:
-    """Lower-triangular Cholesky factor of a symmetric PD matrix.
+    """Lower-triangular Cholesky factors of symmetric PD matrices.
 
     Parameters
     ----------
-    A : ndarray of shape (m, m)
-        Symmetric positive definite matrix.
+    A : ndarray of shape (..., m, m)
+        Symmetric positive definite matrix, or a stack of them.
 
     Returns
     -------
-    L : ndarray of shape (m, m)
-        Lower triangular with ``L @ L.T == A``.
+    L : ndarray of shape (..., m, m)
+        Lower triangular with ``L @ L.T == A`` slice by slice.
 
     Raises
     ------
     NotPositiveDefinite
-        If a pivot falls below ``PIVOT_RTOL * max(abs(diag(A)))``.
+        If the factorization of any slice fails, or a pivot of any slice
+        has ``L_kk^2 <= PIVOT_RTOL * A_kk``.
     """
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ShapeMismatch(f"expected square matrix, got shape {A.shape}")
-    tol = PIVOT_RTOL * max(np.max(np.abs(np.diag(A))) if A.size else 0.0, 1e-300)
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise ShapeMismatch(f"expected square matrices, got shape {A.shape}")
     try:
         L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
+        raise NotPositiveDefinite("factorization failed") from None
+    # LAPACK accepts tiny positive pivots that the relative rule treats
+    # as zero
+    pivots = L.diagonal(0, -2, -1) ** 2
+    diag = A.diagonal(0, -2, -1)
+    bad = pivots <= PIVOT_RTOL * diag
+    if bad.any():
+        idx = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        where = f" of slice {idx[:-1]}" if len(idx) > 1 else ""
         raise NotPositiveDefinite(
-            f"factorization failed (pivot tolerance {tol:.3e})"
-        ) from None
-    # LAPACK accepts tiny positive pivots that the scale-relative rule
-    # treats as zero
-    pivots = np.diag(L) ** 2
-    if pivots.size and np.min(pivots) <= tol:
-        k = int(np.argmin(pivots))
-        raise NotPositiveDefinite(
-            f"non-positive pivot {pivots[k]:.3e} at index {k} (tol {tol:.3e})"
+            f"pivot {pivots[idx]:.3e} at index {idx[-1]}{where} is at most "
+            f"{PIVOT_RTOL:.0e} of its diagonal {diag[idx]:.3e}"
         )
     return L
 
@@ -59,19 +65,24 @@ def cholesky_spd(A: np.ndarray) -> np.ndarray:
 def solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``A x = b`` for symmetric positive definite ``A``.
 
+    ``A`` has shape (..., m, m) and ``b`` shape (..., m) with the same
+    leading axes. Every slice is checked by its Cholesky factor and then
+    solved by LU, all slices in one call each.
+
     Raises
     ------
     NotPositiveDefinite
-        If the factorization hits a non-positive pivot, which signals a
-        degenerate (collinear) system.
+        If the factorization of any slice hits a zero pivot, which
+        signals a degenerate (collinear) system.
     """
     b = np.asarray(b, dtype=float)
     A = np.asarray(A, dtype=float)
-    if A.shape[0] != b.shape[0]:
-        raise ShapeMismatch(f"A is {A.shape}, b has length {b.shape[0]}")
-    L = cholesky_spd(A)
-    y = np.linalg.solve(L, b)
-    return np.linalg.solve(L.T, y)
+    if A.shape[:-1] != b.shape:
+        raise ShapeMismatch(f"A is {A.shape}, b is {b.shape}")
+    # the factor certifies every slice by the pivot rule; one LU solve
+    # then costs a single LAPACK call where two triangular solves take two
+    cholesky_spd(A)
+    return np.linalg.solve(A, b[..., None])[..., 0]
 
 
 def ols_fit(X: np.ndarray, y: np.ndarray, intercept: bool = False):
@@ -79,43 +90,46 @@ def ols_fit(X: np.ndarray, y: np.ndarray, intercept: bool = False):
 
     Parameters
     ----------
-    X : ndarray of shape (n, q)
-        Design matrix, full column rank. ``q`` may be 0, in which case
-        only the intercept (or nothing) is fitted.
-    y : ndarray of shape (n,)
+    X : ndarray of shape (n, q) or (..., n, q)
+        Design matrix, full column rank, or a stack of them. ``q`` may be
+        0, in which case only the intercept (or nothing) is fitted. A
+        vector is one column.
+    y : ndarray of shape (n,) or (..., n)
+        Response, with the same leading axes as ``X``.
     intercept : bool
-        Augment the design with a constant column.
+        Augment each design with a constant column.
 
     Returns
     -------
-    (coef, intercept_value) : (ndarray of shape (q,), float)
-        Least-squares coefficients for the columns of ``X`` and the
-        fitted constant (0.0 when ``intercept`` is False).
+    (coef, intercept_value)
+        Least-squares coefficients of shape (..., q) for the columns of
+        ``X`` and the fitted constant (0.0 when ``intercept`` is False):
+        a float for one design, an array of shape (...) for a stack.
 
     Raises
     ------
     RankDeficient
-        If the (augmented) Gram matrix is singular within tolerance.
+        If any (augmented) Gram matrix is singular within tolerance.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
-    n, q = X.shape
-    if y.shape[0] != n:
-        raise ShapeMismatch(f"X has {n} rows, y has length {y.shape[0]}")
-    if intercept:
-        if q == 0:
-            return np.zeros(0), float(np.mean(y))
-        D = np.column_stack([np.ones(n), X])
-    else:
-        if q == 0:
-            return np.zeros(0), 0.0
-        D = X
+    if y.shape != X.shape[:-1]:
+        raise ShapeMismatch(f"X is {X.shape}, y is {y.shape}")
+    stacked = X.ndim > 2
+    q = X.shape[-1]
+    if q == 0:
+        b0 = np.mean(y, axis=-1) if intercept else np.zeros(y.shape[:-1])
+        return np.zeros(X.shape[:-1][:-1] + (0,)), b0 if stacked else float(b0)
+    D = (np.concatenate([np.ones(X.shape[:-1] + (1,)), X], axis=-1)
+         if intercept else X)
+    Dt = np.swapaxes(D, -1, -2)
     try:
-        theta = solve_spd(D.T @ D, D.T @ y)
+        theta = solve_spd(Dt @ D, (Dt @ y[..., None])[..., 0])
     except NotPositiveDefinite as exc:
         raise RankDeficient(str(exc)) from exc
-    if intercept:
-        return theta[1:], float(theta[0])
-    return theta, 0.0
+    if not intercept:
+        return theta, np.zeros(y.shape[:-1]) if stacked else 0.0
+    b0 = theta[..., 0]
+    return theta[..., 1:], b0 if stacked else float(b0)

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteValue, RankDeficient, ShapeMismatch
-from .linalg import ols_fit
+from .errors import (NonFiniteValue, NotPositiveDefinite, RankDeficient,
+                     ShapeMismatch)
+from .linalg import ols_fit, solve_spd
 from .rng import make_rng
 
 C_BREAKDOWN = 1.5476
@@ -47,45 +48,67 @@ def bisquare_rho(u: np.ndarray, c: float) -> np.ndarray:
 def bisquare_weight(u: np.ndarray, c: float) -> np.ndarray:
     """IRLS weight psi(u)/u for the bisquare, zero beyond c."""
     z = (np.asarray(u) / c) ** 2
-    return np.where(z > 1.0, 0.0, (1.0 - z) ** 2)
+    return np.maximum(1.0 - z, 0.0) ** 2
 
 
-def _solve_s_scale(r: np.ndarray, c0: float, rtol: float,
-                   guess: float | None = None) -> float:
-    """Newton solve of the S-scale equation on residuals ``r``.
+def _solve_s_scale(R: np.ndarray, c0: float, rtol: float,
+                   guess: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise Newton solve of the S-scale equation on residuals ``R``.
 
-    With a_i = (r_i / c0)^2 and s = 1 / sigma^2, mean rho(r / sigma) is
-    ``1 - mean((1 - min(a s, 1))^3)``: concave and nondecreasing in s.
-    From the left of the root Newton therefore rises to it without
-    overshooting, and from the right its first step lands on the left.
-    A step that would not keep s positive (or a zero slope, every row
-    saturated) restarts the solve from a point below the root. Steps stop
-    once they are below ``rtol`` relative to s. ``guess`` warm-starts the
-    solve at that sigma (e.g. the scale of the previous IRLS iterate).
+    ``R`` has shape (m, n): each row is solved on its own and the result
+    has shape (m,). A vector ``R`` is one row and gives a float.
+
+    With a_i = (r_i / c0)^2 and s = 1 / sigma^2, mean
+    rho(r / sigma) is ``1 - mean((1 - min(a s, 1))^3)``: concave and
+    nondecreasing in s. From the left of the root Newton therefore rises
+    to it without overshooting, and from the right its first step lands
+    on the left. A step that would not keep s positive (or a zero slope,
+    every entry saturated) restarts the row from a point below the root.
+    A row stops once its step is below ``rtol`` relative to its s, and
+    leaves the computation, so the other rows cannot change its result.
+    ``guess`` (positive, shape (m,), or a float for a vector) warm-starts
+    each row at that sigma (e.g. the scale of the previous IRLS iterate);
+    without it every row starts at a point below its root. A row with at
+    least half its entries exactly zero gets sigma 0.
     """
-    n = r.size
-    if np.count_nonzero(r) <= n / 2.0:
-        return 0.0
-    a = (r / c0) ** 2
+    if R.ndim == 1:
+        g = None if guess is None else np.array([guess], dtype=float)
+        return float(_solve_s_scale(R[None], c0, rtol, g)[0])
+    m, n = R.shape
+    sigma = np.zeros(m)
+    rows = np.arange(m)
+    if np.count_nonzero(R) < R.size:
+        fit = np.count_nonzero(R, axis=1) > n / 2.0
+        if not fit.any():
+            return sigma
+        rows, R = rows[fit], R[fit]
+        guess = None if guess is None else guess[fit]
+    a = (R / c0) ** 2
     # 1 - (1 - x)^3 < 3x, so mean rho < 3 s_low mean(a) = 1/2: s_low lies
     # below the root, and Newton rises from it monotonically
-    s_low = 1.0 / (6.0 * np.mean(a))
-    s = 1.0 / guess ** 2 if guess and guess > 0 else s_low
-    for _ in range(S_SCALE_MAX_ITER):
-        # one pass: saturated rows give t = 0, rho = 1 and no slope
-        t = np.maximum(1.0 - a * s, 0.0)
-        t2 = t * t
-        excess = 0.5 - t2.dot(t) / n
-        slope = 3.0 * a.dot(t2) / n
-        step = excess / slope if slope > 0 else np.inf
-        if step >= s:
-            # every row saturated, or the step would not keep s > 0
-            s = s_low
-            continue
-        s -= step
-        if abs(step) <= rtol * s:
-            break
-    return float(1.0 / np.sqrt(s))
+    s_low = n / (6.0 * a.sum(axis=1))
+    s = s_low if guess is None else 1.0 / guess ** 2
+    # a zero slope (every entry saturated) makes an infinite step
+    with np.errstate(divide="ignore"):
+        for _ in range(S_SCALE_MAX_ITER):
+            # one pass: saturated entries give t = 0, rho = 1 and no slope;
+            # the step is (1/2 - mean t^3) / (3 mean(a t^2))
+            t = np.maximum(1.0 - a * s[:, None], 0.0)
+            t2 = t * t
+            step = (0.5 * n - np.vecdot(t2, t)) / (3.0 * np.vecdot(a, t2))
+            # every entry saturated, or the step would not keep s > 0
+            restart = step >= s
+            s = np.where(restart, s_low, s - step)
+            going = restart | (np.abs(step) > rtol * s)
+            if np.count_nonzero(going) < going.size:
+                # converged rows leave the stack
+                sigma[rows[~going]] = 1.0 / np.sqrt(s[~going])
+                rows, a, s = rows[going], a[going], s[going]
+                s_low = s_low[going]
+                if not rows.size:
+                    break
+    sigma[rows] = 1.0 / np.sqrt(s)
+    return sigma
 
 
 def s_scale(residuals: np.ndarray, c0: float = C_BREAKDOWN,
@@ -133,10 +156,28 @@ def _split_fit(theta: np.ndarray, intercept: bool, scale: float,
 
 
 def _weighted_ls(D: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    sw = np.sqrt(w)
-    A = D * sw[:, None]
-    b = y * sw
-    theta, *_ = np.linalg.lstsq(A, b, rcond=None)
+    """Weighted least squares of ``y`` on ``D`` for each row of weights.
+
+    ``w`` has shape (n,) or (m, n); the result has shape (c,) or (m, c).
+    Each weighted Gram is solved through its Cholesky factor in one
+    stacked call. A row whose weighted design is singular (zero weights
+    on too many rows, say) gets ``lstsq``'s minimum-norm solution.
+    """
+    Dw = w[..., None, :] * D.T
+    G = Dw @ D
+    b = Dw @ y
+    try:
+        return solve_spd(G, b)
+    except NotPositiveDefinite:
+        pass
+    theta = np.empty(b.shape)
+    for idx in np.ndindex(w.shape[:-1]):
+        try:
+            theta[idx] = solve_spd(G[idx], b[idx])
+        except NotPositiveDefinite:
+            sw = np.sqrt(w[idx])
+            theta[idx] = np.linalg.lstsq(D * sw[:, None], y * sw,
+                                         rcond=None)[0]
     return theta
 
 
@@ -145,33 +186,54 @@ def _irls_s_stage(D: np.ndarray, y: np.ndarray, theta0: np.ndarray, c0: float,
                   final_rtol: float = S_SCALE_RTOL):
     """Iterate reweighted LS toward a local minimum of the S-scale.
 
-    The scale is re-solved each iterate by a Newton solve warm-started at
-    the previous scale, to ``scale_rtol``; the returned scale is re-solved
-    at ``final_rtol``. Iteration stops once the scale falls by less than
-    ``scale_rtol`` relative, the accuracy each scale is solved to.
+    ``theta0`` is one start of shape (c,) or a stack of shape (m, c); the
+    returned ``(theta, sigma)`` have the same leading shape. Each start is
+    iterated on its own: every iterate solves the weighted systems of the
+    live starts in one stacked call and their scales row-wise, and a start
+    leaves the stack once it stops, so its result does not depend on the
+    others. The scale is re-solved each iterate by a Newton solve
+    warm-started at the previous scale, to ``scale_rtol``; the returned
+    scale is re-solved at ``final_rtol``. A start stops once its scale
+    falls by less than ``scale_rtol`` relative, the accuracy each scale is
+    solved to, or once its scale reaches zero (exact fit).
     """
-    theta = theta0.copy()
-    r = y - D @ theta
-    sigma = _solve_s_scale(r, c0, scale_rtol)
-    if sigma == 0.0:
-        return theta, 0.0
+    theta = np.array(theta0, dtype=float, ndmin=2)
+    R = y - theta @ D.T
+    sigma = _solve_s_scale(R, c0, scale_rtol)
+    # the live starts, compacted: their row numbers, iterates, residuals
+    # and scales; a start's results are written back when it stops
+    live = np.flatnonzero(sigma > 0)
+    th, r, sg = theta[live], R[live], sigma[live]
+
+    def retire(going, *more):
+        """Write back the starts not ``going``; compact the rest."""
+        stop = live[~going]
+        theta[stop], R[stop], sigma[stop] = th[~going], r[~going], sg[~going]
+        return (v[going] for v in (live, th, r, sg) + more)
+
     for _ in range(max_iter):
-        w = bisquare_weight(r / sigma, c0)
-        if w.sum() <= 0:
+        w = bisquare_weight(r / sg[:, None], c0)
+        going = w.sum(axis=1) > 0
+        if np.count_nonzero(going) < going.size:
+            live, th, r, sg, w = retire(going, w)
+        if not live.size:
             break
-        theta = _weighted_ls(D, y, w)
-        r = y - D @ theta
-        sigma_new = _solve_s_scale(r, c0, scale_rtol, guess=sigma)
-        if sigma_new == 0.0:
-            return theta, 0.0
+        th = _weighted_ls(D, y, w)
+        r = y - th @ D.T
+        sg_new = _solve_s_scale(r, c0, scale_rtol, guess=sg)
         # the objective is the scale itself: stop once it stalls (the
         # fixed-scale stage polishes the coefficients afterwards)
-        done = sigma_new >= sigma * (1 - scale_rtol)
-        sigma = sigma_new
-        if done:
-            break
+        going = (sg_new > 0) & (sg_new < sg * (1 - scale_rtol))
+        sg = sg_new
+        if np.count_nonzero(going) < going.size:
+            live, th, r, sg = retire(going)
+    theta[live], R[live], sigma[live] = th, r, sg
     if final_rtol < scale_rtol:
-        sigma = _solve_s_scale(r, c0, final_rtol, guess=sigma)
+        rows = np.flatnonzero(sigma > 0)
+        sigma[rows] = _solve_s_scale(R[rows], c0, final_rtol,
+                                     guess=sigma[rows])
+    if np.ndim(theta0) == 1:
+        return theta[0], float(sigma[0])
     return theta, sigma
 
 
@@ -229,25 +291,19 @@ def mm_fit(X: np.ndarray, y: np.ndarray, intercept: bool = True,
                 starts.append(theta)
                 break
 
-    # fast-S schedule: two cheap refinement steps for every start, full
-    # convergence only for the most promising candidates
-    previews = []
-    for theta0 in starts:
-        theta, sigma = _irls_s_stage(D, y, theta0, C_BREAKDOWN, max_iter=2,
-                                     scale_rtol=1e-3, final_rtol=1e-3)
-        previews.append((sigma, theta))
-    previews.sort(key=lambda t: t[0])
-    best_theta, best_sigma = None, np.inf
-    for sigma0, theta0 in previews[:3]:
-        if sigma0 == 0.0:
-            best_theta, best_sigma = theta0, 0.0
-            break
-        theta, sigma = _irls_s_stage(D, y, theta0, C_BREAKDOWN,
-                                     scale_rtol=1e-5)
-        if sigma < best_sigma:
-            best_theta, best_sigma = theta, sigma
-    theta = best_theta
-    sigma = best_sigma
+    # fast-S schedule: two cheap refinement steps for every start, run as
+    # one stack, full convergence only for the most promising candidates
+    thetas, sigmas = _irls_s_stage(D, y, np.array(starts), C_BREAKDOWN,
+                                   max_iter=2, scale_rtol=1e-3,
+                                   final_rtol=1e-3)
+    order = np.argsort(sigmas, kind="stable")
+    if sigmas[order[0]] == 0.0:
+        theta, sigma = thetas[order[0]], 0.0
+    else:
+        thetas, sigmas = _irls_s_stage(D, y, thetas[order[:3]], C_BREAKDOWN,
+                                       scale_rtol=1e-5)
+        best = int(np.argmin(sigmas))
+        theta, sigma = thetas[best], float(sigmas[best])
 
     if sigma == 0.0:
         # exact fit: the S-stage already interpolates the tightest half

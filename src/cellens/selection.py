@@ -26,8 +26,8 @@ import numpy as np
 
 from . import corrlars
 from .cellwise import CorrelationStructure, ImputationResult
-from .errors import (InvalidConfig, NotPositiveDefinite, RankDeficient,
-                     require_integers)
+from .errors import (InvalidConfig, InvariantViolation, NotPositiveDefinite,
+                     RankDeficient, require_integers)
 from .linalg import ols_fit
 from .rng import make_rng
 
@@ -154,6 +154,9 @@ def cv_error(imp: ImputationResult, subset, folds: np.ndarray,
     decisions). The empty subset scores the global-mean predictor when
     ``intercept`` is on and the zero predictor when off.
 
+    All ``v`` training fits are one stacked ``ols_fit`` call, and each
+    row is predicted by the fit of the fold that holds it out.
+
     Raises
     ------
     RankDeficient
@@ -164,7 +167,7 @@ def cv_error(imp: ImputationResult, subset, folds: np.ndarray,
     """
     subset = list(subset)
     y = imp.y_imp
-    X = imp.X_imp[:, subset] if subset else np.empty((len(y), 0))
+    X = imp.X_imp[:, subset]
     n = len(y)
     v = int(folds.max()) + 1
     min_train = n - max(np.bincount(folds, minlength=v))
@@ -175,16 +178,14 @@ def cv_error(imp: ImputationResult, subset, folds: np.ndarray,
         )
     if intercept:
         y = y - y.mean()
-        if subset:
-            X = X - X.mean(axis=0)
-    sq_sum = 0.0
-    for f in range(v):
-        test = folds == f
-        train = ~test
-        coef, _ = ols_fit(X[train], y[train], intercept=False)
-        pred = X[test] @ coef if subset else np.zeros(int(test.sum()))
-        sq_sum += float(((y[test] - pred) ** 2).sum())
-    return sq_sum / n
+        X = X - X.mean(axis=0)
+    # one stacked solve: slice f is the design with fold f's rows zeroed,
+    # so its Gram is fold f's training Gram, formed directly
+    train = (folds != np.arange(v)[:, None]).astype(float)
+    coef, _ = ols_fit(X * train[:, :, None], y * train, intercept=False)
+    # row i is predicted by the fit that held out its fold
+    pred = (X @ coef.T)[np.arange(n), folds]
+    return float(((y - pred) ** 2).sum()) / n
 
 
 def run_selection(structure: CorrelationStructure, imp: ImputationResult,
@@ -215,6 +216,13 @@ def run_selection(structure: CorrelationStructure, imp: ImputationResult,
     Returns
     -------
     SelectionResult
+
+    Raises
+    ------
+    InvariantViolation
+        Naming the model and candidate, when ``cv_error`` scores a
+        proposal with a non-finite error (a rank-deficient subset is not
+        such a case: its proposal gets benefit -inf).
     """
     p = len(structure.r_y)
     n = imp.Z_imp.shape[0]
@@ -248,10 +256,16 @@ def run_selection(structure: CorrelationStructure, imp: ImputationResult,
         try:
             new_cv = cv_error(imp, states[k].active + [prop.candidate],
                               folds, cfg.intercept)
-            benefit = current_cv[k] - new_cv
         except RankDeficient:
             new_cv = np.inf
             benefit = -np.inf
+        else:
+            if not np.isfinite(new_cv):
+                raise InvariantViolation(
+                    f"model {k}: cross-validation error of candidate "
+                    f"{prop.candidate} is {new_cv}"
+                )
+            benefit = current_cv[k] - new_cv
         return Proposal(model=k, candidate=prop.candidate, gamma=prop.step,
                         benefit=benefit, lars=prop, cv_new=new_cv)
 

@@ -1,5 +1,5 @@
-"""Built-in property suites: invariances, stability, path equivalence and
-the robust stage's S-scale.
+"""Built-in property suites: invariances, stability, path equivalence,
+the cross-validation arbiter and the robust stage's S-scale.
 
 Each check runs the real pipeline (or, for the S-scale, the robust
 stage's scale solve) on seeded synthetic data and verifies a structural
@@ -17,9 +17,9 @@ import numpy as np
 
 from . import corrlars, reference, robustfit
 from .cellwise import CorrelationStructure, correlation_structure, ddc_impute
-from .pipeline import fit_ensemble
+from .pipeline import fit_ensemble, passthrough_imputation
 from .rng import make_rng, split_seed
-from .selection import SelectionConfig, run_selection
+from .selection import SelectionConfig, cv_error, fold_assignment, run_selection
 from .simulate import SimConfig, generate_clean
 
 
@@ -191,6 +191,31 @@ def check_s_scale(n_runs: int = 9, tol: float = 1e-6) -> list[str]:
     return failures
 
 
+def check_cv_oracle(n_runs: int = 20, n: int = 47, p: int = 30,
+                    folds: int = 5, tol: float = 1e-10) -> list[str]:
+    """The stacked cross-validation error must match the fold-by-fold oracle.
+
+    One seeded input with uneven folds (``n`` not a multiple of
+    ``folds``); each run scores a random subset of 1 to 10 predictors,
+    with the intercept on in even runs and off in odd ones.
+    """
+    failures = []
+    y, X = _generic_dataset(seed=1414, n=n, p=p)
+    imp = passthrough_imputation(np.column_stack([y, X]))
+    labels = fold_assignment(n, folds, make_rng(1515))
+    rng = make_rng(1616)
+    for run in range(n_runs):
+        subset = [int(j) for j in
+                  rng.choice(p, size=int(rng.integers(1, 11)), replace=False)]
+        intercept = run % 2 == 0
+        got = cv_error(imp, subset, labels, intercept)
+        want = reference.cv_error_oracle(y, X, subset, labels, intercept)
+        if not abs(got - want) <= tol:
+            failures.append(f"cv-oracle run {run}: {got!r} against oracle "
+                            f"{want!r}")
+    return failures
+
+
 def run_all(verbose: bool = True) -> bool:
     """Run every property suite; True when all pass."""
     suites = [
@@ -199,6 +224,7 @@ def run_all(verbose: bool = True) -> bool:
         ("permutation-equivariance", lambda: check_permutation_equivariance(n_runs=5)),
         ("intercept-invariance", lambda: check_intercept_invariance(n_runs=5)),
         ("local-stability", lambda: check_local_stability(n_runs=5)),
+        ("cv-oracle", check_cv_oracle),
         ("s-scale", check_s_scale),
     ]
     ok = True

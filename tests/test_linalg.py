@@ -93,3 +93,73 @@ def test_split_seed_changes_stream():
     s2 = split_seed(99, 1)
     assert s1 != s2
     assert split_seed(99, 0) == s1
+
+
+def _spd_stack(rng, shape, m):
+    B = rng.standard_normal(shape + (m, m))
+    return B @ np.swapaxes(B, -1, -2) + m * np.eye(m)
+
+
+def _rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+def test_stacked_cholesky_and_solve_match_slices():
+    rng = make_rng(31)
+    A = _spd_stack(rng, (2, 3), 4)
+    b = rng.standard_normal((2, 3, 4))
+    L = cholesky_spd(A)
+    x = solve_spd(A, b)
+    assert L.shape == A.shape and x.shape == b.shape
+    for idx in np.ndindex(2, 3):
+        assert _rel(L[idx], cholesky_spd(A[idx])) <= 1e-13
+        assert _rel(x[idx], solve_spd(A[idx], b[idx])) <= 1e-13
+
+
+def test_stacked_ols_matches_slices():
+    rng = make_rng(32)
+    X = rng.standard_normal((5, 30, 4))
+    y = rng.standard_normal((5, 30))
+    for intercept in (False, True):
+        coef, b0 = ols_fit(X, y, intercept=intercept)
+        assert coef.shape == (5, 4) and np.shape(b0) == (5,)
+        for f in range(5):
+            coef_f, b0_f = ols_fit(X[f], y[f], intercept=intercept)
+            assert _rel(coef[f], coef_f) <= 1e-13
+            assert abs(b0[f] - b0_f) <= 1e-13 * max(abs(b0_f), 1e-300)
+    # an empty design fits the mean (or nothing) slice by slice
+    coef, b0 = ols_fit(np.empty((5, 30, 0)), y, intercept=True)
+    assert coef.shape == (5, 0)
+    assert np.array_equal(b0, y.mean(axis=1))
+
+
+def test_stack_with_one_singular_slice_raises():
+    rng = make_rng(33)
+    A = _spd_stack(rng, (4,), 3)
+    v = rng.standard_normal(3)
+    A[2] = np.outer(v, v)  # rank one
+    with pytest.raises(NotPositiveDefinite):
+        cholesky_spd(A)
+    with pytest.raises(NotPositiveDefinite):
+        solve_spd(A, np.ones((4, 3)))
+    X = rng.standard_normal((4, 20, 2))
+    X[1, :, 1] = 2.0 * X[1, :, 0]  # collinear columns in slice 1 only
+    with pytest.raises(RankDeficient):
+        ols_fit(X, np.ones((4, 20)))
+
+
+def test_cholesky_pivot_rule_is_scale_free():
+    # 1 - R^2 of the second column is 1e-6, well above PIVOT_RTOL: no
+    # rescaling of either column can make it singular
+    A = np.array([[1.0, 1.0 - 5e-7], [1.0 - 5e-7, 1.0]])
+    for c in (1e-8, 1e-5, 1.0, 1e5, 1e8):
+        D = np.diag([1.0, c])
+        L = cholesky_spd(D @ A @ D)
+        assert L[1, 1] ** 2 / (c * c) == pytest.approx(1 - (1 - 5e-7) ** 2,
+                                                       rel=1e-6)
+    # and a column nearly collinear in R^2 is singular at any scale
+    A_bad = np.array([[1.0, 1.0 - 1e-12], [1.0 - 1e-12, 1.0]])
+    for c in (1e-8, 1.0, 1e8):
+        D = np.diag([c, 1.0])
+        with pytest.raises(NotPositiveDefinite):
+            cholesky_spd(D @ A_bad @ D)

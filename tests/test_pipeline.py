@@ -80,3 +80,24 @@ def test_predict_three_dimensional_input_is_a_shape_mismatch():
     result = fit_ensemble(y, X, SelectionConfig(K=3, seed=78))
     with pytest.raises(ShapeMismatch, match="must be a matrix"):
         result.predict(X[:, :, None])
+
+
+@pytest.mark.parametrize("intercept", [True, False])
+@pytest.mark.parametrize("factor", [1e5, 1e8, 1e-5, 1e-8])
+def test_one_rescaled_predictor_keeps_selection(intercept, factor):
+    # every rank decision is scale-free: multiplying one selected
+    # predictor by a power of ten leaves the tournament unchanged
+    rng = make_rng(61)
+    n, p = 60, 20
+    X = rng.standard_normal((n, p))
+    y = (X[:, :6] @ np.array([2.0, -1.5, 1.0, 1.0, -0.8, 0.6])
+         + 0.5 * rng.standard_normal(n))
+    cfg = SelectionConfig(K=3, tau=0.01, intercept=intercept, seed=62)
+    base = fit_ensemble(y, X, cfg)
+    j = base.selection.sets[0][0]
+    X2 = X.copy()
+    X2[:, j] *= factor
+    scaled = fit_ensemble(y, X2, cfg)
+    assert scaled.selection.sets == base.selection.sets
+    assert (scaled.selection.winner_sequence()
+            == base.selection.winner_sequence())

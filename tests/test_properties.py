@@ -40,6 +40,19 @@ def test_s_scale_check_catches_off_solver(monkeypatch):
         f"s-scale run {run}" for run in range(3)]
 
 
+def test_cv_oracle_property():
+    assert selfcheck.check_cv_oracle() == []
+
+
+def test_cv_oracle_check_catches_off_arbiter(monkeypatch):
+    cv_error = selfcheck.cv_error
+    monkeypatch.setattr(selfcheck, "cv_error",
+                        lambda *args: cv_error(*args) * (1 + 1e-6))
+    failures = selfcheck.check_cv_oracle(n_runs=3)
+    assert [f.split(":")[0] for f in failures] == [
+        f"cv-oracle run {run}" for run in range(3)]
+
+
 def test_passthrough_imputation_identity():
     rng = np.random.default_rng(0)
     Z = rng.standard_normal((20, 4))

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+import cellens.robustfit as robustfit
 from cellens import (EnsembleModel, RankDeficient, RobustFit, ShapeMismatch,
                      fit_ensemble_models, make_rng, mm_fit, model_from_json,
                      model_to_json, ols_fit, predict, s_scale)
@@ -109,6 +110,59 @@ def test_s_stage_stops_at_scale_accuracy(monkeypatch):
     _, converged = _irls_s_stage(D, y, theta0, C_BREAKDOWN, max_iter=10_000,
                                  scale_rtol=1e-13)
     assert sigma == pytest.approx(converged, rel=1e-4)
+
+
+def _binary_design(seed, n=60):
+    """Design [1, x, z1, z2] with a 0/1 column x, and a response whose
+    x = 1 rows sit 50 above the others."""
+    rng = make_rng(seed)
+    x = (np.arange(n) < 2 * n // 5).astype(float)
+    Z = rng.standard_normal((n, 2))
+    D = np.column_stack([np.ones(n), x, Z])
+    y = 50.0 * x + Z @ np.array([0.5, -1.0]) + 0.3 * rng.standard_normal(n)
+    return rng, D, y
+
+
+def test_weighted_ls_singular_design_gets_min_norm_solution():
+    rng, D, y = _binary_design(71)
+    w_singular = np.where(D[:, 1] == 1.0, 0.0, rng.uniform(0.2, 1.0, len(y)))
+    w_regular = rng.uniform(0.2, 1.0, len(y))
+    sw = np.sqrt(w_singular)
+    min_norm = np.linalg.lstsq(D * sw[:, None], y * sw, rcond=None)[0]
+    got = robustfit._weighted_ls(D, y, w_singular)
+    assert np.max(np.abs(got - min_norm)) <= 1e-12 * np.max(np.abs(min_norm))
+    assert abs(got[1]) <= 1e-12  # the all-zero weighted column
+    # in a stack, the singular row does not disturb the regular one
+    stacked = robustfit._weighted_ls(D, y, np.stack([w_singular, w_regular]))
+    assert np.array_equal(stacked[0], got)
+    regular = robustfit._weighted_ls(D, y, w_regular)
+    assert np.max(np.abs(stacked[1] - regular)) <= 1e-12 * np.max(np.abs(regular))
+
+
+def test_stacked_previews_match_serial_starts():
+    rng, D, y = _binary_design(72)
+    coef, b0 = ols_fit(D[:, 1:], y, intercept=True)
+    truth = np.array([0.0, 50.0, 0.5, -1.0])
+    starts = [np.concatenate([[b0], coef]),
+              # fits only the x = 0 rows: its weighted design is singular
+              np.array([0.0, 0.0, 0.5, -1.0])]
+    starts += [truth + rng.standard_normal(4) * scale
+               for scale in np.geomspace(1e-3, 30.0, 19)]
+    starts = np.array(starts)
+    thetas, sigmas = _irls_s_stage(D, y, starts, C_BREAKDOWN, max_iter=2,
+                                   scale_rtol=1e-3, final_rtol=1e-3)
+    assert thetas.shape == starts.shape and sigmas.shape == (len(starts),)
+    for start, theta, sigma in zip(starts, thetas, sigmas):
+        want_theta, want_sigma = _irls_s_stage(D, y, start, C_BREAKDOWN,
+                                               max_iter=2, scale_rtol=1e-3,
+                                               final_rtol=1e-3)
+        assert sigma > 0
+        assert abs(sigma - want_sigma) <= 1e-12 * want_sigma
+        assert (np.max(np.abs(theta - want_theta))
+                <= 1e-12 * np.max(np.abs(want_theta)))
+    # the singular start stays on the x = 0 rows: no weight ever reaches
+    # x = 1, so its x coefficient is the min-norm zero
+    assert abs(thetas[1, 1]) <= 1e-12
 
 
 def test_bisquare_weight_accepts_scalars():

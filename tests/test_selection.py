@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import cellens.selection
-from cellens import (InvalidConfig, SelectionConfig, correlation_structure,
+from cellens import (InvalidConfig, InvariantViolation, SelectionConfig,
+                     correlation_structure,
                      cv_error, fold_assignment, make_rng, run_selection,
                      trace_to_csv)
 from cellens.corrlars import SubModelState, apply_step, greedy_path, propose
@@ -87,6 +88,55 @@ def test_cv_error_matches_fold_oracle():
             got = cv_error(imp, subset, folds, intercept)
             ref = cv_error_oracle(y, X, subset, folds, intercept)
             assert got == pytest.approx(ref, abs=1e-10)
+
+
+@pytest.mark.parametrize("intercept", [True, False])
+def test_cv_error_matches_oracle_on_uneven_folds(intercept):
+    # n=23 in 5 folds: fold sizes 5, 5, 5, 4, 4
+    y, X = signal_data(41, n=23, p=10, nact=3)
+    imp = make_imp(y, X)
+    folds = fold_assignment(23, 5, make_rng(42))
+    assert sorted(np.bincount(folds)) == [4, 4, 5, 5, 5]
+    for q in range(1, 11):
+        subset = list(range(q))[::-1]
+        got = cv_error(imp, subset, folds, intercept)
+        ref = cv_error_oracle(y, X, subset, folds, intercept)
+        assert got == pytest.approx(ref, rel=1e-10, abs=1e-12), q
+
+
+@pytest.mark.parametrize("intercept", [True, False])
+def test_cv_error_column_inside_one_fold_is_rank_deficient(intercept):
+    # zero outside fold 2 and summing exactly to zero inside it, so
+    # centering keeps it zero there: fold 2's training design has an
+    # all-zero column
+    y, X = signal_data(43, n=30, p=4)
+    folds = fold_assignment(30, 5, make_rng(44))
+    inside = np.flatnonzero(folds == 2)
+    assert len(inside) == 6
+    X[:, 3] = 0.0
+    X[inside, 3] = [1.0, -1.0, 2.0, -2.0, 3.0, -3.0]
+    imp = make_imp(y, X)
+    assert np.isfinite(cv_error(imp, [0, 1], folds, intercept))
+    with pytest.raises(RankDeficient):
+        cv_error(imp, [0, 3], folds, intercept)
+
+
+def test_non_finite_cv_error_raises_invariant_violation(monkeypatch):
+    y, X = signal_data(45, n=50, p=10, nact=4)
+    imp = make_imp(y, X)
+    structure = correlation_structure(imp)
+    cfg = SelectionConfig(K=3, tau=0.01, cv_folds=5, seed=46)
+    cv = cellens.selection.cv_error
+
+    def nan_for_candidate(imp, subset, folds, intercept):
+        return np.nan if subset and subset[-1] == 2 else cv(imp, subset, folds,
+                                                             intercept)
+
+    monkeypatch.setattr(cellens.selection, "cv_error", nan_for_candidate)
+    with pytest.raises(InvariantViolation,
+                       match=r"model \d: cross-validation error of candidate 2 "
+                             r"is nan"):
+        run_selection(structure, imp, cfg)
 
 
 def test_cv_error_capacity_guard():
