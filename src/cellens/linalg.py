@@ -65,24 +65,30 @@ def cholesky_spd(A: np.ndarray) -> np.ndarray:
 def solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``A x = b`` for symmetric positive definite ``A``.
 
-    ``A`` has shape (..., m, m) and ``b`` shape (..., m) with the same
-    leading axes. Every slice is checked by its Cholesky factor and then
-    solved by LU, all slices in one call each.
+    ``A`` has shape (..., m, m). ``b`` holds one right-hand side per
+    slice, shape (..., m), or k of them, shape (..., m, k), with the same
+    leading axes; ``x`` has the shape of ``b``. Every slice is checked by
+    its Cholesky factor and then solved by LU, all slices in one call each.
 
     Raises
     ------
+    ShapeMismatch
+        If ``b`` has neither shape.
     NotPositiveDefinite
         If the factorization of any slice hits a zero pivot, which
         signals a degenerate (collinear) system.
     """
     b = np.asarray(b, dtype=float)
     A = np.asarray(A, dtype=float)
-    if A.shape[:-1] != b.shape:
+    vector = b.shape == A.shape[:-1]
+    if not vector and b.shape[:-1] != A.shape[:-1]:
         raise ShapeMismatch(f"A is {A.shape}, b is {b.shape}")
     # the factor certifies every slice by the pivot rule; one LU solve
     # then costs a single LAPACK call where two triangular solves take two
     cholesky_spd(A)
-    return np.linalg.solve(A, b[..., None])[..., 0]
+    if vector:
+        return np.linalg.solve(A, b[..., None])[..., 0]
+    return np.linalg.solve(A, b)
 
 
 def ols_fit(X: np.ndarray, y: np.ndarray, intercept: bool = False):

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (NonFiniteValue, NotPositiveDefinite, RankDeficient,
-                     ShapeMismatch)
-from .linalg import ols_fit, solve_spd
+from .errors import NonFiniteValue, RankDeficient, ShapeMismatch
+from .linalg import ols_fit
 from .rng import make_rng
 
 C_BREAKDOWN = 1.5476
@@ -37,6 +36,11 @@ M_STAGE_TOL = 1e-8
 S_SCALE_MAX_ITER = 100
 # relative accuracy of a returned S-scale
 S_SCALE_RTOL = 1e-10
+# a weighted design whose least Cholesky pivot ratio (1 - R^2 of a column
+# on the ones before it) is at most this goes to lstsq: the normal
+# equations lose about eps / ratio of relative accuracy (so at most about
+# 1e-10 above it, well below M_STAGE_TOL), lstsq about eps / sqrt(ratio)
+WLS_NORMAL_RATIO = 1e-5
 
 
 def bisquare_rho(u: np.ndarray, c: float) -> np.ndarray:
@@ -56,7 +60,7 @@ def _solve_s_scale(R: np.ndarray, c0: float, rtol: float,
     """Row-wise Newton solve of the S-scale equation on residuals ``R``.
 
     ``R`` has shape (m, n): each row is solved on its own and the result
-    has shape (m,). A vector ``R`` is one row and gives a float.
+    has shape (m,).
 
     With a_i = (r_i / c0)^2 and s = 1 / sigma^2, mean
     rho(r / sigma) is ``1 - mean((1 - min(a s, 1))^3)``: concave and
@@ -64,51 +68,44 @@ def _solve_s_scale(R: np.ndarray, c0: float, rtol: float,
     to it without overshooting, and from the right its first step lands
     on the left. A step that would not keep s positive (or a zero slope,
     every entry saturated) restarts the row from a point below the root.
-    A row stops once its step is below ``rtol`` relative to its s, and
-    leaves the computation, so the other rows cannot change its result.
-    ``guess`` (positive, shape (m,), or a float for a vector) warm-starts
-    each row at that sigma (e.g. the scale of the previous IRLS iterate);
-    without it every row starts at a point below its root. A row with at
-    least half its entries exactly zero gets sigma 0.
+    A row stops once its step is below ``rtol`` relative to its s, and its
+    s is frozen from then on, so the other rows cannot change its result.
+    ``guess`` (positive, shape (m,)) warm-starts each row at that sigma
+    (e.g. the scale of the previous IRLS iterate); without it every row
+    starts at a point below its root. A row with at least half its
+    entries exactly zero gets sigma 0.
     """
-    if R.ndim == 1:
-        g = None if guess is None else np.array([guess], dtype=float)
-        return float(_solve_s_scale(R[None], c0, rtol, g)[0])
     m, n = R.shape
-    sigma = np.zeros(m)
-    rows = np.arange(m)
-    if np.count_nonzero(R) < R.size:
-        fit = np.count_nonzero(R, axis=1) > n / 2.0
-        if not fit.any():
-            return sigma
-        rows, R = rows[fit], R[fit]
-        guess = None if guess is None else guess[fit]
+    fit = np.count_nonzero(R, axis=1) > n / 2.0
+    if not fit.all():
+        sigma = np.zeros(m)
+        if fit.any():
+            sigma[fit] = _solve_s_scale(R[fit], c0, rtol,
+                                        None if guess is None else guess[fit])
+        return sigma
     a = (R / c0) ** 2
     # 1 - (1 - x)^3 < 3x, so mean rho < 3 s_low mean(a) = 1/2: s_low lies
     # below the root, and Newton rises from it monotonically
     s_low = n / (6.0 * a.sum(axis=1))
     s = s_low if guess is None else 1.0 / guess ** 2
-    # a zero slope (every entry saturated) makes an infinite step
-    with np.errstate(divide="ignore"):
+    going = np.ones(m, dtype=bool)
+    # a zero slope (every entry saturated) makes an infinite step, or a
+    # NaN one in a frozen row
+    with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(S_SCALE_MAX_ITER):
             # one pass: saturated entries give t = 0, rho = 1 and no slope;
             # the step is (1/2 - mean t^3) / (3 mean(a t^2))
             t = np.maximum(1.0 - a * s[:, None], 0.0)
             t2 = t * t
-            step = (0.5 * n - np.vecdot(t2, t)) / (3.0 * np.vecdot(a, t2))
+            step = ((0.5 * n - np.einsum("ij,ij->i", t2, t))
+                    / (3.0 * np.einsum("ij,ij->i", a, t2)))
             # every entry saturated, or the step would not keep s > 0
             restart = step >= s
-            s = np.where(restart, s_low, s - step)
-            going = restart | (np.abs(step) > rtol * s)
-            if np.count_nonzero(going) < going.size:
-                # converged rows leave the stack
-                sigma[rows[~going]] = 1.0 / np.sqrt(s[~going])
-                rows, a, s = rows[going], a[going], s[going]
-                s_low = s_low[going]
-                if not rows.size:
-                    break
-    sigma[rows] = 1.0 / np.sqrt(s)
-    return sigma
+            s = np.where(going, np.where(restart, s_low, s - step), s)
+            going &= restart | (np.abs(step) > rtol * s)
+            if not going.any():
+                break
+    return 1.0 / np.sqrt(s)
 
 
 def s_scale(residuals: np.ndarray, c0: float = C_BREAKDOWN,
@@ -122,7 +119,7 @@ def s_scale(residuals: np.ndarray, c0: float = C_BREAKDOWN,
     r = np.asarray(residuals, dtype=float)
     if r.size == 0:
         raise ShapeMismatch("empty residual vector")
-    return _solve_s_scale(r.ravel(), c0, rtol)
+    return float(_solve_s_scale(r.reshape(1, -1), c0, rtol)[0])
 
 
 @dataclass
@@ -155,26 +152,41 @@ def _split_fit(theta: np.ndarray, intercept: bool, scale: float,
                      iterations=iterations)
 
 
+def _pivot_ratios(G: np.ndarray) -> np.ndarray:
+    """Least Cholesky pivot ratio ``L_kk^2 / G_kk`` of each slice of ``G``.
+
+    The ratio of pivot k is 1 - R^2 of column k on the columns before it.
+    A slice whose factorization fails gets 0.
+    """
+    try:
+        L = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        if G.ndim == 2:
+            return np.float64(0.0)
+        return np.array([_pivot_ratios(g) for g in G])
+    return (L.diagonal(0, -2, -1) ** 2 / G.diagonal(0, -2, -1)).min(axis=-1)
+
+
 def _weighted_ls(D: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Weighted least squares of ``y`` on ``D`` for each row of weights.
 
     ``w`` has shape (n,) or (m, n); the result has shape (c,) or (m, c).
-    Each weighted Gram is solved through its Cholesky factor in one
-    stacked call. A row whose weighted design is singular (zero weights
-    on too many rows, say) gets ``lstsq``'s minimum-norm solution.
+    Each weighted Gram is solved as normal equations, all rows in one
+    stacked call. A row whose weighted design is singular or nearly
+    collinear (least pivot ratio at most ``WLS_NORMAL_RATIO``) gets
+    ``lstsq``'s solution instead, the minimum-norm one when singular.
     """
     Dw = w[..., None, :] * D.T
     G = Dw @ D
     b = Dw @ y
-    try:
-        return solve_spd(G, b)
-    except NotPositiveDefinite:
-        pass
+    normal = _pivot_ratios(G) > WLS_NORMAL_RATIO
+    if normal.all():
+        return np.linalg.solve(G, b[..., None])[..., 0]
     theta = np.empty(b.shape)
-    for idx in np.ndindex(w.shape[:-1]):
-        try:
-            theta[idx] = solve_spd(G[idx], b[idx])
-        except NotPositiveDefinite:
+    for idx in np.ndindex(normal.shape):
+        if normal[idx]:
+            theta[idx] = np.linalg.solve(G[idx], b[idx])
+        else:
             sw = np.sqrt(w[idx])
             theta[idx] = np.linalg.lstsq(D * sw[:, None], y * sw,
                                          rcond=None)[0]
@@ -186,54 +198,40 @@ def _irls_s_stage(D: np.ndarray, y: np.ndarray, theta0: np.ndarray, c0: float,
                   final_rtol: float = S_SCALE_RTOL):
     """Iterate reweighted LS toward a local minimum of the S-scale.
 
-    ``theta0`` is one start of shape (c,) or a stack of shape (m, c); the
-    returned ``(theta, sigma)`` have the same leading shape. Each start is
-    iterated on its own: every iterate solves the weighted systems of the
-    live starts in one stacked call and their scales row-wise, and a start
-    leaves the stack once it stops, so its result does not depend on the
+    ``theta0`` is a stack of starts of shape (m, c); the returned
+    ``(theta, sigma)`` have shapes (m, c) and (m,). Each start is iterated
+    on its own: every iterate solves the weighted systems of the starts
+    still going in one stacked call and their scales row-wise, and a start
+    that stops is left as it is, so its result does not depend on the
     others. The scale is re-solved each iterate by a Newton solve
     warm-started at the previous scale, to ``scale_rtol``; the returned
     scale is re-solved at ``final_rtol``. A start stops once its scale
     falls by less than ``scale_rtol`` relative, the accuracy each scale is
     solved to, or once its scale reaches zero (exact fit).
     """
-    theta = np.array(theta0, dtype=float, ndmin=2)
+    theta = np.array(theta0, dtype=float)
     R = y - theta @ D.T
     sigma = _solve_s_scale(R, c0, scale_rtol)
-    # the live starts, compacted: their row numbers, iterates, residuals
-    # and scales; a start's results are written back when it stops
     live = np.flatnonzero(sigma > 0)
-    th, r, sg = theta[live], R[live], sigma[live]
-
-    def retire(going, *more):
-        """Write back the starts not ``going``; compact the rest."""
-        stop = live[~going]
-        theta[stop], R[stop], sigma[stop] = th[~going], r[~going], sg[~going]
-        return (v[going] for v in (live, th, r, sg) + more)
-
     for _ in range(max_iter):
-        w = bisquare_weight(r / sg[:, None], c0)
-        going = w.sum(axis=1) > 0
-        if np.count_nonzero(going) < going.size:
-            live, th, r, sg, w = retire(going, w)
+        w = bisquare_weight(R[live] / sigma[live, None], c0)
+        weighted = w.sum(axis=1) > 0
+        live, w = live[weighted], w[weighted]
         if not live.size:
             break
         th = _weighted_ls(D, y, w)
-        r = y - th @ D.T
-        sg_new = _solve_s_scale(r, c0, scale_rtol, guess=sg)
+        theta[live] = th
+        R[live] = y - th @ D.T
+        sigma_new = _solve_s_scale(R[live], c0, scale_rtol, guess=sigma[live])
         # the objective is the scale itself: stop once it stalls (the
         # fixed-scale stage polishes the coefficients afterwards)
-        going = (sg_new > 0) & (sg_new < sg * (1 - scale_rtol))
-        sg = sg_new
-        if np.count_nonzero(going) < going.size:
-            live, th, r, sg = retire(going)
-    theta[live], R[live], sigma[live] = th, r, sg
+        going = (sigma_new > 0) & (sigma_new < sigma[live] * (1 - scale_rtol))
+        sigma[live] = sigma_new
+        live = live[going]
     if final_rtol < scale_rtol:
         rows = np.flatnonzero(sigma > 0)
         sigma[rows] = _solve_s_scale(R[rows], c0, final_rtol,
                                      guess=sigma[rows])
-    if np.ndim(theta0) == 1:
-        return theta[0], float(sigma[0])
     return theta, sigma
 
 

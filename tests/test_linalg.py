@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cellens import NotPositiveDefinite, RankDeficient, make_rng, solve_spd, ols_fit
+from cellens import (NotPositiveDefinite, RankDeficient, ShapeMismatch, make_rng,
+                     solve_spd, ols_fit)
 from cellens.linalg import cholesky_spd
 from cellens.reference import gaussian_elimination_solve, normal_equation_ols
 
@@ -114,6 +115,22 @@ def test_stacked_cholesky_and_solve_match_slices():
     for idx in np.ndindex(2, 3):
         assert _rel(L[idx], cholesky_spd(A[idx])) <= 1e-13
         assert _rel(x[idx], solve_spd(A[idx], b[idx])) <= 1e-13
+
+
+def test_solve_takes_several_right_hand_sides():
+    rng = make_rng(34)
+    A = _spd_stack(rng, (3,), 4)
+    B = rng.standard_normal((3, 4, 2))
+    x = solve_spd(A[0], B[0])
+    assert x.shape == (4, 2)
+    for k in range(2):
+        assert _rel(x[:, k], solve_spd(A[0], B[0, :, k])) <= 1e-13
+    stacked = solve_spd(A, B)
+    assert stacked.shape == B.shape
+    for i in range(3):
+        assert _rel(stacked[i], solve_spd(A[i], B[i])) <= 1e-13
+    with pytest.raises(ShapeMismatch):
+        solve_spd(A[0], np.ones((3, 2)))
 
 
 def test_stacked_ols_matches_slices():

@@ -73,8 +73,9 @@ def test_s_scale_matches_grid_oracle_hard_cases(kind):
 def test_s_scale_warm_start_far_from_root(kind, factor):
     r = _hard_residuals(kind)
     root = s_scale(r, rtol=1e-14)
-    got = _solve_s_scale(r, C_BREAKDOWN, 1e-12, guess=factor * root)
-    assert got == pytest.approx(root, rel=1e-10)
+    got = _solve_s_scale(r[None], C_BREAKDOWN, 1e-12,
+                         guess=np.array([factor * root]))
+    assert got[0] == pytest.approx(root, rel=1e-10)
 
 
 @pytest.mark.parametrize("kind", ["t2", "saturated", "tiny"])
@@ -105,11 +106,11 @@ def test_s_stage_stops_at_scale_accuracy(monkeypatch):
         return weighted_ls(*args)
 
     monkeypatch.setattr(robustfit, "_weighted_ls", counted)
-    _, sigma = _irls_s_stage(D, y, theta0, C_BREAKDOWN, scale_rtol=1e-5)
+    _, sigma = _irls_s_stage(D, y, theta0[None], C_BREAKDOWN, scale_rtol=1e-5)
     assert len(rounds) < S_STAGE_MAX_ITER
-    _, converged = _irls_s_stage(D, y, theta0, C_BREAKDOWN, max_iter=10_000,
-                                 scale_rtol=1e-13)
-    assert sigma == pytest.approx(converged, rel=1e-4)
+    _, converged = _irls_s_stage(D, y, theta0[None], C_BREAKDOWN,
+                                 max_iter=10_000, scale_rtol=1e-13)
+    assert sigma[0] == pytest.approx(converged[0], rel=1e-4)
 
 
 def _binary_design(seed, n=60):
@@ -139,6 +140,26 @@ def test_weighted_ls_singular_design_gets_min_norm_solution():
     assert np.max(np.abs(stacked[1] - regular)) <= 1e-12 * np.max(np.abs(regular))
 
 
+@pytest.mark.parametrize("one_minus_r2", [1e-3, 1e-4, 3e-5, 1e-6, 1e-8, 1e-9])
+def test_weighted_ls_near_collinear_matches_lstsq(one_minus_r2):
+    rng = make_rng(73)
+    n = 60
+    Z = rng.standard_normal((n, 3))
+    x = Z[:, 0] + Z[:, 1]
+    e = rng.standard_normal(n)
+    e = (e - e.mean()) * np.std(x) / np.std(e) * np.sqrt(one_minus_r2)
+    # the last column has 1 - R^2 of about one_minus_r2 on the others
+    D = np.column_stack([np.ones(n), Z, x + e])
+    y = D @ rng.uniform(-2.0, 2.0, 5) + rng.standard_normal(n)
+    w = rng.uniform(0.1, 1.0, n)
+    sw = np.sqrt(w)
+    want = np.linalg.lstsq(D * sw[:, None], y * sw, rcond=None)[0]
+    got = robustfit._weighted_ls(D, y, w)
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+    stacked = robustfit._weighted_ls(D, y, np.stack([w, w]))
+    assert np.array_equal(stacked, np.stack([got, got]))
+
+
 def test_stacked_previews_match_serial_starts():
     rng, D, y = _binary_design(72)
     coef, b0 = ols_fit(D[:, 1:], y, intercept=True)
@@ -153,9 +174,10 @@ def test_stacked_previews_match_serial_starts():
                                    scale_rtol=1e-3, final_rtol=1e-3)
     assert thetas.shape == starts.shape and sigmas.shape == (len(starts),)
     for start, theta, sigma in zip(starts, thetas, sigmas):
-        want_theta, want_sigma = _irls_s_stage(D, y, start, C_BREAKDOWN,
+        want_theta, want_sigma = _irls_s_stage(D, y, start[None], C_BREAKDOWN,
                                                max_iter=2, scale_rtol=1e-3,
                                                final_rtol=1e-3)
+        want_theta, want_sigma = want_theta[0], want_sigma[0]
         assert sigma > 0
         assert abs(sigma - want_sigma) <= 1e-12 * want_sigma
         assert (np.max(np.abs(theta - want_theta))
