@@ -22,6 +22,9 @@ positive semi-definite by construction.
 
 from __future__ import annotations
 
+import os
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +35,12 @@ from .errors import (DegenerateColumn, InvalidConfig, TooFewColumns,
 # abs standardized residual above which a cell is flagged; equals the
 # 99.5% standard normal quantile, i.e. sqrt of the chi-square(1) 0.99 point
 FLAG_CUTOFF = 2.5758293035489004
+
+# partner-correlation products (n * C**2) from which the pairs run on every
+# available CPU, and products per task block, which bounds each thread's
+# buffers (see robust_partner_correlations)
+PARTNER_PARALLEL_PRODUCTS = 2**24
+PARTNER_BLOCK_PRODUCTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -163,6 +172,63 @@ def _trimmed_second_moments(Zs: np.ndarray, trim: float) -> np.ndarray:
     return (sq * mask).sum(axis=0) / mask.sum(axis=0)
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _partner_workers(n: int, C: int) -> int:
+    """Threads for the partner loop of an ``(n, C)`` input.
+
+    One below ``PARTNER_PARALLEL_PRODUCTS`` products, where starting
+    threads costs more than it saves, and in a ``multiprocessing`` child,
+    whose parent's pool already fills the CPUs; otherwise every available
+    CPU.
+    """
+    if n * C * C < PARTNER_PARALLEL_PRODUCTS:
+        return 1
+    mp = sys.modules.get("multiprocessing")
+    if mp is not None and mp.parent_process() is not None:
+        return 1
+    return _available_cpus()
+
+
+def _fill_partner_blocks(Zs, t2, keep, corr, tasks, width):
+    """Compute the tasks drawn from ``tasks`` into ``corr``.
+
+    ``tasks`` is one list iterator shared by all threads; each ``next`` on
+    it is atomic, so every task is drawn exactly once.
+
+    Every block is computed over at least two columns (the one before
+    ``a`` when a block has one), in C-ordered buffers allocated once, so
+    each column's axis-0 sum adds the rows in order: numpy sums a
+    one-column slice, or a column of an F-ordered array, pairwise.
+    """
+    n = Zs.shape[0]
+    P_buf = np.empty(n * width)
+    A_buf = np.empty(n * width)
+    M_buf = np.empty(n * width, dtype=bool)
+    for j, a, b in tasks:
+        lo = max(0, min(a, b - 2))
+        w = b - lo
+        P = P_buf[: n * w].reshape(n, w)
+        A = A_buf[: n * w].reshape(n, w)
+        M = M_buf[: n * w].reshape(n, w)
+        np.multiply(Zs[:, lo:b], Zs[:, j:j + 1], out=P)
+        np.abs(P, out=A)
+        A.partition(keep - 1, axis=0)
+        thr = A[keep - 1].copy()
+        np.less_equal(np.abs(P, out=A), thr, out=M)
+        np.multiply(P, M, out=P)
+        row = P.sum(axis=0) / M.sum(axis=0)
+        row /= np.sqrt(t2[j] * t2[lo:b])
+        corr[j, a:b] = row[a - lo:]
+        corr[a:b, j] = row[a - lo:]
+
+
 def robust_partner_correlations(Zs: np.ndarray,
                                 trim: float = DdcConfig.trim) -> np.ndarray:
     """Outlier-resistant correlation matrix of standardized columns.
@@ -173,28 +239,51 @@ def robust_partner_correlations(Zs: np.ndarray,
     correlation for Gaussian data. Trimming by absolute magnitude makes
     the estimate flip sign exactly under per-column sign flips.
 
-    Each of the C(C+1)/2 pairs is computed once. Row ``j`` is formed over
-    columns ``j..C-1`` in the ``(n, C - j)`` layout, whose axis-0 sums add
-    the rows in order for every column; it is normalized in place by
-    ``sqrt(t2[j] * t2[j:])`` and written to row and column ``j``. The
-    result is therefore exactly symmetric, and the C x C output is the only
-    C x C array held. The last row keeps a two-column slice, because numpy
-    sums a one-column slice in another order.
+    Each of the C(C+1)/2 pairs is computed once, in tasks of one row ``j``
+    and a block of at most ``max(2, PARTNER_BLOCK_PRODUCTS // n)`` of its
+    columns ``j..C-1``. A task's products, magnitudes and mask fill
+    buffers its thread allocated once; each column's mean adds the rows in
+    order, is divided by ``sqrt(t2[j] * t2[h])`` and is written to
+    ``corr[j, h]`` and ``corr[h, j]``. The result is exactly symmetric and
+    the C x C output is the only C x C array held.
+
+    From ``PARTNER_PARALLEL_PRODUCTS`` products ``n * C**2`` on, the tasks
+    run on one thread per CPU in the process's affinity mask (numpy
+    releases the GIL inside each operation), except in a
+    ``multiprocessing`` child. Every entry comes from the same operations
+    whichever thread computes it, so the result is bitwise the same for
+    any CPU count and any memory layout of ``Zs``.
     """
+    Zs = np.ascontiguousarray(Zs, dtype=float)
     n, C = Zs.shape
     keep = n - int(np.floor(trim * n))
     t2 = _trimmed_second_moments(Zs, trim)
     corr = np.empty((C, C))
-    for j in range(C):
-        lo = min(j, C - 2) if C > 1 else 0
-        P = Zs[:, lo:] * Zs[:, [j]]
-        A = np.abs(P)
-        thr = np.partition(A, keep - 1, axis=0)[keep - 1]
-        mask = A <= thr
-        row = (P * mask).sum(axis=0) / mask.sum(axis=0)
-        row /= np.sqrt(t2[j] * t2[lo:])
-        corr[j, lo:] = row
-        corr[lo:, j] = row
+    width = min(max(2, PARTNER_BLOCK_PRODUCTS // n), C)
+    # (j, a, b): row j's columns a..b-1 of the upper triangle
+    tasks = [(j, a, min(a + width, C))
+             for j in range(C) for a in range(j, C, width)]
+    workers = min(_partner_workers(n, C), len(tasks))
+    args = (Zs, t2, keep, corr, iter(tasks), width)
+    if workers == 1:
+        _fill_partner_blocks(*args)
+        return corr
+    errors = []
+
+    def work():
+        try:
+            _fill_partner_blocks(*args)
+        except BaseException as exc:  # re-raised in the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for t in threads:
+        t.start()
+    work()
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
     return corr
 
 
@@ -249,7 +338,7 @@ def ddc_impute(Z: np.ndarray, cfg: DdcConfig | None = None) -> ImputationResult:
     if cfg is None:
         cfg = DdcConfig()
     cfg.validate()
-    Z = np.asarray(Z, dtype=float)
+    Z = np.ascontiguousarray(Z, dtype=float)
     n, C = Z.shape
     if C < 2:
         raise TooFewColumns(f"need at least 2 columns, got {C}")

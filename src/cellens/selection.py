@@ -220,9 +220,10 @@ def run_selection(structure: CorrelationStructure, imp: ImputationResult,
     Raises
     ------
     InvariantViolation
-        Naming the model and candidate, when ``cv_error`` scores a
-        proposal with a non-finite error (a rank-deficient subset is not
-        such a case: its proposal gets benefit -inf).
+        Naming the response, when the empty model's cross-validation error
+        is not finite; naming the model and candidate, when ``cv_error``
+        scores a proposal with a non-finite error (a rank-deficient subset
+        is not such a case: its proposal gets benefit -inf).
     """
     p = len(structure.r_y)
     n = imp.Z_imp.shape[0]
@@ -238,7 +239,13 @@ def run_selection(structure: CorrelationStructure, imp: ImputationResult,
 
     states = [corrlars.SubModelState.initial(structure.r_y) for _ in range(cfg.K)]
     available = np.arange(p)
-    current_cv = [cv_error(imp, [], folds, cfg.intercept)] * cfg.K
+    empty_cv = cv_error(imp, [], folds, cfg.intercept)
+    if not np.isfinite(empty_cv):
+        raise InvariantViolation(
+            f"cross-validation error of the empty model is {empty_cv}: the "
+            f"squares of the response y are not finite"
+        )
+    current_cv = [empty_cv] * cfg.K
     trace: list[CompetitionRecord] = []
 
     def fresh_proposal(k: int) -> Optional[Proposal]:

@@ -1,4 +1,8 @@
 import hashlib
+import sys
+import threading
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from cellens import (ContaminationSpec, DdcConfig, DegenerateColumn,
                      block_covariance, contaminate,
                      correlation_structure, ddc_impute, generate_clean,
                      make_rng, robust_standardize)
+from cellens import cellwise
 from cellens.cellwise import (FLAG_CUTOFF, median_ratio_slopes,
                               robust_partner_correlations)
 from cellens.pipeline import passthrough_imputation
@@ -209,19 +214,27 @@ def test_ddc_config_rejects_out_of_range(field, bad, good):
 @pytest.mark.parametrize("trim, discrete", [(0.10, False), (0.0, False),
                                             (0.25, True), (0.10, True)])
 def test_partner_correlations_match_pair_oracle(trim, discrete):
+    # the second shape is above the work cut, so its pairs run on every
+    # available CPU; it is checked on five rows and three random ones: in
+    # blocks of 327 columns, row 0 has two blocks, row 92 ends in a
+    # one-column block and row 93 is exactly one block
     rng = make_rng(21)
-    Z = correlated_matrix(22, n=37, p=12, rho=0.6)
-    Z[rng.random(Z.shape) < 0.08] += 9.0
-    if discrete:
-        Z = np.round(Z)  # tied products, ties at the trimming threshold
-    Zs, _ = robust_standardize(Z)
-    corr = robust_partner_correlations(Zs, trim)
-    assert np.array_equal(corr, corr.T)
-    assert np.array_equal(np.diag(corr), np.ones(12))
-    for j in range(12):
-        for h in range(12):
-            oracle = trimmed_correlation_pair(Zs[:, j], Zs[:, h], trim)
-            assert abs(corr[j, h] - oracle) < 1e-12
+    for n, p, rows in ((37, 12, range(12)), (100, 420, [0, 1, 92, 93, 419])):
+        Z = correlated_matrix(22, n=n, p=p, rho=0.6)
+        Z[rng.random(Z.shape) < 0.08] += 9.0
+        if discrete:
+            Z = np.round(Z)  # tied products, ties at the trimming threshold
+        Zs, _ = robust_standardize(Z)
+        corr = robust_partner_correlations(Zs, trim)
+        assert np.array_equal(corr, corr.T)
+        assert np.array_equal(np.diag(corr), np.ones(p))
+        if p > 12:
+            assert n * p * p >= cellwise.PARTNER_PARALLEL_PRODUCTS
+            rows = rows + list(rng.choice(p, 3, replace=False))
+        for j in rows:
+            for h in range(p):
+                oracle = trimmed_correlation_pair(Zs[:, j], Zs[:, h], trim)
+                assert abs(corr[j, h] - oracle) < 1e-12
 
 
 def test_partner_correlations_two_columns():
@@ -273,10 +286,10 @@ def block_factor_matrix(seed, n, C, block=25, alpha=0.1):
 
 
 @pytest.mark.parametrize("n, C, seed, digest", [
-    (100, 2001, 7, "19353060c7942484"),
-    (100, 2001, 8, "7921d1042015cc86"),
-    (300, 301, 7, "8ece200b06469187"),
-    (300, 301, 8, "57a919e6e1253d4f"),
+    (100, 2001, 7, "c04368aefe10ed89"),
+    (100, 2001, 8, "d8fac46d0ea8789e"),
+    (300, 301, 7, "3c45fa8b71bbbf1a"),
+    (300, 301, 8, "c7d66a78b968c6d0"),
     (50, 201, 7, "0cb829a17d3a1b9c"),
     (50, 201, 8, "2c36beaa174762c2"),
 ])
@@ -289,6 +302,110 @@ def test_ddc_impute_seeded_digest(n, C, seed, digest):
         h.update(np.ascontiguousarray(a).tobytes())
     assert h.hexdigest()[:16] == digest
     assert imp.marginal.any() and not imp.marginal.all()
+
+
+def imputation_digest(imp):
+    h = hashlib.sha256()
+    for a in (imp.flags, imp.Z_imp, imp.marginal):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def test_ddc_impute_bits_independent_of_memory_layout():
+    # numpy sums an F-ordered array's axis 0 pairwise, a C-ordered one row
+    # by row; the cleaning stage works on a C-ordered copy of any input
+    Z = block_factor_matrix(7, 60, 120)
+    padded = np.zeros((60, 240))
+    padded[:, ::2] = Z
+    layouts = (np.ascontiguousarray(Z), np.asfortranarray(Z), padded[:, ::2])
+    assert len({imputation_digest(ddc_impute(a)) for a in layouts}) == 1
+    Zs, _ = robust_standardize(Z)
+    corr = robust_partner_correlations(Zs)
+    assert np.array_equal(robust_partner_correlations(np.asfortranarray(Zs)),
+                          corr)
+    assert np.array_equal(corr, corr.T)
+
+
+def partner_corr_on_cpus(Zs, cpus, any_size=False):
+    """robust_partner_correlations as if the process had ``cpus`` CPUs (and,
+    with ``any_size``, no work cut); also returns how many threads ran."""
+    threads = set()
+    fill = cellwise._fill_partner_blocks
+
+    def spy(*args):
+        threads.add(threading.current_thread())
+        fill(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cellwise, "_available_cpus", lambda: cpus)
+        mp.setattr(cellwise, "_fill_partner_blocks", spy)
+        if any_size:
+            mp.setattr(cellwise, "PARTNER_PARALLEL_PRODUCTS", 0)
+        corr = robust_partner_correlations(Zs)
+    return corr, len(threads)
+
+
+@pytest.mark.parametrize("n, C, discrete", [(30, 2, False), (30, 3, True),
+                                            (100, 328, False),
+                                            (100, 329, True),
+                                            (100, 420, True)])
+def test_partner_correlations_independent_of_worker_count(n, C, discrete):
+    # at n = 100 the blocks have 327 columns, so C = 328 and 329 end rows
+    # in a block of one and of two columns; C = 420 is above the work cut
+    assert cellwise.PARTNER_BLOCK_PRODUCTS // 100 == 327
+    below_cut = n * C * C < cellwise.PARTNER_PARALLEL_PRODUCTS
+    assert below_cut == (C < 420)
+    Z = block_factor_matrix(31, n, C)
+    if discrete:
+        Z = np.round(2 * Z) / 2  # tied products
+    Zs, _ = robust_standardize(Z)
+    serial, used = partner_corr_on_cpus(Zs, 1, any_size=below_cut)
+    assert used == 1
+    # more threads than cores, switching often: a task lost or run twice
+    # would leave an entry unwritten or race on it
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for cpus in (2, 3, 8):
+            corr, used = partner_corr_on_cpus(Zs, cpus, any_size=below_cut)
+            assert used == min(cpus, C)
+            assert corr.tobytes() == serial.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_partner_workers_rule(monkeypatch):
+    monkeypatch.setattr(cellwise, "_available_cpus", lambda: 4)
+    cut = cellwise.PARTNER_PARALLEL_PRODUCTS
+    assert cellwise._partner_workers(cut, 1) == 4
+    assert cellwise._partner_workers(cut - 1, 1) == 1
+    monkeypatch.setattr(cellwise, "_available_cpus", lambda: 1)
+    assert cellwise._partner_workers(cut, 1) == 1
+
+
+def test_partner_workers_serial_in_pool_worker():
+    # the runner's process pool already fills the CPUs
+    with ProcessPoolExecutor(max_workers=1,
+                             mp_context=get_context("spawn")) as pool:
+        assert pool.submit(cellwise._partner_workers, 100, 2001).result() == 1
+    assert cellwise._partner_workers(100, 2001) == cellwise._available_cpus()
+
+
+def test_partner_worker_error_reaches_the_caller(monkeypatch):
+    caller = threading.current_thread()
+    fill = cellwise._fill_partner_blocks
+
+    def failing(*args):
+        if threading.current_thread() is not caller:
+            raise RuntimeError("worker failed")
+        fill(*args)
+
+    monkeypatch.setattr(cellwise, "_available_cpus", lambda: 2)
+    monkeypatch.setattr(cellwise, "PARTNER_PARALLEL_PRODUCTS", 0)
+    monkeypatch.setattr(cellwise, "_fill_partner_blocks", failing)
+    Zs, _ = robust_standardize(correlated_matrix(26, n=30, p=8))
+    with pytest.raises(RuntimeError, match="worker failed"):
+        robust_partner_correlations(Zs)
 
 
 def test_correlation_structure_shares_one_gram_matrix():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cellens import (NonFiniteValue, SelectionConfig, ShapeMismatch,
-                     fit_ensemble, make_rng)
+from cellens import (InvariantViolation, NonFiniteValue, SelectionConfig,
+                     ShapeMismatch, fit_ensemble, make_rng)
 
 
 def noisy_inputs(seed, n=40, p=30):
@@ -101,3 +101,18 @@ def test_one_rescaled_predictor_keeps_selection(intercept, factor):
     assert scaled.selection.sets == base.selection.sets
     assert (scaled.selection.winner_sequence()
             == base.selection.winner_sequence())
+
+
+@pytest.mark.parametrize("intercept", [True, False])
+def test_overflowing_response_names_the_response(intercept):
+    # the squares of y * 1e200 overflow, so even the empty model's
+    # cross-validation error is inf: the error blames y, not a candidate
+    rng = make_rng(61)
+    n, p = 60, 20
+    X = rng.standard_normal((n, p))
+    y = (X[:, :6] @ np.array([2.0, -1.5, 1.0, 1.0, -0.8, 0.6])
+         + 0.5 * rng.standard_normal(n))
+    cfg = SelectionConfig(K=3, tau=0.01, intercept=intercept, seed=62)
+    with pytest.raises(InvariantViolation,
+                       match=r"empty model is inf: .* response y"):
+        fit_ensemble(y * 1e200, X, cfg)

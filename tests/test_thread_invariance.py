@@ -1,9 +1,13 @@
-"""Seeded results must not depend on the BLAS thread count.
+"""Seeded results must not depend on the BLAS thread count or the CPUs.
 
-Each check runs the same seeded work in two subprocesses, one with
-``OPENBLAS_NUM_THREADS=1`` and one with 2, and compares their output
-bytes: the runner's CSV (without the timing column) on a replicated
-study, and digests of simulated data for every contamination scenario.
+Each check runs the same seeded work in two subprocesses and compares
+their output bytes. With ``OPENBLAS_NUM_THREADS=1`` and 2: the runner's
+CSV (without the timing column) on a replicated study, and digests of
+simulated data for every contamination scenario. With one CPU and with
+all of them: the cleaning stage of a ``wide``-shaped input, whose partner
+correlations run on every available CPU. And with the runner's
+``threads`` at 1 and 2: a study above that stage's work cut, cleaned on
+every CPU in the first run and serially in each pool worker in the second.
 """
 
 import csv
@@ -15,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from cellens.cellwise import PARTNER_PARALLEL_PRODUCTS
 from cellens.experiment import RESULT_COLUMNS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -59,6 +64,38 @@ for k, scenario in enumerate(SCENARIOS):
 print(json.dumps(digests))
 """
 
+# prints the digest of ddc_impute on a wide-shaped (n=100, C=2001) input,
+# drawn elementwise, and the partner loop's thread count; with the
+# argument "one" the process first pins itself to one of its CPUs
+DDC_DIGEST = """
+import hashlib, json, os, sys
+import numpy as np
+from cellens import ddc_impute
+from cellens.cellwise import _partner_workers
+
+if sys.argv[1] == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+n, C = 100, 2001
+rng = np.random.default_rng(7)
+h = rng.standard_normal((n, C // 25 + 1))
+Z = (0.4 * rng.standard_normal((n, 1)) + 0.75 * h[:, np.arange(C) // 25]
+     + 0.5 * rng.standard_normal((n, C)))
+cells = rng.random((n, C)) < 0.1
+Z[cells] += rng.choice([-1.0, 1.0], cells.sum()) * rng.uniform(4, 10, cells.sum())
+imp = ddc_impute(Z)
+digest = hashlib.sha256()
+for a in (imp.flags, imp.Z_imp, imp.marginal):
+    digest.update(np.ascontiguousarray(a).tobytes())
+print(json.dumps({"digest": digest.hexdigest(),
+                  "workers": _partner_workers(n, C)}))
+"""
+
+# above the partner loop's work cut: n * (p + 1)**2 = 100 * 420**2
+WIDE_STUDY = dict(
+    STUDY, replications=2,
+    sim={"n": 100, "p": 419, "sparsity": 20, "snr": 1.0, "block_size": 10},
+    selection={"K": 3, "tau": 0.01, "cv_folds": 5})
+
 
 def _run(args, blas_threads, cwd):
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
@@ -101,3 +138,29 @@ def test_simulated_data_independent_of_blas_threads(outputs):
     _, digests_2 = outputs[2]
     assert len(digests_1) == 7
     assert digests_1 == digests_2
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="needs a CPU affinity mask")
+def test_cleaning_independent_of_cpu_count(tmp_path):
+    one = json.loads(_run(["-c", DDC_DIGEST, "one"], 1, tmp_path))
+    every = json.loads(_run(["-c", DDC_DIGEST, "all"], 1, tmp_path))
+    assert one["workers"] == 1
+    assert every["workers"] == len(os.sched_getaffinity(0))
+    assert one["digest"] == every["digest"]
+
+
+def test_runner_csv_independent_of_pool(tmp_path):
+    assert 100 * 420**2 >= PARTNER_PARALLEL_PRODUCTS
+    t_idx = RESULT_COLUMNS.index("cpu_seconds")
+    rows = {}
+    for threads in (1, 2):
+        config = tmp_path / f"wide_{threads}.json"
+        config.write_text(json.dumps(dict(WIDE_STUDY, threads=threads)))
+        out = tmp_path / f"wide_{threads}.csv"
+        _run(["-m", "cellens.experiment", "--config", str(config),
+              "--out", str(out)], 1, tmp_path)
+        with open(out, newline="") as fh:
+            rows[threads] = [r[:t_idx] + r[t_idx + 1:] for r in csv.reader(fh)]
+    assert len(rows[1]) == WIDE_STUDY["replications"] + 1
+    assert rows[1] == rows[2]
