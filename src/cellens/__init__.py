@@ -18,7 +18,7 @@ from .errors import (CellensError, DegenerateColumn, EmptyTruth, InvalidConfig,
                      InvariantViolation, NonFiniteValue, NotPositiveDefinite,
                      RankDeficient, SelftestFailed, ShapeMismatch,
                      TooFewColumns)
-from .linalg import cholesky_spd, ols_fit, solve_spd
+from .linalg import ols_fit, pivot_ratios, solve_spd
 from .metrics import EvalReport, mspe, selection_scores, timed
 from .pipeline import FitResult, fit_ensemble, passthrough_imputation
 from .robustfit import (EnsembleModel, RobustFit, fit_ensemble_models, mm_fit,
@@ -40,12 +40,12 @@ __all__ = [
     "NonFiniteValue", "NotPositiveDefinite", "RankDeficient", "RobustFit", "RobustScale",
     "SCENARIOS", "SelectionConfig", "SelectionResult", "SelftestFailed",
     "ShapeMismatch",
-    "SimConfig", "TooFewColumns", "block_covariance", "cholesky_spd",
-    "contaminate", "correlation_structure", "cv_error", "dataset_from_csv",
+    "SimConfig", "TooFewColumns", "block_covariance", "contaminate",
+    "correlation_structure", "cv_error", "dataset_from_csv",
     "dataset_to_csv", "ddc_impute", "fit_ensemble", "fit_ensemble_models",
     "fold_assignment", "generate_clean", "make_rng", "make_test_set",
     "mm_fit", "model_from_json", "model_to_json", "mspe", "ols_fit",
-    "passthrough_imputation", "predict", "robust_standardize",
+    "passthrough_imputation", "pivot_ratios", "predict", "robust_standardize",
     "run_selection", "s_scale", "selection_scores", "solve_spd",
     "split_seed", "timed", "trace_to_csv",
 ]

@@ -393,6 +393,10 @@ def correlation_structure(imp: ImputationResult) -> CorrelationStructure:
     """
     Z = imp.Z_imp
     centered = Z - Z.mean(axis=0)
+    # exact power-of-two scaling to a largest entry in [1/2, 1): U keeps its
+    # bits, and no sum of squares overflows or underflows to zero
+    np.ldexp(centered, -np.frexp(np.abs(centered).max(axis=0))[1],
+             out=centered)
     norms = np.sqrt((centered**2).sum(axis=0))
     bad = np.flatnonzero(norms <= 0)
     if bad.size:

@@ -4,8 +4,8 @@ All routines work on plain ``numpy`` arrays with explicit shapes. Each
 accepts a stack of independent systems along leading axes (``(..., m, m)``
 matrices, ``(..., n, q)`` designs) and factors every slice in one batched
 LAPACK call; operand shapes must agree exactly, no broadcasting is relied
-upon. A Cholesky pivot counts as zero when ``L_kk^2 <= PIVOT_RTOL * A_kk``:
-the ratio ``L_kk^2 / A_kk`` is 1 - R^2 of column k regressed on the
+upon. A system is degenerate when a Cholesky pivot ratio ``L_kk^2 / A_kk``
+(:func:`pivot_ratios`) is small: it is 1 - R^2 of column k regressed on the
 columns before it, so the rule is unchanged by rescaling any column (or
 row and column of ``A``) by a positive factor.
 """
@@ -21,24 +21,20 @@ from .errors import NotPositiveDefinite, RankDeficient, ShapeMismatch
 PIVOT_RTOL = 1e-10
 
 
-def cholesky_spd(A: np.ndarray) -> np.ndarray:
-    """Lower-triangular Cholesky factors of symmetric PD matrices.
+def pivot_ratios(A: np.ndarray) -> np.ndarray:
+    """Cholesky pivot ratios ``L_kk^2 / A_kk`` of symmetric matrices.
 
     Parameters
     ----------
     A : ndarray of shape (..., m, m)
-        Symmetric positive definite matrix, or a stack of them.
+        Symmetric matrix, or a stack of them.
 
     Returns
     -------
-    L : ndarray of shape (..., m, m)
-        Lower triangular with ``L @ L.T == A`` slice by slice.
-
-    Raises
-    ------
-    NotPositiveDefinite
-        If the factorization of any slice fails, or a pivot of any slice
-        has ``L_kk^2 <= PIVOT_RTOL * A_kk``.
+    ratios : ndarray of shape (..., m)
+        Ratio k of a slice is 1 - R^2 of column k on the columns before
+        it, in (0, 1] for a positive definite slice. Every ratio of a slice
+        whose factorization fails (not positive definite) is 0.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
@@ -46,20 +42,11 @@ def cholesky_spd(A: np.ndarray) -> np.ndarray:
     try:
         L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
-        raise NotPositiveDefinite("factorization failed") from None
-    # LAPACK accepts tiny positive pivots that the relative rule treats
-    # as zero
-    pivots = L.diagonal(0, -2, -1) ** 2
-    diag = A.diagonal(0, -2, -1)
-    bad = pivots <= PIVOT_RTOL * diag
-    if bad.any():
-        idx = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        where = f" of slice {idx[:-1]}" if len(idx) > 1 else ""
-        raise NotPositiveDefinite(
-            f"pivot {pivots[idx]:.3e} at index {idx[-1]}{where} is at most "
-            f"{PIVOT_RTOL:.0e} of its diagonal {diag[idx]:.3e}"
-        )
-    return L
+        # one failed slice fails the whole batched call: factor each alone
+        if A.ndim == 2:
+            return np.zeros(A.shape[-1])
+        return np.stack([pivot_ratios(a) for a in A])
+    return L.diagonal(0, -2, -1) ** 2 / A.diagonal(0, -2, -1)
 
 
 def solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -68,24 +55,32 @@ def solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``A`` has shape (..., m, m). ``b`` holds one right-hand side per
     slice, shape (..., m), or k of them, shape (..., m, k), with the same
     leading axes; ``x`` has the shape of ``b``. Every slice is checked by
-    its Cholesky factor and then solved by LU, all slices in one call each.
+    its pivot ratios and then solved by LU, all slices in one call each.
 
     Raises
     ------
     ShapeMismatch
-        If ``b`` has neither shape.
+        If ``A`` is not square or ``b`` has neither shape.
     NotPositiveDefinite
-        If the factorization of any slice hits a zero pivot, which
-        signals a degenerate (collinear) system.
+        Naming the slice and pivot, if any pivot ratio is at most
+        ``PIVOT_RTOL``, which signals a degenerate (collinear) system.
     """
     b = np.asarray(b, dtype=float)
     A = np.asarray(A, dtype=float)
+    ratios = pivot_ratios(A)
     vector = b.shape == A.shape[:-1]
     if not vector and b.shape[:-1] != A.shape[:-1]:
         raise ShapeMismatch(f"A is {A.shape}, b is {b.shape}")
-    # the factor certifies every slice by the pivot rule; one LU solve
-    # then costs a single LAPACK call where two triangular solves take two
-    cholesky_spd(A)
+    bad = np.argwhere(ratios <= PIVOT_RTOL)
+    if bad.size:
+        idx = tuple(bad[0].tolist())
+        where = f" of slice {idx[:-1]}" if len(idx) > 1 else ""
+        raise NotPositiveDefinite(
+            f"pivot ratio {ratios[idx]:.3e} at index {idx[-1]}{where} is at "
+            f"most {PIVOT_RTOL:.0e}"
+        )
+    # the ratios certify every slice; one LU solve then costs a single
+    # LAPACK call where two triangular solves take two
     if vector:
         return np.linalg.solve(A, b[..., None])[..., 0]
     return np.linalg.solve(A, b)

@@ -6,6 +6,9 @@ scale over an OLS start plus random elemental starts) pins down a
 high-breakdown scale, then an M-stage with a wider bisquare tuning
 constant polishes the coefficients at fixed scale for high normal
 efficiency. Ensemble predictions average the sub-model predictions.
+An elemental start is weighted least squares under 0/1 row weights, so
+all of them are one stacked solve; the M-stage stops on residual moves
+relative to the scale, a test unchanged by rescaling ``y`` or a column.
 
 Tuning constants: ``C_BREAKDOWN = 1.5476`` gives the scale stage a 50%
 breakdown point at the Gaussian model, ``C_EFFICIENCY = 4.685`` gives
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteValue, RankDeficient, ShapeMismatch
-from .linalg import ols_fit
+from .linalg import ols_fit, pivot_ratios
 from .rng import make_rng
 
 C_BREAKDOWN = 1.5476
@@ -152,21 +155,6 @@ def _split_fit(theta: np.ndarray, intercept: bool, scale: float,
                      iterations=iterations)
 
 
-def _pivot_ratios(G: np.ndarray) -> np.ndarray:
-    """Least Cholesky pivot ratio ``L_kk^2 / G_kk`` of each slice of ``G``.
-
-    The ratio of pivot k is 1 - R^2 of column k on the columns before it.
-    A slice whose factorization fails gets 0.
-    """
-    try:
-        L = np.linalg.cholesky(G)
-    except np.linalg.LinAlgError:
-        if G.ndim == 2:
-            return np.float64(0.0)
-        return np.array([_pivot_ratios(g) for g in G])
-    return (L.diagonal(0, -2, -1) ** 2 / G.diagonal(0, -2, -1)).min(axis=-1)
-
-
 def _weighted_ls(D: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Weighted least squares of ``y`` on ``D`` for each row of weights.
 
@@ -179,7 +167,7 @@ def _weighted_ls(D: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
     Dw = w[..., None, :] * D.T
     G = Dw @ D
     b = Dw @ y
-    normal = _pivot_ratios(G) > WLS_NORMAL_RATIO
+    normal = pivot_ratios(G).min(axis=-1) > WLS_NORMAL_RATIO
     if normal.all():
         return np.linalg.solve(G, b[..., None])[..., 0]
     theta = np.empty(b.shape)
@@ -248,6 +236,8 @@ def mm_fit(X: np.ndarray, y: np.ndarray, intercept: bool = True,
     seed : int
         Seed for the elemental-subset starts. The subsets depend only on
         the row count, so refits on shifted responses stay equivariant.
+        A singular subset is not redrawn: its start is the minimum-norm
+        fit to its rows, ranked by its scale like every other start.
 
     Returns
     -------
@@ -275,23 +265,17 @@ def mm_fit(X: np.ndarray, y: np.ndarray, intercept: bool = True,
     # ols_fit's intercept-only branch returns mean(y), which the normal
     # equations on the ones column miss by an ulp in most inputs
     coef0, b0 = ols_fit(X, y, intercept=intercept)
-    starts = [np.concatenate([[b0], coef0]) if intercept else coef0]
+    start0 = np.concatenate([[b0], coef0]) if intercept else coef0
+    # each elemental start fits ncol random rows exactly: 0/1 row weights
     rng = make_rng(seed)
-    for _ in range(N_ELEMENTAL_STARTS):
-        for _attempt in range(50):
-            rows = rng.choice(n, size=ncol, replace=False)
-            sub = D[rows]
-            try:
-                theta = np.linalg.solve(sub, y[rows])
-            except np.linalg.LinAlgError:
-                continue
-            if np.all(np.isfinite(theta)):
-                starts.append(theta)
-                break
+    W = np.zeros((N_ELEMENTAL_STARTS, n))
+    for w in W:
+        w[rng.choice(n, size=ncol, replace=False)] = 1.0
+    starts = np.vstack([start0, _weighted_ls(D, y, W)])
 
     # fast-S schedule: two cheap refinement steps for every start, run as
     # one stack, full convergence only for the most promising candidates
-    thetas, sigmas = _irls_s_stage(D, y, np.array(starts), C_BREAKDOWN,
+    thetas, sigmas = _irls_s_stage(D, y, starts, C_BREAKDOWN,
                                    max_iter=2, scale_rtol=1e-3,
                                    final_rtol=1e-3)
     order = np.argsort(sigmas, kind="stable")
@@ -324,7 +308,8 @@ def mm_fit(X: np.ndarray, y: np.ndarray, intercept: bool = True,
             # descent property of reweighting violated only by numerics;
             # keep the previous iterate
             break
-        delta = np.max(np.abs(theta_new - theta)) / (1 + np.max(np.abs(theta)))
+        # scale-free stop: the largest residual move in units of sigma
+        delta = np.max(np.abs(r_new - r)) / sigma
         theta = theta_new
         r = r_new
         objective = obj_new

@@ -148,6 +148,21 @@ def test_correlation_structure_examples():
     assert np.min(np.linalg.eigvalsh(structure.R_X)) >= -1e-8
 
 
+@pytest.mark.parametrize("exponent", [700, -700])
+def test_correlation_structure_bits_survive_power_of_two_scaling(exponent):
+    # a column scaled far enough to overflow (or underflow) its squares
+    # gives the same correlations, bit for bit, as the unscaled input
+    rng = make_rng(13)
+    Z = rng.standard_normal((40, 6))
+    base = correlation_structure(passthrough_imputation(Z))
+    for j in (0, 3):
+        Zs = Z.copy()
+        Zs[:, j] *= 2.0 ** exponent
+        scaled = correlation_structure(passthrough_imputation(Zs))
+        assert scaled.R_X.tobytes() == base.R_X.tobytes()
+        assert scaled.r_y.tobytes() == base.r_y.tobytes()
+
+
 def test_correlation_matches_pearson_oracle():
     rng = make_rng(11)
     Z = rng.standard_normal((50, 11))

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from cellens import (NotPositiveDefinite, RankDeficient, ShapeMismatch, make_rng,
-                     solve_spd, ols_fit)
-from cellens.linalg import cholesky_spd
+                     pivot_ratios, solve_spd, ols_fit)
+from cellens.linalg import PIVOT_RTOL
 from cellens.reference import gaussian_elimination_solve, normal_equation_ols
 
 
@@ -41,8 +41,9 @@ def test_cholesky_relative_tolerance():
     # scaled-down copy of a singular matrix still rejected
     v = np.array([1.0, 1.0])
     A = np.outer(v, v) * 1e-6
+    assert pivot_ratios(A)[1] <= PIVOT_RTOL
     with pytest.raises(NotPositiveDefinite):
-        cholesky_spd(A)
+        solve_spd(A, np.ones(2))
 
 
 def test_ols_exact_line():
@@ -109,11 +110,11 @@ def test_stacked_cholesky_and_solve_match_slices():
     rng = make_rng(31)
     A = _spd_stack(rng, (2, 3), 4)
     b = rng.standard_normal((2, 3, 4))
-    L = cholesky_spd(A)
+    ratios = pivot_ratios(A)
     x = solve_spd(A, b)
-    assert L.shape == A.shape and x.shape == b.shape
+    assert ratios.shape == b.shape and x.shape == b.shape
     for idx in np.ndindex(2, 3):
-        assert _rel(L[idx], cholesky_spd(A[idx])) <= 1e-13
+        assert _rel(ratios[idx], pivot_ratios(A[idx])) <= 1e-13
         assert _rel(x[idx], solve_spd(A[idx], b[idx])) <= 1e-13
 
 
@@ -155,9 +156,10 @@ def test_stack_with_one_singular_slice_raises():
     A = _spd_stack(rng, (4,), 3)
     v = rng.standard_normal(3)
     A[2] = np.outer(v, v)  # rank one
-    with pytest.raises(NotPositiveDefinite):
-        cholesky_spd(A)
-    with pytest.raises(NotPositiveDefinite):
+    ratios = pivot_ratios(A)
+    assert np.array_equal(ratios[2], np.zeros(3))
+    assert np.all(ratios[[0, 1, 3]] > PIVOT_RTOL)
+    with pytest.raises(NotPositiveDefinite, match=r"slice \(2,\)"):
         solve_spd(A, np.ones((4, 3)))
     X = rng.standard_normal((4, 20, 2))
     X[1, :, 1] = 2.0 * X[1, :, 0]  # collinear columns in slice 1 only
@@ -171,12 +173,11 @@ def test_cholesky_pivot_rule_is_scale_free():
     A = np.array([[1.0, 1.0 - 5e-7], [1.0 - 5e-7, 1.0]])
     for c in (1e-8, 1e-5, 1.0, 1e5, 1e8):
         D = np.diag([1.0, c])
-        L = cholesky_spd(D @ A @ D)
-        assert L[1, 1] ** 2 / (c * c) == pytest.approx(1 - (1 - 5e-7) ** 2,
-                                                       rel=1e-6)
+        assert pivot_ratios(D @ A @ D)[1] == pytest.approx(
+            1 - (1 - 5e-7) ** 2, rel=1e-6)
     # and a column nearly collinear in R^2 is singular at any scale
     A_bad = np.array([[1.0, 1.0 - 1e-12], [1.0 - 1e-12, 1.0]])
     for c in (1e-8, 1.0, 1e8):
         D = np.diag([c, 1.0])
         with pytest.raises(NotPositiveDefinite):
-            cholesky_spd(D @ A_bad @ D)
+            solve_spd(D @ A_bad @ D, np.ones(2))

@@ -261,6 +261,38 @@ def test_mm_m_stage_descends():
         np.mean(bisquare_rho(r_ols / fit.scale, C_EFFICIENCY)) + 1e-12
 
 
+def test_mm_stop_is_scale_free():
+    # the M-stage stops on residual moves in units of the scale, so a
+    # power-of-two rescaling of y rescales every iterate exactly
+    rng = make_rng(20)
+    X = rng.standard_normal((80, 3))
+    y = X @ np.array([2.0, -1.0, 0.5]) + rng.standard_normal(80)
+    y[:8] += 15.0
+    f1 = mm_fit(X, y, seed=20)
+    f2 = mm_fit(X, y * 2.0**-30, seed=20)
+    assert f1.converged and f2.converged
+    assert f2.iterations == f1.iterations > 1
+    assert np.array_equal(f2.coefficients, f1.coefficients * 2.0**-30)
+    assert f2.intercept == f1.intercept * 2.0**-30
+    assert f2.scale == f1.scale * 2.0**-30
+
+
+@pytest.mark.parametrize("seed", [71, 72, 73])
+def test_mm_fit_with_singular_elemental_subsets(seed):
+    _, D, y = _binary_design(seed)
+    # premise: some of the fit's elemental subsets draw x = 0 (or x = 1)
+    # rows only, so their 4 x 4 systems are singular
+    rng = make_rng(seed)
+    singular = [np.ptp(D[rng.choice(len(y), size=4, replace=False), 1]) == 0
+                for _ in range(robustfit.N_ELEMENTAL_STARTS)]
+    assert any(singular)
+    fit = mm_fit(D[:, 1:], y, intercept=True, seed=seed)
+    assert fit.converged
+    assert np.all(np.isfinite(fit.coefficients)) and np.isfinite(fit.intercept)
+    assert np.isfinite(fit.scale) and fit.scale > 0
+    assert abs(fit.coefficients[0] - 50.0) <= 0.5
+
+
 def test_mm_rank_deficient():
     rng = make_rng(10)
     X = np.column_stack([np.ones(20), np.ones(20)])
