@@ -8,7 +8,12 @@ high-breakdown two-stage robust fit. Predictions average the K
 sub-models. Simulators for block-correlated designs with cellwise,
 casewise, and mixed corruption, plus evaluation metrics and a
 config-driven experiment runner, round out the package.
+
+Diagnostics go to the ``cellens`` logger, which has only a
+``NullHandler`` until the application configures logging.
 """
+
+import logging
 
 from .cellwise import (CorrelationStructure, DdcConfig, ImputationResult,
                        RobustScale, correlation_structure, ddc_impute,
@@ -29,6 +34,8 @@ from .selection import (CompetitionRecord, SelectionConfig, SelectionResult,
 from .simulate import (SCENARIOS, ContaminationSpec, SimConfig,
                        block_covariance, contaminate, generate_clean,
                        make_test_set)
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __version__ = "0.1.0"
 

@@ -221,9 +221,11 @@ def _fill_partner_blocks(Zs, t2, keep, corr, tasks, width):
         np.abs(P, out=A)
         A.partition(keep - 1, axis=0)
         thr = A[keep - 1].copy()
+        # the first keep magnitudes are at most thr, the rest at least thr
+        kept = keep + (A[keep:] == thr).sum(axis=0)
         np.less_equal(np.abs(P, out=A), thr, out=M)
         np.multiply(P, M, out=P)
-        row = P.sum(axis=0) / M.sum(axis=0)
+        row = P.sum(axis=0) / kept
         row /= np.sqrt(t2[j] * t2[lo:b])
         corr[j, a:b] = row[a - lo:]
         corr[a:b, j] = row[a - lo:]

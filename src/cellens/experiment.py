@@ -27,8 +27,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import logging
+import multiprocessing
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from itertools import repeat
 from pathlib import Path
@@ -49,6 +53,9 @@ from .simulate import (SCENARIOS, ContaminationSpec, SimConfig,
                        block_covariance, contaminate, generate_clean,
                        make_test_set)
 from .rng import split_seed
+
+# named, not __name__, so that ``python -m cellens.experiment`` logs here too
+logger = logging.getLogger("cellens.experiment")
 
 CSV_SCHEMA_VERSION = 1
 RESULT_COLUMNS = [
@@ -215,11 +222,47 @@ def _row(cfg: ExperimentConfig, sim: SimConfig, cont: ContaminationSpec,
     ]
 
 
+# the BLAS thread-count variables of the common BLAS builds
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                         "MKL_NUM_THREADS")
+
+
+@contextmanager
+def replication_pool(workers: int):
+    """Yield a process pool of ``workers`` whose workers run single-thread BLAS.
+
+    The pool already runs one replication per CPU, so each worker runs its
+    own work serially (as the cleaning stage does in a ``multiprocessing``
+    child). Workers are started by ``spawn``, so they import numpy afresh
+    with every variable of ``BLAS_THREAD_VARIABLES`` set to ``"1"``. The
+    parent's environment holds these settings while the pool is open
+    (workers start on demand) and is restored exactly when it closes: a
+    variable that was unset is unset again. Other threads of the parent
+    that read the environment meanwhile see the settings too.
+    """
+    saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARIABLES, "1"))
+    try:
+        with ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("spawn")) as pool:
+            logger.debug("replication pool: %d spawned workers, %s set to 1",
+                         workers, ", ".join(BLAS_THREAD_VARIABLES))
+            yield pool
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
 def _run_grid(cfg: ExperimentConfig, cells: list[Cell], writer) -> None:
     """Run replications for every grid cell, writing rows in stable order.
 
-    Replications run in job order (in a process pool when ``threads > 1``);
-    the first failing one raises before any row is written.
+    Replications run in job order (in a :func:`replication_pool` when
+    ``threads > 1``); the first failing one raises before any row is
+    written.
     """
     jobs = [(sim, cont, sel, rep, split_seed(split_seed(cfg.seed, cell_idx), rep))
             for cell_idx, (sim, cont, sel) in enumerate(cells)
@@ -227,7 +270,7 @@ def _run_grid(cfg: ExperimentConfig, cells: list[Cell], writer) -> None:
     sims, conts, sels, _, seeds = zip(*jobs)
     args = (sims, conts, sels, seeds, repeat(cfg.test_size), repeat(cfg.impute))
     if cfg.threads > 1:
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
+        with replication_pool(min(cfg.threads, len(jobs))) as pool:
             reports = list(pool.map(run_single, *args))
     else:
         reports = list(map(run_single, *args))
@@ -267,7 +310,8 @@ def run_experiment(cfg: ExperimentConfig) -> str:
 def fit_csv(data_path: str, sel: SelectionConfig, model_out: str) -> str:
     """Fit the full pipeline on a ``y,x1..xp`` CSV and save the model JSON.
 
-    Returns a human-readable selection summary (also printed).
+    Returns a human-readable selection summary; the command line prints
+    it.
 
     Raises
     ------
@@ -294,9 +338,7 @@ def fit_csv(data_path: str, sel: SelectionConfig, model_out: str) -> str:
         lines.append(f"  model {k}: {cols}")
     lines.append(f"trace length: {len(result.selection.trace)} rounds "
                  f"(stop: {result.selection.stop_reason})")
-    summary = "\n".join(lines)
-    print(summary)
-    return summary
+    return "\n".join(lines)
 
 
 def predict_csv(model_path: str, X_path: str, out_path: str) -> None:
@@ -375,7 +417,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
 
     try:
-        path = run_experiment(cfg)
+        if cfg.mode == "fit" and cfg.data_csv is not None:
+            path = cfg.model_out or "model.json"
+            print(fit_csv(cfg.data_csv, cfg.selection, path))
+        else:
+            path = run_experiment(cfg)
     except CellensError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, SelftestFailed) else 2

@@ -86,8 +86,28 @@ def solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(A, b)
 
 
+def column_exponents(X: np.ndarray) -> np.ndarray:
+    """Binary exponents ``e`` that put each column of ``2**-e * X`` in [1/2, 1).
+
+    ``X`` has shape (..., n, q) and the result (..., q): ``e`` is the
+    ``np.frexp`` exponent of the column's largest magnitude (0 for a
+    zero column). Scaling by ``np.ldexp(X, -e)`` is exact (barring
+    subnormal results), so the scaled design carries the same bits for
+    any power-of-two rescaling of a column, and a Gram formed from it
+    neither overflows nor underflows however large or small the column.
+    """
+    return np.frexp(np.abs(X).max(axis=-2, initial=0.0))[1]
+
+
 def ols_fit(X: np.ndarray, y: np.ndarray, intercept: bool = False):
     """Ordinary least squares via the normal equations.
+
+    Each column of ``X`` is scaled by a power of two
+    (:func:`column_exponents`) before its Gram is formed and its
+    coefficient is scaled back. This is exact, so a power-of-two
+    rescaling of a column, however large, rescales its coefficient
+    exactly and changes no other bit, and no column's magnitude can
+    overflow or underflow the normal equations.
 
     Parameters
     ----------
@@ -123,14 +143,17 @@ def ols_fit(X: np.ndarray, y: np.ndarray, intercept: bool = False):
     if q == 0:
         b0 = np.mean(y, axis=-1) if intercept else np.zeros(y.shape[:-1])
         return np.zeros(X.shape[:-1][:-1] + (0,)), b0 if stacked else float(b0)
-    D = (np.concatenate([np.ones(X.shape[:-1] + (1,)), X], axis=-1)
-         if intercept else X)
+    e = column_exponents(X)
+    D = np.ldexp(X, -e[..., None, :])
+    if intercept:
+        D = np.concatenate([np.ones(X.shape[:-1] + (1,)), D], axis=-1)
     Dt = np.swapaxes(D, -1, -2)
     try:
         theta = solve_spd(Dt @ D, (Dt @ y[..., None])[..., 0])
     except NotPositiveDefinite as exc:
         raise RankDeficient(str(exc)) from exc
+    coef = np.ldexp(theta[..., int(intercept):], -e)
     if not intercept:
-        return theta, np.zeros(y.shape[:-1]) if stacked else 0.0
+        return coef, np.zeros(y.shape[:-1]) if stacked else 0.0
     b0 = theta[..., 0]
-    return theta[..., 1:], b0 if stacked else float(b0)
+    return coef, b0 if stacked else float(b0)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteValue, RankDeficient, ShapeMismatch
-from .linalg import ols_fit, pivot_ratios
+from .linalg import column_exponents, ols_fit, pivot_ratios
 from .rng import make_rng
 
 C_BREAKDOWN = 1.5476
@@ -146,10 +146,11 @@ class EnsembleModel:
     intercept: bool
 
 
-def _split_fit(theta: np.ndarray, intercept: bool, scale: float,
-               converged: bool, iterations: int) -> RobustFit:
-    """RobustFit from ``theta`` over the design (intercept column first)."""
-    return RobustFit(coefficients=theta[1:] if intercept else theta,
+def _split_fit(theta: np.ndarray, intercept: bool, e: np.ndarray,
+               scale: float, converged: bool, iterations: int) -> RobustFit:
+    """RobustFit from ``theta`` over the design (intercept column first)
+    whose predictor columns were scaled by ``2**-e``."""
+    return RobustFit(coefficients=np.ldexp(theta[int(intercept):], -e),
                      intercept=float(theta[0]) if intercept else 0.0,
                      scale=float(scale), converged=converged,
                      iterations=iterations)
@@ -162,7 +163,8 @@ def _weighted_ls(D: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
     Each weighted Gram is solved as normal equations, all rows in one
     stacked call. A row whose weighted design is singular or nearly
     collinear (least pivot ratio at most ``WLS_NORMAL_RATIO``) gets
-    ``lstsq``'s solution instead, the minimum-norm one when singular.
+    ``lstsq``'s solution instead, the minimum-norm one when singular;
+    only those rows are solved one at a time.
     """
     Dw = w[..., None, :] * D.T
     G = Dw @ D
@@ -171,13 +173,10 @@ def _weighted_ls(D: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
     if normal.all():
         return np.linalg.solve(G, b[..., None])[..., 0]
     theta = np.empty(b.shape)
-    for idx in np.ndindex(normal.shape):
-        if normal[idx]:
-            theta[idx] = np.linalg.solve(G[idx], b[idx])
-        else:
-            sw = np.sqrt(w[idx])
-            theta[idx] = np.linalg.lstsq(D * sw[:, None], y * sw,
-                                         rcond=None)[0]
+    theta[normal] = np.linalg.solve(G[normal], b[normal][..., None])[..., 0]
+    for idx in map(tuple, np.argwhere(~normal)):
+        sw = np.sqrt(w[idx])
+        theta[idx] = np.linalg.lstsq(D * sw[:, None], y * sw, rcond=None)[0]
     return theta
 
 
@@ -257,10 +256,14 @@ def mm_fit(X: np.ndarray, y: np.ndarray, intercept: bool = True,
     n, q = X.shape
     if q + int(intercept) >= n:
         raise RankDeficient(f"{q} predictors (+intercept={intercept}) with only {n} rows")
+    # every stage works on power-of-two scaled columns (exact), and the
+    # coefficients are scaled back once at the end
+    e = column_exponents(X)
+    X = np.ldexp(X, -e)
     D = np.column_stack([np.ones(n), X]) if intercept else X
     ncol = D.shape[1]
     if ncol == 0:
-        return _split_fit(np.zeros(0), False, s_scale(y), True, 0)
+        return _split_fit(np.zeros(0), False, e, s_scale(y), True, 0)
 
     # ols_fit's intercept-only branch returns mean(y), which the normal
     # equations on the ones column miss by an ulp in most inputs
@@ -289,7 +292,7 @@ def mm_fit(X: np.ndarray, y: np.ndarray, intercept: bool = True,
 
     if sigma == 0.0:
         # exact fit: the S-stage already interpolates the tightest half
-        return _split_fit(theta, intercept, 0.0, True, 0)
+        return _split_fit(theta, intercept, e, 0.0, True, 0)
 
     # M-stage at fixed scale, wider tuning constant
     r = y - D @ theta
@@ -316,7 +319,7 @@ def mm_fit(X: np.ndarray, y: np.ndarray, intercept: bool = True,
         if delta < M_STAGE_TOL:
             converged = True
             break
-    return _split_fit(theta, intercept, sigma, converged, iterations)
+    return _split_fit(theta, intercept, e, sigma, converged, iterations)
 
 
 def fit_ensemble_models(imp_y: np.ndarray, imp_X: np.ndarray,

@@ -182,7 +182,10 @@ def cv_error(imp: ImputationResult, subset, folds: np.ndarray,
     # one stacked solve: slice f is the design with fold f's rows zeroed,
     # so its Gram is fold f's training Gram, formed directly
     train = (folds != np.arange(v)[:, None]).astype(float)
-    coef, _ = ols_fit(X * train[:, :, None], y * train, intercept=False)
+    # a (v, n, q) view whose columns each lie contiguous in memory: ols_fit
+    # reduces over and multiplies along them several times faster
+    stack = np.swapaxes(np.ascontiguousarray(X.T) * train[:, None, :], 1, 2)
+    coef, _ = ols_fit(stack, y * train, intercept=False)
     # row i is predicted by the fit that held out its fold
     pred = (X @ coef.T)[np.arange(n), folds]
     return float(((y - pred) ** 2).sum()) / n

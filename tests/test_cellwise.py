@@ -389,6 +389,30 @@ def test_partner_correlations_independent_of_worker_count(n, C, discrete):
         sys.setswitchinterval(interval)
 
 
+def test_partner_kept_count_with_tied_magnitudes():
+    # each column's kept count is read from the partitioned tail; with
+    # magnitudes tied at the trimming threshold the bits must equal those
+    # of counting the whole mask
+    Zs, _ = robust_standardize(np.round(block_factor_matrix(33, 40, 7)))
+    n, C = Zs.shape
+    keep = n - int(np.floor(0.1 * n))
+    t2 = cellwise._trimmed_second_moments(Zs, 0.1)
+    corr = np.empty((C, C))
+    cellwise._fill_partner_blocks(Zs, t2, keep, corr,
+                                  iter([(j, j, C) for j in range(C)]), C)
+    straddled = 0
+    for j in range(C):
+        lo = min(j, C - 2)
+        P = Zs[:, lo:] * Zs[:, j:j + 1]
+        thr = np.partition(np.abs(P), keep - 1, axis=0)[keep - 1]
+        M = np.abs(P) <= thr
+        straddled += int((M.sum(axis=0) > keep).sum())
+        row = (P * M).sum(axis=0) / M.sum(axis=0)
+        row /= np.sqrt(t2[j] * t2[lo:])
+        assert corr[j, j:].tobytes() == row[j - lo:].tobytes()
+    assert straddled > 0  # ties at the threshold cross the keep boundary
+
+
 def test_partner_workers_rule(monkeypatch):
     monkeypatch.setattr(cellwise, "_available_cpus", lambda: 4)
     cut = cellwise.PARTNER_PARALLEL_PRODUCTS

@@ -1,5 +1,7 @@
 import csv
 import json
+import logging
+import os
 import re
 from dataclasses import replace
 
@@ -11,8 +13,9 @@ import cellens.selfcheck
 from cellens import (ContaminationSpec, DegenerateColumn, InvalidConfig,
                      NonFiniteValue, ShapeMismatch, SimConfig, dataset_from_csv)
 from cellens.data import example_csv_path
-from cellens.experiment import (RESULT_COLUMNS, ExperimentConfig, fit_csv,
-                                load_config, main, predict_csv, run_experiment)
+from cellens.experiment import (BLAS_THREAD_VARIABLES, RESULT_COLUMNS,
+                                ExperimentConfig, fit_csv, load_config, main,
+                                predict_csv, replication_pool, run_experiment)
 from cellens.selection import SelectionConfig
 
 
@@ -132,8 +135,9 @@ def test_cli_exit_codes(tmp_path, capsys):
 
 def test_fit_csv_bundled_fixture(tmp_path, capsys):
     model_out = tmp_path / "model.json"
-    fit_csv(example_csv_path(), SelectionConfig(K=3, tau=0.01, cv_folds=5,
-                                                seed=1), str(model_out))
+    summary = fit_csv(example_csv_path(),
+                      SelectionConfig(K=3, tau=0.01, cv_folds=5, seed=1),
+                      str(model_out))
     doc = json.loads(model_out.read_text())
     assert doc["schema_version"] == 1
     sets = [set(s) for s in doc["sets"]]
@@ -142,8 +146,35 @@ def test_fit_csv_bundled_fixture(tmp_path, capsys):
         assert not (s & seen)
         seen.update(s)
     assert seen  # something was selected
-    out = capsys.readouterr().out
-    assert "model 0" in out and "trace length" in out
+    assert "model 0" in summary and "trace length" in summary
+    # the library prints nothing; the command line prints the summary
+    assert capsys.readouterr().out == ""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "fit", "data_csv": example_csv_path(),
+                               "model_out": str(model_out),
+                               "selection": {"K": 3, "tau": 0.01,
+                                             "cv_folds": 5, "seed": 1}}))
+    assert main(["--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == (
+        f"{summary}\nresults written to {model_out}\n")
+
+
+def test_replication_pool_workers_run_single_thread_blas(monkeypatch, caplog):
+    # one variable preset to another value, the other two absent
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    caplog.set_level(logging.DEBUG, logger="cellens")
+    with replication_pool(2) as pool:
+        seen = list(pool.map(os.getenv, BLAS_THREAD_VARIABLES))
+    assert seen == ["1"] * 3
+    assert dict(os.environ) == before
+    assert "2 spawned workers" in caplog.text
+    with pytest.raises(RuntimeError, match="body failed"):
+        with replication_pool(1):
+            raise RuntimeError("body failed")
+    assert dict(os.environ) == before
 
 
 def test_fit_csv_single_predictor(tmp_path, capsys):

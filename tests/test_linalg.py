@@ -76,6 +76,23 @@ def test_ols_matches_normal_equation_oracle():
             assert np.max(np.abs(X.T @ resid)) < 1e-8 * (1 + np.max(np.abs(X.T @ y)))
 
 
+@pytest.mark.parametrize("power", [-1000, -600, -100, 100, 600, 1000])
+def test_ols_coefficients_follow_a_rescaled_column_exactly(power):
+    # the columns are equilibrated by powers of two before the Gram is
+    # formed, so the scaled system, and every other bit of the fit, is the
+    # same, also where the unscaled Gram would overflow or underflow
+    rng = make_rng(6)
+    X = rng.standard_normal((2, 40, 3))
+    y = rng.standard_normal((2, 40))
+    X2 = X.copy()
+    X2[1, :, 2] = np.ldexp(X2[1, :, 2], power)
+    for intercept in (False, True):
+        coef, b0 = ols_fit(X, y, intercept=intercept)
+        coef2, b02 = ols_fit(X2, y, intercept=intercept)
+        coef[1, 2] = np.ldexp(coef[1, 2], -power)
+        assert np.array_equal(coef2, coef) and np.array_equal(b02, b0)
+
+
 def test_ols_rank_deficient():
     X = np.column_stack([np.ones(10), np.ones(10)])
     with pytest.raises(RankDeficient):

@@ -83,7 +83,7 @@ def test_predict_three_dimensional_input_is_a_shape_mismatch():
 
 
 @pytest.mark.parametrize("intercept", [True, False])
-@pytest.mark.parametrize("factor", [1e5, 1e8, 1e-5, 1e-8])
+@pytest.mark.parametrize("factor", [1e5, 1e8, 1e200, 1e-5, 1e-8, 1e-200])
 def test_one_rescaled_predictor_keeps_selection(intercept, factor):
     # every rank decision is scale-free: multiplying one selected
     # predictor by a power of ten leaves the tournament unchanged

@@ -6,9 +6,10 @@ import pytest
 import cellens.robustfit as robustfit
 from cellens import (EnsembleModel, RankDeficient, RobustFit, ShapeMismatch,
                      fit_ensemble_models, make_rng, mm_fit, model_from_json,
-                     model_to_json, ols_fit, predict, s_scale)
-from cellens.robustfit import (C_BREAKDOWN, S_STAGE_MAX_ITER, _irls_s_stage,
-                               _solve_s_scale, bisquare_rho, bisquare_weight)
+                     model_to_json, ols_fit, pivot_ratios, predict, s_scale)
+from cellens.robustfit import (C_BREAKDOWN, S_STAGE_MAX_ITER, WLS_NORMAL_RATIO,
+                               _irls_s_stage, _solve_s_scale, bisquare_rho,
+                               bisquare_weight)
 from cellens.reference import s_scale_grid
 
 
@@ -160,6 +161,25 @@ def test_weighted_ls_near_collinear_matches_lstsq(one_minus_r2):
     assert np.array_equal(stacked, np.stack([got, got]))
 
 
+def test_weighted_ls_stack_with_one_near_collinear_row_matches_rows():
+    # the regular rows stay one stacked solve; each row's bits are those
+    # of solving it on its own
+    rng = make_rng(74)
+    n = 60
+    Z = rng.standard_normal((n, 3))
+    # x departs from z1 + z2 mostly in the first half of the rows
+    e = rng.standard_normal(n) * np.where(np.arange(n) < n // 2, 1.0, 1e-4)
+    D = np.column_stack([np.ones(n), Z, Z[:, 0] + Z[:, 1] + e])
+    y = D @ rng.uniform(-2.0, 2.0, 5) + rng.standard_normal(n)
+    W = rng.uniform(0.1, 1.0, (6, n))
+    W[3, : n // 2] = 0.0
+    least = pivot_ratios((W[:, None, :] * D.T) @ D).min(axis=-1)
+    assert (least <= WLS_NORMAL_RATIO).tolist() == [False] * 3 + [True] + [False] * 2
+    stacked = robustfit._weighted_ls(D, y, W)
+    rows = np.stack([robustfit._weighted_ls(D, y, w) for w in W])
+    assert np.array_equal(stacked, rows)
+
+
 def test_stacked_previews_match_serial_starts():
     rng, D, y = _binary_design(72)
     coef, b0 = ols_fit(D[:, 1:], y, intercept=True)
@@ -275,6 +295,27 @@ def test_mm_stop_is_scale_free():
     assert np.array_equal(f2.coefficients, f1.coefficients * 2.0**-30)
     assert f2.intercept == f1.intercept * 2.0**-30
     assert f2.scale == f1.scale * 2.0**-30
+
+
+@pytest.mark.parametrize("intercept", [True, False])
+@pytest.mark.parametrize("power", [600, -600])
+def test_mm_fit_coefficients_follow_a_rescaled_column_exactly(intercept, power):
+    # the design's columns are equilibrated by powers of two, so a column
+    # times 2**power gets exactly 2**-power times its coefficient, even
+    # where its Gram entries would overflow or underflow
+    rng = make_rng(21)
+    X = rng.standard_normal((80, 3))
+    y = X @ np.array([2.0, -1.0, 0.5]) + rng.standard_normal(80)
+    y[:8] += 15.0
+    f1 = mm_fit(X, y, intercept=intercept, seed=21)
+    X2 = X.copy()
+    X2[:, 1] = np.ldexp(X2[:, 1], power)
+    f2 = mm_fit(X2, y, intercept=intercept, seed=21)
+    assert f2.iterations == f1.iterations > 1
+    want = f1.coefficients.copy()
+    want[1] = np.ldexp(want[1], -power)
+    assert np.array_equal(f2.coefficients, want)
+    assert f2.intercept == f1.intercept and f2.scale == f1.scale
 
 
 @pytest.mark.parametrize("seed", [71, 72, 73])
