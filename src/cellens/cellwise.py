@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import (DegenerateColumn, InvalidConfig, TooFewColumns,
                      require_integers)
+from .linalg import prepare_design
 
 # abs standardized residual above which a cell is flagged; equals the
 # 99.5% standard normal quantile, i.e. sqrt of the chi-square(1) 0.99 point
@@ -393,12 +394,8 @@ def correlation_structure(imp: ImputationResult) -> CorrelationStructure:
     DegenerateColumn
         If any imputed column has zero variance.
     """
-    Z = imp.Z_imp
-    centered = Z - Z.mean(axis=0)
-    # exact power-of-two scaling to a largest entry in [1/2, 1): U keeps its
-    # bits, and no sum of squares overflows or underflows to zero
-    np.ldexp(centered, -np.frexp(np.abs(centered).max(axis=0))[1],
-             out=centered)
+    # no sum of squares overflows, or underflows to zero, at any scale
+    centered = prepare_design(imp.Z_imp, intercept=True)[0]
     norms = np.sqrt((centered**2).sum(axis=0))
     bad = np.flatnonzero(norms <= 0)
     if bad.size:

@@ -17,7 +17,9 @@ sweep-k
 sweep-contamination
     The fit loop repeated over scenario/rate combinations.
 selftest
-    Runs the built-in property suites; exits nonzero on failure.
+    Runs the built-in property suites, which log their report to the
+    ``cellens`` logger; the command line prints it and exits nonzero on
+    failure.
 
 Exit codes: 0 success, 1 config error, 2 runtime error, 3 selftest failure.
 """
@@ -90,8 +92,9 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         """Check settings, including every grid cell's ``sim`` and
-        ``contamination`` settings and its ``selection`` settings that do
-        not depend on the data."""
+        ``contamination`` settings, its ``selection`` settings that do
+        not depend on the data, and that a ``predict`` section is an object
+        whose ``model``, ``X`` and ``out`` are strings."""
         if self.mode not in MODES:
             raise InvalidConfig(f"mode {self.mode!r} not one of {MODES}")
         require_integers(self, ("replications", "test_size", "threads", "seed"))
@@ -108,6 +111,17 @@ class ExperimentConfig:
             sim.validate()
             cont.validate()
             sel.validate()
+        spec = self.predict_spec
+        if spec is None:
+            return
+        if not isinstance(spec, dict):
+            raise InvalidConfig(f"predict section is {spec!r}, not an object")
+        for key in ("model", "X", "out"):
+            if key not in spec:
+                raise InvalidConfig(f"predict section missing {key!r}")
+            if not isinstance(spec[key], str):
+                raise InvalidConfig(f"predict section field {key!r} is "
+                                    f"{spec[key]!r}, not a string")
 
 
 Cell = tuple[SimConfig, ContaminationSpec, SelectionConfig]
@@ -283,7 +297,7 @@ def run_experiment(cfg: ExperimentConfig) -> str:
     cfg.validate()
 
     if cfg.mode == "selftest":
-        if not selfcheck.run_all(verbose=True):
+        if not selfcheck.run_all():
             raise SelftestFailed("selftest failed")
         return cfg.output_path
 
@@ -292,9 +306,6 @@ def run_experiment(cfg: ExperimentConfig) -> str:
         return cfg.model_out or "model.json"
     if cfg.mode == "fit" and cfg.predict_spec is not None:
         spec = cfg.predict_spec
-        for key in ("model", "X", "out"):
-            if key not in spec:
-                raise InvalidConfig(f"predict section missing {key!r}")
         predict_csv(spec["model"], spec["X"], spec["out"])
         return spec["out"]
 
@@ -388,6 +399,23 @@ def predict_csv(model_path: str, X_path: str, out_path: str) -> None:
             writer.writerow([repr(float(v))])
 
 
+@contextmanager
+def _printed_log():
+    """Print the ``cellens`` logger's INFO and higher records to stdout, one
+    message per line, while open."""
+    log = logging.getLogger("cellens")
+    handler = logging.StreamHandler(sys.stdout)
+    handler.setFormatter(logging.Formatter("%(message)s"))
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     """Command line entry: see module docstring for modes and exit codes."""
     parser = argparse.ArgumentParser(
@@ -420,6 +448,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         if cfg.mode == "fit" and cfg.data_csv is not None:
             path = cfg.model_out or "model.json"
             print(fit_csv(cfg.data_csv, cfg.selection, path))
+        elif cfg.mode == "selftest":
+            with _printed_log():
+                path = run_experiment(cfg)
         else:
             path = run_experiment(cfg)
     except CellensError as exc:

@@ -86,28 +86,34 @@ def solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(A, b)
 
 
-def column_exponents(X: np.ndarray) -> np.ndarray:
-    """Binary exponents ``e`` that put each column of ``2**-e * X`` in [1/2, 1).
+def prepare_design(X: np.ndarray, intercept: bool):
+    """Center (with an intercept) and power-of-two scale design columns.
 
-    ``X`` has shape (..., n, q) and the result (..., q): ``e`` is the
-    ``np.frexp`` exponent of the column's largest magnitude (0 for a
-    zero column). Scaling by ``np.ldexp(X, -e)`` is exact (barring
-    subnormal results), so the scaled design carries the same bits for
-    any power-of-two rescaling of a column, and a Gram formed from it
-    neither overflows nor underflows however large or small the column.
+    The one rule that makes a least-squares design scale-free: with an
+    intercept each column of ``X`` (shape (..., n, q)) is centered at its
+    mean, then each is scaled by the ``2**-e`` that puts its largest
+    magnitude in [1/2, 1) (``e`` is 0 for a zero column). That is exact
+    barring subnormals, so a power-of-two rescaling of a column changes no
+    bit of ``D``, and no Gram of ``D`` overflows or underflows. Returns
+    ``(D, means, e)``; ``means`` (shape (..., q)) is None without an
+    intercept. A coefficient ``t`` on ``D`` is ``2**-e * t`` on ``X``.
     """
-    return np.frexp(np.abs(X).max(axis=-2, initial=0.0))[1]
+    means = X.mean(axis=-2) if intercept else None
+    D = X - means[..., None, :] if intercept else X
+    e = np.frexp(np.abs(D).max(axis=-2, initial=0.0))[1]
+    # the centered copy is the function's own: scale it in place
+    D = np.ldexp(D, -e[..., None, :], out=D if intercept else None)
+    return D, means, e
 
 
 def ols_fit(X: np.ndarray, y: np.ndarray, intercept: bool = False):
     """Ordinary least squares via the normal equations.
 
-    Each column of ``X`` is scaled by a power of two
-    (:func:`column_exponents`) before its Gram is formed and its
-    coefficient is scaled back. This is exact, so a power-of-two
-    rescaling of a column, however large, rescales its coefficient
-    exactly and changes no other bit, and no column's magnitude can
-    overflow or underflow the normal equations.
+    The Gram is formed from the :func:`prepare_design` design; with an
+    intercept ``y`` is centered too, and the constant is recovered from the
+    means at the end. So a power-of-two rescaling of a column rescales its
+    coefficient exactly and changes no other bit, and shifting a column or
+    ``y`` moves only the constant.
 
     Parameters
     ----------
@@ -118,7 +124,7 @@ def ols_fit(X: np.ndarray, y: np.ndarray, intercept: bool = False):
     y : ndarray of shape (n,) or (..., n)
         Response, with the same leading axes as ``X``.
     intercept : bool
-        Augment each design with a constant column.
+        Fit a constant besides the columns of ``X``.
 
     Returns
     -------
@@ -130,7 +136,7 @@ def ols_fit(X: np.ndarray, y: np.ndarray, intercept: bool = False):
     Raises
     ------
     RankDeficient
-        If any (augmented) Gram matrix is singular within tolerance.
+        If any prepared design's Gram matrix is singular within tolerance.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -139,21 +145,18 @@ def ols_fit(X: np.ndarray, y: np.ndarray, intercept: bool = False):
     if y.shape != X.shape[:-1]:
         raise ShapeMismatch(f"X is {X.shape}, y is {y.shape}")
     stacked = X.ndim > 2
-    q = X.shape[-1]
-    if q == 0:
-        b0 = np.mean(y, axis=-1) if intercept else np.zeros(y.shape[:-1])
-        return np.zeros(X.shape[:-1][:-1] + (0,)), b0 if stacked else float(b0)
-    e = column_exponents(X)
-    D = np.ldexp(X, -e[..., None, :])
+    b0 = y.mean(axis=-1) if intercept else np.zeros(y.shape[:-1])
+    if X.shape[-1] == 0:
+        return np.zeros(X.shape[:-2] + (0,)), b0 if stacked else float(b0)
+    D, means, e = prepare_design(X, intercept)
     if intercept:
-        D = np.concatenate([np.ones(X.shape[:-1] + (1,)), D], axis=-1)
+        y = y - b0[..., None]
     Dt = np.swapaxes(D, -1, -2)
     try:
         theta = solve_spd(Dt @ D, (Dt @ y[..., None])[..., 0])
     except NotPositiveDefinite as exc:
         raise RankDeficient(str(exc)) from exc
-    coef = np.ldexp(theta[..., int(intercept):], -e)
-    if not intercept:
-        return coef, np.zeros(y.shape[:-1]) if stacked else 0.0
-    b0 = theta[..., 0]
+    coef = np.ldexp(theta, -e)
+    if intercept:
+        b0 = b0 - (means * coef).sum(axis=-1)
     return coef, b0 if stacked else float(b0)

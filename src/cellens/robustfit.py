@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteValue, RankDeficient, ShapeMismatch
-from .linalg import column_exponents, ols_fit, pivot_ratios
+from .linalg import ols_fit, pivot_ratios, prepare_design
 from .rng import make_rng
 
 C_BREAKDOWN = 1.5476
@@ -146,16 +146,6 @@ class EnsembleModel:
     intercept: bool
 
 
-def _split_fit(theta: np.ndarray, intercept: bool, e: np.ndarray,
-               scale: float, converged: bool, iterations: int) -> RobustFit:
-    """RobustFit from ``theta`` over the design (intercept column first)
-    whose predictor columns were scaled by ``2**-e``."""
-    return RobustFit(coefficients=np.ldexp(theta[int(intercept):], -e),
-                     intercept=float(theta[0]) if intercept else 0.0,
-                     scale=float(scale), converged=converged,
-                     iterations=iterations)
-
-
 def _weighted_ls(D: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Weighted least squares of ``y`` on ``D`` for each row of weights.
 
@@ -222,6 +212,60 @@ def _irls_s_stage(D: np.ndarray, y: np.ndarray, theta0: np.ndarray, c0: float,
     return theta, sigma
 
 
+def _s_stage(D: np.ndarray, y: np.ndarray, Xs: np.ndarray, intercept: bool,
+             seed: int):
+    """High-breakdown ``(theta, sigma)`` on the prepared design ``D`` and
+    ``y``, from the OLS start on ``Xs`` and the elemental starts."""
+    n, ncol = D.shape
+    coef0, _ = ols_fit(Xs, y)
+    start0 = np.concatenate([[0.0], coef0]) if intercept else coef0
+    # each elemental start fits ncol random rows exactly: 0/1 row weights
+    rng = make_rng(seed)
+    W = np.zeros((N_ELEMENTAL_STARTS, n))
+    for w in W:
+        w[rng.choice(n, size=ncol, replace=False)] = 1.0
+    starts = np.vstack([start0, _weighted_ls(D, y, W)])
+
+    # fast-S schedule: two cheap refinement steps for every start, run as
+    # one stack, full convergence only for the most promising candidates
+    thetas, sigmas = _irls_s_stage(D, y, starts, C_BREAKDOWN,
+                                   max_iter=2, scale_rtol=1e-3,
+                                   final_rtol=1e-3)
+    order = np.argsort(sigmas, kind="stable")
+    if sigmas[order[0]] == 0.0:
+        return thetas[order[0]], 0.0
+    thetas, sigmas = _irls_s_stage(D, y, thetas[order[:3]], C_BREAKDOWN,
+                                   scale_rtol=1e-5)
+    best = int(np.argmin(sigmas))
+    return thetas[best], float(sigmas[best])
+
+
+def _m_stage(D: np.ndarray, y: np.ndarray, theta: np.ndarray, sigma: float):
+    """Reweighted LS at fixed scale with the wider tuning constant, from
+    ``theta``; returns ``(theta, converged, iterations)``."""
+    r = y - D @ theta
+    objective = float(np.mean(bisquare_rho(r / sigma, C_EFFICIENCY)))
+    for it in range(1, M_STAGE_MAX_ITER + 1):
+        w = bisquare_weight(r / sigma, C_EFFICIENCY)
+        if w.sum() <= 0:
+            break
+        theta_new = _weighted_ls(D, y, w)
+        r_new = y - D @ theta_new
+        obj_new = float(np.mean(bisquare_rho(r_new / sigma, C_EFFICIENCY)))
+        if obj_new > objective + 1e-12 * (1 + abs(objective)):
+            # descent property of reweighting violated only by numerics;
+            # keep the previous iterate
+            break
+        # scale-free stop: the largest residual move in units of sigma
+        delta = np.max(np.abs(r_new - r)) / sigma
+        theta = theta_new
+        r = r_new
+        objective = obj_new
+        if delta < M_STAGE_TOL:
+            return theta, True, it
+    return theta, False, it
+
+
 def mm_fit(X: np.ndarray, y: np.ndarray, intercept: bool = True,
            seed: int = 0) -> RobustFit:
     """Two-stage robust regression on a (possibly empty) predictor set.
@@ -247,7 +291,7 @@ def mm_fit(X: np.ndarray, y: np.ndarray, intercept: bool = True,
     Raises
     ------
     RankDeficient
-        If the design (with intercept column) is rank deficient.
+        If the design (centered, with an intercept) is rank deficient.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -256,70 +300,24 @@ def mm_fit(X: np.ndarray, y: np.ndarray, intercept: bool = True,
     n, q = X.shape
     if q + int(intercept) >= n:
         raise RankDeficient(f"{q} predictors (+intercept={intercept}) with only {n} rows")
-    # every stage works on power-of-two scaled columns (exact), and the
-    # coefficients are scaled back once at the end
-    e = column_exponents(X)
-    X = np.ldexp(X, -e)
-    D = np.column_stack([np.ones(n), X]) if intercept else X
-    ncol = D.shape[1]
-    if ncol == 0:
-        return _split_fit(np.zeros(0), False, e, s_scale(y), True, 0)
-
-    # ols_fit's intercept-only branch returns mean(y), which the normal
-    # equations on the ones column miss by an ulp in most inputs
-    coef0, b0 = ols_fit(X, y, intercept=intercept)
-    start0 = np.concatenate([[b0], coef0]) if intercept else coef0
-    # each elemental start fits ncol random rows exactly: 0/1 row weights
-    rng = make_rng(seed)
-    W = np.zeros((N_ELEMENTAL_STARTS, n))
-    for w in W:
-        w[rng.choice(n, size=ncol, replace=False)] = 1.0
-    starts = np.vstack([start0, _weighted_ls(D, y, W)])
-
-    # fast-S schedule: two cheap refinement steps for every start, run as
-    # one stack, full convergence only for the most promising candidates
-    thetas, sigmas = _irls_s_stage(D, y, starts, C_BREAKDOWN,
-                                   max_iter=2, scale_rtol=1e-3,
-                                   final_rtol=1e-3)
-    order = np.argsort(sigmas, kind="stable")
-    if sigmas[order[0]] == 0.0:
-        theta, sigma = thetas[order[0]], 0.0
+    # every stage works on the prepared columns and (with an intercept)
+    # centered y; coefficients and constant are recovered once at the end
+    Xs, means, e = prepare_design(X, intercept)
+    y0 = y.mean() if intercept else 0.0
+    y = y - y0
+    D = np.column_stack([np.ones(n), Xs]) if intercept else Xs
+    if D.shape[1]:
+        theta, sigma = _s_stage(D, y, Xs, intercept, seed)
     else:
-        thetas, sigmas = _irls_s_stage(D, y, thetas[order[:3]], C_BREAKDOWN,
-                                       scale_rtol=1e-5)
-        best = int(np.argmin(sigmas))
-        theta, sigma = thetas[best], float(sigmas[best])
-
-    if sigma == 0.0:
-        # exact fit: the S-stage already interpolates the tightest half
-        return _split_fit(theta, intercept, e, 0.0, True, 0)
-
-    # M-stage at fixed scale, wider tuning constant
-    r = y - D @ theta
-    objective = float(np.mean(bisquare_rho(r / sigma, C_EFFICIENCY)))
-    converged = False
-    iterations = 0
-    for it in range(1, M_STAGE_MAX_ITER + 1):
-        iterations = it
-        w = bisquare_weight(r / sigma, C_EFFICIENCY)
-        if w.sum() <= 0:
-            break
-        theta_new = _weighted_ls(D, y, w)
-        r_new = y - D @ theta_new
-        obj_new = float(np.mean(bisquare_rho(r_new / sigma, C_EFFICIENCY)))
-        if obj_new > objective + 1e-12 * (1 + abs(objective)):
-            # descent property of reweighting violated only by numerics;
-            # keep the previous iterate
-            break
-        # scale-free stop: the largest residual move in units of sigma
-        delta = np.max(np.abs(r_new - r)) / sigma
-        theta = theta_new
-        r = r_new
-        objective = obj_new
-        if delta < M_STAGE_TOL:
-            converged = True
-            break
-    return _split_fit(theta, intercept, e, sigma, converged, iterations)
+        theta, sigma = np.zeros(0), s_scale(y)
+    # an exact fit (sigma 0) already interpolates the tightest half
+    converged, iterations = True, 0
+    if D.shape[1] and sigma > 0.0:
+        theta, converged, iterations = _m_stage(D, y, theta, sigma)
+    coef = np.ldexp(theta[int(intercept):], -e)
+    b0 = y0 + theta[0] - means @ coef if intercept else 0.0
+    return RobustFit(coefficients=coef, intercept=float(b0), scale=float(sigma),
+                     converged=converged, iterations=iterations)
 
 
 def fit_ensemble_models(imp_y: np.ndarray, imp_X: np.ndarray,

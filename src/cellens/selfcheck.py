@@ -4,13 +4,14 @@ the cross-validation arbiter and the robust stage's S-scale.
 Each check runs the real pipeline (or, for the S-scale, the robust
 stage's scale solve) on seeded synthetic data and verifies a structural
 property or an oracle agreement. The experiment runner's selftest mode
-executes all of them; the test suite reuses them with larger budgets.
-Every function returns a list of human-readable failure strings (empty
-means the property held).
+executes all of them (:func:`run_all`, which logs its report); the test
+suite reuses them with larger budgets. Every check returns a list of
+human-readable failure strings (empty means the property held).
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,8 @@ from .pipeline import fit_ensemble, passthrough_imputation
 from .rng import make_rng, split_seed
 from .selection import SelectionConfig, cv_error, fold_assignment, run_selection
 from .simulate import SimConfig, generate_clean
+
+logger = logging.getLogger("cellens.selfcheck")
 
 
 def _generic_dataset(seed: int, n: int = 50, p: int = 80):
@@ -55,6 +58,68 @@ def check_affine_invariance(n_runs: int = 20, n: int = 50, p: int = 80) -> list[
         res2 = fit_ensemble(y2, X2, cfg).selection
         if [sorted(s) for s in res1.sets] != [sorted(s) for s in res2.sets]:
             failures.append(f"affine run {run}: selected sets differ")
+    return failures
+
+
+def check_scale_shift_equivariance(n_runs: int = 12, n: int = 50, p: int = 80,
+                                   exact: bool = False) -> list[str]:
+    """Scaling and shifting ``y`` and every column must carry the fit along.
+
+    Each column ``x`` of ``[y, X]`` becomes ``c * x + a`` with factor
+    ``c = ±u * 10**k`` (``k`` a uniform integer in [-150, 150], ``u`` in
+    [1, 10)) and shift ``a = b * |c| * sd(x)`` (``|b| <= 1e6``). The
+    selected sets, the winner sequence and every sub-model's ``converged``
+    flag and iteration count must not change, and the predictions on the
+    mapped rows must be ``c_y * pred + a_y`` within
+    ``1e-12 * (|c_y| * sd(y) + |a_y|)``. With ``exact`` the factors are
+    ``±2**k`` (``k`` in [-400, 400]) and there are no shifts: predictions
+    must then be ``c_y * pred`` and every proposal's benefit ``c_y**2``
+    times its own, bit for bit.
+    """
+    failures = []
+    label = "power-of-two" if exact else "scale-shift"
+    for run in range(n_runs):
+        y, X = _generic_dataset(seed=split_seed(1717, run), n=n, p=p)
+        rng = make_rng(split_seed(1818, run))
+        sign = rng.choice([-1.0, 1.0], p + 1)
+        if exact:
+            c = sign * np.ldexp(1.0, rng.integers(-400, 401, p + 1))
+            a = np.zeros(p + 1)
+        else:
+            c = (sign * rng.uniform(1.0, 10.0, p + 1)
+                 * 10.0 ** rng.integers(-150, 151, p + 1))
+            a = (rng.uniform(-1e6, 1e6, p + 1) * np.abs(c)
+                 * np.concatenate([[y.std()], X.std(axis=0)]))
+        cfg = _selection_cfg(seed=split_seed(1919, run))
+        fit1 = fit_ensemble(y, X, cfg)
+        X2 = X * c[1:] + a[1:]
+        fit2 = fit_ensemble(c[0] * y + a[0], X2, cfg)
+        sel1, sel2 = fit1.selection, fit2.selection
+        if (sel1.sets != sel2.sets
+                or sel1.winner_sequence() != sel2.winner_sequence()):
+            failures.append(f"{label} run {run}: selection changed")
+            continue
+        steps = [[(f.converged, f.iterations) for f in fit.model.fits]
+                 for fit in (fit1, fit2)]
+        if steps[0] != steps[1]:
+            failures.append(f"{label} run {run}: M-stage (converged, "
+                            f"iterations) {steps[0]} became {steps[1]}")
+        pred1, pred2 = fit1.predict(X), fit2.predict(X2)
+        if exact:
+            benefits = [[pr.benefit for rec in sel.trace for pr in rec.proposals]
+                        for sel in (sel1, sel2)]
+            if not np.array_equal(pred2, c[0] * pred1):
+                failures.append(f"{label} run {run}: predictions not scaled "
+                                f"exactly")
+            if benefits[1] != [c[0] ** 2 * b for b in benefits[0]]:
+                failures.append(f"{label} run {run}: benefits not scaled "
+                                f"exactly")
+            continue
+        gap = (np.max(np.abs(pred2 - (c[0] * pred1 + a[0])))
+               / (abs(c[0]) * y.std() + abs(a[0])))
+        if not gap <= 1e-12:
+            failures.append(f"{label} run {run}: predictions off by {gap:.2e} "
+                            f"relative")
     return failures
 
 
@@ -216,11 +281,19 @@ def check_cv_oracle(n_runs: int = 20, n: int = 47, p: int = 30,
     return failures
 
 
-def run_all(verbose: bool = True) -> bool:
-    """Run every property suite; True when all pass."""
+def run_all() -> bool:
+    """Run every property suite; True when all pass.
+
+    Each suite's ``PASS`` line goes to the ``cellens.selfcheck`` logger at
+    INFO, a ``FAIL`` line and its failures at WARNING; nothing is printed.
+    """
     suites = [
         ("path-equivalence", lambda: check_path_equivalence(n_runs=10)),
         ("affine-invariance", lambda: check_affine_invariance(n_runs=5)),
+        ("scale-shift-equivariance",
+         lambda: check_scale_shift_equivariance(n_runs=4)),
+        ("power-of-two-equivariance",
+         lambda: check_scale_shift_equivariance(n_runs=2, exact=True)),
         ("permutation-equivariance", lambda: check_permutation_equivariance(n_runs=5)),
         ("intercept-invariance", lambda: check_intercept_invariance(n_runs=5)),
         ("local-stability", lambda: check_local_stability(n_runs=5)),
@@ -230,11 +303,11 @@ def run_all(verbose: bool = True) -> bool:
     ok = True
     for name, fn in suites:
         failures = fn()
-        status = "PASS" if not failures else "FAIL"
-        if failures:
-            ok = False
-        if verbose:
-            print(f"selfcheck {name}: {status}")
-            for msg in failures:
-                print(f"  {msg}")
+        if not failures:
+            logger.info("selfcheck %s: PASS", name)
+            continue
+        ok = False
+        logger.warning("selfcheck %s: FAIL", name)
+        for msg in failures:
+            logger.warning("  %s", msg)
     return ok

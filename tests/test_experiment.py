@@ -416,6 +416,33 @@ def test_cli_selftest_exit_code(monkeypatch, capsys, passed, code):
     assert ("selftest failed" in err) == (not passed)
 
 
+def test_cli_selftest_prints_the_logged_report(monkeypatch, capsys):
+    def fake_run_all():
+        logging.getLogger("cellens.selfcheck").info("selfcheck fake: PASS")
+        return True
+
+    log = logging.getLogger("cellens")
+    handlers, level = list(log.handlers), log.level
+    monkeypatch.setattr(cellens.selfcheck, "run_all", fake_run_all)
+    assert main(["--mode", "selftest"]) == 0
+    assert capsys.readouterr().out == "selfcheck fake: PASS\n"
+    # the command's handler and level are gone once it returns
+    assert log.handlers == handlers and log.level == level
+
+
+@pytest.mark.parametrize("predict", [{"model": "m.json", "X": "x.csv"},
+                                     "model X out",
+                                     {"model": "m.json", "X": 3, "out": "o"}])
+def test_malformed_predict_section_is_a_config_error(tmp_path, monkeypatch,
+                                                     capsys, predict):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"mode": "fit",
+                                                   "predict": predict}))
+    assert main(["--config", "cfg.json"]) == 1
+    assert "config error: predict section" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 @pytest.mark.parametrize("case", ["model", "X", "empty X", "header-only X",
                                   "data_csv"])
 def test_missing_or_empty_input_path_exits_2(tmp_path, capsys, case):

@@ -93,6 +93,27 @@ def test_ols_coefficients_follow_a_rescaled_column_exactly(power):
         assert np.array_equal(coef2, coef) and np.array_equal(b02, b0)
 
 
+@pytest.mark.parametrize("stacked", [False, True])
+def test_ols_shift_moves_only_the_constant(stacked):
+    # with an intercept the columns and y are centered before the Gram is
+    # formed: a shifted column is not collinear with the constant
+    rng = make_rng(7)
+    X = rng.standard_normal((3, 40, 3))
+    y = rng.standard_normal((3, 40))
+    if not stacked:
+        X, y = X[0], y[0]
+    coef, b0 = ols_fit(X, y, intercept=True)
+    for j, shift in ((1, 1e6), (2, 1e10)):
+        X2 = X.copy()
+        X2[..., j] += shift
+        coef2, b02 = ols_fit(X2, y + 1e8, intercept=True)
+        pred = np.expand_dims(b0, -1) + np.einsum("...ij,...j->...i", X, coef)
+        pred2 = (np.expand_dims(b02, -1) - 1e8
+                 + np.einsum("...ij,...j->...i", X2, coef2))
+        assert np.max(np.abs(pred2 - pred)) <= 1e-14 * shift
+        assert np.max(np.abs(coef2 - coef)) <= 1e-6 * np.max(np.abs(coef))
+
+
 def test_ols_rank_deficient():
     X = np.column_stack([np.ones(10), np.ones(10)])
     with pytest.raises(RankDeficient):

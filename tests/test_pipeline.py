@@ -103,6 +103,36 @@ def test_one_rescaled_predictor_keeps_selection(intercept, factor):
             == base.selection.winner_sequence())
 
 
+@pytest.mark.parametrize("column, shift", [("x", 1e6), ("x", 1e10),
+                                           ("y", 1e8)])
+def test_shift_moves_only_the_intercept(column, shift):
+    # intercept models fit centered columns and a centered response, so
+    # shifting a selected predictor or y keeps every decision and moves
+    # the predictions only by the rounding of the shifted input
+    rng = make_rng(61)
+    n, p = 60, 20
+    X = rng.standard_normal((n, p))
+    y = (X[:, :6] @ np.array([2.0, -1.5, 1.0, 1.0, -0.8, 0.6])
+         + 0.5 * rng.standard_normal(n))
+    cfg = SelectionConfig(K=3, tau=0.01, intercept=True, seed=62)
+    base = fit_ensemble(y, X, cfg)
+    X2, y2 = X.copy(), y.copy()
+    if column == "x":
+        X2[:, base.selection.sets[0][0]] += shift
+    else:
+        y2 += shift
+    moved = fit_ensemble(y2, X2, cfg)
+    assert moved.selection.sets == base.selection.sets
+    assert (moved.selection.winner_sequence()
+            == base.selection.winner_sequence())
+    steps = [[(f.converged, f.iterations) for f in fit.model.fits]
+             for fit in (base, moved)]
+    assert steps[1] == steps[0] and all(c for c, _ in steps[0])
+    undo = shift if column == "y" else 0.0
+    gap = np.max(np.abs(moved.predict(X2) - undo - base.predict(X)))
+    assert gap <= 1e-14 * shift
+
+
 @pytest.mark.parametrize("intercept", [True, False])
 def test_overflowing_response_names_the_response(intercept):
     # the squares of y * 1e200 overflow, so even the empty model's

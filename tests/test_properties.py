@@ -1,9 +1,13 @@
 """Structural property suites at reduced budgets (full budgets run in
 test_acceptance.py)."""
 
-import numpy as np
+import logging
+import re
 
-from cellens import robustfit, selfcheck
+import numpy as np
+import pytest
+
+from cellens import pipeline, robustfit, selfcheck
 from cellens.pipeline import passthrough_imputation
 
 
@@ -13,6 +17,26 @@ def test_path_equivalence_property():
 
 def test_affine_invariance_property():
     assert selfcheck.check_affine_invariance(n_runs=4) == []
+
+
+def test_scale_shift_equivariance_property():
+    assert selfcheck.check_scale_shift_equivariance(n_runs=12) == []
+
+
+def test_power_of_two_equivariance_property():
+    assert selfcheck.check_scale_shift_equivariance(n_runs=4, exact=True) == []
+
+
+@pytest.mark.parametrize("exact, off", [(False, lambda pred: pred * (1 + 1e-9)),
+                                       (True, lambda pred: pred + 1e-9)])
+def test_scale_shift_check_catches_off_predictions(monkeypatch, exact, off):
+    predict = pipeline.predict
+    monkeypatch.setattr(pipeline, "predict",
+                        lambda model, X: off(predict(model, X)))
+    failures = selfcheck.check_scale_shift_equivariance(n_runs=2, exact=exact)
+    label = "power-of-two" if exact else "scale-shift"
+    assert [f.split(":")[0] for f in failures] == [
+        f"{label} run {run}" for run in range(2)]
 
 
 def test_permutation_equivariance_property():
@@ -62,4 +86,14 @@ def test_passthrough_imputation_identity():
 
 
 def test_run_all_passes():
-    assert selfcheck.run_all(verbose=False)
+    assert selfcheck.run_all()
+
+
+def test_run_all_logs_its_report_and_prints_nothing(capsys, caplog):
+    with caplog.at_level(logging.INFO, logger="cellens"):
+        assert selfcheck.run_all()
+    assert capsys.readouterr().out == ""
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "cellens.selfcheck"]
+    assert len(lines) == 9
+    assert all(re.fullmatch(r"selfcheck [a-z-]+: PASS", line) for line in lines)

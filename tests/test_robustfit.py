@@ -356,6 +356,16 @@ def test_mm_empty_design_location():
     assert fit.intercept == pytest.approx(3.0, abs=0.5)
 
 
+def test_mm_empty_design_without_intercept():
+    rng = make_rng(12)
+    y = 3.0 + rng.standard_normal(50)
+    fit = mm_fit(np.empty((50, 0)), y, intercept=False)
+    assert fit.coefficients.size == 0
+    assert fit.intercept == 0.0
+    assert fit.scale == s_scale(y)
+    assert fit.converged and fit.iterations == 0
+
+
 def test_predict_shapes_and_averaging():
     rng = make_rng(13)
     X = rng.standard_normal((30, 6))
