@@ -409,15 +409,3 @@ def correlation_structure(imp: ImputationResult) -> CorrelationStructure:
     np.fill_diagonal(R_X, 1.0)
     return CorrelationStructure(R_X=R_X, r_y=r_y)
 
-
-def flags_to_csv(imp: ImputationResult, path: str) -> None:
-    """Write the 0/1 imputation flags in the data CSV layout."""
-    import csv
-
-    n, C = imp.flags.shape
-    header = ["y"] + [f"x{j}" for j in range(1, C)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(n):
-            writer.writerow([int(v) for v in imp.flags[i]])

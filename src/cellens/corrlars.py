@@ -169,10 +169,10 @@ def apply_step(state: SubModelState, prop: LarsProposal,
     """Advance a path state by an accepted proposal, returning a new state.
 
     ``available`` is the current ascending pool, which must contain the
-    candidate. On a first entry the path does not move: the candidate
-    joins and the active level is set to its entry correlation. On later entries every available correlation drops by
-    ``step * a_j``, every active correlation (and the stored level) by
-    ``step * a_k``, and the candidate joins with its entry sign.
+    candidate. A first entry does not move the path: the candidate joins
+    at its entry correlation as the active level. A later entry drops the
+    available correlations by ``step * a_j``, the active ones and the
+    level by ``step * a_k``, and the candidate joins with its entry sign.
 
     Raises
     ------

@@ -270,6 +270,9 @@ def mm_fit(X: np.ndarray, y: np.ndarray, intercept: bool = True,
            seed: int = 0) -> RobustFit:
     """Two-stage robust regression on a (possibly empty) predictor set.
 
+    Both stages run on ``[y, X]`` as one ``prepare_design`` design, so a
+    power-of-two rescaling of ``y`` rescales the fit exactly, however far.
+
     Parameters
     ----------
     X : ndarray of shape (n, q), q < n
@@ -300,11 +303,9 @@ def mm_fit(X: np.ndarray, y: np.ndarray, intercept: bool = True,
     n, q = X.shape
     if q + int(intercept) >= n:
         raise RankDeficient(f"{q} predictors (+intercept={intercept}) with only {n} rows")
-    # every stage works on the prepared columns and (with an intercept)
-    # centered y; coefficients and constant are recovered once at the end
-    Xs, means, e = prepare_design(X, intercept)
-    y0 = y.mean() if intercept else 0.0
-    y = y - y0
+    # coefficients, constant and scale are recovered once at the end
+    P, means, e = prepare_design(np.column_stack([y, X]), intercept)
+    y, Xs = P[:, 0], P[:, 1:]
     D = np.column_stack([np.ones(n), Xs]) if intercept else Xs
     if D.shape[1]:
         theta, sigma = _s_stage(D, y, Xs, intercept, seed)
@@ -314,10 +315,10 @@ def mm_fit(X: np.ndarray, y: np.ndarray, intercept: bool = True,
     converged, iterations = True, 0
     if D.shape[1] and sigma > 0.0:
         theta, converged, iterations = _m_stage(D, y, theta, sigma)
-    coef = np.ldexp(theta[int(intercept):], -e)
-    b0 = y0 + theta[0] - means @ coef if intercept else 0.0
-    return RobustFit(coefficients=coef, intercept=float(b0), scale=float(sigma),
-                     converged=converged, iterations=iterations)
+    coef = np.ldexp(theta[int(intercept):], e[0] - e[1:])
+    b0 = means[0] + np.ldexp(theta[0], e[0]) - means[1:] @ coef if intercept else 0.0
+    return RobustFit(coefficients=coef, intercept=float(b0), converged=converged,
+                     scale=float(np.ldexp(sigma, e[0])), iterations=iterations)
 
 
 def fit_ensemble_models(imp_y: np.ndarray, imp_X: np.ndarray,

@@ -19,7 +19,7 @@ of (inputs, seed).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -28,7 +28,8 @@ from . import corrlars
 from .cellwise import CorrelationStructure, ImputationResult
 from .errors import (InvalidConfig, InvariantViolation, NotPositiveDefinite,
                      RankDeficient, require_integers)
-from .linalg import ols_fit
+# ols_fit is unused here but stays importable: perfbench/tracing.py wraps it
+from .linalg import ols_fit, prepare_design, solve_spd  # noqa: F401
 from .rng import make_rng
 
 STOP_BELOW_TOLERANCE = "BelowTolerance"
@@ -114,10 +115,7 @@ class SelectionResult:
     stop_reason: str
 
     def union(self) -> set[int]:
-        out: set[int] = set()
-        for s in self.sets:
-            out.update(s)
-        return out
+        return set().union(*self.sets)
 
     def winner_sequence(self) -> list[tuple[int, int]]:
         return [rec.winner for rec in self.trace if rec.winner is not None]
@@ -130,15 +128,9 @@ def fold_assignment(n: int, v: int, rng: np.random.Generator) -> np.ndarray:
     """
     if v < 1 or v > n:
         raise InvalidConfig(f"cv_folds={v} outside [1, n={n}]")
-    perm = rng.permutation(n)
     labels = np.empty(n, dtype=int)
-    base = n // v
-    extra = n % v
-    start = 0
-    for f in range(v):
-        size = base + (1 if f < extra else 0)
-        labels[perm[start:start + size]] = f
-        start += size
+    for f, rows in enumerate(np.array_split(rng.permutation(n), v)):
+        labels[rows] = f
     return labels
 
 
@@ -146,16 +138,14 @@ def cv_error(imp: ImputationResult, subset, folds: np.ndarray,
              intercept: bool) -> float:
     """Out-of-fold mean squared error of least squares on a predictor subset.
 
-    The intercept is absorbed by centering the response and the subset
-    columns at their full-sample means before the per-fold origin fits,
-    which makes the arbitration exactly location-invariant (fitting a
-    per-fold free constant would not be: training-fold means of centered
-    data are O(1/sqrt(n)) away from zero and flip near-boundary
-    decisions). The empty subset scores the global-mean predictor when
-    ``intercept`` is on and the zero predictor when off.
-
-    All ``v`` training fits are one stacked ``ols_fit`` call, and each
-    row is predicted by the fit of the fold that holds it out.
+    ``[y, X_S]`` is one ``prepare_design`` design. Its full-sample centering
+    absorbs the intercept before the per-fold origin fits, which makes the
+    arbitration exactly location-invariant (per-fold constants would not:
+    training-fold means of centered data are O(1/sqrt(n)) away from zero
+    and flip near-boundary decisions). The error is in units of y², exact
+    from ``y``'s exponent. The empty subset predicts the global mean (with
+    ``intercept``) or zero. All ``v`` training Grams are one stack solved
+    by ``solve_spd``; each row is predicted by the fit that holds it out.
 
     Raises
     ------
@@ -166,9 +156,7 @@ def cv_error(imp: ImputationResult, subset, folds: np.ndarray,
         If the subset is too large for the smallest training fold.
     """
     subset = list(subset)
-    y = imp.y_imp
-    X = imp.X_imp[:, subset]
-    n = len(y)
+    n = imp.Z_imp.shape[0]
     v = int(folds.max()) + 1
     min_train = n - max(np.bincount(folds, minlength=v))
     if len(subset) + int(intercept) >= min_train:
@@ -176,19 +164,21 @@ def cv_error(imp: ImputationResult, subset, folds: np.ndarray,
             f"subset of size {len(subset)} (+intercept={intercept}) needs more "
             f"than {min_train} training rows per fold"
         )
-    if intercept:
-        y = y - y.mean()
-        X = X - X.mean(axis=0)
-    # one stacked solve: slice f is the design with fold f's rows zeroed,
-    # so its Gram is fold f's training Gram, formed directly
-    train = (folds != np.arange(v)[:, None]).astype(float)
-    # a (v, n, q) view whose columns each lie contiguous in memory: ols_fit
-    # reduces over and multiplies along them several times faster
-    stack = np.swapaxes(np.ascontiguousarray(X.T) * train[:, None, :], 1, 2)
-    coef, _ = ols_fit(stack, y * train, intercept=False)
-    # row i is predicted by the fit that held out its fold
-    pred = (X @ coef.T)[np.arange(n), folds]
-    return float(((y - pred) ** 2).sum()) / n
+    D, _, e = prepare_design(imp.Z_imp[:, [0] + [j + 1 for j in subset]], intercept)
+    y, X = D[:, 0], D[:, 1:]
+    pred = 0.0
+    if subset:
+        # slice f of the (v, q, n) stack is X.T with fold f's rows zeroed,
+        # so its products with X and y are fold f's training Gram and moment
+        train = (folds != np.arange(v)[:, None]).astype(float)
+        Xt = np.ascontiguousarray(X.T) * train[:, None, :]
+        try:
+            coef = solve_spd(Xt @ X, Xt @ y)
+        except NotPositiveDefinite as exc:
+            raise RankDeficient(str(exc)) from exc
+        # row i is predicted by the fit that held out its fold
+        pred = (X @ coef.T)[np.arange(n), folds]
+    return float(np.ldexp(((y - pred) ** 2).sum() / n, 2 * e[0]))
 
 
 def run_selection(structure: CorrelationStructure, imp: ImputationResult,
@@ -206,6 +196,11 @@ def run_selection(structure: CorrelationStructure, imp: ImputationResult,
     step) sits out for the rest of the run: none of these depend on the
     pool, and a model that makes no proposal cannot win and change its
     state.
+
+    Scores and every decision (best benefit, ties, ``tau``) use ``y``
+    scaled by its ``prepare_design`` power of two, so no square of ``y``
+    overflows or underflows; ``Proposal.benefit`` and ``cv_new`` are exact
+    in units of y² (inf only beyond the float range).
 
     Parameters
     ----------
@@ -240,15 +235,20 @@ def run_selection(structure: CorrelationStructure, imp: ImputationResult,
     folds = fold_assignment(n, cfg.cv_folds, rng)
     min_train = n - max(np.bincount(folds, minlength=cfg.cv_folds))
 
+    e_y = prepare_design(imp.Z_imp[:, :1], cfg.intercept)[2][0]
+    scaled = replace(imp, Z_imp=np.column_stack([np.ldexp(imp.y_imp, -e_y),
+                                                 imp.X_imp]))
     states = [corrlars.SubModelState.initial(structure.r_y) for _ in range(cfg.K)]
     available = np.arange(p)
-    empty_cv = cv_error(imp, [], folds, cfg.intercept)
+    empty_cv = cv_error(scaled, [], folds, cfg.intercept)
     if not np.isfinite(empty_cv):
         raise InvariantViolation(
             f"cross-validation error of the empty model is {empty_cv}: the "
-            f"squares of the response y are not finite"
+            f"response y holds a non-finite cell"
         )
+    # scaled errors: each model's, and its latest proposal's benefit and error
     current_cv = [empty_cv] * cfg.K
+    gain, next_cv = [0.0] * cfg.K, [0.0] * cfg.K
     trace: list[CompetitionRecord] = []
 
     def fresh_proposal(k: int) -> Optional[Proposal]:
@@ -264,7 +264,7 @@ def run_selection(structure: CorrelationStructure, imp: ImputationResult,
         if prop.candidate is None:
             return None
         try:
-            new_cv = cv_error(imp, states[k].active + [prop.candidate],
+            new_cv = cv_error(scaled, states[k].active + [prop.candidate],
                               folds, cfg.intercept)
         except RankDeficient:
             new_cv = np.inf
@@ -276,8 +276,11 @@ def run_selection(structure: CorrelationStructure, imp: ImputationResult,
                     f"{prop.candidate} is {new_cv}"
                 )
             benefit = current_cv[k] - new_cv
+        gain[k], next_cv[k] = benefit, new_cv
+        with np.errstate(over="ignore"):
+            benefit, new_cv = np.ldexp([benefit, new_cv], 2 * e_y)
         return Proposal(model=k, candidate=prop.candidate, gamma=prop.step,
-                        benefit=benefit, lars=prop, cv_new=new_cv)
+                        benefit=float(benefit), lars=prop, cv_new=float(new_cv))
 
     # each model's latest move (None: it sits out) and whether the move
     # must be made afresh next round; see the docstring for why reuse is exact
@@ -304,8 +307,8 @@ def run_selection(structure: CorrelationStructure, imp: ImputationResult,
         if not record.proposals:
             stop_reason = STOP_NO_CANDIDATES
             break
-        best = max(pr.benefit for pr in record.proposals)
-        tied = [pr for pr in record.proposals if pr.benefit == best]
+        best = max(gain[pr.model] for pr in record.proposals)
+        tied = [pr for pr in record.proposals if gain[pr.model] == best]
         if len(tied) > 1:
             # exactly one uniform draw per tie event keeps seeded runs
             # reproducible regardless of how many proposals tie
@@ -313,15 +316,15 @@ def run_selection(structure: CorrelationStructure, imp: ImputationResult,
             pick = tied[min(int(u * len(tied)), len(tied) - 1)]
         else:
             pick = tied[0]
-        base = current_cv[pick.model]
-        accept = pick.benefit > 0 and base > 0 and pick.benefit / base > cfg.tau
+        base, benefit = current_cv[pick.model], gain[pick.model]
+        accept = benefit > 0 and base > 0 and benefit / base > cfg.tau
         if not accept:
             stop_reason = STOP_BELOW_TOLERANCE
             break
         states[pick.model] = corrlars.apply_step(states[pick.model], pick.lars,
                                                  available)
         available = available[available != pick.candidate]
-        current_cv[pick.model] = pick.cv_new
+        current_cv[pick.model] = next_cv[pick.model]
         record.winner = (pick.model, pick.candidate)
         for k, prop in enumerate(cached):
             if k == pick.model or (prop is not None

@@ -75,14 +75,22 @@ def check_scale_shift_equivariance(n_runs: int = 12, n: int = 50, p: int = 80,
     ``±2**k`` (``k`` in [-400, 400]) and there are no shifts: predictions
     must then be ``c_y * pred`` and every proposal's benefit ``c_y**2``
     times its own, bit for bit.
+    Two fixed runs follow, mapping ``y`` alone to ``1e±200 * (y + sd(y))``
+    (``2**±600 * y`` with ``exact``), whose squares leave the float range;
+    they check all of the above but the benefits.
     """
     failures = []
     label = "power-of-two" if exact else "scale-shift"
-    for run in range(n_runs):
+    fixed = [2.0 ** 600, 2.0 ** -600] if exact else [1e200, 1e-200]
+    for run in range(n_runs + len(fixed)):
         y, X = _generic_dataset(seed=split_seed(1717, run), n=n, p=p)
         rng = make_rng(split_seed(1818, run))
         sign = rng.choice([-1.0, 1.0], p + 1)
-        if exact:
+        if run >= n_runs:
+            c, a = np.ones(p + 1), np.zeros(p + 1)
+            c[0] = fixed[run - n_runs]
+            a[0] = 0.0 if exact else c[0] * y.std()
+        elif exact:
             c = sign * np.ldexp(1.0, rng.integers(-400, 401, p + 1))
             a = np.zeros(p + 1)
         else:
@@ -111,7 +119,7 @@ def check_scale_shift_equivariance(n_runs: int = 12, n: int = 50, p: int = 80,
             if not np.array_equal(pred2, c[0] * pred1):
                 failures.append(f"{label} run {run}: predictions not scaled "
                                 f"exactly")
-            if benefits[1] != [c[0] ** 2 * b for b in benefits[0]]:
+            if run < n_runs and benefits[1] != [c[0] ** 2 * b for b in benefits[0]]:
                 failures.append(f"{label} run {run}: benefits not scaled "
                                 f"exactly")
             continue

@@ -3,8 +3,7 @@ import pytest
 
 from cellens import (ContaminationSpec, Dataset, ShapeMismatch, SimConfig,
                      block_covariance, contaminate, dataset_from_csv,
-                     dataset_to_csv, ddc_impute, generate_clean)
-from cellens.cellwise import flags_to_csv
+                     dataset_to_csv, generate_clean)
 
 
 def test_dataset_csv_roundtrip(tmp_path):
@@ -29,20 +28,6 @@ def test_mask_csv_export(tmp_path):
     assert lines[0].startswith("y,x1,")
     total = sum(int(v) for line in lines[1:] for v in line.split(","))
     assert total == obs.truth.mask_X.sum() + obs.truth.mask_y.sum()
-
-
-def test_flags_csv_export(tmp_path):
-    rng = np.random.default_rng(4)
-    Z = rng.standard_normal((40, 5))
-    Z[7, 2] = 50.0
-    imp = ddc_impute(Z)
-    out = tmp_path / "flags.csv"
-    flags_to_csv(imp, str(out))
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "y,x1,x2,x3,x4"
-    assert len(lines) == 41
-    total = sum(int(v) for line in lines[1:] for v in line.split(","))
-    assert total == int(imp.flags.sum())
 
 
 def test_dataset_shape_validation():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cellens import (InvariantViolation, NonFiniteValue, SelectionConfig,
-                     ShapeMismatch, fit_ensemble, make_rng)
+from cellens import (NonFiniteValue, SelectionConfig, ShapeMismatch,
+                     fit_ensemble, make_rng)
 
 
 def noisy_inputs(seed, n=40, p=30):
@@ -134,15 +134,24 @@ def test_shift_moves_only_the_intercept(column, shift):
 
 
 @pytest.mark.parametrize("intercept", [True, False])
-def test_overflowing_response_names_the_response(intercept):
-    # the squares of y * 1e200 overflow, so even the empty model's
-    # cross-validation error is inf: the error blames y, not a candidate
+@pytest.mark.parametrize("factor", [1e200, 1e-200, 2.0**600, 2.0**-600],
+                         ids=["1e200", "1e-200", "2^600", "2^-600"])
+def test_extreme_response_scale_keeps_the_fit(intercept, factor):
+    # y is prepared like any column, so a response whose squares overflow
+    # or underflow keeps every decision and, with the factor undone, the
+    # predictions
     rng = make_rng(61)
     n, p = 60, 20
     X = rng.standard_normal((n, p))
     y = (X[:, :6] @ np.array([2.0, -1.5, 1.0, 1.0, -0.8, 0.6])
          + 0.5 * rng.standard_normal(n))
     cfg = SelectionConfig(K=3, tau=0.01, intercept=intercept, seed=62)
-    with pytest.raises(InvariantViolation,
-                       match=r"empty model is inf: .* response y"):
-        fit_ensemble(y * 1e200, X, cfg)
+    base = fit_ensemble(y, X, cfg)
+    scaled = fit_ensemble(y * factor, X, cfg)
+    assert scaled.selection.sets == base.selection.sets
+    assert (scaled.selection.winner_sequence()
+            == base.selection.winner_sequence())
+    assert ([(f.converged, f.iterations) for f in scaled.model.fits]
+            == [(f.converged, f.iterations) for f in base.model.fits])
+    gap = np.max(np.abs(scaled.predict(X) / factor - base.predict(X)))
+    assert gap <= 1e-12 * y.std()

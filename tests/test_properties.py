@@ -35,8 +35,9 @@ def test_scale_shift_check_catches_off_predictions(monkeypatch, exact, off):
                         lambda model, X: off(predict(model, X)))
     failures = selfcheck.check_scale_shift_equivariance(n_runs=2, exact=exact)
     label = "power-of-two" if exact else "scale-shift"
+    # the 2 seeded runs and the 2 fixed extreme-y runs each catch it
     assert [f.split(":")[0] for f in failures] == [
-        f"{label} run {run}" for run in range(2)]
+        f"{label} run {run}" for run in range(4)]
 
 
 def test_permutation_equivariance_property():

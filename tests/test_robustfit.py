@@ -281,20 +281,23 @@ def test_mm_m_stage_descends():
         np.mean(bisquare_rho(r_ols / fit.scale, C_EFFICIENCY)) + 1e-12
 
 
-def test_mm_stop_is_scale_free():
-    # the M-stage stops on residual moves in units of the scale, so a
-    # power-of-two rescaling of y rescales every iterate exactly
+@pytest.mark.parametrize("power", [-30, 600, -600])
+def test_mm_stop_is_scale_free(power):
+    # y is prepared like any column and the M-stage stops on residual
+    # moves in units of the scale, so a power-of-two rescaling of y
+    # rescales every iterate exactly, even where its squares would
+    # overflow or underflow
     rng = make_rng(20)
     X = rng.standard_normal((80, 3))
     y = X @ np.array([2.0, -1.0, 0.5]) + rng.standard_normal(80)
     y[:8] += 15.0
     f1 = mm_fit(X, y, seed=20)
-    f2 = mm_fit(X, y * 2.0**-30, seed=20)
+    f2 = mm_fit(X, np.ldexp(y, power), seed=20)
     assert f1.converged and f2.converged
     assert f2.iterations == f1.iterations > 1
-    assert np.array_equal(f2.coefficients, f1.coefficients * 2.0**-30)
-    assert f2.intercept == f1.intercept * 2.0**-30
-    assert f2.scale == f1.scale * 2.0**-30
+    assert np.array_equal(f2.coefficients, np.ldexp(f1.coefficients, power))
+    assert f2.intercept == np.ldexp(f1.intercept, power)
+    assert f2.scale == np.ldexp(f1.scale, power)
 
 
 @pytest.mark.parametrize("intercept", [True, False])

@@ -139,6 +139,21 @@ def test_non_finite_cv_error_raises_invariant_violation(monkeypatch):
         run_selection(structure, imp, cfg)
 
 
+@pytest.mark.parametrize("intercept", [True, False])
+def test_nonfinite_response_names_the_response(intercept):
+    # fit_ensemble rejects a non-finite cell before selection; called
+    # directly on such a y, run_selection blames y, not a candidate
+    y, X = signal_data(47, n=50, p=10)
+    imp = make_imp(y, X)
+    structure = correlation_structure(imp)
+    imp.Z_imp[7, 0] = np.nan
+    cfg = SelectionConfig(K=3, intercept=intercept, seed=48)
+    with pytest.raises(InvariantViolation,
+                       match=r"empty model is nan: the response y holds a "
+                             r"non-finite cell"):
+        run_selection(structure, imp, cfg)
+
+
 def test_cv_error_capacity_guard():
     y, X = signal_data(9, n=12, p=10)
     imp = make_imp(y, X)
