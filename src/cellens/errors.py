@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the integer check
-that config validators raise :class:`InvalidConfig` from."""
+"""Exception types shared across the package, and the integer and
+boolean checks that config validators raise :class:`InvalidConfig` from."""
 
 from numbers import Integral
 
@@ -65,6 +65,14 @@ def require_integers(config, names: tuple[str, ...]) -> None:
         value = getattr(config, name)
         if isinstance(value, bool) or not isinstance(value, Integral):
             raise InvalidConfig(f"{name}={value!r} must be an integer")
+
+
+def require_booleans(config, names: tuple[str, ...]) -> None:
+    """Raise InvalidConfig unless every named field of ``config`` is a bool."""
+    for name in names:
+        value = getattr(config, name)
+        if not isinstance(value, bool):
+            raise InvalidConfig(f"{name}={value!r} must be a boolean")
 
 
 class ShapeMismatch(CellensError):

@@ -9,9 +9,10 @@ Modes
 -----
 fit
     Replicated simulate / contaminate / fit / evaluate runs. When the
-    config carries ``data_csv`` the mode instead fits a user CSV and
-    writes a model JSON (see :func:`fit_csv`); with a ``predict`` section
-    it scores a saved model on new rows (see :func:`predict_csv`).
+    config carries ``data_csv`` the mode instead fits a user CSV, writes
+    a model JSON and logs its summary (see :func:`fit_csv`); with a
+    ``predict`` section it scores a saved model on new rows (see
+    :func:`predict_csv`).
 sweep-k
     The fit loop repeated over a grid of ensemble sizes.
 sweep-contamination
@@ -46,7 +47,7 @@ from . import selfcheck
 from .data import csv_rows, dataset_from_csv, open_csv
 from .errors import (CellensError, DegenerateColumn, InvalidConfig,
                      NonFiniteValue, SelftestFailed, ShapeMismatch,
-                     require_integers)
+                     require_booleans, require_integers)
 from .metrics import EvalReport, mspe, selection_scores, timed
 from .pipeline import fit_ensemble
 from .robustfit import model_from_json, model_to_json, predict
@@ -98,6 +99,7 @@ class ExperimentConfig:
         if self.mode not in MODES:
             raise InvalidConfig(f"mode {self.mode!r} not one of {MODES}")
         require_integers(self, ("replications", "test_size", "threads", "seed"))
+        require_booleans(self, ("impute",))
         if self.replications < 1:
             raise InvalidConfig("replications must be >= 1")
         if self.test_size < 1:
@@ -302,8 +304,9 @@ def run_experiment(cfg: ExperimentConfig) -> str:
         return cfg.output_path
 
     if cfg.mode == "fit" and cfg.data_csv is not None:
-        fit_csv(cfg.data_csv, cfg.selection, cfg.model_out or "model.json")
-        return cfg.model_out or "model.json"
+        path = cfg.model_out or "model.json"
+        logger.info("%s", fit_csv(cfg.data_csv, cfg.selection, path))
+        return path
     if cfg.mode == "fit" and cfg.predict_spec is not None:
         spec = cfg.predict_spec
         predict_csv(spec["model"], spec["X"], spec["out"])
@@ -321,8 +324,8 @@ def run_experiment(cfg: ExperimentConfig) -> str:
 def fit_csv(data_path: str, sel: SelectionConfig, model_out: str) -> str:
     """Fit the full pipeline on a ``y,x1..xp`` CSV and save the model JSON.
 
-    Returns a human-readable selection summary; the command line prints
-    it.
+    Returns a human-readable selection summary; ``run_experiment`` logs it
+    at INFO, which the command line prints.
 
     Raises
     ------
@@ -445,13 +448,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
 
     try:
-        if cfg.mode == "fit" and cfg.data_csv is not None:
-            path = cfg.model_out or "model.json"
-            print(fit_csv(cfg.data_csv, cfg.selection, path))
-        elif cfg.mode == "selftest":
-            with _printed_log():
-                path = run_experiment(cfg)
-        else:
+        with _printed_log():
             path = run_experiment(cfg)
     except CellensError as exc:
         print(f"error: {exc}", file=sys.stderr)

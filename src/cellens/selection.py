@@ -27,7 +27,7 @@ import numpy as np
 from . import corrlars
 from .cellwise import CorrelationStructure, ImputationResult
 from .errors import (InvalidConfig, InvariantViolation, NotPositiveDefinite,
-                     RankDeficient, require_integers)
+                     RankDeficient, require_booleans, require_integers)
 # ols_fit is unused here but stays importable: perfbench/tracing.py wraps it
 from .linalg import ols_fit, prepare_design, solve_spd  # noqa: F401
 from .rng import make_rng
@@ -63,6 +63,7 @@ class SelectionConfig:
         """Check the settings; the bounds set by the data's ``n`` and ``p``
         only when they are given."""
         require_integers(self, ("K", "cv_folds", "seed"))
+        require_booleans(self, ("intercept",))
         if self.max_vars is not None:
             require_integers(self, ("max_vars",))
         if self.K < 1:
@@ -185,17 +186,16 @@ def run_selection(structure: CorrelationStructure, imp: ImputationResult,
                   cfg: SelectionConfig) -> SelectionResult:
     """Run the full K-model competition.
 
-    Only the round's winner changes state, so a model's proposal is
-    computed afresh (``corrlars.propose`` plus ``cv_error``) only in the
-    first round, after the model wins a round, and after another model
-    wins the predictor it proposed. Every other model re-enters the same
-    ``Proposal`` object: a proposal is a function of the model's state,
-    and the pool enters it only through the choice of candidate and step,
-    which changes only when the candidate leaves. A model that sits out a
-    round (at fold-training capacity, collinear active set, or no finite
-    step) sits out for the rest of the run: none of these depend on the
-    pool, and a model that makes no proposal cannot win and change its
-    state.
+    Only the round's winner changes state, and a move (``corrlars.propose``
+    plus ``cv_error``) is a function of the path state: the pool enters it
+    only through the choice of candidate and step, which changes only when
+    the candidate leaves. So one move is kept per active set, and it is
+    dropped when the winner takes its candidate. Only empty models share
+    a set, as the sets are disjoint; each records the shared move as its
+    own ``Proposal`` on the same ``lars``. A model that sits out a round
+    (at fold-training capacity, collinear active set, or no finite step)
+    sits out for the rest of the run: none of these depend on the pool,
+    and a model that makes no proposal cannot win and change its state.
 
     Scores and every decision (best benefit, ties, ``tau``) use ``y``
     scaled by its ``prepare_design`` power of two, so no square of ``y``
@@ -246,13 +246,12 @@ def run_selection(structure: CorrelationStructure, imp: ImputationResult,
             f"cross-validation error of the empty model is {empty_cv}: the "
             f"response y holds a non-finite cell"
         )
-    # scaled errors: each model's, and its latest proposal's benefit and error
-    current_cv = [empty_cv] * cfg.K
-    gain, next_cv = [0.0] * cfg.K, [0.0] * cfg.K
+    current_cv = [empty_cv] * cfg.K  # each model's scaled error
     trace: list[CompetitionRecord] = []
 
-    def fresh_proposal(k: int) -> Optional[Proposal]:
-        """Model k's move on the current pool, None when it sits out."""
+    def fresh_move(k: int) -> Optional[tuple[Proposal, float, float]]:
+        """Model k's move on the current pool, with its scaled gain and
+        error; None when it sits out."""
         # A model at fold-training capacity stops proposing; the rest
         # keep competing.
         if len(states[k].active) + 1 + int(cfg.intercept) >= min_train:
@@ -268,24 +267,22 @@ def run_selection(structure: CorrelationStructure, imp: ImputationResult,
                               folds, cfg.intercept)
         except RankDeficient:
             new_cv = np.inf
-            benefit = -np.inf
+            gain = -np.inf
         else:
             if not np.isfinite(new_cv):
                 raise InvariantViolation(
                     f"model {k}: cross-validation error of candidate "
                     f"{prop.candidate} is {new_cv}"
                 )
-            benefit = current_cv[k] - new_cv
-        gain[k], next_cv[k] = benefit, new_cv
+            gain = current_cv[k] - new_cv
         with np.errstate(over="ignore"):
-            benefit, new_cv = np.ldexp([benefit, new_cv], 2 * e_y)
-        return Proposal(model=k, candidate=prop.candidate, gamma=prop.step,
-                        benefit=float(benefit), lars=prop, cv_new=float(new_cv))
+            benefit, cv_new = np.ldexp([gain, new_cv], 2 * e_y)
+        return (Proposal(model=k, candidate=prop.candidate, gamma=prop.step,
+                         benefit=float(benefit), lars=prop, cv_new=float(cv_new)),
+                gain, new_cv)
 
-    # each model's latest move (None: it sits out) and whether the move
-    # must be made afresh next round; see the docstring for why reuse is exact
-    cached: list[Optional[Proposal]] = [None] * cfg.K
-    stale = [True] * cfg.K
+    # one move per active set (None: its models sit out); see the docstring
+    moves: dict[tuple, Optional[tuple[Proposal, float, float]]] = {}
 
     while True:
         # checked before each round, so a limit that a winner reaches is
@@ -298,17 +295,21 @@ def run_selection(structure: CorrelationStructure, imp: ImputationResult,
             break
         record = CompetitionRecord(iteration=len(trace) + 1, proposals=[])
         trace.append(record)
+        gains = []
         for k in range(cfg.K):
-            if stale[k]:
-                cached[k] = fresh_proposal(k)
-                stale[k] = False
-            if cached[k] is not None:
-                record.proposals.append(cached[k])
+            key = tuple(states[k].active)
+            if key not in moves:
+                moves[key] = fresh_move(k)
+            if moves[key] is not None:
+                prop, gain, _ = moves[key]
+                record.proposals.append(prop if prop.model == k
+                                        else replace(prop, model=k))
+                gains.append(gain)
         if not record.proposals:
             stop_reason = STOP_NO_CANDIDATES
             break
-        best = max(gain[pr.model] for pr in record.proposals)
-        tied = [pr for pr in record.proposals if gain[pr.model] == best]
+        best = max(gains)
+        tied = [pr for pr, gain in zip(record.proposals, gains) if gain == best]
         if len(tied) > 1:
             # exactly one uniform draw per tie event keeps seeded runs
             # reproducible regardless of how many proposals tie
@@ -316,20 +317,18 @@ def run_selection(structure: CorrelationStructure, imp: ImputationResult,
             pick = tied[min(int(u * len(tied)), len(tied) - 1)]
         else:
             pick = tied[0]
-        base, benefit = current_cv[pick.model], gain[pick.model]
-        accept = benefit > 0 and base > 0 and benefit / base > cfg.tau
+        base = current_cv[pick.model]
+        accept = best > 0 and base > 0 and best / base > cfg.tau
         if not accept:
             stop_reason = STOP_BELOW_TOLERANCE
             break
+        current_cv[pick.model] = moves[tuple(states[pick.model].active)][2]
         states[pick.model] = corrlars.apply_step(states[pick.model], pick.lars,
                                                  available)
         available = available[available != pick.candidate]
-        current_cv[pick.model] = next_cv[pick.model]
         record.winner = (pick.model, pick.candidate)
-        for k, prop in enumerate(cached):
-            if k == pick.model or (prop is not None
-                                   and prop.candidate == pick.candidate):
-                stale[k] = True
+        moves = {key: move for key, move in moves.items()
+                 if move is None or move[0].candidate != pick.candidate}
 
     if not trace:  # a limit reached before the first round
         trace.append(CompetitionRecord(iteration=1, proposals=[]))

@@ -529,6 +529,11 @@ def test_grid_config_error_exits_1_without_csv(tmp_path, capsys, updates,
     ({"sim": {"snr": float("nan")}}, "snr=nan must be positive"),
     ({"sim": {"coef_range": [float("nan"), 5.0]}}, "coef_range=(nan, 5.0)"),
     ({"selection": {"K": 2.0}}, "K=2.0 must be an integer"),
+    ({"selection": {"intercept": "false"}},
+     "intercept='false' must be a boolean"),
+    ({"selection": {"intercept": 0}}, "intercept=0 must be a boolean"),
+    ({"impute": "no"}, "impute='no' must be a boolean"),
+    ({"impute": None}, "impute=None must be a boolean"),
 ])
 def test_non_integer_count_or_nan_exits_1_without_csv(tmp_path, capsys,
                                                       updates, message):

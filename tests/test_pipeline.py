@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cellens import (NonFiniteValue, SelectionConfig, ShapeMismatch,
-                     fit_ensemble, make_rng)
+from cellens import (InvalidConfig, NonFiniteValue, SelectionConfig,
+                     ShapeMismatch, fit_ensemble, make_rng)
 
 
 def noisy_inputs(seed, n=40, p=30):
@@ -32,6 +32,14 @@ def test_nonfinite_reports_first_column():
     with pytest.raises(NonFiniteValue) as info:
         fit_ensemble(y, X, SelectionConfig(K=3, seed=64))
     assert info.value.column == 8  # x_8 is X[:, 7]
+
+
+@pytest.mark.parametrize("intercept", [None, 1, "false"])
+def test_non_boolean_intercept_is_a_config_error(intercept):
+    _, y, X = noisy_inputs(67)
+    with pytest.raises(InvalidConfig,
+                       match=f"intercept={intercept!r} must be a boolean"):
+        fit_ensemble(y, X, SelectionConfig(K=3, intercept=intercept, seed=68))
 
 
 def test_finite_input_still_fits():

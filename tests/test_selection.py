@@ -41,6 +41,20 @@ def recomputed_proposals(res):
     return fresh
 
 
+def distinct_moves(res):
+    """Distinct moves in the trace: (active set, candidate) pairs, the
+    active sets replayed from the winners."""
+    grown = {}
+    moves = set()
+    for rec in res.trace:
+        for pr in rec.proposals:
+            moves.add((tuple(grown.get(pr.model, ())), pr.candidate))
+        if rec.winner is not None:
+            k, j = rec.winner
+            grown[k] = grown.get(k, []) + [j]
+    return len(moves)
+
+
 def test_fold_assignment_sizes():
     rng = make_rng(1)
     labels = fold_assignment(10, 5, rng)
@@ -321,9 +335,11 @@ def test_run_selection_rejects_inconsistent_inputs():
 
 
 def test_reused_proposal_is_same_object():
-    # a model that neither won nor lost its candidate re-enters the very
-    # Proposal of the previous round, so each fresh proposal's inner array
-    # is stored once however many rounds it is recorded in
+    # a model that neither won nor lost its candidate re-enters the same
+    # move (on this input the very Proposal of the previous round; a second
+    # empty model would record a shared move afresh each round), so each
+    # move's inner array is stored once however many rounds and models
+    # record it
     y, X = signal_data(31, n=60, p=15, nact=6)
     imp = make_imp(y, X)
     structure = correlation_structure(imp)
@@ -342,7 +358,7 @@ def test_reused_proposal_is_same_object():
                 reused += 1
     assert reused > 0
     arrays = {id(pr.lars.inner) for rec in res.trace for pr in rec.proposals}
-    assert len(arrays) == recomputed_proposals(res)
+    assert len(arrays) == distinct_moves(res)
     assert all(pr.lars.inner.shape == (15,) for rec in res.trace
                for pr in rec.proposals)
 
@@ -378,7 +394,8 @@ def test_zero_max_vars_records_one_empty_round():
     assert res.sets == [[], []]
 
 
-def test_empty_model_scored_once(monkeypatch):
+def count_cv_calls(monkeypatch):
+    """Subsets that ``run_selection`` scores, in call order."""
     calls = []
 
     def counting_cv_error(imp, subset, folds, intercept):
@@ -386,6 +403,11 @@ def test_empty_model_scored_once(monkeypatch):
         return cv_error(imp, subset, folds, intercept)
 
     monkeypatch.setattr(cellens.selection, "cv_error", counting_cv_error)
+    return calls
+
+
+def test_empty_model_scored_once(monkeypatch):
+    calls = count_cv_calls(monkeypatch)
     y, X = signal_data(37, n=60, p=12, nact=4)
     imp = make_imp(y, X)
     structure = correlation_structure(imp)
@@ -393,10 +415,44 @@ def test_empty_model_scored_once(monkeypatch):
                         SelectionConfig(K=4, tau=0.01, cv_folds=5, seed=38))
     proposals = sum(len(rec.proposals) for rec in res.trace)
     assert calls.count([]) == 1
-    # one call per proposal made afresh; reused proposals cost none
-    fresh = recomputed_proposals(res)
-    assert fresh < proposals
-    assert len(calls) == fresh + 1
+    # one call per distinct move; reused and shared moves cost none
+    moves = distinct_moves(res)
+    assert moves < recomputed_proposals(res) < proposals
+    assert len(calls) == moves + 1
+
+
+@pytest.mark.parametrize("seed", [38, 40, 42])
+def test_each_subset_scored_once(monkeypatch, seed):
+    calls = count_cv_calls(monkeypatch)
+    y, X = signal_data(seed, n=80, p=30, nact=8)
+    imp = make_imp(y, X)
+    structure = correlation_structure(imp)
+    run_selection(structure, imp,
+                  SelectionConfig(K=6, tau=1e-3, cv_folds=5, seed=seed))
+    subsets = [frozenset(subset) for subset in calls]
+    assert len(subsets) > 6
+    assert len(set(subsets)) == len(subsets)
+
+
+def test_models_sharing_a_move_share_its_lars():
+    y, X = signal_data(39, n=60, p=12, nact=4)
+    imp = make_imp(y, X)
+    structure = correlation_structure(imp)
+    res = run_selection(structure, imp,
+                        SelectionConfig(K=4, tau=0.01, cv_folds=5, seed=40))
+    first = res.trace[0].proposals
+    # every model starts empty, so all four record the one move
+    assert [pr.model for pr in first] == [0, 1, 2, 3]
+    assert len({id(pr.lars) for pr in first}) == 1
+    assert len({(pr.candidate, pr.gamma, pr.benefit, pr.cv_new)
+                for pr in first}) == 1
+    shared = 0
+    for rec in res.trace[1:]:
+        by_lars = {}
+        for pr in rec.proposals:
+            by_lars.setdefault(id(pr.lars), []).append(pr.model)
+        shared += sum(len(models) > 1 for models in by_lars.values())
+    assert shared > 0
 
 
 def test_replayed_proposals_match_trace():
