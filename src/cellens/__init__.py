@@ -22,7 +22,7 @@ from .data import Dataset, GroundTruth, dataset_from_csv, dataset_to_csv
 from .errors import (CellensError, DegenerateColumn, EmptyTruth, InvalidConfig,
                      InvariantViolation, NonFiniteValue, NotPositiveDefinite,
                      RankDeficient, SelftestFailed, ShapeMismatch,
-                     TooFewColumns)
+                     TooFewColumns, WorkerLost)
 from .linalg import ols_fit, pivot_ratios, solve_spd
 from .metrics import EvalReport, mspe, selection_scores, timed
 from .pipeline import FitResult, fit_ensemble, passthrough_imputation
@@ -47,7 +47,7 @@ __all__ = [
     "NonFiniteValue", "NotPositiveDefinite", "RankDeficient", "RobustFit", "RobustScale",
     "SCENARIOS", "SelectionConfig", "SelectionResult", "SelftestFailed",
     "ShapeMismatch",
-    "SimConfig", "TooFewColumns", "block_covariance", "contaminate",
+    "SimConfig", "TooFewColumns", "WorkerLost", "block_covariance", "contaminate",
     "correlation_structure", "cv_error", "dataset_from_csv",
     "dataset_to_csv", "ddc_impute", "fit_ensemble", "fit_ensemble_models",
     "fold_assignment", "generate_clean", "make_rng", "make_test_set",

@@ -79,6 +79,12 @@ class ShapeMismatch(CellensError):
     """Array dimensions do not agree with the expected layout."""
 
 
+class WorkerLost(CellensError):
+    """A replication pool's worker process ended abruptly (killed, or out of
+    memory) during a run; the pool is discarded and the next run starts a
+    fresh one."""
+
+
 class SelftestFailed(CellensError):
     """A built-in property suite failed; the runner exits with code 3."""
 

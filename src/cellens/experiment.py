@@ -34,7 +34,9 @@ import logging
 import multiprocessing
 import os
 import sys
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from itertools import repeat
@@ -47,7 +49,7 @@ from . import selfcheck
 from .data import csv_rows, dataset_from_csv, open_csv
 from .errors import (CellensError, DegenerateColumn, InvalidConfig,
                      NonFiniteValue, SelftestFailed, ShapeMismatch,
-                     require_booleans, require_integers)
+                     WorkerLost, require_booleans, require_integers)
 from .metrics import EvalReport, mspe, selection_scores, timed
 from .pipeline import fit_ensemble
 from .robustfit import model_from_json, model_to_json, predict
@@ -92,10 +94,15 @@ class ExperimentConfig:
     predict_spec: Optional[dict] = None
 
     def validate(self) -> None:
-        """Check settings, including every grid cell's ``sim`` and
-        ``contamination`` settings, its ``selection`` settings that do
-        not depend on the data, and that a ``predict`` section is an object
-        whose ``model``, ``X`` and ``out`` are strings."""
+        """Check settings, including every grid cell's ``sim``,
+        ``contamination`` and ``selection`` settings, and that a ``predict``
+        section is an object whose ``model``, ``X`` and ``out`` are strings.
+
+        Where the run simulates its data, a cell's selection settings are
+        checked against that cell's ``n`` and ``p`` (``cv_folds`` at most
+        ``n``, ``max_vars`` at most ``p``); a ``data_csv`` or ``predict``
+        run checks those bounds when it has read its data.
+        """
         if self.mode not in MODES:
             raise InvalidConfig(f"mode {self.mode!r} not one of {MODES}")
         require_integers(self, ("replications", "test_size", "threads", "seed"))
@@ -109,10 +116,12 @@ class ExperimentConfig:
         cells = _grid_cells(self)
         if not cells:
             raise InvalidConfig(f"the {self.mode} grid has no cells")
+        simulated = _simulates(self)
         for sim, cont, sel in cells:
             sim.validate()
             cont.validate()
-            sel.validate()
+            n, p = (sim.n, sim.p) if simulated else (None, None)
+            sel.validate(n, p)
         spec = self.predict_spec
         if spec is None:
             return
@@ -127,6 +136,14 @@ class ExperimentConfig:
 
 
 Cell = tuple[SimConfig, ContaminationSpec, SelectionConfig]
+
+
+def _simulates(cfg: ExperimentConfig) -> bool:
+    """Whether ``run_experiment`` runs the simulation grid: every mode but
+    ``selftest`` and the ``fit`` runs with a ``data_csv`` or ``predict``."""
+    if cfg.mode == "fit":
+        return cfg.data_csv is None and cfg.predict_spec is None
+    return cfg.mode != "selftest"
 
 
 def _grid_cells(cfg: ExperimentConfig) -> list[Cell]:
@@ -243,6 +260,30 @@ BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                          "MKL_NUM_THREADS")
 
 
+# the kept pool, as (pid of the process that made it, workers, executor)
+_kept: Optional[tuple[int, int, ProcessPoolExecutor]] = None
+_kept_lock = threading.Lock()
+
+
+def _kept_pool(workers: int) -> ProcessPoolExecutor:
+    """This process's pool of ``workers`` spawned workers, made on first use
+    and again after a change of size, a broken pool or a fork."""
+    global _kept
+    with _kept_lock:
+        if _kept is not None:
+            pid, size, pool = _kept
+            # a forked child leaves its copy of the parent's pool alone
+            if pid == os.getpid():
+                # a pool is marked broken as soon as one of its workers dies
+                if size == workers and not pool._broken:
+                    return pool
+                pool.shutdown()
+        pool = ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context("spawn"))
+        _kept = (os.getpid(), workers, pool)
+        return pool
+
+
 @contextmanager
 def replication_pool(workers: int):
     """Yield a process pool of ``workers`` whose workers run single-thread BLAS.
@@ -251,20 +292,31 @@ def replication_pool(workers: int):
     own work serially (as the cleaning stage does in a ``multiprocessing``
     child). Workers are started by ``spawn``, so they import numpy afresh
     with every variable of ``BLAS_THREAD_VARIABLES`` set to ``"1"``. The
-    parent's environment holds these settings while the pool is open
-    (workers start on demand) and is restored exactly when it closes: a
-    variable that was unset is unset again. Other threads of the parent
+    parent's environment holds these settings for the body of each
+    ``with`` (workers start on demand) and is restored exactly afterwards:
+    a variable that was unset is unset again. Other threads of the parent
     that read the environment meanwhile see the settings too.
+
+    The pool is kept for the life of the process: a later call with the
+    same ``workers`` gets the same pool and its running workers, a call
+    with another count shuts it down and makes a new one, and a forked
+    child makes its own. Idle workers use no CPU but keep their memory
+    until the interpreter exits, which joins them. A worker that dies
+    during the body raises :class:`WorkerLost` and shuts the pool down;
+    one that dies between calls makes the next call start a fresh pool.
     """
     saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES}
     os.environ.update(dict.fromkeys(BLAS_THREAD_VARIABLES, "1"))
     try:
-        with ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=multiprocessing.get_context("spawn")) as pool:
-            logger.debug("replication pool: %d spawned workers, %s set to 1",
-                         workers, ", ".join(BLAS_THREAD_VARIABLES))
+        pool = _kept_pool(workers)
+        logger.debug("replication pool: %d spawned workers, %s set to 1",
+                     workers, ", ".join(BLAS_THREAD_VARIABLES))
+        try:
             yield pool
+        except BrokenProcessPool as exc:
+            pool.shutdown()
+            raise WorkerLost(f"replication pool worker ended abruptly: {exc}"
+                             ) from exc
     finally:
         for name, value in saved.items():
             if value is None:
@@ -273,12 +325,14 @@ def replication_pool(workers: int):
                 os.environ[name] = value
 
 
-def _run_grid(cfg: ExperimentConfig, cells: list[Cell], writer) -> None:
-    """Run replications for every grid cell, writing rows in stable order.
+def _run_grid(cfg: ExperimentConfig, cells: list[Cell]) -> list[list]:
+    """Run replications for every grid cell; return their rows in stable order.
 
-    Replications run in job order (in a :func:`replication_pool` when
-    ``threads > 1``); the first failing one raises before any row is
-    written.
+    Replications run in job order. With ``threads > 1`` they run in the
+    kept :func:`replication_pool` of ``threads`` workers, so grids of any
+    size share one pool; it starts workers on demand, so a run starts no
+    more workers than it has replications. The first failing replication
+    raises, and no row is returned.
     """
     jobs = [(sim, cont, sel, rep, split_seed(split_seed(cfg.seed, cell_idx), rep))
             for cell_idx, (sim, cont, sel) in enumerate(cells)
@@ -286,12 +340,12 @@ def _run_grid(cfg: ExperimentConfig, cells: list[Cell], writer) -> None:
     sims, conts, sels, _, seeds = zip(*jobs)
     args = (sims, conts, sels, seeds, repeat(cfg.test_size), repeat(cfg.impute))
     if cfg.threads > 1:
-        with replication_pool(min(cfg.threads, len(jobs))) as pool:
+        with replication_pool(cfg.threads) as pool:
             reports = list(pool.map(run_single, *args))
     else:
         reports = list(map(run_single, *args))
-    for (sim, cont, sel, rep, rep_seed), report in zip(jobs, reports):
-        writer.writerow(_row(cfg, sim, cont, sel, rep, rep_seed, report))
+    return [_row(cfg, sim, cont, sel, rep, rep_seed, report)
+            for (sim, cont, sel, rep, rep_seed), report in zip(jobs, reports)]
 
 
 def run_experiment(cfg: ExperimentConfig) -> str:
@@ -314,10 +368,13 @@ def run_experiment(cfg: ExperimentConfig) -> str:
 
     out = Path(cfg.output_path)
     out.parent.mkdir(parents=True, exist_ok=True)
+    # every replication runs before the file is opened, so a failing one
+    # leaves an earlier file at the path as it was
+    rows = _run_grid(cfg, _grid_cells(cfg))
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RESULT_COLUMNS)
-        _run_grid(cfg, _grid_cells(cfg), writer)
+        writer.writerows(rows)
     return str(out)
 
 

@@ -1,17 +1,25 @@
 import csv
 import json
 import logging
+import multiprocessing
 import os
 import re
+import signal
+import subprocess
+import sys
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cellens.experiment
 import cellens.selfcheck
 
-from cellens import (ContaminationSpec, DegenerateColumn, InvalidConfig,
-                     NonFiniteValue, ShapeMismatch, SimConfig, dataset_from_csv)
+from cellens import (CellensError, ContaminationSpec, DegenerateColumn,
+                     InvalidConfig, NonFiniteValue, ShapeMismatch, SimConfig,
+                     dataset_from_csv)
 from cellens.data import example_csv_path
 from cellens.experiment import (BLAS_THREAD_VARIABLES, RESULT_COLUMNS,
                                 ExperimentConfig, fit_csv, load_config, main,
@@ -107,6 +115,18 @@ def test_validate_checks_sim_and_contamination():
             contamination=ContaminationSpec(scenario="Bogus")).validate()
 
 
+def test_validate_checks_data_bounds_only_on_simulated_data():
+    sim = SimConfig(n=30, p=20, sparsity=5, block_size=5)
+    cfg = ExperimentConfig(sim=sim, selection=SelectionConfig(cv_folds=31))
+    with pytest.raises(InvalidConfig, match="cv_folds=31 exceeds n=30"):
+        cfg.validate()
+    # a CSV run's n and p come from its data, not from ``sim``
+    replace(cfg, data_csv="data.csv").validate()
+    replace(cfg, predict_spec={"model": "m.json", "X": "x.csv",
+                               "out": "p.csv"}).validate()
+    replace(cfg, mode="selftest").validate()
+
+
 def test_config_unknown_field(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"mode": "fit", "bogus": 1}))
@@ -175,6 +195,108 @@ def test_replication_pool_workers_run_single_thread_blas(monkeypatch, caplog):
         with replication_pool(1):
             raise RuntimeError("body failed")
     assert dict(os.environ) == before
+
+
+def _live_workers() -> set[int]:
+    """Pids of this process's running ``multiprocessing`` children."""
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def _wait_gone(pid: int) -> None:
+    """Wait until process ``pid`` has ended and been reaped."""
+    deadline = time.monotonic() + 30
+    while time.monotonic() < deadline:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return
+        time.sleep(0.01)
+    raise AssertionError(f"process {pid} still exists")
+
+
+def test_replication_pool_is_kept_after_a_raising_task():
+    with replication_pool(2) as pool:
+        with pytest.raises(ValueError):
+            list(pool.map(int, ["1", "x"]))
+        workers = _live_workers()
+    with replication_pool(2) as pool:
+        assert pool.submit(os.getpid).result() in workers
+    assert _live_workers() == workers
+
+
+class _KillWorker:
+    """Stands in for ``run_single``: the pool worker that unpickles it is
+    killed by SIGKILL, as by the kernel's out-of-memory killer."""
+
+    def __reduce__(self):
+        return signal.raise_signal, (signal.SIGKILL,)
+
+
+def test_worker_killed_during_run_exits_2(tmp_path, capsys, monkeypatch):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(_grid_doc(tmp_path, replications=2, threads=2)))
+    monkeypatch.setattr(cellens.experiment, "run_single", _KillWorker())
+    assert main(["--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: replication pool worker ended abruptly")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "grid.csv").exists()
+    # the broken pool was dropped: the next run gets working workers
+    monkeypatch.undo()
+    assert main(["--config", str(p)]) == 0
+
+
+def test_worker_dead_between_calls_gets_a_fresh_pool():
+    with replication_pool(2) as pool:
+        victim = pool.submit(os.getpid).result()
+    os.kill(victim, signal.SIGKILL)
+    _wait_gone(victim)
+    with replication_pool(2) as pool:
+        assert pool.submit(os.getpid).result() != victim
+
+
+# two 2-thread runs, then one serial run, of the same config; after each
+# 2-thread run, the pid that answers through replication_pool(2) and the
+# process's live multiprocessing children
+REUSE_SCRIPT = """
+import json, multiprocessing, os, sys
+from dataclasses import replace
+from cellens.experiment import load_config, replication_pool, run_experiment
+
+cfg = load_config(sys.argv[1])
+seen = []
+for i, threads in enumerate((2, 2, 1)):
+    run_experiment(replace(cfg, threads=threads, output_path=f"run{i}.csv"))
+    if threads > 1:
+        with replication_pool(2) as pool:
+            answer = pool.submit(os.getpid).result()
+        live = sorted(p.pid for p in multiprocessing.active_children())
+        seen.append([answer, live])
+print(json.dumps(seen))
+"""
+
+
+def test_runs_reuse_the_pool_and_leave_no_worker(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(_grid_doc(tmp_path, replications=3)))
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", REUSE_SCRIPT, str(p)],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert "resource_tracker" not in proc.stderr
+    (answer_1, live_1), (answer_2, live_2) = json.loads(proc.stdout)
+    assert len(live_1) == 2 and live_1 == live_2
+    assert {answer_1, answer_2} <= set(live_1)
+    t_idx = RESULT_COLUMNS.index("cpu_seconds")
+    rows = [[r[:t_idx] + r[t_idx + 1:] for r in read_rows(tmp_path / f"run{i}.csv")]
+            for i in range(3)]
+    assert len(rows[2]) == 4 and rows[0] == rows[1] == rows[2]
+    for pid in live_1:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def test_fit_csv_single_predictor(tmp_path, capsys):
@@ -261,20 +383,27 @@ def test_default_config_matches_headline():
     assert cfg.selection.K == 10
 
 
-def test_cli_runtime_error_exit_code(tmp_path):
-    # valid config that fails at run time: more folds than rows
-    doc = {
-        "mode": "fit",
-        "replications": 1,
-        "test_size": 50,
-        "output": str(tmp_path / "o.csv"),
-        "sim": {"n": 12, "p": 10, "sparsity": 5, "block_size": 5, "seed": 0},
-        "contamination": {"scenario": "Clean"},
-        "selection": {"K": 2, "cv_folds": 40},
-    }
-    p = tmp_path / "cfg.json"
-    p.write_text(json.dumps(doc))
-    assert main(["--config", str(p)]) == 2
+def test_cli_runtime_error_exit_code(tmp_path, monkeypatch, capsys):
+    # a valid config whose second of three replications fails at run time:
+    # exit 2, and an earlier results file at the path is left as it was
+    out = tmp_path / "results.csv"
+    earlier = b"schema_version,mode\r\n1,fit\r\n"
+    out.write_bytes(earlier)
+    calls = []
+    real = cellens.experiment.run_single
+
+    def fail_second(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise CellensError("replication failed")
+        return real(*args)
+
+    monkeypatch.setattr(cellens.experiment, "run_single", fail_second)
+    cfg = small_fit_config(tmp_path, reps=3)
+    assert main(["--config", str(cfg), "--threads", "1"]) == 2
+    assert capsys.readouterr().err == "error: replication failed\n"
+    assert len(calls) == 2
+    assert out.read_bytes() == earlier
 
 
 def test_cli_threads_validation(tmp_path):
@@ -505,6 +634,11 @@ def _grid_doc(tmp_path, **updates):
      "unknown scenario 'Bogus'"),
     ({"mode": "sweep-contamination", "alpha_grid": [0.1, 1.5]},
      "alpha and alpha2 must lie in [0, 1)"),
+    # bounds set by each cell's simulated n=30 and p=20
+    ({"selection": {"cv_folds": 31}}, "cv_folds=31 exceeds n=30"),
+    ({"selection": {"max_vars": 21}}, "max_vars=21 exceeds p=20"),
+    ({"mode": "sweep-k", "selection": {"cv_folds": 31}},
+     "cv_folds=31 exceeds n=30"),
 ])
 def test_grid_config_error_exits_1_without_csv(tmp_path, capsys, updates,
                                                message):
