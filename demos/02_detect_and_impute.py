@@ -60,8 +60,9 @@ print(f"max |imputed' - (c * imputed + a)|: "
 # the cleaned matrix yields the correlation structure used downstream
 # ---------------------------------------------------------------------------
 structure = correlation_structure(imp)
-print(f"\npredictor correlation matrix: {structure.R_X.shape}, "
-      f"min eigenvalue {np.linalg.eigvalsh(structure.R_X).min():.2e}")
+R_X = structure.dense()  # a fit reads only the columns it needs
+print(f"\npredictor correlation matrix: {R_X.shape}, "
+      f"min eigenvalue {np.linalg.eigvalsh(R_X).min():.2e}")
 raw_ry = np.corrcoef(np.column_stack([obs.y, obs.X]), rowvar=False)[0, 1:]
 print(f"strongest response correlation, raw vs cleaned: "
       f"{np.abs(raw_ry).max():.3f} vs {np.abs(structure.r_y).max():.3f}")

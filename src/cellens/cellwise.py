@@ -18,6 +18,10 @@ per-column affine equivariant and commutes with column permutations.
 Correlations feeding the downstream selection engine are plain sample
 correlations of the imputed matrix, which keeps the predictor matrix
 positive semi-definite by construction.
+
+No phase holds a C x C array: partners come from a (C, k_neighbors)
+table (:func:`partner_table`), and the selection engine reads predictor
+correlations one column at a time (:class:`CorrelationStructure`).
 """
 
 from __future__ import annotations
@@ -39,9 +43,12 @@ FLAG_CUTOFF = 2.5758293035489004
 
 # partner-correlation products (n * C**2) from which the pairs run on every
 # available CPU, and products per task block, which bounds each thread's
-# buffers (see robust_partner_correlations)
+# buffers (see _partner_pass)
 PARTNER_PARALLEL_PRODUCTS = 2**24
 PARTNER_BLOCK_PRODUCTS = 2**15
+# table slots re-ranked at once when partner offers are merged, which
+# bounds each merge's buffers (see partner_table)
+PARTNER_MERGE_SLOTS = 2**12
 
 
 @dataclass(frozen=True)
@@ -124,15 +131,55 @@ class ImputationResult:
         return self.Z_imp[:, 1:]
 
 
-@dataclass
 class CorrelationStructure:
-    """Predictor correlation matrix and predictor-response correlations."""
+    """Predictor-response correlations, and predictor correlations on demand.
 
-    R_X: np.ndarray
-    r_y: np.ndarray
+    U : ndarray of shape (n, p+1)
+        The imputed joint matrix prepared by :func:`correlation_structure`:
+        centered columns of unit norm, response in column 0.
+    r_y : ndarray of shape (p,)
+        Correlation of each predictor with the response.
+
+    The p x p predictor correlation matrix ``R_X`` is never formed: the
+    selection engine reads it through :meth:`columns`, which computes each
+    column once (from elementwise products and axis-0 sums, no BLAS) and
+    keeps it. So every entry is exactly symmetric, ``R_X[i, j] ==
+    R_X[j, i]``, and its bits do not depend on the BLAS thread count.
+    Columns are clipped to [-1, 1] and have a unit diagonal, and ``r_y``
+    is formed and clipped the same way.
+    """
+
+    def __init__(self, U: np.ndarray, r_y: np.ndarray):
+        self.U = U
+        self.r_y = r_y
+        self._columns: dict[int, np.ndarray] = {}
+
+    def _column(self, j: int) -> np.ndarray:
+        """Column ``j`` of ``R_X``, computed afresh."""
+        col = (self.U[:, 1:] * self.U[:, j + 1:j + 2]).sum(axis=0)
+        np.clip(col, -1.0, 1.0, out=col)
+        col[j] = 1.0
+        return col
+
+    def columns(self, idx) -> np.ndarray:
+        """``R_X[:, idx]`` as a (p, len(idx)) array; each column is computed
+        on its first request and kept for the life of the structure."""
+        for j in idx:
+            if j not in self._columns:
+                self._columns[j] = self._column(j)
+        return np.stack([self._columns[j] for j in idx], axis=1)
+
+    def dense(self) -> np.ndarray:
+        """The full p x p ``R_X``, for tests and inspection; a fit never
+        forms it."""
+        p = len(self.r_y)
+        R = np.empty((p, p))
+        for j in range(p):
+            R[:, j] = self._columns[j] if j in self._columns else self._column(j)
+        return R
 
     def validate(self, atol: float = 1e-8) -> None:
-        R, r = self.R_X, self.r_y
+        R, r = self.dense(), self.r_y
         if not np.allclose(R, R.T, atol=atol):
             raise ValueError("R_X is not symmetric within tolerance")
         if not np.allclose(np.diag(R), 1.0, atol=atol):
@@ -155,12 +202,14 @@ def robust_standardize(Z: np.ndarray):
     """
     Z = np.asarray(Z, dtype=float)
     med = np.median(Z, axis=0)
-    mad = np.median(np.abs(Z - med), axis=0)
+    Zs = Z - med
+    mad = np.median(np.abs(Zs), axis=0, overwrite_input=True)
     bad = np.flatnonzero(mad <= 0)
     if bad.size:
         raise DegenerateColumn(int(bad[0]))
     scale = 1.4826 * mad
-    return (Z - med) / scale, RobustScale(location=med, scale=scale)
+    Zs /= scale
+    return Zs, RobustScale(location=med, scale=scale)
 
 
 def _trimmed_second_moments(Zs: np.ndarray, trim: float) -> np.ndarray:
@@ -170,7 +219,8 @@ def _trimmed_second_moments(Zs: np.ndarray, trim: float) -> np.ndarray:
     sq = Zs**2
     thr = np.partition(sq, keep - 1, axis=0)[keep - 1]
     mask = sq <= thr
-    return (sq * mask).sum(axis=0) / mask.sum(axis=0)
+    sq *= mask
+    return sq.sum(axis=0) / mask.sum(axis=0)
 
 
 def _available_cpus() -> int:
@@ -197,11 +247,13 @@ def _partner_workers(n: int, C: int) -> int:
     return _available_cpus()
 
 
-def _fill_partner_blocks(Zs, t2, keep, corr, tasks, width):
-    """Compute the tasks drawn from ``tasks`` into ``corr``.
+def _fill_partner_blocks(Zs, t2, keep, emit, tasks, width):
+    """Compute the tasks drawn from ``tasks``, handing each to ``emit``.
 
     ``tasks`` is one list iterator shared by all threads; each ``next`` on
-    it is atomic, so every task is drawn exactly once.
+    it is atomic, so every task is drawn exactly once. Task ``(j, a, b)``
+    calls ``emit(j, a, row)`` with ``row[i]`` the correlation of columns
+    ``j`` and ``a + i``, a fresh array.
 
     Every block is computed over at least two columns (the one before
     ``a`` when a block has one), in C-ordered buffers allocated once, so
@@ -228,49 +280,38 @@ def _fill_partner_blocks(Zs, t2, keep, corr, tasks, width):
         np.multiply(P, M, out=P)
         row = P.sum(axis=0) / kept
         row /= np.sqrt(t2[j] * t2[lo:b])
-        corr[j, a:b] = row[a - lo:]
-        corr[a:b, j] = row[a - lo:]
+        emit(j, a, row[a - lo:])
 
 
-def robust_partner_correlations(Zs: np.ndarray,
-                                trim: float = DdcConfig.trim) -> np.ndarray:
-    """Outlier-resistant correlation matrix of standardized columns.
+def _partner_pass(Zs: np.ndarray, trim: float, emit) -> None:
+    """Compute each of the C(C+1)/2 pair correlations of ``Zs`` once.
 
-    For each pair, the mean of cross products is taken after trimming the
-    ``trim`` fraction of largest absolute products, then normalized by the
-    same-trimmed second moments so the estimate is near the true
-    correlation for Gaussian data. Trimming by absolute magnitude makes
-    the estimate flip sign exactly under per-column sign flips.
-
-    Each of the C(C+1)/2 pairs is computed once, in tasks of one row ``j``
-    and a block of at most ``max(2, PARTNER_BLOCK_PRODUCTS // n)`` of its
-    columns ``j..C-1``. A task's products, magnitudes and mask fill
-    buffers its thread allocated once; each column's mean adds the rows in
-    order, is divided by ``sqrt(t2[j] * t2[h])`` and is written to
-    ``corr[j, h]`` and ``corr[h, j]``. The result is exactly symmetric and
-    the C x C output is the only C x C array held.
+    ``Zs`` is C-ordered. The pairs run in tasks of one row ``j`` and a
+    block of at most ``max(2, PARTNER_BLOCK_PRODUCTS // n)`` of its columns
+    ``j..C-1`` (see :func:`_fill_partner_blocks`, which hands each task's
+    row to ``emit``). For each pair, the mean of cross products is taken
+    after trimming the ``trim`` fraction of largest absolute products and
+    divided by ``sqrt(t2[j] * t2[h])``, the same-trimmed second moments.
 
     From ``PARTNER_PARALLEL_PRODUCTS`` products ``n * C**2`` on, the tasks
     run on one thread per CPU in the process's affinity mask (numpy
     releases the GIL inside each operation), except in a
-    ``multiprocessing`` child. Every entry comes from the same operations
-    whichever thread computes it, so the result is bitwise the same for
-    any CPU count and any memory layout of ``Zs``.
+    ``multiprocessing`` child; ``emit`` is then called from every thread,
+    in no fixed order. Every row comes from the same operations whichever
+    thread computes it.
     """
-    Zs = np.ascontiguousarray(Zs, dtype=float)
     n, C = Zs.shape
     keep = n - int(np.floor(trim * n))
     t2 = _trimmed_second_moments(Zs, trim)
-    corr = np.empty((C, C))
     width = min(max(2, PARTNER_BLOCK_PRODUCTS // n), C)
     # (j, a, b): row j's columns a..b-1 of the upper triangle
     tasks = [(j, a, min(a + width, C))
              for j in range(C) for a in range(j, C, width)]
     workers = min(_partner_workers(n, C), len(tasks))
-    args = (Zs, t2, keep, corr, iter(tasks), width)
+    args = (Zs, t2, keep, emit, iter(tasks), width)
     if workers == 1:
         _fill_partner_blocks(*args)
-        return corr
+        return
     errors = []
 
     def work():
@@ -287,20 +328,152 @@ def robust_partner_correlations(Zs: np.ndarray,
         t.join()
     if errors:
         raise errors[0]
+
+
+def robust_partner_correlations(Zs: np.ndarray,
+                                trim: float = DdcConfig.trim) -> np.ndarray:
+    """Outlier-resistant correlation matrix of standardized columns.
+
+    For each pair, the mean of cross products is taken after trimming the
+    ``trim`` fraction of largest absolute products, then normalized by the
+    same-trimmed second moments so the estimate is near the true
+    correlation for Gaussian data. Trimming by absolute magnitude makes
+    the estimate flip sign exactly under per-column sign flips.
+
+    This is the dense form of the pairs :func:`partner_table` selects
+    from, for tests and inspection; a fit never holds it. Each pair is
+    computed once by :func:`_partner_pass` and written to ``corr[j, h]``
+    and ``corr[h, j]``, so the result is exactly symmetric, and bitwise
+    the same for any CPU count and any memory layout of ``Zs``.
+    """
+    Zs = np.ascontiguousarray(Zs, dtype=float)
+    C = Zs.shape[1]
+    corr = np.empty((C, C))
+
+    def emit(j, a, row):
+        corr[j, a:a + len(row)] = row
+        corr[a:a + len(row), j] = row
+
+    _partner_pass(Zs, trim, emit)
     return corr
+
+
+def _merge_partners(index, value, t, h, v) -> None:
+    """Merge entries ``(t[i], h[i], v[i])`` (target column, partner, value)
+    into the ranked rows of a partner table, in place.
+
+    Each row keeps its best ``k`` entries by ``|value|`` descending, ties to
+    the lower partner index; unused slots (index -1, value NaN) trail the
+    used ones. An entry that does not beat its row's last slot is dropped
+    first. The rest are ranked together with their rows' used slots, at
+    most ``PARTNER_MERGE_SLOTS // k`` rows at a time, which bounds the
+    memory of a merge that reaches every row. A row only gains entries, so
+    its unused slots beyond the new count stay unused.
+    """
+    k = index.shape[1]
+    last_v, last_h = np.abs(value[t, k - 1]), index[t, k - 1]
+    mag = np.abs(v)
+    beats = np.isnan(last_v) | (mag > last_v) | ((mag == last_v) & (h < last_h))
+    keep = np.flatnonzero(beats)
+    keep = keep[np.argsort(t[keep], kind="stable")]
+    t, h, v = t[keep], h[keep], v[keep]
+    rows = np.unique(t)
+    step = max(1, PARTNER_MERGE_SLOTS // k)
+    for c in range(0, rows.size, step):
+        r = rows[c:c + step]
+        lo, hi = np.searchsorted(t, [r[0], r[-1] + 1])
+        old_h = index[r]
+        used = old_h >= 0
+        T = np.concatenate([np.broadcast_to(r[:, None], used.shape)[used],
+                            t[lo:hi]])
+        H = np.concatenate([old_h[used], h[lo:hi]])
+        V = np.concatenate([value[r][used], v[lo:hi]])
+        order = np.lexsort((H, -np.abs(V), T))
+        T = T[order]
+        rank = np.arange(T.size) - np.searchsorted(T, T)
+        top = rank < k
+        order, T, rank = order[top], T[top], rank[top]
+        index[T, rank] = H[order]
+        value[T, rank] = V[order]
+
+
+def partner_table(Zs: np.ndarray, cfg: DdcConfig | None = None):
+    """Each column's ranked partners among the robust partner correlations.
+
+    Row ``j`` of the ``(C, k)`` tables, ``k = min(k_neighbors, C - 1)``,
+    holds the columns ``h != j`` with ``|corr[j, h]| >= min_abs_corr``, at
+    most ``k`` of them,
+    ordered by ``|corr|`` descending with ties to the lowest index, where
+    ``corr`` is :func:`robust_partner_correlations` ``(Zs, trim)``. That
+    order is total, so the tables are the same bits whichever thread
+    computed which pair first. Unused slots hold index -1 and value NaN.
+
+    Each task of :func:`_partner_pass` offers its pairs that pass the cut
+    to both columns, under a lock. Offers are merged into the tables once
+    they reach a quarter of the tables' ``C * k`` slots, and a merge
+    re-ranks a bounded number of rows at a time (see
+    :func:`_merge_partners`), so what is held stays O(C * k) whatever the
+    data, and no C x C array is made.
+
+    Returns
+    -------
+    (index, value) : (int ndarray, float ndarray), both of shape (C, k)
+    """
+    if cfg is None:
+        cfg = DdcConfig()
+    Zs = np.ascontiguousarray(Zs, dtype=float)
+    C = Zs.shape[1]
+    k = min(cfg.k_neighbors, C - 1)
+    index = np.full((C, k), -1)
+    value = np.full((C, k), np.nan)
+    lock = threading.Lock()
+    held = []  # pairs offered since the last merge, as (t, h, v) arrays
+    count = 0
+
+    def merge():
+        nonlocal count
+        t, h, v = (np.concatenate(a) for a in zip(*held))
+        _merge_partners(index, value, t, h, v)
+        held.clear()
+        count = 0
+
+    def emit(j, a, row):
+        nonlocal count
+        hit = np.flatnonzero(np.abs(row) >= cfg.min_abs_corr)
+        if a == j:  # the task starts at the diagonal
+            hit = hit[hit > 0]
+        if not hit.size:
+            return
+        h = hit + a
+        v = row[hit]
+        j_rep = np.full(hit.size, j)
+        with lock:
+            held.append((np.concatenate([j_rep, h]), np.concatenate([h, j_rep]),
+                         np.concatenate([v, v])))
+            count += 2 * hit.size
+            if count >= index.size // 4:
+                merge()
+
+    _partner_pass(Zs, cfg.trim, emit)
+    if held:
+        merge()
+    return index, value
 
 
 def median_ratio_slopes(z: np.ndarray, Zh: np.ndarray,
                         usable: np.ndarray) -> np.ndarray:
     """Median-of-ratios slopes of ``z`` on each column of ``Zh`` at once.
 
-    Column ``i`` of the result is ``np.median(z[u] / Zh[u, i])`` with
-    ``u = usable[:, i]``, bit for bit: the ratios are sorted with ``inf`` in
-    the unusable rows, and the median of the ``m`` usable ones is
-    ``(R[(m-1)//2] + R[m//2]) / 2``. Every column needs at least one usable
-    row.
+    ``z`` is one column (shape (n,)) or one per column of ``Zh`` (its
+    shape). Column ``i`` of the result is ``np.median(z_i[u] / Zh[u, i])``
+    with ``u = usable[:, i]``, bit for bit: the ratios are sorted with
+    ``inf`` in the unusable rows, and the median of the ``m`` usable ones
+    is ``(R[(m-1)//2] + R[m//2]) / 2``. Every column needs at least one
+    usable row.
     """
-    R = np.divide(z[:, None], Zh, out=np.full(Zh.shape, np.inf), where=usable)
+    if z.ndim == 1:
+        z = z[:, None]
+    R = np.divide(z, Zh, out=np.full(Zh.shape, np.inf), where=usable)
     R.sort(axis=0)
     m = usable.sum(axis=0)
     cols = np.arange(Zh.shape[1])
@@ -332,11 +505,13 @@ def ddc_impute(Z: np.ndarray, cfg: DdcConfig | None = None) -> ImputationResult:
     detection: its predicted standardized value is 0 (the robust center),
     so only cells that are univariately wild get flagged and pulled to
     the column median; ``ImputationResult.marginal`` records which columns
-    did so. Detection runs in a single pass. A column's partners are its
-    ``k_neighbors`` largest ``|corr|`` at or above ``min_abs_corr`` (ties to
-    the lowest index); their slopes come from one batched
-    :func:`median_ratio_slopes` call, and partners with no row above
-    ``ratio_floor`` are skipped.
+    did so. Detection runs in a single pass. A column's partners are the
+    row of :func:`partner_table`: its ``k_neighbors`` largest ``|corr|`` at
+    or above ``min_abs_corr`` (ties to the lowest index); partners with no
+    row above ``ratio_floor`` are skipped. The loop runs over the partner
+    ranks, for all columns at once: each rank's slopes come from one
+    :func:`median_ratio_slopes` call, and each column's weighted
+    prediction adds its partners in rank order. No C x C array is held.
     """
     if cfg is None:
         cfg = DdcConfig()
@@ -346,35 +521,33 @@ def ddc_impute(Z: np.ndarray, cfg: DdcConfig | None = None) -> ImputationResult:
     if C < 2:
         raise TooFewColumns(f"need at least 2 columns, got {C}")
     Zs, scales = robust_standardize(Z)
-    corr = robust_partner_correlations(Zs, cfg.trim)
-    flags = np.zeros((n, C), dtype=bool)
-    marginal = np.zeros(C, dtype=bool)
-    Z_imp = Z.copy()
+    index, value = partner_table(Zs, cfg)
     usable = np.abs(Zs) > cfg.ratio_floor
-    has_usable = usable.any(axis=0)
-    for j in range(C):
-        c = corr[j].copy()
-        c[j] = 0.0
-        cand = np.flatnonzero(np.abs(c) >= cfg.min_abs_corr)
-        order = cand[np.argsort(-np.abs(c[cand]), kind="stable")]
-        partners = order[: cfg.k_neighbors]
-        partners = partners[has_usable[partners]]
-        slopes = median_ratio_slopes(Zs[:, j], Zs[:, partners],
-                                     usable[:, partners])
-        pred = np.zeros(n)
-        wsum = 0.0
-        for h, slope in zip(partners, slopes):
-            w = abs(c[h])
-            pred += w * slope * Zs[:, h]
-            wsum += w
-        # no usable partner: zhat stays 0, i.e. marginal detection only
-        marginal[j] = wsum == 0.0
-        zhat = pred if marginal[j] else pred / wsum
-        resid = Zs[:, j] - zhat
-        flagged = np.abs(resid) > cfg.flag_cutoff
-        if flagged.any():
-            flags[flagged, j] = True
-            Z_imp[flagged, j] = zhat[flagged] * scales.scale[j] + scales.location[j]
+    valid = index >= 0
+    valid[valid] = usable.any(axis=0)[index[valid]]
+    pred = np.zeros((n, C))
+    wsum = np.zeros(C)
+    for r in range(index.shape[1]):
+        cols = np.flatnonzero(valid[:, r])
+        if not cols.size:
+            continue
+        h = index[cols, r]
+        w = np.abs(value[cols, r])
+        Zh = Zs[:, h]
+        slopes = median_ratio_slopes(Zs[:, cols], Zh, usable[:, h])
+        Zh *= w * slopes
+        pred[:, cols] += Zh
+        wsum[cols] += w
+    # no usable partner: zhat stays 0, i.e. marginal detection only
+    marginal = wsum == 0.0
+    zhat = np.divide(pred, wsum, out=pred, where=~marginal)
+    flags = np.abs(Zs - zhat) > cfg.flag_cutoff
+    # zhat's buffer becomes Z_imp: the destandardized prediction where a
+    # cell is flagged, the input bits elsewhere
+    zhat *= scales.scale
+    zhat += scales.location
+    Z_imp = zhat
+    np.copyto(Z_imp, Z, where=~flags)
     return ImputationResult(Z_imp=Z_imp, flags=flags, scales=scales,
                             marginal=marginal)
 
@@ -382,12 +555,12 @@ def ddc_impute(Z: np.ndarray, cfg: DdcConfig | None = None) -> ImputationResult:
 def correlation_structure(imp: ImputationResult) -> CorrelationStructure:
     """Sample correlations of the imputed matrix.
 
-    Returns the p x p predictor correlation matrix and the p-vector of
-    predictor-response correlations. The matrix is a Gram matrix of
-    centered, normalized columns and therefore positive semi-definite.
-    ``R_X`` and ``r_y`` are views of the one ``(p+1, p+1)`` Gram matrix
-    ``U.T @ U``, clipped to [-1, 1] and given a unit ``R_X`` diagonal in
-    place, so no second C x C array is made.
+    Prepares ``U``, the centered, unit-norm columns of ``imp.Z_imp``, and
+    the p-vector ``r_y`` of predictor-response correlations. The p x p
+    predictor correlation matrix is the Gram matrix of U's predictor
+    columns, and therefore positive semi-definite; the returned
+    :class:`CorrelationStructure` hands out its columns on demand, so no
+    C x C array is made.
 
     Raises
     ------
@@ -395,17 +568,12 @@ def correlation_structure(imp: ImputationResult) -> CorrelationStructure:
         If any imputed column has zero variance.
     """
     # no sum of squares overflows, or underflows to zero, at any scale
-    centered = prepare_design(imp.Z_imp, intercept=True)[0]
-    norms = np.sqrt((centered**2).sum(axis=0))
+    U = prepare_design(imp.Z_imp, intercept=True)[0]
+    norms = np.sqrt((U**2).sum(axis=0))
     bad = np.flatnonzero(norms <= 0)
     if bad.size:
         raise DegenerateColumn(int(bad[0]))
-    U = centered / norms
-    R_full = U.T @ U
-    R_X = R_full[1:, 1:]
-    r_y = R_full[1:, 0]
-    np.clip(R_X, -1.0, 1.0, out=R_X)
+    U /= norms
+    r_y = (U[:, 1:] * U[:, :1]).sum(axis=0)
     np.clip(r_y, -1.0, 1.0, out=r_y)
-    np.fill_diagonal(R_X, 1.0)
-    return CorrelationStructure(R_X=R_X, r_y=r_y)
-
+    return CorrelationStructure(U=U, r_y=r_y)

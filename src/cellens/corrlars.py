@@ -9,6 +9,12 @@ sub-model of the ensemble keeps one such path state and asks
 :func:`propose` for its next candidate; :func:`apply_step` advances the
 state once an arbiter accepts the move.
 
+The engine reads ``R_X`` only through the columns of active predictors,
+by ``corr.columns(idx)`` (``R_X[:, idx]``, shape (p, len(idx))). A fit
+passes its :class:`~cellens.cellwise.CorrelationStructure`, which forms
+those columns on demand; a dense matrix is wrapped in
+:class:`DenseCorrelation`.
+
 State conventions
 -----------------
 ``corr_state`` holds the current residual correlation for every
@@ -81,24 +87,25 @@ class LarsProposal:
     a_active: float
 
 
-def equiangular_geometry(R_X: np.ndarray, state: SubModelState):
-    """Normalization ``a_k`` and weights ``w_k`` of the equiangular direction.
+@dataclass
+class DenseCorrelation:
+    """A dense p x p ``R_X`` behind the engine's column accessor.
 
-    With ``A = D R_S D`` (signed active correlation submatrix),
-    ``a_k = (1' A^-1 1)^(-1/2)`` and ``w_k = a_k * A^-1 1``.
-
-    Raises
-    ------
-    NotPositiveDefinite
-        If the signed submatrix is not positive definite, i.e. the active
-        predictors are exactly collinear.
+    For oracles, tests and examples that hold the whole matrix; a fit
+    reads a :class:`~cellens.cellwise.CorrelationStructure` instead.
     """
-    if not state.active:
-        raise InvariantViolation("equiangular geometry needs a nonempty active set")
-    s = np.asarray(state.signs, dtype=float)
-    sub = R_X[np.ix_(state.active, state.active)]
+
+    R_X: np.ndarray
+
+    def columns(self, idx) -> np.ndarray:
+        return self.R_X[:, list(idx)]
+
+
+def _geometry(sub: np.ndarray, signs):
+    """``(a_k, w_k)`` from the active submatrix ``sub`` and the signs."""
+    s = np.asarray(signs, dtype=float)
     A = sub * np.outer(s, s)
-    ones = np.ones(len(state.active))
+    ones = np.ones(len(s))
     u = solve_spd(A, ones)
     total = float(ones @ u)
     if total <= 0:
@@ -108,13 +115,34 @@ def equiangular_geometry(R_X: np.ndarray, state: SubModelState):
     return a_k, w_k
 
 
-def propose(R_X: np.ndarray, state: SubModelState,
+def equiangular_geometry(corr, state: SubModelState):
+    """Normalization ``a_k`` and weights ``w_k`` of the equiangular direction.
+
+    With ``A = D R_S D`` (signed active correlation submatrix, read from
+    ``corr.columns(state.active)``), ``a_k = (1' A^-1 1)^(-1/2)`` and
+    ``w_k = a_k * A^-1 1``.
+
+    Raises
+    ------
+    NotPositiveDefinite
+        If the signed submatrix is not positive definite, i.e. the active
+        predictors are exactly collinear.
+    """
+    if not state.active:
+        raise InvariantViolation("equiangular geometry needs a nonempty active set")
+    return _geometry(corr.columns(state.active)[state.active], state.signs)
+
+
+def propose(corr, state: SubModelState,
             available: np.ndarray) -> LarsProposal:
     """Find the next predictor to join this sub-model's path.
 
     Parameters
     ----------
-    R_X : ndarray of shape (p, p)
+    corr : CorrelationStructure or DenseCorrelation
+        The predictor correlations, read only as ``corr.columns(idx)``:
+        the candidate's column on a first step, the active set's columns
+        after.
     state : SubModelState
     available : integer ndarray of candidate predictor indices in
         ascending order, disjoint from every active set; ascending order
@@ -139,13 +167,14 @@ def propose(R_X: np.ndarray, state: SubModelState,
     if not state.active:
         j_star = int(available[np.argmax(np.abs(r[available]))])
         sign = 1.0 if r[j_star] >= 0 else -1.0
-        inner = sign * R_X[:, j_star]
+        inner = sign * corr.columns([j_star])[:, 0]
         return LarsProposal(candidate=j_star, step=float(abs(r[j_star])),
                             inner=inner, entry_sign=sign, a_active=1.0)
-    a_k, w_k = equiangular_geometry(R_X, state)
+    cols = corr.columns(state.active)
+    a_k, w_k = _geometry(cols[state.active], state.signs)
     s = np.asarray(state.signs, dtype=float)
     r_avail = r[available]
-    inner = (R_X[:, state.active] * s) @ w_k
+    inner = (cols * s) @ w_k
     a_vec = inner[available]
     level = state.active_level
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -208,7 +237,8 @@ def apply_step(state: SubModelState, prop: LarsProposal,
 
 
 def greedy_path(R_X: np.ndarray, r_y: np.ndarray, steps: int):
-    """Trace a single unconditionally-accepted path; test/diagnostic hook.
+    """Trace a single unconditionally-accepted path on a dense ``R_X``;
+    test/diagnostic hook.
 
     Returns
     -------
@@ -216,13 +246,14 @@ def greedy_path(R_X: np.ndarray, r_y: np.ndarray, steps: int):
         ``states[t]`` is the state after the t-th accepted entry.
     """
     p = len(r_y)
+    corr = DenseCorrelation(np.asarray(R_X, dtype=float))
     state = SubModelState.initial(r_y)
     available = np.arange(p)
     order: list[int] = []
     sizes: list[float] = []
     states: list[SubModelState] = []
     for _ in range(min(steps, p)):
-        prop = propose(R_X, state, available)
+        prop = propose(corr, state, available)
         if prop.candidate is None:
             break
         state = apply_step(state, prop, available)

@@ -22,7 +22,9 @@ selftest
     ``cellens`` logger; the command line prints it and exits nonzero on
     failure.
 
-Exit codes: 0 success, 1 config error, 2 runtime error, 3 selftest failure.
+Exit codes: 0 success, 1 config error (a results path that cannot be
+written is one), 2 runtime error, 3 selftest failure. The results CSV
+replaces its path only once every replication has run.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import sys
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields, replace
 from itertools import repeat
 from pathlib import Path
@@ -367,15 +369,46 @@ def run_experiment(cfg: ExperimentConfig) -> str:
         return spec["out"]
 
     out = Path(cfg.output_path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    # every replication runs before the file is opened, so a failing one
-    # leaves an earlier file at the path as it was
-    rows = _run_grid(cfg, _grid_cells(cfg))
-    with open(out, "w", newline="") as fh:
+    with _replacing(out) as fh:
+        rows = _run_grid(cfg, _grid_cells(cfg))
         writer = csv.writer(fh)
         writer.writerow(RESULT_COLUMNS)
         writer.writerows(rows)
     return str(out)
+
+
+@contextmanager
+def _replacing(path: Path):
+    """Yield a new text file next to ``path`` that replaces it on success.
+
+    The file is created before the block runs, so a path that cannot be
+    written fails before any replication; if the block raises, the file is
+    removed and an earlier file at ``path`` is left as it was.
+
+    Raises
+    ------
+    InvalidConfig
+        Naming ``path``, when the file cannot be created or moved there.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fh = open(tmp, "w", newline="")
+    except OSError as exc:
+        raise InvalidConfig(f"cannot write results to {path} ({exc})") from None
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        with suppress(OSError):
+            tmp.unlink()
+        raise
+    try:
+        os.replace(tmp, path)
+    except OSError as exc:
+        with suppress(OSError):
+            tmp.unlink()
+        raise InvalidConfig(f"cannot write results to {path} ({exc})") from None
 
 
 def fit_csv(data_path: str, sel: SelectionConfig, model_out: str) -> str:
@@ -507,6 +540,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         with _printed_log():
             path = run_experiment(cfg)
+    except InvalidConfig as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     except CellensError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, SelftestFailed) else 2

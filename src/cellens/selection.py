@@ -156,6 +156,15 @@ def cv_error(imp: ImputationResult, subset, folds: np.ndarray,
     InvalidConfig
         If the subset is too large for the smallest training fold.
     """
+    err, e = _prepared_cv_error(imp, subset, folds, intercept)
+    return float(np.ldexp(err, 2 * e))
+
+
+def _prepared_cv_error(imp: ImputationResult, subset, folds: np.ndarray,
+                       intercept: bool) -> tuple[float, int]:
+    """:func:`cv_error` in units of the prepared ``y``: returns the error
+    and the exponent ``e`` of ``y``'s power-of-two scale, so that the error
+    in units of y² is ``2**(2 e)`` times it, exactly."""
     subset = list(subset)
     n = imp.Z_imp.shape[0]
     v = int(folds.max()) + 1
@@ -179,7 +188,7 @@ def cv_error(imp: ImputationResult, subset, folds: np.ndarray,
             raise RankDeficient(str(exc)) from exc
         # row i is predicted by the fit that held out its fold
         pred = (X @ coef.T)[np.arange(n), folds]
-    return float(np.ldexp(((y - pred) ** 2).sum() / n, 2 * e[0]))
+    return float(((y - pred) ** 2).sum() / n), int(e[0])
 
 
 def run_selection(structure: CorrelationStructure, imp: ImputationResult,
@@ -197,16 +206,17 @@ def run_selection(structure: CorrelationStructure, imp: ImputationResult,
     sits out for the rest of the run: none of these depend on the pool,
     and a model that makes no proposal cannot win and change its state.
 
-    Scores and every decision (best benefit, ties, ``tau``) use ``y``
-    scaled by its ``prepare_design`` power of two, so no square of ``y``
-    overflows or underflows; ``Proposal.benefit`` and ``cv_new`` are exact
-    in units of y² (inf only beyond the float range).
+    Scores and every decision (best benefit, ties, ``tau``) are in units
+    of the prepared ``y`` (``y`` scaled by its ``prepare_design`` power of
+    two), so no square of ``y`` overflows or underflows; ``Proposal.benefit``
+    and ``cv_new`` are exact in units of y² (inf only beyond the float
+    range).
 
     Parameters
     ----------
     structure : CorrelationStructure
-        Predictor correlations and response correlations feeding the
-        path engines.
+        Response correlations and the predictor correlation columns the
+        path engines read.
     imp : ImputationResult
         Cleaned data for the cross-validation arbiter.
     cfg : SelectionConfig
@@ -226,8 +236,8 @@ def run_selection(structure: CorrelationStructure, imp: ImputationResult,
     p = len(structure.r_y)
     n = imp.Z_imp.shape[0]
     cfg.validate(n, p)
-    if structure.R_X.shape != (p, p):
-        raise InvalidConfig("R_X and r_y disagree on p")
+    if structure.U.shape[1] != p + 1:
+        raise InvalidConfig("correlation columns and r_y disagree on p")
     if imp.X_imp.shape[1] != p:
         raise InvalidConfig("imputed data and correlations disagree on p")
     max_vars = cfg.resolved_max_vars(n, p)
@@ -235,36 +245,33 @@ def run_selection(structure: CorrelationStructure, imp: ImputationResult,
     folds = fold_assignment(n, cfg.cv_folds, rng)
     min_train = n - max(np.bincount(folds, minlength=cfg.cv_folds))
 
-    e_y = prepare_design(imp.Z_imp[:, :1], cfg.intercept)[2][0]
-    scaled = replace(imp, Z_imp=np.column_stack([np.ldexp(imp.y_imp, -e_y),
-                                                 imp.X_imp]))
     states = [corrlars.SubModelState.initial(structure.r_y) for _ in range(cfg.K)]
     available = np.arange(p)
-    empty_cv = cv_error(scaled, [], folds, cfg.intercept)
+    empty_cv, e_y = _prepared_cv_error(imp, [], folds, cfg.intercept)
     if not np.isfinite(empty_cv):
         raise InvariantViolation(
             f"cross-validation error of the empty model is {empty_cv}: the "
             f"response y holds a non-finite cell"
         )
-    current_cv = [empty_cv] * cfg.K  # each model's scaled error
+    current_cv = [empty_cv] * cfg.K  # each model's prepared-units error
     trace: list[CompetitionRecord] = []
 
     def fresh_move(k: int) -> Optional[tuple[Proposal, float, float]]:
-        """Model k's move on the current pool, with its scaled gain and
-        error; None when it sits out."""
+        """Model k's move on the current pool, with its gain and error in
+        prepared units; None when it sits out."""
         # A model at fold-training capacity stops proposing; the rest
         # keep competing.
         if len(states[k].active) + 1 + int(cfg.intercept) >= min_train:
             return None
         try:
-            prop = corrlars.propose(structure.R_X, states[k], available)
+            prop = corrlars.propose(structure, states[k], available)
         except NotPositiveDefinite:
             return None
         if prop.candidate is None:
             return None
         try:
-            new_cv = cv_error(scaled, states[k].active + [prop.candidate],
-                              folds, cfg.intercept)
+            new_cv = _prepared_cv_error(imp, states[k].active + [prop.candidate],
+                                        folds, cfg.intercept)[0]
         except RankDeficient:
             new_cv = np.inf
             gain = -np.inf

@@ -174,6 +174,20 @@ def check_intercept_invariance(n_runs: int = 20, n: int = 50,
     return failures
 
 
+class _PerturbedStructure(CorrelationStructure):
+    """A correlation structure whose ``R_X`` column ``j`` is the base
+    structure's plus ``noise[:, j]``: every entry the engine reads is
+    perturbed."""
+
+    def __init__(self, base: CorrelationStructure, noise: np.ndarray,
+                 r_y: np.ndarray):
+        super().__init__(U=base.U, r_y=r_y)
+        self._noise = noise
+
+    def _column(self, j: int) -> np.ndarray:
+        return super()._column(j) + self._noise[:, j]
+
+
 def check_local_stability(n_runs: int = 20, n: int = 50, p: int = 80,
                           eps: float = 1e-9) -> list[str]:
     """Entrywise perturbations of the cleaned inputs must not move any decision."""
@@ -186,10 +200,9 @@ def check_local_stability(n_runs: int = 20, n: int = 50, p: int = 80,
         res1 = run_selection(structure, imp, cfg)
 
         rng = make_rng(split_seed(1111, run))
-        pert = CorrelationStructure(
-            R_X=structure.R_X + rng.uniform(-eps, eps, structure.R_X.shape),
-            r_y=structure.r_y + rng.uniform(-eps, eps, structure.r_y.shape),
-        )
+        pert = _PerturbedStructure(
+            structure, rng.uniform(-eps, eps, (p, p)),
+            structure.r_y + rng.uniform(-eps, eps, structure.r_y.shape))
         imp2 = type(imp)(
             Z_imp=imp.Z_imp + rng.uniform(-eps, eps, imp.Z_imp.shape),
             flags=imp.flags.copy(),

@@ -1,6 +1,7 @@
 import hashlib
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
 
@@ -14,7 +15,7 @@ from cellens import (ContaminationSpec, DdcConfig, DegenerateColumn,
                      make_rng, robust_standardize)
 from cellens import cellwise
 from cellens.cellwise import (FLAG_CUTOFF, median_ratio_slopes,
-                              robust_partner_correlations)
+                              partner_table, robust_partner_correlations)
 from cellens.pipeline import passthrough_imputation
 from cellens.reference import pearson_matrix, trimmed_correlation_pair
 
@@ -142,10 +143,11 @@ def test_correlation_structure_examples():
     Z = np.column_stack([y, X])
     imp = ddc_impute(Z)
     structure = correlation_structure(imp)
-    assert structure.R_X[0, 9] == 1.0
+    R_X = structure.dense()
+    assert R_X[0, 9] == 1.0
     assert structure.r_y[0] == 1.0
     structure.validate()
-    assert np.min(np.linalg.eigvalsh(structure.R_X)) >= -1e-8
+    assert np.min(np.linalg.eigvalsh(R_X)) >= -1e-8
 
 
 @pytest.mark.parametrize("exponent", [700, -700])
@@ -159,7 +161,7 @@ def test_correlation_structure_bits_survive_power_of_two_scaling(exponent):
         Zs = Z.copy()
         Zs[:, j] *= 2.0 ** exponent
         scaled = correlation_structure(passthrough_imputation(Zs))
-        assert scaled.R_X.tobytes() == base.R_X.tobytes()
+        assert scaled.dense().tobytes() == base.dense().tobytes()
         assert scaled.r_y.tobytes() == base.r_y.tobytes()
 
 
@@ -169,7 +171,7 @@ def test_correlation_matches_pearson_oracle():
     imp = ddc_impute(Z)
     structure = correlation_structure(imp)
     ref = pearson_matrix(imp.Z_imp[:, 1:])
-    assert np.max(np.abs(structure.R_X - ref)) < 1e-12
+    assert np.max(np.abs(structure.dense() - ref)) < 1e-12
 
 
 def test_correlation_sign_flip_rule():
@@ -182,7 +184,8 @@ def test_correlation_sign_flip_rule():
     imp2 = ddc_impute(Z * c + a)
     s2 = correlation_structure(imp2)
     signs = np.sign(c[1:])
-    assert np.allclose(s2.R_X, s1.R_X * np.outer(signs, signs), atol=1e-10)
+    assert np.allclose(s2.dense(), s1.dense() * np.outer(signs, signs),
+                       atol=1e-10)
     assert np.allclose(s2.r_y, s1.r_y * np.sign(c[0]) * signs, atol=1e-10)
 
 
@@ -398,7 +401,11 @@ def test_partner_kept_count_with_tied_magnitudes():
     keep = n - int(np.floor(0.1 * n))
     t2 = cellwise._trimmed_second_moments(Zs, 0.1)
     corr = np.empty((C, C))
-    cellwise._fill_partner_blocks(Zs, t2, keep, corr,
+
+    def emit(j, a, row):
+        corr[j, a:] = row
+
+    cellwise._fill_partner_blocks(Zs, t2, keep, emit,
                                   iter([(j, j, C) for j in range(C)]), C)
     straddled = 0
     for j in range(C):
@@ -411,6 +418,79 @@ def test_partner_kept_count_with_tied_magnitudes():
         row /= np.sqrt(t2[j] * t2[lo:])
         assert corr[j, j:].tobytes() == row[j - lo:].tobytes()
     assert straddled > 0  # ties at the threshold cross the keep boundary
+
+
+def dense_partner_rule(corr, cfg):
+    """Each row's ``k_neighbors`` largest off-diagonal ``|corr|`` at or above
+    ``min_abs_corr``, ties to the lowest index, read from the dense matrix."""
+    C = len(corr)
+    k = min(cfg.k_neighbors, C - 1)
+    index = np.full((C, k), -1)
+    value = np.full((C, k), np.nan)
+    for j in range(C):
+        cand = np.flatnonzero(np.abs(corr[j]) >= cfg.min_abs_corr)
+        cand = cand[cand != j]
+        top = cand[np.argsort(-np.abs(corr[j, cand]), kind="stable")][:k]
+        index[j, :top.size] = top
+        value[j, :top.size] = corr[j, top]
+    return index, value
+
+
+@pytest.mark.parametrize("n, C, k, min_abs_corr, cpus", [
+    (40, 60, 15, 0.5, 1), (40, 60, 4, 0.5, 3), (40, 60, 6, 0.0, 2),
+    (40, 60, 10**9, 0.0, 2),
+    (100, 420, 15, 0.5, 2), (100, 420, 3, 0.3, 8)])
+def test_partner_table_matches_dense_rule(monkeypatch, n, C, k, min_abs_corr,
+                                          cpus):
+    # columns 3, 7 and 50 are duplicates, so every column sees their |corr|
+    # tied bit for bit and must rank them 3, 7, 50; many threads switching
+    # often, and merges a few rows at a time, must not change a bit
+    Z = block_factor_matrix(41, n, C)
+    Z[:, 7] = Z[:, 50] = Z[:, 3]
+    Zs, _ = robust_standardize(Z)
+    cfg = DdcConfig(k_neighbors=k, min_abs_corr=min_abs_corr)
+    corr = robust_partner_correlations(Zs, cfg.trim)
+    want_index, want_value = dense_partner_rule(corr, cfg)
+    assert np.array_equal(corr[3], corr[7]) and np.array_equal(corr[3], corr[50])
+    # rows that hold two or more of the tied columns
+    tied = [j for j in range(C) if len({3, 7, 50} & set(want_index[j])) > 1]
+    assert tied
+    monkeypatch.setattr(cellwise, "_available_cpus", lambda: cpus)
+    monkeypatch.setattr(cellwise, "PARTNER_PARALLEL_PRODUCTS", 0)
+    monkeypatch.setattr(cellwise, "PARTNER_MERGE_SLOTS", 5 * min(k, C))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        index, value = partner_table(Zs, cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(index, want_index)
+    assert value.tobytes() == want_value.tobytes()
+    for j in tied:
+        row = list(index[j])
+        held = [h for h in row if h in (3, 7, 50)]
+        assert held == [h for h in (3, 7, 50) if h != j][:len(held)]
+        assert np.diff([row.index(h) for h in held]).tolist() == [1] * (len(held) - 1)
+
+
+def test_ddc_impute_memory_is_linear_in_columns():
+    # one factor: every pair is a partner, so a table that kept what it is
+    # offered would grow with C**2; a dense C x C matrix alone is 4 times
+    # the bound
+    rng = np.random.default_rng(43)
+    n, C = 30, 1500
+    Z = 0.95 * rng.standard_normal((n, 1)) + 0.3 * rng.standard_normal((n, C))
+    ddc_impute(Z[:, :20])  # first-call allocations
+    tracemalloc.start()
+    try:
+        imp = ddc_impute(Z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not imp.marginal.any()
+    corr = robust_partner_correlations(robust_standardize(Z)[0])
+    assert np.abs(corr).min() >= DdcConfig().min_abs_corr
+    assert peak < C * C * 8 / 4
 
 
 def test_partner_workers_rule(monkeypatch):
@@ -447,12 +527,20 @@ def test_partner_worker_error_reaches_the_caller(monkeypatch):
         robust_partner_correlations(Zs)
 
 
-def test_correlation_structure_shares_one_gram_matrix():
+def test_correlation_structure_columns_on_demand():
     imp = ddc_impute(correlated_matrix(25, n=40, p=9))
     structure = correlation_structure(imp)
-    assert structure.R_X.base is not None
-    assert structure.R_X.base is structure.r_y.base
-    assert np.array_equal(np.diag(structure.R_X), np.ones(8))
+    R_X = structure.dense()
+    assert np.array_equal(R_X, R_X.T)
+    assert np.array_equal(np.diag(R_X), np.ones(8))
     ref = pearson_matrix(imp.Z_imp)
-    assert np.max(np.abs(structure.R_X - ref[1:, 1:])) < 1e-12
+    assert np.max(np.abs(R_X - ref[1:, 1:])) < 1e-12
     assert np.max(np.abs(structure.r_y - ref[1:, 0])) < 1e-12
+    # each column is formed once, on request, with the bits of the dense form
+    assert structure._columns == {}
+    cols = structure.columns([5, 2])
+    assert sorted(structure._columns) == [2, 5]
+    assert cols.tobytes() == np.ascontiguousarray(R_X[:, [5, 2]]).tobytes()
+    first = structure._columns[5]
+    structure.columns([5])
+    assert structure._columns[5] is first

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from cellens import InvariantViolation, NotPositiveDefinite, make_rng
-from cellens.corrlars import (SubModelState, apply_step, equiangular_geometry,
-                              greedy_path, propose)
+from cellens.corrlars import (DenseCorrelation, SubModelState, apply_step,
+                              equiangular_geometry, greedy_path, propose)
 from cellens.reference import classical_lars_path, standardize_columns
 
 
@@ -30,7 +30,7 @@ def standardized_problem(seed, n=60, p=10, nact=4):
 def test_geometry_single_variable():
     R = np.eye(3)
     st = make_state([0.5, 0.2, 0.1], active=[0], signs=[1.0], level=0.5)
-    a_k, w_k = equiangular_geometry(R, st)
+    a_k, w_k = equiangular_geometry(DenseCorrelation(R), st)
     assert a_k == pytest.approx(1.0)
     assert np.allclose(w_k, [1.0])
 
@@ -38,7 +38,7 @@ def test_geometry_single_variable():
 def test_geometry_two_variable_closed_form():
     R = np.array([[1.0, 0.5], [0.5, 1.0]])
     st = make_state([0.5, 0.5], active=[0, 1], signs=[1.0, 1.0], level=0.5)
-    a_k, w_k = equiangular_geometry(R, st)
+    a_k, w_k = equiangular_geometry(DenseCorrelation(R), st)
     assert a_k == pytest.approx((2 / 1.5) ** -0.5, abs=1e-10)
     assert np.allclose(w_k, [0.57735, 0.57735], atol=1e-5)
 
@@ -48,8 +48,8 @@ def test_geometry_sign_conjugation():
     R2 = np.array([[1.0, -0.5], [-0.5, 1.0]])
     st1 = make_state([0.5, -0.5], active=[0, 1], signs=[1.0, -1.0], level=0.5)
     st2 = make_state([0.5, 0.5], active=[0, 1], signs=[1.0, 1.0], level=0.5)
-    a1, w1 = equiangular_geometry(R1, st1)
-    a2, w2 = equiangular_geometry(R2, st2)
+    a1, w1 = equiangular_geometry(DenseCorrelation(R1), st1)
+    a2, w2 = equiangular_geometry(DenseCorrelation(R2), st2)
     assert a1 == pytest.approx(a2, abs=1e-12)
     assert np.allclose(w1, w2, atol=1e-12)
 
@@ -58,13 +58,13 @@ def test_geometry_rejects_collinear():
     R = np.array([[1.0, 1.0], [1.0, 1.0]])
     st = make_state([0.5, 0.5], active=[0, 1], signs=[1.0, 1.0], level=0.5)
     with pytest.raises(NotPositiveDefinite):
-        equiangular_geometry(R, st)
+        equiangular_geometry(DenseCorrelation(R), st)
 
 
 def test_propose_empty_active():
     R = np.eye(3)
     st = make_state([0.9, -0.5, 0.3])
-    prop = propose(R, st, [0, 1, 2])
+    prop = propose(DenseCorrelation(R), st, [0, 1, 2])
     assert prop.candidate == 0
     assert prop.step == pytest.approx(0.9)
     assert prop.entry_sign == 1.0
@@ -79,11 +79,11 @@ def test_propose_matches_oracle_second_entry():
         R = X.T @ X
         r = X.T @ y
         st = SubModelState.initial(r)
-        first = propose(R, st, list(range(X.shape[1])))
+        first = propose(DenseCorrelation(R), st, list(range(X.shape[1])))
         assert first.candidate == oracle.entry_order[0]
         st = apply_step(st, first, list(range(X.shape[1])))
         avail = [j for j in range(X.shape[1]) if j != first.candidate]
-        second = propose(R, st, avail)
+        second = propose(DenseCorrelation(R), st, avail)
         assert second.candidate == oracle.entry_order[1]
         assert second.step == pytest.approx(oracle.step_sizes[1], abs=1e-8)
 
@@ -96,9 +96,9 @@ def test_nonpositive_denominator_branch_is_infinite():
     R = np.array([[1.0, 0.0, c], [0.0, 1.0, c], [c, c, 1.0]])
     assert np.min(np.linalg.eigvalsh(R)) > 0
     st = make_state([0.5, 0.5, 0.4], active=[0, 1], signs=[1.0, 1.0], level=0.5)
-    a_k, w_k = equiangular_geometry(R, st)
+    a_k, w_k = equiangular_geometry(DenseCorrelation(R), st)
     assert a_k == pytest.approx(1 / np.sqrt(2.0), abs=1e-12)
-    prop = propose(R, st, [2])
+    prop = propose(DenseCorrelation(R), st, [2])
     a_j = prop.inner[2]
     assert a_j == pytest.approx(0.9, abs=1e-12)
     assert a_j > a_k  # gamma+ denominator is negative
@@ -112,7 +112,7 @@ def test_gamma_branch_tie_takes_positive_side():
     # both branches equal: the entry sign defaults to +1 (gamma+ branch)
     R = np.array([[1.0, 0.9], [0.9, 1.0]])
     st = make_state([0.5, 0.45], active=[0], signs=[1.0], level=0.5)
-    prop = propose(R, st, [1])
+    prop = propose(DenseCorrelation(R), st, [1])
     assert prop.step == pytest.approx(0.5, abs=1e-12)
     assert prop.entry_sign == 1.0
 
@@ -120,7 +120,7 @@ def test_gamma_branch_tie_takes_positive_side():
 def test_apply_step_first_entry_zero_move():
     R = np.array([[1.0, 0.5], [0.5, 1.0]])
     st = make_state([0.9, 0.45])
-    prop = propose(R, st, [0, 1])
+    prop = propose(DenseCorrelation(R), st, [0, 1])
     new = apply_step(st, prop, [0, 1])
     # first entry moves nothing: correlations intact, level set to entry
     assert np.allclose(new.corr_state, [0.9, 0.45])
@@ -132,7 +132,7 @@ def test_apply_step_first_entry_zero_move():
 def test_apply_step_zero_gamma():
     R = np.array([[1.0, 0.2], [0.2, 1.0]])
     st = make_state([0.5, 0.5], active=[0], signs=[1.0], level=0.5)
-    prop = propose(R, st, [1])
+    prop = propose(DenseCorrelation(R), st, [1])
     assert prop.step == pytest.approx(0.0, abs=1e-12)
     new = apply_step(st, prop, [1])
     assert np.allclose(new.corr_state, st.corr_state, atol=1e-12)
@@ -177,10 +177,10 @@ def test_sign_flip_covariance():
     r = X.T @ y
     st = SubModelState.initial(r)
     avail = list(range(8))
-    first = propose(R, st, avail)
+    first = propose(DenseCorrelation(R), st, avail)
     st = apply_step(st, first, avail)
     avail.remove(first.candidate)
-    base = propose(R, st, avail)
+    base = propose(DenseCorrelation(R), st, avail)
     j = base.candidate
     # flip column j in R and r
     R2 = R.copy()
@@ -190,10 +190,10 @@ def test_sign_flip_covariance():
     r2 = r.copy()
     r2[j] *= -1
     st2 = SubModelState.initial(r2)
-    first2 = propose(R2, st2, list(range(8)))
+    first2 = propose(DenseCorrelation(R2), st2, list(range(8)))
     assert first2.candidate == first.candidate
     st2 = apply_step(st2, first2, list(range(8)))
-    flip = propose(R2, st2, avail)
+    flip = propose(DenseCorrelation(R2), st2, avail)
     assert flip.candidate == base.candidate
     assert flip.step == pytest.approx(base.step, abs=1e-12)
     assert flip.entry_sign == -base.entry_sign
@@ -205,14 +205,14 @@ def test_a_active_in_unit_interval():
         R = X.T @ X
         order, sizes, states = greedy_path(R, X.T @ y, 6)
         for state in states[1:]:
-            a_k, _ = equiangular_geometry(R, state)
+            a_k, _ = equiangular_geometry(DenseCorrelation(R), state)
             assert 0 < a_k <= 1 + 1e-12
 
 
 def test_apply_step_rejects_candidate_outside_pool():
     R = np.array([[1.0, 0.5], [0.5, 1.0]])
     st = make_state([0.9, 0.45])
-    prop = propose(R, st, np.array([0, 1]))
+    prop = propose(DenseCorrelation(R), st, np.array([0, 1]))
     assert prop.candidate == 0
     with pytest.raises(InvariantViolation, match="not in the available pool"):
         apply_step(st, prop, np.array([1]))
@@ -224,12 +224,12 @@ def test_inner_covers_all_predictors():
     st = SubModelState.initial(X.T @ y)
     pool = np.array([0, 2, 3, 5, 7])
     for _ in range(3):  # the first entry and two equiangular steps
-        prop = propose(R, st, pool)
+        prop = propose(DenseCorrelation(R), st, pool)
         assert prop.inner.shape == (8,)
         assert np.isfinite(prop.inner).all()
         # inner depends on the state only: a full-pool proposal has it too
         full_pool = np.setdiff1d(np.arange(8), st.active)
-        full = propose(R, st, full_pool)
+        full = propose(DenseCorrelation(R), st, full_pool)
         assert full.inner.tobytes() == prop.inner.tobytes()
         new = apply_step(st, prop, pool)
         # pool correlations drop by step * a_j; everything else outside the

@@ -404,6 +404,38 @@ def test_cli_runtime_error_exit_code(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == "error: replication failed\n"
     assert len(calls) == 2
     assert out.read_bytes() == earlier
+    assert sorted(os.listdir(tmp_path)) == ["config.json", "results.csv"]
+
+
+@pytest.mark.parametrize("out_name", ["a_file/x.csv", "a_dir"])
+def test_unwritable_results_path_exits_1_before_any_replication(
+        tmp_path, monkeypatch, capsys, out_name):
+    (tmp_path / "a_file").write_text("not a directory\n")
+    (tmp_path / "a_dir").mkdir()
+    calls = []
+    real = cellens.experiment.run_single
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cellens.experiment, "run_single", counting)
+    cfg = small_fit_config(tmp_path, reps=2)
+    out = tmp_path / out_name
+    assert main(["--config", str(cfg), "--out", str(out), "--threads", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write results to {out} (")
+    assert err.count("\n") == 1
+    # a path that cannot be created fails before any replication; one that
+    # cannot be replaced (a directory) after them
+    assert len(calls) == (0 if out_name == "a_file/x.csv" else 2)
+    assert sorted(os.listdir(tmp_path)) == ["a_dir", "a_file", "config.json"]
+    assert os.listdir(tmp_path / "a_dir") == []
+    # a writable path gets the rows and no leftover file
+    assert main(["--config", str(cfg), "--threads", "1"]) == 0
+    assert len(read_rows(tmp_path / "results.csv")) == 3
+    assert sorted(os.listdir(tmp_path)) == ["a_dir", "a_file", "config.json",
+                                            "results.csv"]
 
 
 def test_cli_threads_validation(tmp_path):

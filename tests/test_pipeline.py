@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from cellens import (InvalidConfig, NonFiniteValue, SelectionConfig,
-                     ShapeMismatch, fit_ensemble, make_rng)
+from cellens import (ContaminationSpec, InvalidConfig, NonFiniteValue,
+                     SelectionConfig, ShapeMismatch, SimConfig,
+                     block_covariance, contaminate, fit_ensemble,
+                     generate_clean, make_rng)
 
 
 def noisy_inputs(seed, n=40, p=30):
@@ -163,3 +167,23 @@ def test_extreme_response_scale_keeps_the_fit(intercept, factor):
             == [(f.converged, f.iterations) for f in base.model.fits])
     gap = np.max(np.abs(scaled.predict(X) / factor - base.predict(X)))
     assert gap <= 1e-12 * y.std()
+
+
+def test_wide_fit_holds_no_columns_squared_array():
+    # one (p+1) x (p+1) float array alone is 30.5 MiB at p = 2000; the
+    # fit's own arrays are a few n x (p+1) ones (1.5 MiB each)
+    sim = SimConfig(n=100, p=2000, sparsity=50, snr=1.0, block_size=25, seed=1)
+    obs = contaminate(generate_clean(sim),
+                      ContaminationSpec(scenario="MixtureCorrelation",
+                                        alpha=0.1, alpha2=0.05),
+                      block_covariance(sim), seed=2)
+    cfg = SelectionConfig(K=10, seed=3)
+    fit_ensemble(obs.y[:40], obs.X[:40, :50], cfg)  # first-call allocations
+    tracemalloc.start()
+    try:
+        fit = fit_ensemble(obs.y, obs.X, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, fit.model.sets)) >= 5
+    assert peak < 12 * 2**20

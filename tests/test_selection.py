@@ -140,13 +140,14 @@ def test_non_finite_cv_error_raises_invariant_violation(monkeypatch):
     imp = make_imp(y, X)
     structure = correlation_structure(imp)
     cfg = SelectionConfig(K=3, tau=0.01, cv_folds=5, seed=46)
-    cv = cellens.selection.cv_error
+    cv = cellens.selection._prepared_cv_error
 
     def nan_for_candidate(imp, subset, folds, intercept):
-        return np.nan if subset and subset[-1] == 2 else cv(imp, subset, folds,
-                                                             intercept)
+        err, e = cv(imp, subset, folds, intercept)
+        return (np.nan if subset and subset[-1] == 2 else err), e
 
-    monkeypatch.setattr(cellens.selection, "cv_error", nan_for_candidate)
+    monkeypatch.setattr(cellens.selection, "_prepared_cv_error",
+                        nan_for_candidate)
     with pytest.raises(InvariantViolation,
                        match=r"model \d: cross-validation error of candidate 2 "
                              r"is nan"):
@@ -329,7 +330,7 @@ def test_run_selection_rejects_inconsistent_inputs():
     y, X = signal_data(29, n=30, p=6)
     imp = make_imp(y, X)
     structure = correlation_structure(imp)
-    bad = type(structure)(R_X=structure.R_X[:5, :5], r_y=structure.r_y)
+    bad = type(structure)(U=structure.U[:, :6], r_y=structure.r_y)
     with pytest.raises(InvalidConfig):
         run_selection(bad, imp, SelectionConfig(K=2, cv_folds=5, seed=1))
 
@@ -397,12 +398,14 @@ def test_zero_max_vars_records_one_empty_round():
 def count_cv_calls(monkeypatch):
     """Subsets that ``run_selection`` scores, in call order."""
     calls = []
+    score = cellens.selection._prepared_cv_error
 
     def counting_cv_error(imp, subset, folds, intercept):
         calls.append(list(subset))
-        return cv_error(imp, subset, folds, intercept)
+        return score(imp, subset, folds, intercept)
 
-    monkeypatch.setattr(cellens.selection, "cv_error", counting_cv_error)
+    monkeypatch.setattr(cellens.selection, "_prepared_cv_error",
+                        counting_cv_error)
     return calls
 
 
@@ -471,7 +474,7 @@ def test_replayed_proposals_match_trace():
     for rec in res.trace:
         for pr in rec.proposals:
             k = pr.model
-            lars = propose(structure.R_X, states[k], available)
+            lars = propose(structure, states[k], available)
             assert lars.candidate == pr.candidate == pr.lars.candidate
             assert lars.step == pr.lars.step == pr.gamma
             assert lars.entry_sign == pr.lars.entry_sign
@@ -502,13 +505,13 @@ def test_inner_independent_of_rest_of_pool():
     p = 20
     y, X = signal_data(0, n=60, p=p, nact=10)
     structure = correlation_structure(make_imp(y, X))
-    _, _, states = greedy_path(structure.R_X, structure.r_y, 8)
+    _, _, states = greedy_path(structure.dense(), structure.r_y, 8)
     state = states[7]
     pool = np.setdiff1d(np.arange(p), state.active)
-    full = propose(structure.R_X, state, pool)
+    full = propose(structure, state, pool)
     for drop in pool[pool != full.candidate]:
         rest = pool[pool != drop]
-        part = propose(structure.R_X, state, rest)
+        part = propose(structure, state, rest)
         assert part.candidate == full.candidate
         assert part.step == full.step
         assert part.inner.tobytes() == full.inner.tobytes()

@@ -2,8 +2,9 @@
 
 Each check runs the same seeded work in two subprocesses and compares
 their output bytes. With ``OPENBLAS_NUM_THREADS=1`` and 2: the runner's
-CSV (without the timing column) on a replicated study, and digests of
-simulated data for every contamination scenario. With one CPU and with
+CSV (without the timing column) on a replicated study, digests of
+simulated data for every contamination scenario, and a p=1000 fit's
+correlation columns, selection and coefficients. With one CPU and with
 all of them: the cleaning stage of a ``wide``-shaped input, whose partner
 correlations run on every available CPU. And with the runner's
 ``threads`` at 1 and 2: a study above that stage's work cut, cleaned on
@@ -90,6 +91,32 @@ print(json.dumps({"digest": digest.hexdigest(),
                   "workers": _partner_workers(n, C)}))
 """
 
+# prints digests of a seeded n=100, p=1000 fit, drawn elementwise: every
+# predictor correlation column with r_y, the sets, the winner sequence
+# and the sub-models' coefficient bytes
+FIT_DIGEST = """
+import hashlib, json
+import numpy as np
+from cellens import SelectionConfig, fit_ensemble
+
+n, p = 100, 1000
+rng = np.random.default_rng(17)
+h = rng.standard_normal((n, p // 25))
+X = 0.75 * h[:, np.arange(p) // 25] + 0.5 * rng.standard_normal((n, p))
+y = 2.0 * X[:, 3] - 1.5 * X[:, 260] + X[:, 511] + rng.standard_normal(n)
+cells = rng.random((n, p)) < 0.05
+X[cells] += rng.choice([-1.0, 1.0], cells.sum()) * rng.uniform(4, 10, cells.sum())
+fit = fit_ensemble(y, X, SelectionConfig(K=5, tau=0.01, seed=18))
+columns = hashlib.sha256(fit.structure.dense().tobytes())
+columns.update(fit.structure.r_y.tobytes())
+coef = hashlib.sha256()
+for f in fit.model.fits:
+    coef.update(np.r_[f.coefficients, f.intercept, f.scale].tobytes())
+print(json.dumps({"columns": columns.hexdigest(), "sets": fit.model.sets,
+                  "winners": fit.selection.winner_sequence(),
+                  "coefficients": coef.hexdigest()}))
+"""
+
 # above the partner loop's work cut: n * (p + 1)**2 = 100 * 420**2
 WIDE_STUDY = dict(
     STUDY, replications=2,
@@ -138,6 +165,13 @@ def test_simulated_data_independent_of_blas_threads(outputs):
     _, digests_2 = outputs[2]
     assert len(digests_1) == 7
     assert digests_1 == digests_2
+
+
+def test_fit_independent_of_blas_threads(tmp_path):
+    one = json.loads(_run(["-c", FIT_DIGEST], 1, tmp_path))
+    two = json.loads(_run(["-c", FIT_DIGEST], 2, tmp_path))
+    assert len(one["winners"]) >= 3
+    assert one == two
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
