@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -205,6 +206,128 @@ def test_stacked_previews_match_serial_starts():
     # the singular start stays on the x = 0 rows: no weight ever reaches
     # x = 1, so its x coefficient is the min-norm zero
     assert abs(thetas[1, 1]) <= 1e-12
+
+
+def _ensemble_input(kind):
+    """Seeded (X, y) for the robust-stage digests.
+
+    ``mixed``: a 0/1 column (x1), whose two-row elemental subsets are
+    often singular, an integer column (x29) that ``y`` follows exactly on
+    24 of 40 rows, so its sub-models are exact fits (scale 0), and six
+    gross outliers. ``tied``: 21 of 40 responses exactly 0, so most fits
+    are exact and some M-stages stop on a rising objective.
+    """
+    n = 40
+    if kind == "tied":
+        rng = make_rng(41)
+        X = rng.standard_normal((n, 30))
+        y = X[:, :6] @ np.array([1.5, 8.0, -1.0, 0.5, 2.0, -0.7]) \
+            + rng.standard_normal(n)
+        y[: n // 2 + 1] = 0.0
+        return X, y
+    rng = make_rng(31)
+    X = rng.standard_normal((n, 30))
+    X[:, 1] = (np.arange(n) % 5 < 2).astype(float)
+    X[:, 29] = rng.integers(-3, 4, n)
+    y = X[:, :6] @ np.array([1.5, 8.0, -1.0, 0.5, 2.0, -0.7]) \
+        + rng.standard_normal(n)
+    y[rng.choice(n, 6, replace=False)] += rng.uniform(15, 30, 6)
+    y[:24] = 2.0 * X[:24, 29]
+    return X, y
+
+
+# column counts 0 to 7, two empty sets, the 0/1 column alone and with
+# others, the exact-fit column alone and with another
+ENSEMBLE_SETS = [[0, 2], [], [1, 3, 4, 5, 6, 7, 8], [29], [9], [10, 11, 12],
+                 [13, 14, 15, 16, 17, 18], [1], [19, 20, 21, 22], [],
+                 [23, 24, 25, 26, 27], [29, 28]]
+
+
+def _fits_digest(fits):
+    h = hashlib.sha256()
+    for f in fits:
+        h.update(np.ascontiguousarray(f.coefficients, dtype=float).tobytes())
+        h.update(np.array([f.intercept, f.scale]).tobytes())
+        h.update(np.array([f.converged, f.iterations], dtype=np.int64).tobytes())
+    return h.hexdigest()[:16]
+
+
+# (input, intercept, M_STAGE_MAX_ITER or None, digest)
+ENSEMBLE_CASES = [
+    ("mixed", True, None, "5402b5b768d7c1e2"),
+    ("mixed", False, None, "3ea0729a0c037c30"),
+    ("mixed", True, 25, "5a93d4ecff9c8362"),
+    ("tied", True, None, "a4ff49b4af322e4c"),
+    ("tied", False, None, "bf8d10a39733d654"),
+]
+
+
+@pytest.mark.parametrize("kind, intercept, cap, digest", ENSEMBLE_CASES)
+def test_fit_ensemble_models_seeded_digest(monkeypatch, kind, intercept, cap,
+                                           digest):
+    # digests of every sub-model's coefficients, intercept, scale,
+    # converged flag and iteration count, recorded from the implementation
+    # that fitted the sub-models one at a time
+    if cap is not None:
+        monkeypatch.setattr(robustfit, "M_STAGE_MAX_ITER", cap)
+    X, y = _ensemble_input(kind)
+    model = fit_ensemble_models(y, X, ENSEMBLE_SETS, intercept=intercept,
+                                seed=5)
+    assert _fits_digest(model.fits) == digest
+
+
+def test_seeded_digest_cases_cover_the_branches(monkeypatch):
+    # premises of the digest cases above
+    X, y = _ensemble_input("mixed")
+    sizes = {len(s) for s in ENSEMBLE_SETS}
+    assert sizes == set(range(8))
+    for intercept in (True, False):
+        fits = fit_ensemble_models(y, X, ENSEMBLE_SETS, intercept=intercept,
+                                   seed=5).fits
+        exact = [k for k, f in enumerate(fits) if f.scale == 0.0]
+        assert exact == [3, 11]
+        assert all(f.converged for f in fits)
+        # the 0/1 column's sub-model draws singular elemental subsets
+        k = ENSEMBLE_SETS.index([1])
+        rng = make_rng(5 + k)
+        draws = [X[rng.choice(len(y), size=1 + intercept, replace=False), 1]
+                 for _ in range(robustfit.N_ELEMENTAL_STARTS)]
+        assert any(np.ptp(d) == 0 if intercept else d[0] == 0 for d in draws)
+    monkeypatch.setattr(robustfit, "M_STAGE_MAX_ITER", 25)
+    fits = fit_ensemble_models(y, X, ENSEMBLE_SETS, seed=5).fits
+    assert [k for k, f in enumerate(fits) if not f.converged] == [6]
+    assert fits[6].iterations == 25
+    monkeypatch.undo()
+    X, y = _ensemble_input("tied")
+    fits = fit_ensemble_models(y, X, ENSEMBLE_SETS, seed=5).fits
+    stopped = [f for f in fits if not f.converged]
+    assert stopped and all(0 < f.iterations < 25 for f in stopped)
+    assert any(f.scale == 0.0 for f in fits)
+    assert any(f.converged and f.iterations > 0 for f in fits)
+
+
+@pytest.mark.parametrize("kind, intercept, cap",
+                         [c[:3] for c in ENSEMBLE_CASES] + [("zero-weights", True, None)])
+def test_stacked_fits_match_solo_mm_fit(monkeypatch, kind, intercept, cap):
+    # every sub-model of an ensemble is bit for bit its own mm_fit
+    if cap is not None:
+        monkeypatch.setattr(robustfit, "M_STAGE_MAX_ITER", cap)
+    if kind == "zero-weights":
+        # every residual lies beyond the M-stage's tuning constant, so
+        # every M-stage stops on vanishing weights in its first step
+        monkeypatch.setattr(robustfit, "C_EFFICIENCY", 1e-12)
+        kind = "mixed"
+    X, y = _ensemble_input(kind)
+    model = fit_ensemble_models(y, X, ENSEMBLE_SETS, intercept=intercept,
+                                seed=5)
+    for k, (subset, fit) in enumerate(zip(ENSEMBLE_SETS, model.fits)):
+        solo = mm_fit(X[:, subset], y, intercept=intercept, seed=5 + k)
+        assert np.array_equal(fit.coefficients, solo.coefficients)
+        assert (fit.intercept, fit.scale, fit.converged, fit.iterations) == \
+            (solo.intercept, solo.scale, solo.converged, solo.iterations)
+    if robustfit.C_EFFICIENCY < 1e-6:
+        assert all(f.iterations == 1 and not f.converged
+                   for f in model.fits if f.scale > 0)
 
 
 def test_bisquare_weight_accepts_scalars():
