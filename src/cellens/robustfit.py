@@ -127,7 +127,14 @@ def s_scale(residuals: np.ndarray, c0: float = C_BREAKDOWN,
 
 @dataclass
 class RobustFit:
-    """Fitted sub-model: coefficients over its own indices plus scale."""
+    """Fitted sub-model: coefficients over its own indices plus scale.
+
+    ``converged`` is False when the M-stage stopped for another reason
+    than convergence: its iteration cap, a step that would have raised its
+    objective, or weights that all vanished. ``iterations`` counts its
+    steps up to and including the one it stopped on (0 for an exact fit,
+    scale 0, or an empty design without an intercept).
+    """
 
     coefficients: np.ndarray
     intercept: float
@@ -149,45 +156,170 @@ class EnsembleModel:
 def _weighted_ls(D: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Weighted least squares of ``y`` on ``D`` for each row of weights.
 
-    ``w`` has shape (n,) or (m, n); the result has shape (c,) or (m, c).
-    Each weighted Gram is solved as normal equations, all rows in one
-    stacked call. A row whose weighted design is singular or nearly
-    collinear (least pivot ratio at most ``WLS_NORMAL_RATIO``) gets
-    ``lstsq``'s solution instead, the minimum-norm one when singular;
-    only those rows are solved one at a time.
+    ``w`` has shape (..., n) and the result (..., c). The design ``D``
+    (..., n, c) and the response ``y`` (..., n) broadcast against the
+    rows of ``w``: one design for every row, or one per sub-model. Each
+    weighted Gram is solved as normal equations, all rows in one stacked
+    call; a row gets the same bits as when solved alone. A row whose weighted
+    design is singular or nearly collinear (least pivot ratio at most
+    ``WLS_NORMAL_RATIO``) gets ``lstsq``'s solution instead, the
+    minimum-norm one when singular; only those rows are solved one at a
+    time.
     """
-    Dw = w[..., None, :] * D.T
+    # the weighted design transposed, each slice laid out in the order of
+    # the design's own (n, c) slices (row-major as (n, c), column-major as
+    # (c, n)), as numpy lays out ``w * D.T`` for one design
+    if D.strides[-2] < D.strides[-1]:
+        Dw = np.multiply(w[..., None, :], np.swapaxes(D, -1, -2), order="C")
+    else:
+        Dw = np.swapaxes(np.multiply(w[..., :, None], D, order="C"), -1, -2)
     G = Dw @ D
-    b = Dw @ y
+    b = (Dw @ y[..., None])[..., 0]
     normal = pivot_ratios(G).min(axis=-1) > WLS_NORMAL_RATIO
     if normal.all():
         return np.linalg.solve(G, b[..., None])[..., 0]
     theta = np.empty(b.shape)
     theta[normal] = np.linalg.solve(G[normal], b[normal][..., None])[..., 0]
+    D = np.broadcast_to(D, w.shape[:-1] + D.shape[-2:])
+    y = np.broadcast_to(y, w.shape)
     for idx in map(tuple, np.argwhere(~normal)):
         sw = np.sqrt(w[idx])
-        theta[idx] = np.linalg.lstsq(D * sw[:, None], y * sw, rcond=None)[0]
+        theta[idx] = np.linalg.lstsq(D[idx] * sw[:, None], y[idx] * sw,
+                                     rcond=None)[0]
     return theta
 
 
-def _irls_s_stage(D: np.ndarray, y: np.ndarray, theta0: np.ndarray, c0: float,
-                  scale_rtol: float, max_iter: int = S_STAGE_MAX_ITER,
+def _strided_like(A: np.ndarray, count: int) -> np.ndarray:
+    """An empty (count, ...) stack whose slices have the strides of the
+    slices of ``A``, a stack of compact (C or F order) arrays."""
+    size = int(np.prod(A.shape[1:]))
+    return np.lib.stride_tricks.as_strided(
+        np.empty(count * size), (count,) + A.shape[1:],
+        (size * A.itemsize,) + A.strides[1:])
+
+
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """Stack 2-D arrays of one shape and one compact (C or F) layout into
+    a (len, ...) array whose slices keep that layout's strides."""
+    out = _strided_like(arrays[0][None], len(arrays))
+    for o, a in zip(out, arrays):
+        o[...] = a
+    return out
+
+
+class _Stack:
+    """The prepared sub-models of one fit, stacked by column count.
+
+    Sub-model k has ``P[k]``, its ``[y, X]`` as :func:`prepare_design`
+    returns it, and its design ``D[k]`` (n, c_k): ``[1, X]`` with an
+    intercept, else the view ``P[k][:, 1:]``. A stacked stage works on
+    rows (starts or iterates), each owned by one sub-model: ``owner``
+    lists the owners in ascending order, and the coefficients of the rows
+    are one (rows, max c_k) array, zero beyond each row's own c_k columns.
+
+    The bits of a matrix product depend on its row count and on its
+    operands' strides. So each stacked operand keeps the strides of the
+    sub-model's own (``y`` is ``P[:, 0]``), sub-models are stacked only
+    with others of the same column count and layout, and each sub-model's
+    rows are multiplied in one product, as in a fit of it alone.
+    """
+
+    def __init__(self, P: list[np.ndarray], D: list[np.ndarray],
+                 intercept: bool):
+        self.n = P[0].shape[0]
+        self.ncol = np.array([Dk.shape[1] for Dk in D], dtype=int)
+        self.width = int(self.ncol.max())
+        layouts: dict[tuple, list[int]] = {}
+        for k, (Pk, Dk) in enumerate(zip(P, D)):
+            layouts.setdefault((Dk.shape[1], Pk.strides, Dk.strides),
+                               []).append(k)
+        self.layout = np.zeros(len(P), dtype=int)
+        self.slot = np.zeros(len(P), dtype=int)
+        self.intercept = intercept
+        self._recent: dict[tuple[int, ...], tuple] = {}
+        self._P, self._D = [], []
+        for g, members in enumerate(layouts.values()):
+            self.layout[members] = g
+            self.slot[members] = np.arange(len(members))
+            self._P.append(_stack([P[k] for k in members]))
+            # without an intercept the design stays a view of [y, X]
+            self._D.append(_stack([D[k] for k in members]) if intercept
+                           else self._P[-1][..., 1:])
+
+    def operands(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(D, y)`` of sub-models ``ks`` (ascending, one layout): shapes
+        (len, n, c) and (len, n)."""
+        g = self.layout[ks[0]]
+        P, D = self._P[g], self._D[g]
+        if len(ks) < len(P):
+            idx = self.slot[ks]
+            P = np.take(P, idx, axis=0, out=_strided_like(P, len(ks)))
+            D = (np.take(D, idx, axis=0, out=_strided_like(D, len(ks)))
+                 if self.intercept else P[..., 1:])
+        return D, P[..., 0]
+
+    def _groups(self, owner: np.ndarray):
+        """``(c, D, y, rows)`` for each set of sub-models with equal layout
+        and row count: their :meth:`operands` and ``rows`` (sub-models,
+        row count) indexing ``owner``."""
+        edge = np.ones(len(owner), dtype=bool)
+        np.not_equal(owner[1:], owner[:-1], out=edge[1:])
+        first = np.flatnonzero(edge)
+        ks, count = owner[first], np.append(first[1:], len(owner)) - first
+        groups: dict[tuple[int, int], list[int]] = {}
+        for i, key in enumerate(zip(self.layout[ks].tolist(), count.tolist())):
+            groups.setdefault(key, []).append(i)
+        # the live sub-models of a layout keep their set for many steps:
+        # reuse the stacks made for the previous call
+        recent, self._recent = self._recent, {}
+        for (_, m), members in groups.items():
+            g = ks[members]
+            key = tuple(g.tolist())
+            D, y = self._recent[key] = (recent.get(key) or self._recent.get(key)
+                                        or self.operands(g))
+            yield int(self.ncol[g[0]]), D, y, first[members, None] + np.arange(m)
+
+    def residuals(self, owner: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """``y - theta @ D.T`` for every row, shape (rows, n): one product
+        per sub-model's rows, as in its fit alone, stacked over the
+        sub-models with equal layout and row count."""
+        R = np.empty((len(owner), self.n))
+        for c, D, y, rows in self._groups(owner):
+            R[rows] = y[:, None] - theta[rows, :c] @ np.swapaxes(D, 1, 2)
+        return R
+
+    def reweighted(self, owner: np.ndarray, w: np.ndarray):
+        """:func:`_weighted_ls` of every row under its weights ``w``
+        (rows, n) and the residuals of the result, ``(theta, R)``; one
+        stacked call of each per layout and row count."""
+        theta = np.zeros((len(owner), self.width))
+        R = np.empty((len(owner), self.n))
+        for c, D, y, rows in self._groups(owner):
+            th = _weighted_ls(D[:, None], y[:, None], w[rows])
+            theta[rows, :c] = th
+            R[rows] = y[:, None] - th @ np.swapaxes(D, 1, 2)
+        return theta, R
+
+
+def _irls_s_stage(stack: _Stack, owner: np.ndarray, theta0: np.ndarray,
+                  c0: float, scale_rtol: float, max_iter: int = S_STAGE_MAX_ITER,
                   final_rtol: float = S_SCALE_RTOL):
     """Iterate reweighted LS toward a local minimum of the S-scale.
 
-    ``theta0`` is a stack of starts of shape (m, c); the returned
-    ``(theta, sigma)`` have shapes (m, c) and (m,). Each start is iterated
-    on its own: every iterate solves the weighted systems of the starts
-    still going in one stacked call and their scales row-wise, and a start
-    that stops is left as it is, so its result does not depend on the
-    others. The scale is re-solved each iterate by a Newton solve
+    ``theta0`` is a stack of starts of shape (m, width), start i of
+    sub-model ``owner[i]``; the returned ``(theta, sigma)`` have shapes
+    (m, width) and (m,). Each start is iterated on its own: every iterate
+    solves the weighted systems of the starts still going in one stacked
+    call per column count and all their scales in one row-wise call, and
+    a start that stops is left as it is, so its result does not depend on
+    the others. The scale is re-solved each iterate by a Newton solve
     warm-started at the previous scale, to ``scale_rtol``; the returned
     scale is re-solved at ``final_rtol``. A start stops once its scale
     falls by less than ``scale_rtol`` relative, the accuracy each scale is
     solved to, or once its scale reaches zero (exact fit).
     """
     theta = np.array(theta0, dtype=float)
-    R = y - theta @ D.T
+    R = stack.residuals(owner, theta)
     sigma = _solve_s_scale(R, c0, scale_rtol)
     live = np.flatnonzero(sigma > 0)
     for _ in range(max_iter):
@@ -196,9 +328,7 @@ def _irls_s_stage(D: np.ndarray, y: np.ndarray, theta0: np.ndarray, c0: float,
         live, w = live[weighted], w[weighted]
         if not live.size:
             break
-        th = _weighted_ls(D, y, w)
-        theta[live] = th
-        R[live] = y - th @ D.T
+        theta[live], R[live] = stack.reweighted(owner[live], w)
         sigma_new = _solve_s_scale(R[live], c0, scale_rtol, guess=sigma[live])
         # the objective is the scale itself: stop once it stalls (the
         # fixed-scale stage polishes the coefficients afterwards)
@@ -212,58 +342,160 @@ def _irls_s_stage(D: np.ndarray, y: np.ndarray, theta0: np.ndarray, c0: float,
     return theta, sigma
 
 
-def _s_stage(D: np.ndarray, y: np.ndarray, Xs: np.ndarray, intercept: bool,
-             seed: int):
-    """High-breakdown ``(theta, sigma)`` on the prepared design ``D`` and
-    ``y``, from the OLS start on ``Xs`` and the elemental starts."""
-    n, ncol = D.shape
-    coef0, _ = ols_fit(Xs, y)
-    start0 = np.concatenate([[0.0], coef0]) if intercept else coef0
-    # each elemental start fits ncol random rows exactly: 0/1 row weights
-    rng = make_rng(seed)
-    W = np.zeros((N_ELEMENTAL_STARTS, n))
-    for w in W:
-        w[rng.choice(n, size=ncol, replace=False)] = 1.0
-    starts = np.vstack([start0, _weighted_ls(D, y, W)])
-
-    # fast-S schedule: two cheap refinement steps for every start, run as
-    # one stack, full convergence only for the most promising candidates
-    thetas, sigmas = _irls_s_stage(D, y, starts, C_BREAKDOWN,
-                                   max_iter=2, scale_rtol=1e-3,
+def _s_stage(stack: _Stack, models: np.ndarray, starts: np.ndarray):
+    """High-breakdown ``(theta, sigma)`` of each sub-model in ``models``
+    (ascending, each with at least one column), from its
+    ``1 + N_ELEMENTAL_STARTS`` consecutive rows of ``starts``."""
+    # fast-S schedule: two cheap refinement steps for every start, all
+    # sub-models in one stack, full convergence only for each sub-model's
+    # most promising candidates
+    per = 1 + N_ELEMENTAL_STARTS
+    thetas, sigmas = _irls_s_stage(stack, np.repeat(models, per), starts,
+                                   C_BREAKDOWN, max_iter=2, scale_rtol=1e-3,
                                    final_rtol=1e-3)
-    order = np.argsort(sigmas, kind="stable")
-    if sigmas[order[0]] == 0.0:
-        return thetas[order[0]], 0.0
-    thetas, sigmas = _irls_s_stage(D, y, thetas[order[:3]], C_BREAKDOWN,
-                                   scale_rtol=1e-5)
-    best = int(np.argmin(sigmas))
-    return thetas[best], float(sigmas[best])
+    thetas = thetas.reshape(len(models), per, -1)
+    sigmas = sigmas.reshape(len(models), per)
+    order = np.argsort(sigmas, axis=1, kind="stable")
+    first = np.arange(len(models))
+    theta = thetas[first, order[:, 0]]
+    sigma = np.zeros(len(models))
+    # an exact fit (sigma 0) is final: no refinement
+    going = np.flatnonzero(sigmas[first, order[:, 0]] > 0.0)
+    if going.size:
+        finalists = thetas[going[:, None], order[going, :3]]
+        th, sg = _irls_s_stage(stack, np.repeat(models[going], 3),
+                               finalists.reshape(3 * going.size, -1),
+                               C_BREAKDOWN, scale_rtol=1e-5)
+        sg = sg.reshape(going.size, 3)
+        best = np.argmin(sg, axis=1)
+        theta[going] = th.reshape(going.size, 3, -1)[np.arange(going.size), best]
+        sigma[going] = sg[np.arange(going.size), best]
+    return theta, sigma
 
 
-def _m_stage(D: np.ndarray, y: np.ndarray, theta: np.ndarray, sigma: float):
+def _m_stage(stack: _Stack, owner: np.ndarray, theta: np.ndarray,
+             sigma: np.ndarray):
     """Reweighted LS at fixed scale with the wider tuning constant, from
-    ``theta``; returns ``(theta, converged, iterations)``."""
-    r = y - D @ theta
-    objective = float(np.mean(bisquare_rho(r / sigma, C_EFFICIENCY)))
+    ``theta`` (one row per sub-model ``owner[i]``, scale ``sigma[i] > 0``);
+    returns ``(theta, converged, iterations)``.
+
+    Every row steps in one stacked call per column count until it stops on
+    its own: converged once its largest residual move is below
+    ``M_STAGE_TOL`` in units of its scale; not converged when a step would
+    raise its objective (a descent violation only numerics cause; the
+    previous iterate is kept), when all its weights vanish, or at the cap
+    of ``M_STAGE_MAX_ITER`` steps. A stopped row is frozen.
+    """
+    theta = np.array(theta, dtype=float)
+    converged = np.zeros(len(owner), dtype=bool)
+    iterations = np.zeros(len(owner), dtype=int)
+    R = stack.residuals(owner, theta)
+    objective = bisquare_rho(R / sigma[:, None], C_EFFICIENCY).mean(axis=1)
+    live = np.arange(len(owner))
+    it = 0
     for it in range(1, M_STAGE_MAX_ITER + 1):
-        w = bisquare_weight(r / sigma, C_EFFICIENCY)
-        if w.sum() <= 0:
+        w = bisquare_weight(R[live] / sigma[live, None], C_EFFICIENCY)
+        weighted = w.sum(axis=1) > 0
+        iterations[live[~weighted]] = it
+        live, w = live[weighted], w[weighted]
+        if not live.size:
             break
-        theta_new = _weighted_ls(D, y, w)
-        r_new = y - D @ theta_new
-        obj_new = float(np.mean(bisquare_rho(r_new / sigma, C_EFFICIENCY)))
-        if obj_new > objective + 1e-12 * (1 + abs(objective)):
-            # descent property of reweighting violated only by numerics;
-            # keep the previous iterate
-            break
+        th, R_new = stack.reweighted(owner[live], w)
+        obj_new = bisquare_rho(R_new / sigma[live, None],
+                               C_EFFICIENCY).mean(axis=1)
+        obj = objective[live]
+        # descent property of reweighting violated only by numerics; keep
+        # the previous iterate
+        rose = obj_new > obj + 1e-12 * (1 + np.abs(obj))
+        iterations[live[rose]] = it
+        live, th, R_new, obj_new = (live[~rose], th[~rose], R_new[~rose],
+                                    obj_new[~rose])
         # scale-free stop: the largest residual move in units of sigma
-        delta = np.max(np.abs(r_new - r)) / sigma
-        theta = theta_new
-        r = r_new
-        objective = obj_new
-        if delta < M_STAGE_TOL:
-            return theta, True, it
-    return theta, False, it
+        delta = np.abs(R_new - R[live]).max(axis=1) / sigma[live]
+        theta[live], R[live], objective[live] = th, R_new, obj_new
+        done = delta < M_STAGE_TOL
+        converged[live[done]] = True
+        iterations[live[done]] = it
+        live = live[~done]
+    iterations[live] = it
+    return theta, converged, iterations
+
+
+def _fit_models(designs: list[np.ndarray], y: np.ndarray, intercept: bool,
+                seeds: list[int]) -> list[RobustFit]:
+    """Two-stage robust fits of ``y`` on each design, run as one stack.
+
+    Each sub-model is prepared, started and stopped as if fitted alone,
+    and its fit is bit for bit that of a fit on its own: the stages run
+    in three stacked phases (every sub-model's previews, then its
+    finalists, then its M-stage), each stacked call keeps every row's
+    bits, and a sub-model that stops is frozen.
+    """
+    y = np.asarray(y, dtype=float)
+    if not designs:
+        return []
+    prepared, starts = [], []
+    for X, seed in zip(designs, seeds):
+        X = np.asarray(X, dtype=float)
+        if X.ndim == 1:
+            X = X[:, None]
+        n, q = X.shape
+        if q + int(intercept) >= n:
+            raise RankDeficient(f"{q} predictors (+intercept={intercept}) "
+                                f"with only {n} rows")
+        # coefficients, constant and scale are recovered once at the end
+        P, means, e = prepare_design(np.column_stack([y, X]), intercept)
+        D = np.column_stack([np.ones(n), P[:, 1:]]) if intercept else P[:, 1:]
+        prepared.append((P, D, means, e))
+        if q + intercept:
+            coef0, _ = ols_fit(P[:, 1:], P[:, 0])
+            starts.append(np.concatenate([[0.0], coef0]) if intercept
+                          else coef0)
+            # each elemental start fits ncol random rows exactly: 0/1 row
+            # weights
+            rng = make_rng(seed)
+            W = np.zeros((N_ELEMENTAL_STARTS, n))
+            for w in W:
+                w[rng.choice(n, size=q + intercept, replace=False)] = 1.0
+            starts.append(W)
+    stack = _Stack([P for P, *_ in prepared], [D for _, D, *_ in prepared],
+                   intercept)
+    K = len(prepared)
+    theta = np.zeros((K, stack.width))
+    sigma = np.zeros(K)
+    converged = np.ones(K, dtype=bool)
+    iterations = np.zeros(K, dtype=int)
+    empty = np.flatnonzero(stack.ncol == 0)
+    if empty.size:
+        sigma[empty] = _solve_s_scale(stack.operands(empty)[1], C_BREAKDOWN,
+                                      S_SCALE_RTOL)
+    models = np.flatnonzero(stack.ncol > 0)
+    if models.size:
+        # each sub-model's OLS start, then its elemental starts
+        rows = np.zeros((models.size, 1 + N_ELEMENTAL_STARTS, stack.width))
+        elemental, _ = stack.reweighted(np.repeat(models, N_ELEMENTAL_STARTS),
+                                        np.concatenate(starts[1::2]))
+        rows[:, 1:] = elemental.reshape(models.size, N_ELEMENTAL_STARTS, -1)
+        for i, start0 in enumerate(starts[::2]):
+            rows[i, 0, :start0.size] = start0
+        theta[models], sigma[models] = _s_stage(stack, models,
+                                                rows.reshape(-1, stack.width))
+        # an exact fit (sigma 0) already interpolates the tightest half
+        m = models[sigma[models] > 0.0]
+        if m.size:
+            theta[m], converged[m], iterations[m] = _m_stage(
+                stack, m, theta[m], sigma[m])
+    fits = []
+    for k, (_, _, means, e) in enumerate(prepared):
+        th = theta[k, :stack.ncol[k]]
+        coef = np.ldexp(th[int(intercept):], e[0] - e[1:])
+        b0 = (means[0] + np.ldexp(th[0], e[0]) - means[1:] @ coef
+              if intercept else 0.0)
+        fits.append(RobustFit(coefficients=coef, intercept=float(b0),
+                              scale=float(np.ldexp(sigma[k], e[0])),
+                              converged=bool(converged[k]),
+                              iterations=int(iterations[k])))
+    return fits
 
 
 def mm_fit(X: np.ndarray, y: np.ndarray, intercept: bool = True,
@@ -272,6 +504,7 @@ def mm_fit(X: np.ndarray, y: np.ndarray, intercept: bool = True,
 
     Both stages run on ``[y, X]`` as one ``prepare_design`` design, so a
     power-of-two rescaling of ``y`` rescales the fit exactly, however far.
+    This is :func:`fit_ensemble_models` with one sub-model.
 
     Parameters
     ----------
@@ -288,47 +521,50 @@ def mm_fit(X: np.ndarray, y: np.ndarray, intercept: bool = True,
     Returns
     -------
     RobustFit
-        ``converged`` is False when the M-stage hit its iteration cap;
-        the best iterate is still returned.
+        ``converged`` is False when the M-stage stopped for any reason but
+        convergence: it hit its iteration cap, a step would have raised
+        its objective (the previous iterate is kept), or all its weights
+        vanished. The last accepted iterate is returned in each case.
 
     Raises
     ------
     RankDeficient
         If the design (centered, with an intercept) is rank deficient.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    n, q = X.shape
-    if q + int(intercept) >= n:
-        raise RankDeficient(f"{q} predictors (+intercept={intercept}) with only {n} rows")
-    # coefficients, constant and scale are recovered once at the end
-    P, means, e = prepare_design(np.column_stack([y, X]), intercept)
-    y, Xs = P[:, 0], P[:, 1:]
-    D = np.column_stack([np.ones(n), Xs]) if intercept else Xs
-    if D.shape[1]:
-        theta, sigma = _s_stage(D, y, Xs, intercept, seed)
-    else:
-        theta, sigma = np.zeros(0), s_scale(y)
-    # an exact fit (sigma 0) already interpolates the tightest half
-    converged, iterations = True, 0
-    if D.shape[1] and sigma > 0.0:
-        theta, converged, iterations = _m_stage(D, y, theta, sigma)
-    coef = np.ldexp(theta[int(intercept):], e[0] - e[1:])
-    b0 = means[0] + np.ldexp(theta[0], e[0]) - means[1:] @ coef if intercept else 0.0
-    return RobustFit(coefficients=coef, intercept=float(b0), converged=converged,
-                     scale=float(np.ldexp(sigma, e[0])), iterations=iterations)
+    return _fit_models([X], y, intercept, [seed])[0]
 
 
 def fit_ensemble_models(imp_y: np.ndarray, imp_X: np.ndarray,
                         sets: list[list[int]], intercept: bool = True,
                         seed: int = 0) -> EnsembleModel:
-    """Robustly fit every sub-model on its selected columns."""
-    fits = []
-    for k, subset in enumerate(sets):
-        Xk = imp_X[:, subset] if subset else np.empty((len(imp_y), 0))
-        fits.append(mm_fit(Xk, imp_y, intercept=intercept, seed=seed + k))
+    """Robustly fit every sub-model on its selected columns.
+
+    Sub-model k is fitted as :func:`mm_fit` would fit it alone with seed
+    ``seed + k``, bit for bit, but all K run their stages together, in
+    three stacked phases:
+
+    1. the previews: two refinement steps from each sub-model's OLS start
+       and its ``N_ELEMENTAL_STARTS`` elemental starts;
+    2. the finalists: full S-stage refinement of each sub-model's three
+       best previews (a sub-model with an exact-fit preview stops here);
+    3. the M-stages.
+
+    In each phase every scale solve is one row-wise call over the live
+    rows of all sub-models (they share the rows of ``imp_y``), and the
+    weighted solves are one stacked call per column count. A sub-model's
+    rows stop on their own rules and are frozen from then on.
+
+    Raises
+    ------
+    RankDeficient
+        For the first sub-model (in order) with too many columns for the
+        rows or a rank-deficient design.
+    """
+    n = len(imp_y)
+    designs = [imp_X[:, subset] if subset else np.empty((n, 0))
+               for subset in sets]
+    fits = _fit_models(designs, imp_y, intercept,
+                       [seed + k for k in range(len(sets))])
     return EnsembleModel(fits=fits, sets=[list(s) for s in sets],
                          p=imp_X.shape[1], intercept=intercept)
 

@@ -87,6 +87,12 @@ def test_s_scale_scale_equivariance_tight(kind):
         assert s_scale(c * r) == pytest.approx(c * s_scale(r), rel=1e-12)
 
 
+def _one_model(D, y):
+    """The stack of one sub-model with design ``D`` (first column the
+    constant) and response ``y``."""
+    return robustfit._Stack([np.column_stack([y, D[:, 1:]])], [D], True)
+
+
 def test_s_stage_stops_at_scale_accuracy(monkeypatch):
     import cellens.robustfit as robustfit
 
@@ -108,9 +114,11 @@ def test_s_stage_stops_at_scale_accuracy(monkeypatch):
         return weighted_ls(*args)
 
     monkeypatch.setattr(robustfit, "_weighted_ls", counted)
-    _, sigma = _irls_s_stage(D, y, theta0[None], C_BREAKDOWN, scale_rtol=1e-5)
+    stack, owner = _one_model(D, y), np.zeros(1, dtype=int)
+    _, sigma = _irls_s_stage(stack, owner, theta0[None], C_BREAKDOWN,
+                             scale_rtol=1e-5)
     assert len(rounds) < S_STAGE_MAX_ITER
-    _, converged = _irls_s_stage(D, y, theta0[None], C_BREAKDOWN,
+    _, converged = _irls_s_stage(stack, owner, theta0[None], C_BREAKDOWN,
                                  max_iter=10_000, scale_rtol=1e-13)
     assert sigma[0] == pytest.approx(converged[0], rel=1e-4)
 
@@ -191,11 +199,14 @@ def test_stacked_previews_match_serial_starts():
     starts += [truth + rng.standard_normal(4) * scale
                for scale in np.geomspace(1e-3, 30.0, 19)]
     starts = np.array(starts)
-    thetas, sigmas = _irls_s_stage(D, y, starts, C_BREAKDOWN, max_iter=2,
+    stack = _one_model(D, y)
+    thetas, sigmas = _irls_s_stage(stack, np.zeros(len(starts), dtype=int),
+                                   starts, C_BREAKDOWN, max_iter=2,
                                    scale_rtol=1e-3, final_rtol=1e-3)
     assert thetas.shape == starts.shape and sigmas.shape == (len(starts),)
     for start, theta, sigma in zip(starts, thetas, sigmas):
-        want_theta, want_sigma = _irls_s_stage(D, y, start[None], C_BREAKDOWN,
+        want_theta, want_sigma = _irls_s_stage(stack, np.zeros(1, dtype=int),
+                                               start[None], C_BREAKDOWN,
                                                max_iter=2, scale_rtol=1e-3,
                                                final_rtol=1e-3)
         want_theta, want_sigma = want_theta[0], want_sigma[0]
