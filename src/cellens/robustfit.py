@@ -655,8 +655,8 @@ def model_from_json(text: str) -> EnsembleModel:
     ------
     ShapeMismatch
         Naming the field, when the text is not a JSON object of the current
-        schema, a field is missing, ``p`` is not a positive integer, a
-        per-fit field is not a list with one entry per set, a set is not a
+        schema, a field is missing, ``p`` is not a positive integer,
+        ``intercept`` is not a boolean, a per-fit field is not a list with one entry per set, a set is not a
         list of integer indices in ``0..p-1``, a coefficient list does not
         match its set, a coefficient, intercept or scale is not a finite
         number, a ``converged`` entry is not a boolean, or an
@@ -679,6 +679,9 @@ def model_from_json(text: str) -> EnsembleModel:
     p, sets = doc["p"], doc["sets"]
     if not _is_index(p) or p < 1:
         raise ShapeMismatch(f"model field 'p' is {p!r}, not a positive integer")
+    if not isinstance(doc["intercept"], bool):
+        raise ShapeMismatch(f"model field 'intercept' is {doc['intercept']!r}, "
+                            f"not a boolean")
     if not isinstance(sets, list) or not sets:
         raise ShapeMismatch("model field 'sets' is not a non-empty list")
     for key in _MODEL_FIT_FIELDS:
@@ -719,4 +722,4 @@ def model_from_json(text: str) -> EnsembleModel:
         for c, b, s, cv, it in zip(*(doc[key] for key in _MODEL_FIT_FIELDS))
     ]
     return EnsembleModel(fits=fits, sets=[list(s) for s in sets],
-                         p=p, intercept=bool(doc["intercept"]))
+                         p=p, intercept=doc["intercept"])

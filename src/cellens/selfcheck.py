@@ -12,12 +12,14 @@ human-readable failure strings (empty means the property held).
 from __future__ import annotations
 
 import logging
+import warnings
 from dataclasses import replace
 
 import numpy as np
 
 from . import corrlars, reference, robustfit
 from .cellwise import CorrelationStructure, correlation_structure, ddc_impute
+from .errors import CellensError
 from .pipeline import fit_ensemble, passthrough_imputation
 from .rng import make_rng, split_seed
 from .selection import SelectionConfig, cv_error, fold_assignment, run_selection
@@ -302,6 +304,79 @@ def check_cv_oracle(n_runs: int = 20, n: int = 47, p: int = 30,
     return failures
 
 
+EDGE_KINDS = ("plain", "duplicate", "binary", "rounded", "near-square")
+
+
+def _edge_input(kind: str, run: int):
+    """Seeded ``(y, X)`` of one degenerate input class.
+
+    ``n`` cycles through 8, 12, 20 and 40 rows; ``p`` through 2, 5 and 20
+    columns, or ``n - 1``, ``n`` and ``n + 1`` for ``near-square``.
+    ``duplicate`` repeats column 0 as column 1 and negates column 2 as
+    column 3; ``binary`` makes every other column 0/1, half of it ones;
+    ``rounded`` rounds every cell to an integer.
+    """
+    rng = make_rng(split_seed(2121, run))
+    n = (8, 12, 20, 40)[run % 4]
+    p = (n - 1 + run % 3) if kind == "near-square" else (2, 5, 20)[run % 3]
+    X = rng.standard_normal((n, p))
+    if kind == "duplicate":
+        X[:, 1] = X[:, 0]
+        if p >= 4:
+            X[:, 3] = -X[:, 2]
+    elif kind == "binary":
+        # half ones: the median sits between 0 and 1, so the MAD is 1/2
+        for j in range(0, p, 2):
+            X[:, j] = rng.permutation(np.arange(n) % 2)
+    elif kind == "rounded":
+        X = np.round(1.5 * X)
+    beta = np.array([1.5, -1.0, 0.5])[:min(p, 3)]
+    y = X[:, :beta.size] @ beta + 0.5 * rng.standard_normal(n)
+    return y, X
+
+
+def check_edge_inputs(n_runs: int = 1) -> list[str]:
+    """Degenerate inputs must fit to finite predictions or raise a typed error.
+
+    Each run crosses the ``EDGE_KINDS`` input classes of
+    :func:`_edge_input` with K in {1, 2, 10} and the intercept on and off
+    (2 to 5 folds), and runs ``fit_ensemble`` and ``predict`` on the
+    training rows with every warning an error. An input passes when the
+    predictions are finite, or when a ``CellensError`` is raised; one that
+    carries a column (``DegenerateColumn``, ``NonFiniteValue``) must name
+    a column of ``[y, X]``.
+    """
+    failures = []
+    case = 0
+    for _ in range(n_runs):
+        for kind in EDGE_KINDS:
+            for K in (1, 2, 10):
+                for intercept in (True, False):
+                    y, X = _edge_input(kind, case)
+                    cfg = SelectionConfig(K=K, cv_folds=2 + case % 4,
+                                          intercept=intercept,
+                                          seed=split_seed(2222, case))
+                    label = (f"edge {kind} n={X.shape[0]} p={X.shape[1]} "
+                             f"K={K} intercept={intercept}")
+                    case += 1
+                    try:
+                        with warnings.catch_warnings():
+                            warnings.simplefilter("error")
+                            pred = fit_ensemble(y, X, cfg).predict(X)
+                    except CellensError as exc:
+                        column = getattr(exc, "column", None)
+                        if column is not None and not 0 <= column <= X.shape[1]:
+                            failures.append(f"{label}: {exc} names no column "
+                                            f"of the input")
+                        continue
+                    except Exception as exc:  # noqa: BLE001 - the finding
+                        failures.append(f"{label}: {type(exc).__name__}: {exc}")
+                        continue
+                    if not np.isfinite(pred).all():
+                        failures.append(f"{label}: non-finite predictions")
+    return failures
+
+
 def run_all() -> bool:
     """Run every property suite; True when all pass.
 
@@ -320,6 +395,7 @@ def run_all() -> bool:
         ("local-stability", lambda: check_local_stability(n_runs=5)),
         ("cv-oracle", check_cv_oracle),
         ("s-scale", check_s_scale),
+        ("edge-inputs", check_edge_inputs),
     ]
     ok = True
     for name, fn in suites:

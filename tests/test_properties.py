@@ -7,7 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from cellens import pipeline, robustfit, selfcheck
+from cellens import cellwise, pipeline, robustfit, selfcheck
+from cellens.errors import DegenerateColumn
 from cellens.pipeline import passthrough_imputation
 
 
@@ -78,6 +79,35 @@ def test_cv_oracle_check_catches_off_arbiter(monkeypatch):
         f"cv-oracle run {run}" for run in range(3)]
 
 
+def test_edge_inputs_property():
+    assert selfcheck.check_edge_inputs(n_runs=2) == []
+
+
+def _untyped_zero_mad(column, name=None):
+    return ValueError(f"zero MAD in column {column}")
+
+
+@pytest.mark.parametrize("target, attr, value, kinds, error", [
+    # a zero-MAD column raising an untyped error
+    (cellwise, "DegenerateColumn", _untyped_zero_mad, {"rounded"},
+     "ValueError"),
+    # a typed error naming a column the input does not have
+    (cellwise, "DegenerateColumn",
+     lambda column, name=None: DegenerateColumn(10 ** 6), {"rounded"},
+     "names no column"),
+    # singular weighted systems sent to the normal equations
+    (robustfit, "WLS_NORMAL_RATIO", -1.0, {"binary", "rounded"},
+     "LinAlgError"),
+])
+def test_edge_input_check_catches_untyped_failures(monkeypatch, target, attr,
+                                                   value, kinds, error):
+    monkeypatch.setattr(target, attr, value)
+    failures = selfcheck.check_edge_inputs()
+    assert failures
+    assert {f.split()[1] for f in failures} == kinds
+    assert all(error in f for f in failures)
+
+
 def test_passthrough_imputation_identity():
     rng = np.random.default_rng(0)
     Z = rng.standard_normal((20, 4))
@@ -96,5 +126,5 @@ def test_run_all_logs_its_report_and_prints_nothing(capsys, caplog):
     assert capsys.readouterr().out == ""
     lines = [r.getMessage() for r in caplog.records
              if r.name == "cellens.selfcheck"]
-    assert len(lines) == 9
+    assert len(lines) == 10
     assert all(re.fullmatch(r"selfcheck [a-z-]+: PASS", line) for line in lines)

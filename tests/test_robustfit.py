@@ -601,6 +601,9 @@ def test_model_json_rejects_malformed_document(field, mutate):
     ("'p' is 'abc'", lambda d: d.__setitem__("p", "abc")),
     ("'p' is True", lambda d: d.__setitem__("p", True)),
     ("'p' is 4.0", lambda d: d.__setitem__("p", 4.0)),
+    ("'intercept' is 'false'", lambda d: d.__setitem__("intercept", "false")),
+    ("'intercept' is None", lambda d: d.__setitem__("intercept", None)),
+    ("'intercept' is 1", lambda d: d.__setitem__("intercept", 1)),
     ("'sets'[0] holds '1'", lambda d: d["sets"][0].__setitem__(1, "1")),
     ("'sets'[1] holds 0.7", lambda d: d["sets"][1].__setitem__(0, 0.7)),
     ("'sets'[0] holds False", lambda d: d["sets"][0].__setitem__(0, False)),
