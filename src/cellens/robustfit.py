@@ -9,6 +9,8 @@ efficiency. Ensemble predictions average the sub-model predictions.
 An elemental start is weighted least squares under 0/1 row weights, so
 all of them are one stacked solve; the M-stage stops on residual moves
 relative to the scale, a test unchanged by rescaling ``y`` or a column.
+The K sub-models run every stage together as one stack of rows, each
+row frozen once it stops, so a sub-model's fit is that of a fit alone.
 
 Tuning constants: ``C_BREAKDOWN = 1.5476`` gives the scale stage a 50%
 breakdown point at the Gaussian model, ``C_EFFICIENCY = 4.685`` gives
