@@ -191,19 +191,17 @@ def _weighted_ls(D: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
     return theta
 
 
-def _strided_like(A: np.ndarray, count: int) -> np.ndarray:
-    """An empty (count, ...) stack whose slices have the strides of the
-    slices of ``A``, a stack of compact (C or F order) arrays."""
-    size = int(np.prod(A.shape[1:]))
-    return np.lib.stride_tricks.as_strided(
-        np.empty(count * size), (count,) + A.shape[1:],
-        (size * A.itemsize,) + A.strides[1:])
+def _empty_stack(a: np.ndarray, count: int) -> np.ndarray:
+    """An empty (count, r, c) stack of arrays laid out like the 2-D ``a``:
+    column-major when its columns are contiguous, else row-major."""
+    if a.strides[0] < a.strides[1]:
+        return np.empty((count,) + a.shape[::-1]).transpose(0, 2, 1)
+    return np.empty((count,) + a.shape)
 
 
 def _stack(arrays: list[np.ndarray]) -> np.ndarray:
-    """Stack 2-D arrays of one shape and one compact (C or F) layout into
-    a (len, ...) array whose slices keep that layout's strides."""
-    out = _strided_like(arrays[0][None], len(arrays))
+    """Stack 2-D arrays of one shape and layout, keeping the layout."""
+    out = _empty_stack(arrays[0], len(arrays))
     for o, a in zip(out, arrays):
         o[...] = a
     return out
@@ -255,8 +253,8 @@ class _Stack:
         P, D = self._P[g], self._D[g]
         if len(ks) < len(P):
             idx = self.slot[ks]
-            P = np.take(P, idx, axis=0, out=_strided_like(P, len(ks)))
-            D = (np.take(D, idx, axis=0, out=_strided_like(D, len(ks)))
+            P = np.take(P, idx, axis=0, out=_empty_stack(P[0], len(ks)))
+            D = (np.take(D, idx, axis=0, out=_empty_stack(D[0], len(ks)))
                  if self.intercept else P[..., 1:])
         return D, P[..., 0]
 

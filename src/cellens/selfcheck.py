@@ -369,7 +369,7 @@ def check_edge_inputs(n_runs: int = 1) -> list[str]:
                             failures.append(f"{label}: {exc} names no column "
                                             f"of the input")
                         continue
-                    except Exception as exc:  # noqa: BLE001 - the finding
+                    except Exception as exc:  # what this check reports
                         failures.append(f"{label}: {type(exc).__name__}: {exc}")
                         continue
                     if not np.isfinite(pred).all():
