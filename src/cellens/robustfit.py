@@ -34,6 +34,9 @@ C_EFFICIENCY = 4.685
 
 N_ELEMENTAL_STARTS = 20
 S_STAGE_MAX_ITER = 50
+# the previews of the K sub-models run in batches whose (rows, n) stacks of
+# residuals and weights hold at most this many entries (128 KiB each)
+STACK_CELLS = 2 ** 14
 M_STAGE_MAX_ITER = 500
 M_STAGE_TOL = 1e-8
 # Newton's method reaches any rtol above rounding in a few steps; this
@@ -342,19 +345,36 @@ def _irls_s_stage(stack: _Stack, owner: np.ndarray, theta0: np.ndarray,
     return theta, sigma
 
 
-def _s_stage(stack: _Stack, models: np.ndarray, starts: np.ndarray):
+def _s_stage(stack: _Stack, models: np.ndarray, start0: np.ndarray,
+             subsets: list[np.ndarray]):
     """High-breakdown ``(theta, sigma)`` of each sub-model in ``models``
-    (ascending, each with at least one column), from its
-    ``1 + N_ELEMENTAL_STARTS`` consecutive rows of ``starts``."""
-    # fast-S schedule: two cheap refinement steps for every start, all
-    # sub-models in one stack, full convergence only for each sub-model's
-    # most promising candidates
+    (ascending, each with at least one column), from its OLS start (a row
+    of ``start0``) and its elemental starts, exact fits to the rows that
+    each row of its ``subsets`` entry lists."""
+    # fast-S schedule: two cheap refinement steps for every start, full
+    # convergence only for each sub-model's most promising candidates. The
+    # previews run in batches of sub-models whose (rows, n) stacks hold at
+    # most STACK_CELLS entries; the finalists all in one stack
     per = 1 + N_ELEMENTAL_STARTS
-    thetas, sigmas = _irls_s_stage(stack, np.repeat(models, per), starts,
-                                   C_BREAKDOWN, max_iter=2, scale_rtol=1e-3,
-                                   final_rtol=1e-3)
-    thetas = thetas.reshape(len(models), per, -1)
-    sigmas = sigmas.reshape(len(models), per)
+    thetas = np.zeros((len(models), per, stack.width))
+    sigmas = np.zeros((len(models), per))
+    size = max(1, STACK_CELLS // (per * stack.n))
+    for lo in range(0, len(models), size):
+        b = slice(lo, lo + size)
+        batch = models[b]
+        # an elemental start is weighted LS under 0/1 row weights
+        W = np.zeros((len(batch), N_ELEMENTAL_STARTS, stack.n))
+        for Wk, rows in zip(W, subsets[b]):
+            Wk[np.arange(N_ELEMENTAL_STARTS)[:, None], rows] = 1.0
+        thetas[b, 0] = start0[b]
+        thetas[b, 1:] = stack.reweighted(
+            np.repeat(batch, N_ELEMENTAL_STARTS),
+            W.reshape(-1, stack.n))[0].reshape(len(batch), N_ELEMENTAL_STARTS, -1)
+        th, sg = _irls_s_stage(stack, np.repeat(batch, per),
+                               thetas[b].reshape(-1, stack.width), C_BREAKDOWN,
+                               max_iter=2, scale_rtol=1e-3, final_rtol=1e-3)
+        thetas[b] = th.reshape(len(batch), per, -1)
+        sigmas[b] = sg.reshape(len(batch), per)
     order = np.argsort(sigmas, axis=1, kind="stable")
     first = np.arange(len(models))
     theta = thetas[first, order[:, 0]]
@@ -421,9 +441,10 @@ def _m_stage(stack: _Stack, owner: np.ndarray, theta: np.ndarray,
     return theta, converged, iterations
 
 
-def _fit_models(designs: list[np.ndarray], y: np.ndarray, intercept: bool,
+def _fit_models(designs, y: np.ndarray, intercept: bool,
                 seeds: list[int]) -> list[RobustFit]:
-    """Two-stage robust fits of ``y`` on each design, run as one stack.
+    """Two-stage robust fits of ``y`` on each design (an iterable, one per
+    seed), run as one stack.
 
     Each sub-model is prepared, started and stopped as if fitted alone,
     and its fit is bit for bit that of a fit on its own: the stages run
@@ -432,9 +453,9 @@ def _fit_models(designs: list[np.ndarray], y: np.ndarray, intercept: bool,
     bits, and a sub-model that stops is frozen.
     """
     y = np.asarray(y, dtype=float)
-    if not designs:
+    if not seeds:
         return []
-    prepared, starts = [], []
+    P_list, D_list, scales, starts, subsets = [], [], [], [], []
     for X, seed in zip(designs, seeds):
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
@@ -445,22 +466,22 @@ def _fit_models(designs: list[np.ndarray], y: np.ndarray, intercept: bool,
                                 f"with only {n} rows")
         # coefficients, constant and scale are recovered once at the end
         P, means, e = prepare_design(np.column_stack([y, X]), intercept)
-        D = np.column_stack([np.ones(n), P[:, 1:]]) if intercept else P[:, 1:]
-        prepared.append((P, D, means, e))
+        P_list.append(P)
+        D_list.append(np.column_stack([np.ones(n), P[:, 1:]]) if intercept
+                      else P[:, 1:])
+        scales.append((means, e))
         if q + intercept:
             coef0, _ = ols_fit(P[:, 1:], P[:, 0])
             starts.append(np.concatenate([[0.0], coef0]) if intercept
                           else coef0)
-            # each elemental start fits ncol random rows exactly: 0/1 row
-            # weights
+            # each elemental start fits ncol random rows exactly
             rng = make_rng(seed)
-            W = np.zeros((N_ELEMENTAL_STARTS, n))
-            for w in W:
-                w[rng.choice(n, size=q + intercept, replace=False)] = 1.0
-            starts.append(W)
-    stack = _Stack([P for P, *_ in prepared], [D for _, D, *_ in prepared],
-                   intercept)
-    K = len(prepared)
+            subsets.append(np.array([
+                rng.choice(n, size=q + intercept, replace=False)
+                for _ in range(N_ELEMENTAL_STARTS)]))
+    stack = _Stack(P_list, D_list, intercept)
+    del P_list, D_list  # the stack holds its own copies
+    K = len(scales)
     theta = np.zeros((K, stack.width))
     sigma = np.zeros(K)
     converged = np.ones(K, dtype=bool)
@@ -471,22 +492,17 @@ def _fit_models(designs: list[np.ndarray], y: np.ndarray, intercept: bool,
                                       S_SCALE_RTOL)
     models = np.flatnonzero(stack.ncol > 0)
     if models.size:
-        # each sub-model's OLS start, then its elemental starts
-        rows = np.zeros((models.size, 1 + N_ELEMENTAL_STARTS, stack.width))
-        elemental, _ = stack.reweighted(np.repeat(models, N_ELEMENTAL_STARTS),
-                                        np.concatenate(starts[1::2]))
-        rows[:, 1:] = elemental.reshape(models.size, N_ELEMENTAL_STARTS, -1)
-        for i, start0 in enumerate(starts[::2]):
-            rows[i, 0, :start0.size] = start0
-        theta[models], sigma[models] = _s_stage(stack, models,
-                                                rows.reshape(-1, stack.width))
+        start0 = np.zeros((models.size, stack.width))
+        for row, start in zip(start0, starts):
+            row[:start.size] = start
+        theta[models], sigma[models] = _s_stage(stack, models, start0, subsets)
         # an exact fit (sigma 0) already interpolates the tightest half
         m = models[sigma[models] > 0.0]
         if m.size:
             theta[m], converged[m], iterations[m] = _m_stage(
                 stack, m, theta[m], sigma[m])
     fits = []
-    for k, (_, _, means, e) in enumerate(prepared):
+    for k, (means, e) in enumerate(scales):
         th = theta[k, :stack.ncol[k]]
         coef = np.ldexp(th[int(intercept):], e[0] - e[1:])
         b0 = (means[0] + np.ldexp(th[0], e[0]) - means[1:] @ coef
@@ -561,8 +577,8 @@ def fit_ensemble_models(imp_y: np.ndarray, imp_X: np.ndarray,
         rows or a rank-deficient design.
     """
     n = len(imp_y)
-    designs = [imp_X[:, subset] if subset else np.empty((n, 0))
-               for subset in sets]
+    designs = (imp_X[:, subset] if subset else np.empty((n, 0))
+               for subset in sets)
     fits = _fit_models(designs, imp_y, intercept,
                        [seed + k for k in range(len(sets))])
     return EnsembleModel(fits=fits, sets=[list(s) for s in sets],

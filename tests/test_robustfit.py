@@ -341,6 +341,17 @@ def test_stacked_fits_match_solo_mm_fit(monkeypatch, kind, intercept, cap):
                    for f in model.fits if f.scale > 0)
 
 
+@pytest.mark.parametrize("cells", [1, 2000])
+def test_batched_previews_keep_every_fit(monkeypatch, cells):
+    # previews one sub-model at a time, or two (21 rows of 40 cells each
+    # per sub-model), change no bit of any fit
+    X, y = _ensemble_input("mixed")
+    want = fit_ensemble_models(y, X, ENSEMBLE_SETS, seed=5).fits
+    monkeypatch.setattr(robustfit, "STACK_CELLS", cells)
+    got = fit_ensemble_models(y, X, ENSEMBLE_SETS, seed=5).fits
+    assert _fits_digest(got) == _fits_digest(want)
+
+
 def test_bisquare_weight_accepts_scalars():
     assert bisquare_weight(0.5, 1.0) == pytest.approx(0.5625)
     assert bisquare_weight(2.0, 1.0) == 0.0
