@@ -211,7 +211,8 @@ def _stack(arrays: list[np.ndarray]) -> np.ndarray:
 
 
 class _Stack:
-    """The prepared sub-models of one fit, stacked by column count.
+    """The prepared sub-models of one fit, stacked by column count and
+    memory layout.
 
     Sub-model k has ``P[k]``, its ``[y, X]`` as :func:`prepare_design`
     returns it, and its design ``D[k]`` (n, c_k): ``[1, X]`` with an
@@ -313,9 +314,9 @@ def _irls_s_stage(stack: _Stack, owner: np.ndarray, theta0: np.ndarray,
     sub-model ``owner[i]``; the returned ``(theta, sigma)`` have shapes
     (m, width) and (m,). Each start is iterated on its own: every iterate
     solves the weighted systems of the starts still going in one stacked
-    call per column count and all their scales in one row-wise call, and
-    a start that stops is left as it is, so its result does not depend on
-    the others. The scale is re-solved each iterate by a Newton solve
+    call per group of :meth:`_Stack.reweighted` and all their scales in
+    one row-wise call, and a start that stops is left as it is, so its
+    result does not depend on the others. The scale is re-solved each iterate by a Newton solve
     warm-started at the previous scale, to ``scale_rtol``; the returned
     scale is re-solved at ``final_rtol``. A start stops once its scale
     falls by less than ``scale_rtol`` relative, the accuracy each scale is
@@ -399,8 +400,8 @@ def _m_stage(stack: _Stack, owner: np.ndarray, theta: np.ndarray,
     ``theta`` (one row per sub-model ``owner[i]``, scale ``sigma[i] > 0``);
     returns ``(theta, converged, iterations)``.
 
-    Every row steps in one stacked call per column count until it stops on
-    its own: converged once its largest residual move is below
+    Every row steps in one stacked call per group of
+    :meth:`_Stack.reweighted` until it stops on its own: converged once its largest residual move is below
     ``M_STAGE_TOL`` in units of its scale; not converged when a step would
     raise its objective (a descent violation only numerics cause; the
     previous iterate is kept), when all its weights vanish, or at the cap
