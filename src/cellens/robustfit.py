@@ -91,7 +91,7 @@ def _solve_s_scale(R: np.ndarray, c0: float, rtol: float,
             sigma[fit] = _solve_s_scale(R[fit], c0, rtol,
                                         None if guess is None else guess[fit])
         return sigma
-    a = (R / c0) ** 2
+    a = np.square(R / c0)
     # 1 - (1 - x)^3 < 3x, so mean rho < 3 s_low mean(a) = 1/2: s_low lies
     # below the root, and Newton rises from it monotonically
     s_low = n / (6.0 * a.sum(axis=1))
@@ -99,12 +99,14 @@ def _solve_s_scale(R: np.ndarray, c0: float, rtol: float,
     going = np.ones(m, dtype=bool)
     # a zero slope (every entry saturated) makes an infinite step, or a
     # NaN one in a frozen row
+    t, t2 = np.empty_like(a), np.empty_like(a)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(S_SCALE_MAX_ITER):
             # one pass: saturated entries give t = 0, rho = 1 and no slope;
             # the step is (1/2 - mean t^3) / (3 mean(a t^2))
-            t = np.maximum(1.0 - a * s[:, None], 0.0)
-            t2 = t * t
+            np.multiply(a, s[:, None], out=t)
+            np.maximum(np.subtract(1.0, t, out=t), 0.0, out=t)
+            np.multiply(t, t, out=t2)
             step = ((0.5 * n - np.einsum("ij,ij->i", t2, t))
                     / (3.0 * np.einsum("ij,ij->i", a, t2)))
             # every entry saturated, or the step would not keep s > 0
@@ -561,15 +563,19 @@ def fit_ensemble_models(imp_y: np.ndarray, imp_X: np.ndarray,
     three stacked phases:
 
     1. the previews: two refinement steps from each sub-model's OLS start
-       and its ``N_ELEMENTAL_STARTS`` elemental starts;
+       and its ``N_ELEMENTAL_STARTS`` elemental starts, in batches of
+       sub-models whose (rows, n) stacks hold at most ``STACK_CELLS``
+       entries;
     2. the finalists: full S-stage refinement of each sub-model's three
        best previews (a sub-model with an exact-fit preview stops here);
     3. the M-stages.
 
     In each phase every scale solve is one row-wise call over the live
     rows of all sub-models (they share the rows of ``imp_y``), and the
-    weighted solves are one stacked call per column count. A sub-model's
-    rows stop on their own rules and are frozen from then on.
+    weighted solves are one stacked call per group of sub-models with the
+    same column count (and memory layout) and the same number of live
+    rows. A sub-model's rows stop on their own rules and are frozen from
+    then on.
 
     Raises
     ------
