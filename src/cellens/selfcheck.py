@@ -14,6 +14,7 @@ from __future__ import annotations
 import logging
 import warnings
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 
@@ -347,33 +348,27 @@ def check_edge_inputs(n_runs: int = 1) -> list[str]:
     a column of ``[y, X]``.
     """
     failures = []
-    case = 0
-    for _ in range(n_runs):
-        for kind in EDGE_KINDS:
-            for K in (1, 2, 10):
-                for intercept in (True, False):
-                    y, X = _edge_input(kind, case)
-                    cfg = SelectionConfig(K=K, cv_folds=2 + case % 4,
-                                          intercept=intercept,
-                                          seed=split_seed(2222, case))
-                    label = (f"edge {kind} n={X.shape[0]} p={X.shape[1]} "
-                             f"K={K} intercept={intercept}")
-                    case += 1
-                    try:
-                        with warnings.catch_warnings():
-                            warnings.simplefilter("error")
-                            pred = fit_ensemble(y, X, cfg).predict(X)
-                    except CellensError as exc:
-                        column = getattr(exc, "column", None)
-                        if column is not None and not 0 <= column <= X.shape[1]:
-                            failures.append(f"{label}: {exc} names no column "
-                                            f"of the input")
-                        continue
-                    except Exception as exc:  # what this check reports
-                        failures.append(f"{label}: {type(exc).__name__}: {exc}")
-                        continue
-                    if not np.isfinite(pred).all():
-                        failures.append(f"{label}: non-finite predictions")
+    grid = list(product(EDGE_KINDS, (1, 2, 10), (True, False))) * n_runs
+    for case, (kind, K, intercept) in enumerate(grid):
+        y, X = _edge_input(kind, case)
+        cfg = SelectionConfig(K=K, cv_folds=2 + case % 4, intercept=intercept,
+                              seed=split_seed(2222, case))
+        label = (f"edge {kind} n={X.shape[0]} p={X.shape[1]} K={K} "
+                 f"intercept={intercept}")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                pred = fit_ensemble(y, X, cfg).predict(X)
+        except CellensError as exc:
+            column = getattr(exc, "column", None)
+            if column is not None and not 0 <= column <= X.shape[1]:
+                failures.append(f"{label}: {exc} names no column of the input")
+            continue
+        except Exception as exc:  # what this check reports
+            failures.append(f"{label}: {type(exc).__name__}: {exc}")
+            continue
+        if not np.isfinite(pred).all():
+            failures.append(f"{label}: non-finite predictions")
     return failures
 
 
