@@ -243,6 +243,7 @@ class _Stack:
         self.slot = np.zeros(len(P), dtype=int)
         self.intercept = intercept
         self._recent: dict[tuple[int, ...], tuple] = {}
+        self._owner, self._owner_groups = b"", []
         self._P, self._D = [], []
         for g, members in enumerate(layouts.values()):
             self.layout[members] = g
@@ -264,26 +265,31 @@ class _Stack:
                  if self.intercept else P[..., 1:])
         return D, P[..., 0]
 
-    def _groups(self, owner: np.ndarray):
+    def _groups(self, owner: np.ndarray) -> list[tuple]:
         """``(c, D, y, rows)`` for each set of sub-models with equal layout
         and row count: their :meth:`operands` and ``rows`` (sub-models,
         row count) indexing ``owner``."""
+        key = owner.tobytes()
+        if key == self._owner:
+            return self._owner_groups
         edge = np.ones(len(owner), dtype=bool)
         np.not_equal(owner[1:], owner[:-1], out=edge[1:])
         first = np.flatnonzero(edge)
         ks, count = owner[first], np.append(first[1:], len(owner)) - first
-        groups: dict[tuple[int, int], list[int]] = {}
-        for i, key in enumerate(zip(self.layout[ks].tolist(), count.tolist())):
-            groups.setdefault(key, []).append(i)
+        sets: dict[tuple[int, int], list[int]] = {}
+        for i, lm in enumerate(zip(self.layout[ks].tolist(), count.tolist())):
+            sets.setdefault(lm, []).append(i)
         # the live sub-models of a layout keep their set for many steps:
-        # reuse the stacks made for the previous call
-        recent, self._recent = self._recent, {}
-        for (_, m), members in groups.items():
+        # reuse the stacks made for the previous owners
+        recent, self._recent, groups = self._recent, {}, []
+        for (_, m), members in sets.items():
             g = ks[members]
-            key = tuple(g.tolist())
-            D, y = self._recent[key] = (recent.get(key) or self._recent.get(key)
-                                        or self.operands(g))
-            yield int(self.ncol[g[0]]), D, y, first[members, None] + np.arange(m)
+            gk = tuple(g.tolist())
+            D, y = self._recent[gk] = recent.get(gk) or self.operands(g)
+            groups.append((int(self.ncol[g[0]]), D, y,
+                           first[members, None] + np.arange(m)))
+        self._owner, self._owner_groups = key, groups
+        return groups
 
     def residuals(self, owner: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """``y - theta @ D.T`` for every row, shape (rows, n): one product
@@ -318,27 +324,33 @@ def _irls_s_stage(stack: _Stack, owner: np.ndarray, theta0: np.ndarray,
     solves the weighted systems of the starts still going in one stacked
     call per group of :meth:`_Stack.reweighted` and all their scales in
     one row-wise call, and a start that stops is left as it is, so its
-    result does not depend on the others. The scale is re-solved each iterate by a Newton solve
-    warm-started at the previous scale, to ``scale_rtol``; the returned
-    scale is re-solved at ``final_rtol``. A start stops once its scale
-    falls by less than ``scale_rtol`` relative, the accuracy each scale is
-    solved to, or once its scale reaches zero (exact fit).
+    result does not depend on the others. The scale is re-solved each
+    iterate by a Newton solve warm-started at the previous scale, to
+    ``scale_rtol``; the returned scale is re-solved at ``final_rtol``. A
+    start stops once its scale falls by less than ``scale_rtol`` relative,
+    the accuracy each scale is solved to, or once its scale reaches zero
+    (exact fit).
     """
     theta = np.array(theta0, dtype=float)
     R = stack.residuals(owner, theta)
     sigma = _solve_s_scale(R, c0, scale_rtol)
     live = np.flatnonzero(sigma > 0)
     for _ in range(max_iter):
-        w = bisquare_weight(R[live] / sigma[live, None], c0)
-        weighted = w.sum(axis=1) > 0
-        live, w = live[weighted], w[weighted]
         if not live.size:
             break
-        theta[live], R[live] = stack.reweighted(owner[live], w)
-        sigma_new = _solve_s_scale(R[live], c0, scale_rtol, guess=sigma[live])
+        w = bisquare_weight(R[live] / sigma[live, None], c0)
+        weighted = w.sum(axis=1) > 0
+        if not weighted.all():
+            live, w = live[weighted], w[weighted]
+            if not live.size:
+                break
+        th, R_live = stack.reweighted(owner[live], w)
+        theta[live], R[live] = th, R_live
+        sigma_live = sigma[live]
+        sigma_new = _solve_s_scale(R_live, c0, scale_rtol, guess=sigma_live)
         # the objective is the scale itself: stop once it stalls (the
         # fixed-scale stage polishes the coefficients afterwards)
-        going = (sigma_new > 0) & (sigma_new < sigma[live] * (1 - scale_rtol))
+        going = (sigma_new > 0) & (sigma_new < sigma_live * (1 - scale_rtol))
         sigma[live] = sigma_new
         live = live[going]
     if final_rtol < scale_rtol:
@@ -417,29 +429,35 @@ def _m_stage(stack: _Stack, owner: np.ndarray, theta: np.ndarray,
     live = np.arange(len(owner))
     it = 0
     for it in range(1, M_STAGE_MAX_ITER + 1):
-        w = bisquare_weight(R[live] / sigma[live, None], C_EFFICIENCY)
-        weighted = w.sum(axis=1) > 0
-        iterations[live[~weighted]] = it
-        live, w = live[weighted], w[weighted]
         if not live.size:
             break
+        w = bisquare_weight(R[live] / sigma[live, None], C_EFFICIENCY)
+        weighted = w.sum(axis=1) > 0
+        if not weighted.all():
+            iterations[live[~weighted]] = it
+            live, w = live[weighted], w[weighted]
+            if not live.size:
+                break
         th, R_new = stack.reweighted(owner[live], w)
-        obj_new = bisquare_rho(R_new / sigma[live, None],
-                               C_EFFICIENCY).mean(axis=1)
+        sig = sigma[live]
+        obj_new = bisquare_rho(R_new / sig[:, None], C_EFFICIENCY).mean(axis=1)
         obj = objective[live]
         # descent property of reweighting violated only by numerics; keep
         # the previous iterate
         rose = obj_new > obj + 1e-12 * (1 + np.abs(obj))
-        iterations[live[rose]] = it
-        live, th, R_new, obj_new = (live[~rose], th[~rose], R_new[~rose],
-                                    obj_new[~rose])
+        if rose.any():
+            iterations[live[rose]] = it
+            keep = ~rose
+            live, th, R_new, obj_new, sig = (live[keep], th[keep], R_new[keep],
+                                             obj_new[keep], sig[keep])
         # scale-free stop: the largest residual move in units of sigma
-        delta = np.abs(R_new - R[live]).max(axis=1) / sigma[live]
+        delta = np.abs(R_new - R[live]).max(axis=1) / sig
         theta[live], R[live], objective[live] = th, R_new, obj_new
         done = delta < M_STAGE_TOL
-        converged[live[done]] = True
-        iterations[live[done]] = it
-        live = live[~done]
+        if done.any():
+            converged[live[done]] = True
+            iterations[live[done]] = it
+            live = live[~done]
     iterations[live] = it
     return theta, converged, iterations
 
