@@ -17,7 +17,42 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import NonFiniteValue, ShapeMismatch
+
+
+def regression_arrays(y, X) -> tuple[np.ndarray, np.ndarray]:
+    """``(y, X)`` as float arrays: a vector and a matrix with the same
+    nonzero number of rows. A one-column ``y`` counts as a vector and a
+    vector ``X`` as one predictor; anything else raises
+    :class:`ShapeMismatch`."""
+    y = np.asarray(y, dtype=float)
+    X = np.asarray(X, dtype=float)
+    if y.ndim == 2 and y.shape[1] == 1:
+        y = y[:, 0]
+    if X.ndim == 1:
+        X = X[:, None]
+    if y.ndim != 1 or X.ndim != 2:
+        raise ShapeMismatch(f"y must be a vector and X a matrix, got shapes "
+                            f"{y.shape} and {X.shape}")
+    if X.shape[0] != len(y):
+        raise ShapeMismatch(f"y has length {len(y)}, X has {X.shape[0]} rows")
+    if not len(y):
+        raise ShapeMismatch("y and X have no rows")
+    return y, X
+
+
+def require_finite(y: np.ndarray, X: np.ndarray, columns=None) -> None:
+    """Raise :class:`NonFiniteValue` naming the first column of ``[y, X]``
+    (0 is ``y``, ``j`` is ``x_j``) that holds a NaN or infinite cell,
+    checking ``y`` and either every column of ``X`` or those whose indices
+    ``columns`` lists in ascending order."""
+    if not np.isfinite(y).all():
+        raise NonFiniteValue(0)
+    checked = X if columns is None else X[:, columns]
+    nonfinite = ~np.isfinite(checked).all(axis=0)
+    if nonfinite.any():
+        j = int(np.argmax(nonfinite))
+        raise NonFiniteValue((j if columns is None else int(columns[j])) + 1)
 
 
 @dataclass

@@ -9,7 +9,7 @@ import numpy as np
 
 from .cellwise import (CorrelationStructure, DdcConfig, ImputationResult,
                        RobustScale, correlation_structure, ddc_impute)
-from .errors import NonFiniteValue, ShapeMismatch
+from .data import regression_arrays, require_finite
 from .robustfit import EnsembleModel, fit_ensemble_models, predict
 from .selection import SelectionConfig, SelectionResult, run_selection
 
@@ -69,23 +69,9 @@ def fit_ensemble(y: np.ndarray, X: np.ndarray, cfg: SelectionConfig,
         Naming the first column of ``[y, X]`` that holds a NaN or infinite
         cell (0 is ``y``, ``j`` is ``x_j``).
     """
-    y = np.asarray(y, dtype=float)
-    X = np.asarray(X, dtype=float)
-    if y.ndim == 2 and y.shape[1] == 1:
-        y = y[:, 0]
-    if X.ndim == 1:
-        X = X[:, None]
-    if y.ndim != 1 or X.ndim != 2:
-        raise ShapeMismatch(f"y must be a vector and X a matrix, got shapes "
-                            f"{y.shape} and {X.shape}")
-    if X.shape[0] != len(y):
-        raise ShapeMismatch(f"y has length {len(y)}, X has {X.shape[0]} rows")
-    if not len(y):
-        raise ShapeMismatch("y and X have no rows")
+    y, X = regression_arrays(y, X)
+    require_finite(y, X)
     Z = np.column_stack([y, X])
-    nonfinite = ~np.isfinite(Z).all(axis=0)
-    if nonfinite.any():
-        raise NonFiniteValue(int(np.argmax(nonfinite)))
     if impute:
         imp = ddc_impute(Z, ddc)
     else:

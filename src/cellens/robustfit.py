@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import regression_arrays, require_finite
 from .errors import NonFiniteValue, RankDeficient, ShapeMismatch
 from .linalg import ols_fit, pivot_ratios, prepare_design
 from .rng import make_rng
@@ -124,11 +125,14 @@ def s_scale(residuals: np.ndarray, c0: float = C_BREAKDOWN,
 
     Solved by Newton's method in 1/sigma^2 to relative tolerance ``rtol``.
     Returns 0.0 when at least half the residuals are exactly zero
-    (exact-fit case, where no positive solution exists).
+    (exact-fit case, where no positive solution exists). A NaN or
+    infinite residual raises :class:`NonFiniteValue`.
     """
     r = np.asarray(residuals, dtype=float)
     if r.size == 0:
         raise ShapeMismatch("empty residual vector")
+    if not np.isfinite(r).all():
+        raise NonFiniteValue(0, "residuals")
     return float(_solve_s_scale(r.reshape(1, -1), c0, rtol)[0])
 
 
@@ -166,20 +170,15 @@ def _weighted_ls(D: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
     ``w`` has shape (..., n) and the result (..., c). The design ``D``
     (..., n, c) and the response ``y`` (..., n) broadcast against the
     rows of ``w``: one design for every row, or one per sub-model. Each
-    weighted Gram is solved as normal equations, all rows in one stacked
-    call; a row gets the same bits as when solved alone. A row whose weighted
-    design is singular or nearly collinear (least pivot ratio at most
-    ``WLS_NORMAL_RATIO``) gets ``lstsq``'s solution instead, the
-    minimum-norm one when singular; only those rows are solved one at a
-    time.
+    weighted Gram is formed from ``w * D^T``, C-ordered whatever the
+    layout of ``D``, and solved as normal equations, all rows in one
+    stacked call; a row gets the same bits as when solved alone. A row
+    whose weighted design is singular or nearly collinear (least pivot
+    ratio at most ``WLS_NORMAL_RATIO``) gets ``lstsq``'s solution
+    instead, the minimum-norm one when singular; only those rows are
+    solved one at a time.
     """
-    # the weighted design transposed, each slice laid out in the order of
-    # the design's own (n, c) slices (row-major as (n, c), column-major as
-    # (c, n)), as numpy lays out ``w * D.T`` for one design
-    if D.strides[-2] < D.strides[-1]:
-        Dw = np.multiply(w[..., None, :], np.swapaxes(D, -1, -2), order="C")
-    else:
-        Dw = np.swapaxes(np.multiply(w[..., :, None], D, order="C"), -1, -2)
+    Dw = np.multiply(w[..., None, :], np.swapaxes(D, -1, -2), order="C")
     G = Dw @ D
     b = (Dw @ y[..., None])[..., 0]
     normal = pivot_ratios(G).min(axis=-1) > WLS_NORMAL_RATIO
@@ -196,78 +195,55 @@ def _weighted_ls(D: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
     return theta
 
 
-def _empty_stack(a: np.ndarray, count: int) -> np.ndarray:
-    """An empty (count, r, c) stack of arrays laid out like the 2-D ``a``:
-    column-major when its columns are contiguous, else row-major."""
-    if a.strides[0] < a.strides[1]:
-        return np.empty((count,) + a.shape[::-1]).transpose(0, 2, 1)
-    return np.empty((count,) + a.shape)
-
-
-def _stack(arrays: list[np.ndarray]) -> np.ndarray:
-    """Stack 2-D arrays of one shape and layout, keeping the layout."""
-    out = _empty_stack(arrays[0], len(arrays))
-    for o, a in zip(out, arrays):
-        o[...] = a
-    return out
-
-
 class _Stack:
-    """The prepared sub-models of one fit, stacked by column count and
-    memory layout.
+    """The prepared sub-models of one fit, stacked by column count.
 
     Sub-model k has ``P[k]``, its ``[y, X]`` as :func:`prepare_design`
-    returns it, and its design ``D[k]`` (n, c_k): ``[1, X]`` with an
-    intercept, else the view ``P[k][:, 1:]``. A stacked stage works on
-    rows (starts or iterates), each owned by one sub-model: ``owner``
-    lists the owners in ascending order, and the coefficients of the rows
-    are one (rows, max c_k) array, zero beyond each row's own c_k columns.
+    returns it, and its design (n, c_k): ``[1, X]`` with an intercept,
+    else ``X``. The sub-models with one column count are held as two
+    C-contiguous stacks: their responses ``y`` (m, n) and their transposed
+    designs ``Dt`` (m, c, n). A stacked stage works on rows (starts or
+    iterates), each owned by one sub-model: ``owner`` lists the owners in
+    ascending order, and the coefficients of the rows are one (rows, max
+    c_k) array, zero beyond each row's own c_k columns.
 
-    The bits of a matrix product depend on its row count and on its
-    operands' strides. So each stacked operand keeps the strides of the
-    sub-model's own (``y`` is ``P[:, 0]``), sub-models are stacked only
-    with others of the same column count and layout, and each sub-model's
-    rows are multiplied in one product, as in a fit of it alone.
+    The bits of a matrix product depend on its row count, so each
+    sub-model's rows are multiplied in one product, as in a fit of it
+    alone.
     """
 
-    def __init__(self, P: list[np.ndarray], D: list[np.ndarray],
-                 intercept: bool):
+    def __init__(self, P: list[np.ndarray], intercept: bool):
         self.n = P[0].shape[0]
-        self.ncol = np.array([Dk.shape[1] for Dk in D], dtype=int)
+        self.ncol = np.array([Pk.shape[1] - 1 + intercept for Pk in P])
         self.width = int(self.ncol.max())
-        layouts: dict[tuple, list[int]] = {}
-        for k, (Pk, Dk) in enumerate(zip(P, D)):
-            layouts.setdefault((Dk.shape[1], Pk.strides, Dk.strides),
-                               []).append(k)
-        self.layout = np.zeros(len(P), dtype=int)
+        counts, self.group = np.unique(self.ncol, return_inverse=True)
         self.slot = np.zeros(len(P), dtype=int)
-        self.intercept = intercept
         self._recent: dict[tuple[int, ...], tuple] = {}
         self._owner, self._owner_groups = b"", []
-        self._P, self._D = [], []
-        for g, members in enumerate(layouts.values()):
-            self.layout[members] = g
-            self.slot[members] = np.arange(len(members))
-            self._P.append(_stack([P[k] for k in members]))
-            # without an intercept the design stays a view of [y, X]
-            self._D.append(_stack([D[k] for k in members]) if intercept
-                           else self._P[-1][..., 1:])
+        self._y, self._Dt = [], []
+        for g, c in enumerate(counts):
+            members = np.flatnonzero(self.group == g)
+            self.slot[members] = np.arange(members.size)
+            self._y.append(np.stack([P[k][:, 0] for k in members]))
+            # the row of ones stays in place with an intercept
+            Dt = np.ones((members.size, c, self.n))
+            for Dk, k in zip(Dt, members):
+                Dk[int(intercept):] = P[k][:, 1:].T
+            self._Dt.append(Dt)
 
     def operands(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(D, y)`` of sub-models ``ks`` (ascending, one layout): shapes
-        (len, n, c) and (len, n)."""
-        g = self.layout[ks[0]]
-        P, D = self._P[g], self._D[g]
-        if len(ks) < len(P):
+        """``(Dt, y)`` of sub-models ``ks`` (ascending, one column count):
+        shapes (len, c, n) and (len, n)."""
+        g = self.group[ks[0]]
+        Dt, y = self._Dt[g], self._y[g]
+        if len(ks) < len(y):
             idx = self.slot[ks]
-            P = np.take(P, idx, axis=0, out=_empty_stack(P[0], len(ks)))
-            D = (np.take(D, idx, axis=0, out=_empty_stack(D[0], len(ks)))
-                 if self.intercept else P[..., 1:])
-        return D, P[..., 0]
+            Dt, y = Dt[idx], y[idx]
+        return Dt, y
 
     def _groups(self, owner: np.ndarray) -> list[tuple]:
-        """``(c, D, y, rows)`` for each set of sub-models with equal layout
-        and row count: their :meth:`operands` and ``rows`` (sub-models,
+        """``(c, Dt, y, rows)`` for each set of sub-models with equal column
+        and row counts: their :meth:`operands` and ``rows`` (sub-models,
         row count) indexing ``owner``."""
         key = owner.tobytes()
         if key == self._owner:
@@ -277,39 +253,40 @@ class _Stack:
         first = np.flatnonzero(edge)
         ks, count = owner[first], np.append(first[1:], len(owner)) - first
         sets: dict[tuple[int, int], list[int]] = {}
-        for i, lm in enumerate(zip(self.layout[ks].tolist(), count.tolist())):
-            sets.setdefault(lm, []).append(i)
-        # the live sub-models of a layout keep their set for many steps:
-        # reuse the stacks made for the previous owners
+        for i, gm in enumerate(zip(self.group[ks].tolist(), count.tolist())):
+            sets.setdefault(gm, []).append(i)
+        # the live sub-models of a column count keep their set for many
+        # steps: reuse the stacks made for the previous owners
         recent, self._recent, groups = self._recent, {}, []
         for (_, m), members in sets.items():
             g = ks[members]
             gk = tuple(g.tolist())
-            D, y = self._recent[gk] = recent.get(gk) or self.operands(g)
-            groups.append((int(self.ncol[g[0]]), D, y,
+            Dt, y = self._recent[gk] = recent.get(gk) or self.operands(g)
+            groups.append((int(self.ncol[g[0]]), Dt, y,
                            first[members, None] + np.arange(m)))
         self._owner, self._owner_groups = key, groups
         return groups
 
     def residuals(self, owner: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """``y - theta @ D.T`` for every row, shape (rows, n): one product
+        """``y - theta @ Dt`` for every row, shape (rows, n): one product
         per sub-model's rows, as in its fit alone, stacked over the
-        sub-models with equal layout and row count."""
+        sub-models with equal column and row counts."""
         R = np.empty((len(owner), self.n))
-        for c, D, y, rows in self._groups(owner):
-            R[rows] = y[:, None] - theta[rows, :c] @ np.swapaxes(D, 1, 2)
+        for c, Dt, y, rows in self._groups(owner):
+            R[rows] = y[:, None] - theta[rows, :c] @ Dt
         return R
 
     def reweighted(self, owner: np.ndarray, w: np.ndarray):
         """:func:`_weighted_ls` of every row under its weights ``w``
         (rows, n) and the residuals of the result, ``(theta, R)``; one
-        stacked call of each per layout and row count."""
+        stacked call of each per column and row count."""
         theta = np.zeros((len(owner), self.width))
         R = np.empty((len(owner), self.n))
-        for c, D, y, rows in self._groups(owner):
-            th = _weighted_ls(D[:, None], y[:, None], w[rows])
+        for c, Dt, y, rows in self._groups(owner):
+            th = _weighted_ls(np.swapaxes(Dt, 1, 2)[:, None], y[:, None],
+                              w[rows])
             theta[rows, :c] = th
-            R[rows] = y[:, None] - th @ np.swapaxes(D, 1, 2)
+            R[rows] = y[:, None] - th @ Dt
         return theta, R
 
 
@@ -462,6 +439,21 @@ def _m_stage(stack: _Stack, owner: np.ndarray, theta: np.ndarray,
     return theta, converged, iterations
 
 
+def _checked_inputs(y, X, sets=None):
+    """``(y, X, sets)`` for fits of ``y`` on sets of columns of ``X`` (one
+    set of all of them when None), after :func:`regression_arrays`, the
+    checks of ``sets`` and :func:`require_finite` on the columns read."""
+    y, X = regression_arrays(y, X)
+    sets = [range(X.shape[1])] if sets is None else sets
+    if not len(sets):
+        raise ShapeMismatch("'sets' is empty: an ensemble needs a set")
+    for k, subset in enumerate(sets):
+        _check_set(subset, X.shape[1], f"'sets'[{k}]")
+    sets = [[int(j) for j in subset] for subset in sets]
+    require_finite(y, X, np.array(sorted(set().union(*sets)), dtype=int))
+    return y, X, sets
+
+
 def _fit_models(designs, y: np.ndarray, intercept: bool,
                 seeds: list[int]) -> list[RobustFit]:
     """Two-stage robust fits of ``y`` on each design (an iterable, one per
@@ -473,23 +465,19 @@ def _fit_models(designs, y: np.ndarray, intercept: bool,
     finalists, then its M-stage), each stacked call keeps every row's
     bits, and a sub-model that stops is frozen.
     """
-    y = np.asarray(y, dtype=float)
-    if not seeds:
-        return []
-    P_list, D_list, scales, starts, subsets = [], [], [], [], []
+    P_list, scales, starts, subsets = [], [], [], []
     for X, seed in zip(designs, seeds):
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[:, None]
         n, q = X.shape
         if q + int(intercept) >= n:
             raise RankDeficient(f"{q} predictors (+intercept={intercept}) "
                                 f"with only {n} rows")
-        # coefficients, constant and scale are recovered once at the end
-        P, means, e = prepare_design(np.column_stack([y, X]), intercept)
+        # [y, X] as one column-major copy, whatever the layout of X, so its
+        # bits never depend on the caller's; coefficients, constant and
+        # scale are recovered once at the end
+        P = np.empty((1 + q, n))
+        P[0], P[1:] = y, X.T
+        P, means, e = prepare_design(P.T, intercept)
         P_list.append(P)
-        D_list.append(np.column_stack([np.ones(n), P[:, 1:]]) if intercept
-                      else P[:, 1:])
         scales.append((means, e))
         if q + intercept:
             coef0, _ = ols_fit(P[:, 1:], P[:, 0])
@@ -500,8 +488,8 @@ def _fit_models(designs, y: np.ndarray, intercept: bool,
             subsets.append(np.array([
                 rng.choice(n, size=q + intercept, replace=False)
                 for _ in range(N_ELEMENTAL_STARTS)]))
-    stack = _Stack(P_list, D_list, intercept)
-    del P_list, D_list  # the stack holds its own copies
+    stack = _Stack(P_list, intercept)
+    del P_list  # the stack holds its own copies
     K = len(scales)
     theta = np.zeros((K, stack.width))
     sigma = np.zeros(K)
@@ -565,9 +553,12 @@ def mm_fit(X: np.ndarray, y: np.ndarray, intercept: bool = True,
 
     Raises
     ------
+    ShapeMismatch, NonFiniteValue
+        As :func:`fit_ensemble_models` raises them.
     RankDeficient
         If the design (centered, with an intercept) is rank deficient.
     """
+    y, X, _ = _checked_inputs(y, X)
     return _fit_models([X], y, intercept, [seed])[0]
 
 
@@ -591,23 +582,28 @@ def fit_ensemble_models(imp_y: np.ndarray, imp_X: np.ndarray,
     In each phase every scale solve is one row-wise call over the live
     rows of all sub-models (they share the rows of ``imp_y``), and the
     weighted solves are one stacked call per group of sub-models with the
-    same column count (and memory layout) and the same number of live
-    rows. A sub-model's rows stop on their own rules and are frozen from
-    then on.
+    same column count and the same number of live rows. A sub-model's
+    rows stop on their own rules and are frozen from then on.
 
     Raises
     ------
+    ShapeMismatch
+        Unless ``imp_y`` is a vector and ``imp_X`` a matrix with as many
+        rows, for no sets, or naming a set that holds anything but integer
+        indices in ``0..p-1`` (as :func:`model_from_json`).
+    NonFiniteValue
+        Naming the first column a fit reads that holds a NaN or infinite
+        cell (0 is ``y``, ``j`` is ``x_j``).
     RankDeficient
         For the first sub-model (in order) with too many columns for the
         rows or a rank-deficient design.
     """
-    n = len(imp_y)
-    designs = (imp_X[:, subset] if subset else np.empty((n, 0))
-               for subset in sets)
+    imp_y, imp_X, sets = _checked_inputs(imp_y, imp_X, sets)
+    designs = (imp_X[:, subset] for subset in sets)
     fits = _fit_models(designs, imp_y, intercept,
                        [seed + k for k in range(len(sets))])
-    return EnsembleModel(fits=fits, sets=[list(s) for s in sets],
-                         p=imp_X.shape[1], intercept=intercept)
+    return EnsembleModel(fits=fits, sets=sets, p=imp_X.shape[1],
+                         intercept=intercept)
 
 
 def predict(model: EnsembleModel, Xnew: np.ndarray) -> np.ndarray:
@@ -672,7 +668,17 @@ _MODEL_FIT_FIELDS = ("coefficients", "intercepts", "scales", "converged",
 
 
 def _is_index(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_set(subset, p: int, label: str) -> None:
+    wrong = [j for j in subset if not _is_index(j)]
+    if wrong:
+        raise ShapeMismatch(f"{label} holds {wrong[0]!r}, not an integer index")
+    outside = [j for j in subset if not 0 <= j < p]
+    if outside:
+        raise ShapeMismatch(f"{label} holds index {outside[0]} outside "
+                            f"0..{p - 1}")
 
 
 def _is_finite_number(value) -> bool:
@@ -745,14 +751,7 @@ def model_from_json(text: str) -> EnsembleModel:
             raise ShapeMismatch(
                 f"model field 'coefficients'[{k}] has {len(coef)} entries "
                 f"for {len(subset)} indices in 'sets'[{k}]")
-        wrong = [j for j in subset if not _is_index(j)]
-        if wrong:
-            raise ShapeMismatch(f"model field 'sets'[{k}] holds {wrong[0]!r}, "
-                                f"not an integer index")
-        outside = [j for j in subset if not 0 <= j < p]
-        if outside:
-            raise ShapeMismatch(f"model field 'sets'[{k}] holds index "
-                                f"{outside[0]} outside 0..{p - 1}")
+        _check_set(subset, p, f"model field 'sets'[{k}]")
         wrong = [c for c in coef if not _is_finite_number(c)]
         if wrong:
             raise ShapeMismatch(f"model field 'coefficients'[{k}] holds "

@@ -90,7 +90,7 @@ def test_s_scale_scale_equivariance_tight(kind):
 def _one_model(D, y):
     """The stack of one sub-model with design ``D`` (first column the
     constant) and response ``y``."""
-    return robustfit._Stack([np.column_stack([y, D[:, 1:]])], [D], True)
+    return robustfit._Stack([np.column_stack([y, D[:, 1:]])], True)
 
 
 def test_s_stage_stops_at_scale_accuracy(monkeypatch):
