@@ -336,25 +336,14 @@ def _edge_input(kind: str, run: int):
     return y, X
 
 
-def check_edge_inputs(n_runs: int = 1) -> list[str]:
-    """Degenerate inputs must fit to finite predictions or raise a typed error.
-
-    Each run crosses the ``EDGE_KINDS`` input classes of
-    :func:`_edge_input` with K in {1, 2, 10} and the intercept on and off
-    (2 to 5 folds), and runs ``fit_ensemble`` and ``predict`` on the
-    training rows with every warning an error. An input passes when the
-    predictions are finite, or when a ``CellensError`` is raised; one that
-    carries a column (``DegenerateColumn``, ``NonFiniteValue``) must name
-    a column of ``[y, X]``.
-    """
+def _typed_or_finite(cases) -> list[str]:
+    """Failures of ``(label, y, X, cfg)`` cases: each runs ``fit_ensemble``
+    and ``predict`` on the training rows with every warning an error, and
+    passes when the predictions are finite, or when a ``CellensError`` is
+    raised; one that carries a column (``DegenerateColumn``,
+    ``NonFiniteValue``) must name a column of ``[y, X]``."""
     failures = []
-    grid = list(product(EDGE_KINDS, (1, 2, 10), (True, False))) * n_runs
-    for case, (kind, K, intercept) in enumerate(grid):
-        y, X = _edge_input(kind, case)
-        cfg = SelectionConfig(K=K, cv_folds=2 + case % 4, intercept=intercept,
-                              seed=split_seed(2222, case))
-        label = (f"edge {kind} n={X.shape[0]} p={X.shape[1]} K={K} "
-                 f"intercept={intercept}")
+    for label, y, X, cfg in cases:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -370,6 +359,87 @@ def check_edge_inputs(n_runs: int = 1) -> list[str]:
         if not np.isfinite(pred).all():
             failures.append(f"{label}: non-finite predictions")
     return failures
+
+
+def check_edge_inputs(n_runs: int = 1) -> list[str]:
+    """Degenerate inputs must fit to finite predictions or raise a typed error.
+
+    Each run crosses the ``EDGE_KINDS`` input classes of
+    :func:`_edge_input` with K in {1, 2, 10} and the intercept on and off
+    (2 to 5 folds); each input must pass :func:`_typed_or_finite`.
+    """
+    grid = list(product(EDGE_KINDS, (1, 2, 10), (True, False))) * n_runs
+
+    def cases():
+        for case, (kind, K, intercept) in enumerate(grid):
+            y, X = _edge_input(kind, case)
+            cfg = SelectionConfig(K=K, cv_folds=2 + case % 4,
+                                  intercept=intercept,
+                                  seed=split_seed(2222, case))
+            yield (f"edge {kind} n={X.shape[0]} p={X.shape[1]} K={K} "
+                   f"intercept={intercept}", y, X, cfg)
+
+    return _typed_or_finite(cases())
+
+
+EXTREME_KINDS = ("cauchy", "scaled", "tiny", "gross", "factor", "tied")
+
+
+def _extreme_input(kind: str, n: int, p: int, run: int):
+    """Seeded ``(y, X)`` of one extreme input class, ``n`` rows, ``p``
+    columns.
+
+    ``cauchy`` draws every column from the standard Cauchy; ``scaled``
+    multiplies the columns by 1e150 and 1e-150 in turn; ``tiny`` multiplies
+    every cell of ``[y, X]`` by 1e-300; ``gross`` sets 30% of the cells of
+    ``X`` to 1e6; ``factor`` gives every column one common factor (pairwise
+    correlation about 0.99); ``tied`` sets 60% of ``y`` to 0 or 1, half
+    each, so no value holds a majority and ``y`` keeps a nonzero MAD.
+    """
+    rng = make_rng(split_seed(2323, run))
+    X = (rng.standard_cauchy((n, p)) if kind == "cauchy"
+         else rng.standard_normal((n, p)))
+    if kind == "factor":
+        X = rng.standard_normal(n)[:, None] + 0.1 * X
+    beta = np.array([1.5, -1.0, 0.5])[:min(p, 3)]
+    y = X[:, :beta.size] @ beta + 0.5 * rng.standard_normal(n)
+    if kind == "scaled":
+        X *= 10.0 ** (150 * (-1) ** np.arange(p))
+    elif kind == "tiny":
+        X, y = X * 1e-300, y * 1e-300
+    elif kind == "gross":
+        X[rng.random((n, p)) < 0.3] = 1e6
+    elif kind == "tied":
+        rows = rng.permutation(n)[:round(0.6 * n)]
+        y[rows] = np.arange(rows.size) % 2
+    return y, X
+
+
+def check_extreme_inputs() -> list[str]:
+    """Heavy-tailed, extreme-scale, contaminated, collinear and tied inputs
+    must fit to finite predictions or raise a typed error.
+
+    Crosses the ``EXTREME_KINDS`` classes of :func:`_extreme_input` with
+    n in {6, 100}, p in {1, 3, 3n} and the intercept on and off, at K = 5
+    (2 to 5 folds); each input must pass :func:`_typed_or_finite`.
+    :func:`run_all` runs it in its edge-inputs suite. It is kept apart
+    from :func:`check_edge_inputs` because a few of its inputs raise
+    ``DegenerateColumn`` (a ``gross`` column at n = 6 with 4 of its 6
+    cells at 1e6 has zero MAD), and that check's grid pins which classes
+    fail when the zero-MAD error is broken.
+    """
+    grid = product(EXTREME_KINDS, (6, 100), (1, 3, None), (True, False))
+
+    def cases():
+        for case, (kind, n, p, intercept) in enumerate(grid):
+            y, X = _extreme_input(kind, n, p or 3 * n, case)
+            cfg = SelectionConfig(K=5, cv_folds=2 + case % 4,
+                                  intercept=intercept,
+                                  seed=split_seed(2424, case))
+            yield (f"extreme {kind} n={n} p={X.shape[1]} K=5 "
+                   f"intercept={intercept}", y, X, cfg)
+
+    return _typed_or_finite(cases())
 
 
 def run_all() -> bool:
@@ -390,7 +460,7 @@ def run_all() -> bool:
         ("local-stability", lambda: check_local_stability(n_runs=5)),
         ("cv-oracle", check_cv_oracle),
         ("s-scale", check_s_scale),
-        ("edge-inputs", check_edge_inputs),
+        ("edge-inputs", lambda: check_edge_inputs() + check_extreme_inputs()),
     ]
     ok = True
     for name, fn in suites:
