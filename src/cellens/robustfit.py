@@ -672,6 +672,8 @@ def _is_index(value) -> bool:
 
 
 def _check_set(subset, p: int, label: str) -> None:
+    if not isinstance(subset, (list, tuple, range, np.ndarray)):
+        raise ShapeMismatch(f"{label} is not a list")
     wrong = [j for j in subset if not _is_index(j)]
     if wrong:
         raise ShapeMismatch(f"{label} holds {wrong[0]!r}, not an integer index")
@@ -743,15 +745,13 @@ def model_from_json(text: str) -> EnsembleModel:
             raise ShapeMismatch(f"model field {key!r} holds {wrong[0]!r}, "
                                 f"not {kind}")
     for k, (subset, coef) in enumerate(zip(sets, doc["coefficients"])):
-        if not isinstance(subset, list):
-            raise ShapeMismatch(f"model field 'sets'[{k}] is not a list")
+        _check_set(subset, p, f"model field 'sets'[{k}]")
         if not isinstance(coef, list):
             raise ShapeMismatch(f"model field 'coefficients'[{k}] is not a list")
         if len(coef) != len(subset):
             raise ShapeMismatch(
                 f"model field 'coefficients'[{k}] has {len(coef)} entries "
                 f"for {len(subset)} indices in 'sets'[{k}]")
-        _check_set(subset, p, f"model field 'sets'[{k}]")
         wrong = [c for c in coef if not _is_finite_number(c)]
         if wrong:
             raise ShapeMismatch(f"model field 'coefficients'[{k}] holds "

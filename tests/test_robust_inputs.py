@@ -53,6 +53,7 @@ def test_fits_do_not_depend_on_the_memory_layout_of_X(seed, intercept):
     ([[0], [-1]], r"'sets'\[1\] holds index -1 outside 0\.\.2"),
     ([], r"'sets' is empty"),
     ([[0, 1.0]], r"'sets'\[0\] holds 1\.0, not an integer index"),
+    ([2], r"'sets'\[0\] is not a list"),
 ])
 def test_fit_ensemble_models_rejects_bad_sets(sets, match):
     X, y = _data(90, p=3)
