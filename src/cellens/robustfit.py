@@ -34,6 +34,13 @@ C_BREAKDOWN = 1.5476
 C_EFFICIENCY = 4.685
 
 N_ELEMENTAL_STARTS = 20
+# the fast-S schedule: every start (the OLS start and the elemental ones)
+# takes PREVIEW_STEPS reweighting steps at scale accuracy PREVIEW_RTOL, and
+# each sub-model's N_FINALISTS best previews are refined to FINALIST_RTOL
+PREVIEW_STEPS = 2
+PREVIEW_RTOL = 1e-3
+N_FINALISTS = 3
+FINALIST_RTOL = 1e-5
 S_STAGE_MAX_ITER = 50
 # the previews of the K sub-models run in batches whose (rows, n) stacks of
 # residuals and weights hold at most this many entries (128 KiB each)
@@ -343,10 +350,10 @@ def _s_stage(stack: _Stack, models: np.ndarray, start0: np.ndarray,
     (ascending, each with at least one column), from its OLS start (a row
     of ``start0``) and its elemental starts, exact fits to the rows that
     each row of its ``subsets`` entry lists."""
-    # fast-S schedule: two cheap refinement steps for every start, full
-    # convergence only for each sub-model's most promising candidates. The
-    # previews run in batches of sub-models whose (rows, n) stacks hold at
-    # most STACK_CELLS entries; the finalists all in one stack
+    # fast-S schedule: PREVIEW_STEPS cheap refinement steps for every start,
+    # full convergence only for each sub-model's N_FINALISTS most promising
+    # candidates. The previews run in batches of sub-models whose (rows, n)
+    # stacks hold at most STACK_CELLS entries; the finalists all in one stack
     per = 1 + N_ELEMENTAL_STARTS
     thetas = np.zeros((len(models), per, stack.width))
     sigmas = np.zeros((len(models), per))
@@ -364,7 +371,8 @@ def _s_stage(stack: _Stack, models: np.ndarray, start0: np.ndarray,
             W.reshape(-1, stack.n))[0].reshape(len(batch), N_ELEMENTAL_STARTS, -1)
         th, sg = _irls_s_stage(stack, np.repeat(batch, per),
                                thetas[b].reshape(-1, stack.width), C_BREAKDOWN,
-                               max_iter=2, scale_rtol=1e-3, final_rtol=1e-3)
+                               max_iter=PREVIEW_STEPS, scale_rtol=PREVIEW_RTOL,
+                               final_rtol=PREVIEW_RTOL)
         thetas[b] = th.reshape(len(batch), per, -1)
         sigmas[b] = sg.reshape(len(batch), per)
     order = np.argsort(sigmas, axis=1, kind="stable")
@@ -374,13 +382,14 @@ def _s_stage(stack: _Stack, models: np.ndarray, start0: np.ndarray,
     # an exact fit (sigma 0) is final: no refinement
     going = np.flatnonzero(sigmas[first, order[:, 0]] > 0.0)
     if going.size:
-        finalists = thetas[going[:, None], order[going, :3]]
-        th, sg = _irls_s_stage(stack, np.repeat(models[going], 3),
-                               finalists.reshape(3 * going.size, -1),
-                               C_BREAKDOWN, scale_rtol=1e-5)
-        sg = sg.reshape(going.size, 3)
+        finalists = thetas[going[:, None], order[going, :N_FINALISTS]]
+        th, sg = _irls_s_stage(stack, np.repeat(models[going], N_FINALISTS),
+                               finalists.reshape(N_FINALISTS * going.size, -1),
+                               C_BREAKDOWN, scale_rtol=FINALIST_RTOL)
+        sg = sg.reshape(going.size, N_FINALISTS)
         best = np.argmin(sg, axis=1)
-        theta[going] = th.reshape(going.size, 3, -1)[np.arange(going.size), best]
+        theta[going] = th.reshape(going.size, N_FINALISTS,
+                                  -1)[np.arange(going.size), best]
         sigma[going] = sg[np.arange(going.size), best]
     return theta, sigma
 

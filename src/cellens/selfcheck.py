@@ -1,5 +1,5 @@
 """Built-in property suites: invariances, stability, path equivalence,
-the cross-validation arbiter and the robust stage's S-scale.
+the cross-validation arbiter, the robust stage's S-scale and its search.
 
 Each check runs the real pipeline (or, for the S-scale, the robust
 stage's scale solve) on seeded synthetic data and verifies a structural
@@ -14,19 +14,24 @@ from __future__ import annotations
 import logging
 import warnings
 from dataclasses import replace
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
 from . import corrlars, reference, robustfit
 from .cellwise import CorrelationStructure, correlation_structure, ddc_impute
 from .errors import CellensError
+from .linalg import prepare_design
 from .pipeline import fit_ensemble, passthrough_imputation
 from .rng import make_rng, split_seed
 from .selection import SelectionConfig, cv_error, fold_assignment, run_selection
 from .simulate import SimConfig, generate_clean
 
 logger = logging.getLogger("cellens.selfcheck")
+
+# inputs of check_s_stage_oracle on which the fast-S search misses the
+# least scale (runs 0 and 5, by 79% and 18%; ROADMAP item 3)
+S_ORACLE_MISSES = 2
 
 
 def _generic_dataset(seed: int, n: int = 50, p: int = 80):
@@ -280,6 +285,59 @@ def check_s_scale(n_runs: int = 9, tol: float = 1e-6) -> list[str]:
     return failures
 
 
+def _s_oracle_input(run: int, n: int):
+    """Seeded ``(y, X)``: ``n`` rows, 2 columns, and 5 outlying rows whose
+    responses sit 8 to 15 above the line, 2 of them also shifted 5 along
+    each column (bad leverage points)."""
+    rng = make_rng(split_seed(2525, run))
+    X = rng.standard_normal((n, 2))
+    y = X @ np.array([1.0, -0.5]) + 0.5 * rng.standard_normal(n)
+    out = rng.permutation(n)[:5]
+    y[out] += rng.uniform(8.0, 15.0, 5)
+    X[out[:2]] += 5.0
+    return y, X
+
+
+def check_s_stage_oracle(n_runs: int = 30, n: int = 14,
+                         max_misses: int = S_ORACLE_MISSES) -> list[str]:
+    """The S-stage's search must find the least S-scale an exhaustive
+    search finds, on all but ``max_misses`` of ``n_runs`` tiny inputs.
+
+    Each input (:func:`_s_oracle_input`, with an intercept) is fitted by
+    :func:`robustfit.mm_fit`, which searches from its OLS start and
+    ``N_ELEMENTAL_STARTS`` elemental starts on the fast-S schedule
+    (``PREVIEW_STEPS``, ``N_FINALISTS``). The oracle takes every elemental
+    start, an exact fit to each of the C(n, 3) subsets of 3 rows, and
+    refines each with the S-stage to scale accuracy 1e-8. An input is a
+    miss when ``mm_fit``'s scale exceeds the least refined scale by more
+    than 1%.
+    """
+    subsets = np.array(list(combinations(range(n), 3)))
+    starts = np.arange(len(subsets))
+    missed = []
+    for run in range(n_runs):
+        y, X = _s_oracle_input(run, n)
+        scale = robustfit.mm_fit(X, y, seed=run).scale
+        P, _, e = prepare_design(np.column_stack([y, X]), True)
+        stack = robustfit._Stack([P], True)
+        owner = np.zeros(len(subsets), dtype=int)
+        W = np.zeros((len(subsets), n))
+        W[starts[:, None], subsets] = 1.0
+        theta = stack.reweighted(owner, W)[0]
+        _, sigma = robustfit._irls_s_stage(stack, owner, theta,
+                                           robustfit.C_BREAKDOWN,
+                                           scale_rtol=1e-8)
+        best = np.ldexp(sigma.min(), e[0])
+        if scale > 1.01 * best:
+            missed.append(f"run {run} ({scale / best - 1:.1%} above)")
+    if len(missed) <= max_misses:
+        return []
+    return [f"s-stage oracle: {len(missed)} of {n_runs} inputs missed the "
+            f"least scale by over 1% (at most {max_misses} allowed, "
+            f"{robustfit.N_ELEMENTAL_STARTS} elemental starts, "
+            f"{robustfit.N_FINALISTS} finalists): {', '.join(missed)}"]
+
+
 def check_cv_oracle(n_runs: int = 20, n: int = 47, p: int = 30,
                     folds: int = 5, tol: float = 1e-10) -> list[str]:
     """The stacked cross-validation error must match the fold-by-fold oracle.
@@ -459,7 +517,7 @@ def run_all() -> bool:
         ("intercept-invariance", lambda: check_intercept_invariance(n_runs=5)),
         ("local-stability", lambda: check_local_stability(n_runs=5)),
         ("cv-oracle", check_cv_oracle),
-        ("s-scale", check_s_scale),
+        ("s-scale", lambda: check_s_scale() + check_s_stage_oracle()),
         ("edge-inputs", lambda: check_edge_inputs() + check_extreme_inputs()),
     ]
     ok = True

@@ -66,6 +66,21 @@ def test_s_scale_check_catches_off_solver(monkeypatch):
         f"s-scale run {run}" for run in range(3)]
 
 
+def test_s_stage_oracle_pins_its_miss_count():
+    # the check passes at its bound, and its count is exactly that bound
+    failures = selfcheck.check_s_stage_oracle(
+        max_misses=selfcheck.S_ORACLE_MISSES - 1)
+    assert len(failures) == 1
+    assert failures[0].startswith(
+        f"s-stage oracle: {selfcheck.S_ORACLE_MISSES} of 30 inputs missed")
+
+
+def test_s_stage_oracle_catches_a_narrower_search(monkeypatch):
+    monkeypatch.setattr(robustfit, "N_ELEMENTAL_STARTS", 5)
+    failures = selfcheck.check_s_stage_oracle()
+    assert len(failures) == 1 and "5 elemental starts" in failures[0]
+
+
 def test_cv_oracle_property():
     assert selfcheck.check_cv_oracle() == []
 
