@@ -9,8 +9,9 @@ efficiency. Ensemble predictions average the sub-model predictions.
 An elemental start is weighted least squares under 0/1 row weights, so
 all of them are one stacked solve; the M-stage stops on residual moves
 relative to the scale, a test unchanged by rescaling ``y`` or a column.
-The K sub-models run every stage together as one stack of rows, each
-row frozen once it stops, so a sub-model's fit is that of a fit alone.
+The K sub-models run every stage together, each as a block of rows
+that stays whole in every product, so a sub-model's fit is that of a fit
+alone.
 
 Tuning constants: ``C_BREAKDOWN = 1.5476`` gives the scale stage a 50%
 breakdown point at the Gaussian model, ``C_EFFICIENCY = 4.685`` gives
@@ -209,14 +210,14 @@ class _Stack:
     returns it, and its design (n, c_k): ``[1, X]`` with an intercept,
     else ``X``. The sub-models with one column count are held as two
     C-contiguous stacks: their responses ``y`` (m, n) and their transposed
-    designs ``Dt`` (m, c, n). A stacked stage works on rows (starts or
-    iterates), each owned by one sub-model: ``owner`` lists the owners in
-    ascending order, and the coefficients of the rows are one (rows, max
-    c_k) array, zero beyond each row's own c_k columns.
+    designs ``Dt`` (m, c, n).
 
-    The bits of a matrix product depend on its row count, so each
-    sub-model's rows are multiplied in one product, as in a fit of it
-    alone.
+    A stacked phase holds a block of r rows (starts or iterates) for each
+    of its sub-models ``ks`` (ascending): coefficients (len(ks), r, max
+    c_k), zero beyond each sub-model's own c_k columns, and residuals
+    (len(ks), r, n). The bits of a matrix product depend on its row count,
+    so every product takes all r rows of a sub-model, stopped or not, as
+    in a fit of it alone.
     """
 
     def __init__(self, P: list[np.ndarray], intercept: bool):
@@ -226,7 +227,7 @@ class _Stack:
         counts, self.group = np.unique(self.ncol, return_inverse=True)
         self.slot = np.zeros(len(P), dtype=int)
         self._recent: dict[tuple[int, ...], tuple] = {}
-        self._owner, self._owner_groups = b"", []
+        self._ks, self._ks_groups = b"", []
         self._y, self._Dt = [], []
         for g, c in enumerate(counts):
             members = np.flatnonzero(self.group == g)
@@ -248,97 +249,104 @@ class _Stack:
             Dt, y = Dt[idx], y[idx]
         return Dt, y
 
-    def _groups(self, owner: np.ndarray) -> list[tuple]:
-        """``(c, Dt, y, rows)`` for each set of sub-models with equal column
-        and row counts: their :meth:`operands` and ``rows`` (sub-models,
-        row count) indexing ``owner``."""
-        key = owner.tobytes()
-        if key == self._owner:
-            return self._owner_groups
-        edge = np.ones(len(owner), dtype=bool)
-        np.not_equal(owner[1:], owner[:-1], out=edge[1:])
-        first = np.flatnonzero(edge)
-        ks, count = owner[first], np.append(first[1:], len(owner)) - first
-        sets: dict[tuple[int, int], list[int]] = {}
-        for i, gm in enumerate(zip(self.group[ks].tolist(), count.tolist())):
-            sets.setdefault(gm, []).append(i)
+    def _groups(self, ks: np.ndarray) -> list[tuple]:
+        """``(c, Dt, y, idx)`` for each column count of sub-models ``ks``:
+        the :meth:`operands` of ``ks[idx]``."""
+        key = ks.tobytes()
+        if key == self._ks:
+            return self._ks_groups
+        group = self.group[ks]
         # the live sub-models of a column count keep their set for many
-        # steps: reuse the stacks made for the previous owners
+        # steps: reuse the stacks made for the previous sub-models
         recent, self._recent, groups = self._recent, {}, []
-        for (_, m), members in sets.items():
-            g = ks[members]
-            gk = tuple(g.tolist())
-            Dt, y = self._recent[gk] = recent.get(gk) or self.operands(g)
-            groups.append((int(self.ncol[g[0]]), Dt, y,
-                           first[members, None] + np.arange(m)))
-        self._owner, self._owner_groups = key, groups
+        for g in np.unique(group):
+            idx = np.flatnonzero(group == g)
+            gk = tuple(ks[idx].tolist())
+            Dt, y = self._recent[gk] = recent.get(gk) or self.operands(ks[idx])
+            groups.append((int(self.ncol[gk[0]]), Dt, y, idx))
+        self._ks, self._ks_groups = key, groups
         return groups
 
-    def residuals(self, owner: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """``y - theta @ Dt`` for every row, shape (rows, n): one product
-        per sub-model's rows, as in its fit alone, stacked over the
-        sub-models with equal column and row counts."""
-        R = np.empty((len(owner), self.n))
-        for c, Dt, y, rows in self._groups(owner):
-            R[rows] = y[:, None] - theta[rows, :c] @ Dt
+    def residuals(self, ks: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """``y - theta @ Dt`` for the block ``theta`` (len(ks), r, width):
+        residuals (len(ks), r, n), one product per sub-model, stacked per
+        column count."""
+        R = np.empty(theta.shape[:2] + (self.n,))
+        for c, Dt, y, idx in self._groups(ks):
+            R[idx] = y[:, None] - theta[idx, :, :c] @ Dt
         return R
 
-    def reweighted(self, owner: np.ndarray, w: np.ndarray):
-        """:func:`_weighted_ls` of every row under its weights ``w``
-        (rows, n) and the residuals of the result, ``(theta, R)``; one
-        stacked call of each per column and row count."""
-        theta = np.zeros((len(owner), self.width))
-        R = np.empty((len(owner), self.n))
-        for c, Dt, y, rows in self._groups(owner):
+    def reweighted(self, ks: np.ndarray, theta: np.ndarray, w: np.ndarray,
+                   live: np.ndarray):
+        """:func:`_weighted_ls` of every row of the block under its weights
+        ``w`` (len(ks), r, n), and the residuals of the result, ``(theta,
+        R)``; one stacked call of each per column count. A row that is not
+        ``live`` (mask (len(ks), r)) keeps its coefficients from ``theta``
+        (len(ks), r, width): its solve is thrown away."""
+        theta = theta.copy()
+        R = np.empty(w.shape)
+        for c, Dt, y, idx in self._groups(ks):
             th = _weighted_ls(np.swapaxes(Dt, 1, 2)[:, None], y[:, None],
-                              w[rows])
-            theta[rows, :c] = th
-            R[rows] = y[:, None] - th @ Dt
+                              w[idx])
+            kept = ~live[idx]
+            th[kept] = theta[idx, :, :c][kept]
+            theta[idx, :, :c] = th
+            R[idx] = y[:, None] - th @ Dt
         return theta, R
 
 
-def _irls_s_stage(stack: _Stack, owner: np.ndarray, theta0: np.ndarray,
-                  c0: float, scale_rtol: float, max_iter: int = S_STAGE_MAX_ITER,
+def _weights(R: np.ndarray, sigma: np.ndarray, live: np.ndarray,
+             c: float) -> np.ndarray:
+    """Bisquare weights (tuning constant ``c``) of the ``live`` rows of
+    ``R`` at their scales ``sigma``, unit weights for the other rows. A
+    live row whose weights all vanish leaves ``live``, in place."""
+    w = np.ones(R.shape)
+    w[live] = bisquare_weight(R[live] / sigma[live, None], c)
+    live &= w.any(axis=-1)
+    w[~live] = 1.0
+    return w
+
+
+def _irls_s_stage(stack: _Stack, ks: np.ndarray, theta: np.ndarray,
+                  R: np.ndarray, c0: float, scale_rtol: float,
+                  max_iter: int = S_STAGE_MAX_ITER,
                   final_rtol: float = S_SCALE_RTOL):
     """Iterate reweighted LS toward a local minimum of the S-scale.
 
-    ``theta0`` is a stack of starts of shape (m, width), start i of
-    sub-model ``owner[i]``; the returned ``(theta, sigma)`` have shapes
-    (m, width) and (m,). Each start is iterated on its own: every iterate
-    solves the weighted systems of the starts still going in one stacked
-    call per group of :meth:`_Stack.reweighted` and all their scales in
-    one row-wise call, and a start that stops is left as it is, so its
+    ``theta`` is a block of r starts for each sub-model of ``ks``, shape
+    (len(ks), r, width), and ``R`` their residuals (len(ks), r, n); the
+    returned ``(theta, sigma)`` have shapes (len(ks), r, width) and
+    (len(ks), r). Each start is iterated on its own: every iterate solves
+    all rows of the sub-models with a live start in one
+    :meth:`_Stack.reweighted` call, a stopped start keeping its
+    coefficients (its solve runs under unit weights and is thrown away),
+    and the scales of the live starts in one row-wise call, so a start's
     result does not depend on the others. The scale is re-solved each
     iterate by a Newton solve warm-started at the previous scale, to
     ``scale_rtol``; the returned scale is re-solved at ``final_rtol``. A
     start stops once its scale falls by less than ``scale_rtol`` relative,
-    the accuracy each scale is solved to, or once its scale reaches zero
-    (exact fit).
+    the accuracy each scale is solved to, once its weights all vanish, or
+    once its scale reaches zero (exact fit).
     """
-    theta = np.array(theta0, dtype=float)
-    R = stack.residuals(owner, theta)
-    sigma = _solve_s_scale(R, c0, scale_rtol)
-    live = np.flatnonzero(sigma > 0)
+    theta, R = np.array(theta, dtype=float), R.copy()
+    sigma = _solve_s_scale(R.reshape(-1, stack.n), c0,
+                           scale_rtol).reshape(R.shape[:2])
+    live = sigma > 0
     for _ in range(max_iter):
-        if not live.size:
+        w = _weights(R, sigma, live, c0)
+        models = live.any(axis=1)
+        if not models.any():
             break
-        w = bisquare_weight(R[live] / sigma[live, None], c0)
-        weighted = w.sum(axis=1) > 0
-        if not weighted.all():
-            live, w = live[weighted], w[weighted]
-            if not live.size:
-                break
-        th, R_live = stack.reweighted(owner[live], w)
-        theta[live], R[live] = th, R_live
+        theta[models], R[models] = stack.reweighted(
+            ks[models], theta[models], w[models], live[models])
         sigma_live = sigma[live]
-        sigma_new = _solve_s_scale(R_live, c0, scale_rtol, guess=sigma_live)
+        sigma_new = _solve_s_scale(R[live], c0, scale_rtol, guess=sigma_live)
         # the objective is the scale itself: stop once it stalls (the
         # fixed-scale stage polishes the coefficients afterwards)
-        going = (sigma_new > 0) & (sigma_new < sigma_live * (1 - scale_rtol))
         sigma[live] = sigma_new
-        live = live[going]
+        live[live] = (sigma_new > 0) & (sigma_new < sigma_live * (1 - scale_rtol))
     if final_rtol < scale_rtol:
-        rows = np.flatnonzero(sigma > 0)
+        rows = sigma > 0
         sigma[rows] = _solve_s_scale(R[rows], c0, final_rtol,
                                      guess=sigma[rows])
     return theta, sigma
@@ -352,100 +360,83 @@ def _s_stage(stack: _Stack, models: np.ndarray, start0: np.ndarray,
     each row of its ``subsets`` entry lists."""
     # fast-S schedule: PREVIEW_STEPS cheap refinement steps for every start,
     # full convergence only for each sub-model's N_FINALISTS most promising
-    # candidates. The previews run in batches of sub-models whose (rows, n)
-    # stacks hold at most STACK_CELLS entries; the finalists all in one stack
+    # candidates. The previews run in batches of sub-models whose blocks of
+    # residuals hold at most STACK_CELLS entries; the finalists all at once
     per = 1 + N_ELEMENTAL_STARTS
     thetas = np.zeros((len(models), per, stack.width))
+    thetas[:, 0] = start0
     sigmas = np.zeros((len(models), per))
     size = max(1, STACK_CELLS // (per * stack.n))
     for lo in range(0, len(models), size):
         b = slice(lo, lo + size)
-        batch = models[b]
-        # an elemental start is weighted LS under 0/1 row weights
-        W = np.zeros((len(batch), N_ELEMENTAL_STARTS, stack.n))
-        for Wk, rows in zip(W, subsets[b]):
+        # an elemental start is weighted LS under 0/1 row weights; the OLS
+        # start keeps its coefficients
+        W = np.zeros((len(models[b]), per, stack.n))
+        W[:, 0] = 1.0
+        for Wk, rows in zip(W[:, 1:], subsets[b]):
             Wk[np.arange(N_ELEMENTAL_STARTS)[:, None], rows] = 1.0
-        thetas[b, 0] = start0[b]
-        thetas[b, 1:] = stack.reweighted(
-            np.repeat(batch, N_ELEMENTAL_STARTS),
-            W.reshape(-1, stack.n))[0].reshape(len(batch), N_ELEMENTAL_STARTS, -1)
-        th, sg = _irls_s_stage(stack, np.repeat(batch, per),
-                               thetas[b].reshape(-1, stack.width), C_BREAKDOWN,
-                               max_iter=PREVIEW_STEPS, scale_rtol=PREVIEW_RTOL,
-                               final_rtol=PREVIEW_RTOL)
-        thetas[b] = th.reshape(len(batch), per, -1)
-        sigmas[b] = sg.reshape(len(batch), per)
+        elemental = np.broadcast_to(np.arange(per) > 0, W.shape[:2])
+        th, R = stack.reweighted(models[b], thetas[b], W, elemental)
+        thetas[b], sigmas[b] = _irls_s_stage(
+            stack, models[b], th, R, C_BREAKDOWN, max_iter=PREVIEW_STEPS,
+            scale_rtol=PREVIEW_RTOL, final_rtol=PREVIEW_RTOL)
     order = np.argsort(sigmas, axis=1, kind="stable")
-    first = np.arange(len(models))
-    theta = thetas[first, order[:, 0]]
+    theta = thetas[np.arange(len(models)), order[:, 0]]
     sigma = np.zeros(len(models))
     # an exact fit (sigma 0) is final: no refinement
-    going = np.flatnonzero(sigmas[first, order[:, 0]] > 0.0)
-    if going.size:
-        finalists = thetas[going[:, None], order[going, :N_FINALISTS]]
-        th, sg = _irls_s_stage(stack, np.repeat(models[going], N_FINALISTS),
-                               finalists.reshape(N_FINALISTS * going.size, -1),
-                               C_BREAKDOWN, scale_rtol=FINALIST_RTOL)
-        sg = sg.reshape(going.size, N_FINALISTS)
-        best = np.argmin(sg, axis=1)
-        theta[going] = th.reshape(going.size, N_FINALISTS,
-                                  -1)[np.arange(going.size), best]
-        sigma[going] = sg[np.arange(going.size), best]
+    going = np.flatnonzero(sigmas.min(axis=1) > 0.0)
+    ks = models[going]
+    finalists = thetas[going[:, None], order[going, :N_FINALISTS]]
+    th, sg = _irls_s_stage(stack, ks, finalists, stack.residuals(ks, finalists),
+                           C_BREAKDOWN, scale_rtol=FINALIST_RTOL)
+    best = np.argmin(sg, axis=1)
+    theta[going] = th[np.arange(going.size), best]
+    sigma[going] = sg[np.arange(going.size), best]
     return theta, sigma
 
 
-def _m_stage(stack: _Stack, owner: np.ndarray, theta: np.ndarray,
+def _m_stage(stack: _Stack, ks: np.ndarray, theta: np.ndarray,
              sigma: np.ndarray):
     """Reweighted LS at fixed scale with the wider tuning constant, from
-    ``theta`` (one row per sub-model ``owner[i]``, scale ``sigma[i] > 0``);
+    ``theta`` (one row per sub-model of ``ks``, scale ``sigma[i] > 0``);
     returns ``(theta, converged, iterations)``.
 
-    Every row steps in one stacked call per group of
-    :meth:`_Stack.reweighted` until it stops on its own: converged once its largest residual move is below
-    ``M_STAGE_TOL`` in units of its scale; not converged when a step would
-    raise its objective (a descent violation only numerics cause; the
-    previous iterate is kept), when all its weights vanish, or at the cap
-    of ``M_STAGE_MAX_ITER`` steps. A stopped row is frozen.
+    Each sub-model is a block of one row, and every live row steps in one
+    :meth:`_Stack.reweighted` call until it stops on its own: converged
+    once its largest residual move is below ``M_STAGE_TOL`` in units of
+    its scale; not converged when a step would raise its objective (a
+    descent violation only numerics cause; the previous iterate is kept),
+    when all its weights vanish, or at the cap of ``M_STAGE_MAX_ITER``
+    steps. A stopped row is frozen.
     """
-    theta = np.array(theta, dtype=float)
-    converged = np.zeros(len(owner), dtype=bool)
-    iterations = np.zeros(len(owner), dtype=int)
-    R = stack.residuals(owner, theta)
+    theta = np.array(theta[:, None], dtype=float)
+    R = stack.residuals(ks, theta)[:, 0]
     objective = bisquare_rho(R / sigma[:, None], C_EFFICIENCY).mean(axis=1)
-    live = np.arange(len(owner))
-    it = 0
+    converged = np.zeros(len(ks), dtype=bool)
+    iterations = np.zeros(len(ks), dtype=int)
+    live = np.ones(len(ks), dtype=bool)
     for it in range(1, M_STAGE_MAX_ITER + 1):
-        if not live.size:
+        iterations[live] = it
+        w = _weights(R, sigma, live, C_EFFICIENCY)
+        rows = np.flatnonzero(live)
+        if not rows.size:
             break
-        w = bisquare_weight(R[live] / sigma[live, None], C_EFFICIENCY)
-        weighted = w.sum(axis=1) > 0
-        if not weighted.all():
-            iterations[live[~weighted]] = it
-            live, w = live[weighted], w[weighted]
-            if not live.size:
-                break
-        th, R_new = stack.reweighted(owner[live], w)
-        sig = sigma[live]
-        obj_new = bisquare_rho(R_new / sig[:, None], C_EFFICIENCY).mean(axis=1)
-        obj = objective[live]
-        # descent property of reweighting violated only by numerics; keep
-        # the previous iterate
-        rose = obj_new > obj + 1e-12 * (1 + np.abs(obj))
-        if rose.any():
-            iterations[live[rose]] = it
-            keep = ~rose
-            live, th, R_new, obj_new, sig = (live[keep], th[keep], R_new[keep],
-                                             obj_new[keep], sig[keep])
+        th, R_new = stack.reweighted(ks[rows], theta[rows], w[rows, None],
+                                     live[rows, None])
+        R_new = R_new[:, 0]
+        obj_new = bisquare_rho(R_new / sigma[rows, None],
+                               C_EFFICIENCY).mean(axis=1)
+        obj = objective[rows]
+        # descent property of reweighting violated only by numerics: the
+        # row stops on its previous iterate
+        step = ~(obj_new > obj + 1e-12 * (1 + np.abs(obj)))
+        live[rows], rows = step, rows[step]
         # scale-free stop: the largest residual move in units of sigma
-        delta = np.abs(R_new - R[live]).max(axis=1) / sig
-        theta[live], R[live], objective[live] = th, R_new, obj_new
-        done = delta < M_STAGE_TOL
-        if done.any():
-            converged[live[done]] = True
-            iterations[live[done]] = it
-            live = live[~done]
-    iterations[live] = it
-    return theta, converged, iterations
+        delta = np.abs(R_new[step] - R[rows]).max(axis=1) / sigma[rows]
+        theta[rows], R[rows], objective[rows] = th[step], R_new[step], obj_new[step]
+        converged[rows] = delta < M_STAGE_TOL
+        live[rows] = ~converged[rows]
+    return theta[:, 0], converged, iterations
 
 
 def _checked_inputs(y, X, sets=None):
@@ -509,16 +500,14 @@ def _fit_models(designs, y: np.ndarray, intercept: bool,
         sigma[empty] = _solve_s_scale(stack.operands(empty)[1], C_BREAKDOWN,
                                       S_SCALE_RTOL)
     models = np.flatnonzero(stack.ncol > 0)
-    if models.size:
-        start0 = np.zeros((models.size, stack.width))
-        for row, start in zip(start0, starts):
-            row[:start.size] = start
-        theta[models], sigma[models] = _s_stage(stack, models, start0, subsets)
-        # an exact fit (sigma 0) already interpolates the tightest half
-        m = models[sigma[models] > 0.0]
-        if m.size:
-            theta[m], converged[m], iterations[m] = _m_stage(
-                stack, m, theta[m], sigma[m])
+    start0 = np.zeros((models.size, stack.width))
+    for row, start in zip(start0, starts):
+        row[:start.size] = start
+    theta[models], sigma[models] = _s_stage(stack, models, start0, subsets)
+    # an exact fit (sigma 0) already interpolates the tightest half
+    m = models[sigma[models] > 0.0]
+    theta[m], converged[m], iterations[m] = _m_stage(stack, m, theta[m],
+                                                     sigma[m])
     fits = []
     for k, (means, e) in enumerate(scales):
         th = theta[k, :stack.ncol[k]]
@@ -580,19 +569,19 @@ def fit_ensemble_models(imp_y: np.ndarray, imp_X: np.ndarray,
     ``seed + k``, bit for bit, but all K run their stages together, in
     three stacked phases:
 
-    1. the previews: two refinement steps from each sub-model's OLS start
-       and its ``N_ELEMENTAL_STARTS`` elemental starts, in batches of
-       sub-models whose (rows, n) stacks hold at most ``STACK_CELLS``
-       entries;
-    2. the finalists: full S-stage refinement of each sub-model's three
-       best previews (a sub-model with an exact-fit preview stops here);
+    1. the previews: ``PREVIEW_STEPS`` refinement steps from each
+       sub-model's OLS start and its ``N_ELEMENTAL_STARTS`` elemental
+       starts, in batches of sub-models whose residuals hold at most
+       ``STACK_CELLS`` entries;
+    2. the finalists: full S-stage refinement of each sub-model's
+       ``N_FINALISTS`` best previews (an exact-fit preview stops here);
     3. the M-stages.
 
     In each phase every scale solve is one row-wise call over the live
     rows of all sub-models (they share the rows of ``imp_y``), and the
-    weighted solves are one stacked call per group of sub-models with the
-    same column count and the same number of live rows. A sub-model's
-    rows stop on their own rules and are frozen from then on.
+    weighted solves are one stacked call per column count over every row
+    of each sub-model with a live row. A row stops on its own rules and
+    keeps its coefficients from then on.
 
     Raises
     ------

@@ -313,18 +313,17 @@ def check_s_stage_oracle(n_runs: int = 30, n: int = 14,
     than 1%.
     """
     subsets = np.array(list(combinations(range(n), 3)))
-    starts = np.arange(len(subsets))
+    W = np.zeros((1, len(subsets), n))
+    W[0, np.arange(len(subsets))[:, None], subsets] = 1.0
+    ks, every = np.zeros(1, dtype=int), np.ones(W.shape[:2], dtype=bool)
     missed = []
     for run in range(n_runs):
         y, X = _s_oracle_input(run, n)
         scale = robustfit.mm_fit(X, y, seed=run).scale
         P, _, e = prepare_design(np.column_stack([y, X]), True)
         stack = robustfit._Stack([P], True)
-        owner = np.zeros(len(subsets), dtype=int)
-        W = np.zeros((len(subsets), n))
-        W[starts[:, None], subsets] = 1.0
-        theta = stack.reweighted(owner, W)[0]
-        _, sigma = robustfit._irls_s_stage(stack, owner, theta,
+        theta, R = stack.reweighted(ks, np.zeros(W.shape[:2] + (3,)), W, every)
+        _, sigma = robustfit._irls_s_stage(stack, ks, theta, R,
                                            robustfit.C_BREAKDOWN,
                                            scale_rtol=1e-8)
         best = np.ldexp(sigma.min(), e[0])

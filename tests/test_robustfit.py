@@ -114,13 +114,14 @@ def test_s_stage_stops_at_scale_accuracy(monkeypatch):
         return weighted_ls(*args)
 
     monkeypatch.setattr(robustfit, "_weighted_ls", counted)
-    stack, owner = _one_model(D, y), np.zeros(1, dtype=int)
-    _, sigma = _irls_s_stage(stack, owner, theta0[None], C_BREAKDOWN,
+    stack, ks, theta0 = _one_model(D, y), np.zeros(1, dtype=int), theta0[None, None]
+    R0 = stack.residuals(ks, theta0)
+    _, sigma = _irls_s_stage(stack, ks, theta0, R0, C_BREAKDOWN,
                              scale_rtol=1e-5)
     assert len(rounds) < S_STAGE_MAX_ITER
-    _, converged = _irls_s_stage(stack, owner, theta0[None], C_BREAKDOWN,
+    _, converged = _irls_s_stage(stack, ks, theta0, R0, C_BREAKDOWN,
                                  max_iter=10_000, scale_rtol=1e-13)
-    assert sigma[0] == pytest.approx(converged[0], rel=1e-4)
+    assert sigma[0, 0] == pytest.approx(converged[0, 0], rel=1e-4)
 
 
 def _binary_design(seed, n=60):
@@ -199,17 +200,21 @@ def test_stacked_previews_match_serial_starts():
     starts += [truth + rng.standard_normal(4) * scale
                for scale in np.geomspace(1e-3, 30.0, 19)]
     starts = np.array(starts)
-    stack = _one_model(D, y)
-    thetas, sigmas = _irls_s_stage(stack, np.zeros(len(starts), dtype=int),
-                                   starts, C_BREAKDOWN, max_iter=2,
+    stack, ks = _one_model(D, y), np.zeros(1, dtype=int)
+    thetas, sigmas = _irls_s_stage(stack, ks, starts[None],
+                                   stack.residuals(ks, starts[None]),
+                                   C_BREAKDOWN, max_iter=2,
                                    scale_rtol=1e-3, final_rtol=1e-3)
+    thetas, sigmas = thetas[0], sigmas[0]
     assert thetas.shape == starts.shape and sigmas.shape == (len(starts),)
     for start, theta, sigma in zip(starts, thetas, sigmas):
-        want_theta, want_sigma = _irls_s_stage(stack, np.zeros(1, dtype=int),
-                                               start[None], C_BREAKDOWN,
-                                               max_iter=2, scale_rtol=1e-3,
+        start = start[None, None]
+        want_theta, want_sigma = _irls_s_stage(stack, ks, start,
+                                               stack.residuals(ks, start),
+                                               C_BREAKDOWN, max_iter=2,
+                                               scale_rtol=1e-3,
                                                final_rtol=1e-3)
-        want_theta, want_sigma = want_theta[0], want_sigma[0]
+        want_theta, want_sigma = want_theta[0, 0], want_sigma[0, 0]
         assert sigma > 0
         assert abs(sigma - want_sigma) <= 1e-12 * want_sigma
         assert (np.max(np.abs(theta - want_theta))
