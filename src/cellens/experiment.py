@@ -99,6 +99,9 @@ class ExperimentConfig:
         """Check settings, including every grid cell's ``sim``,
         ``contamination`` and ``selection`` settings, and that a ``predict``
         section is an object whose ``model``, ``X`` and ``out`` are strings.
+        ``data_csv``, ``model_out`` and ``predict`` belong to the ``fit``
+        mode alone, ``data_csv`` and ``predict`` exclude each other, and
+        ``model_out`` needs ``data_csv``: a run never ignores a field.
 
         Where the run simulates its data, a cell's selection settings are
         checked against that cell's ``n`` and ``p`` (``cv_folds`` at most
@@ -107,6 +110,18 @@ class ExperimentConfig:
         """
         if self.mode not in MODES:
             raise InvalidConfig(f"mode {self.mode!r} not one of {MODES}")
+        for key, value in (("data_csv", self.data_csv),
+                           ("model_out", self.model_out),
+                           ("predict", self.predict_spec)):
+            if value is not None and self.mode != "fit":
+                raise InvalidConfig(f"{key} is set, but the {self.mode} mode "
+                                    f"does not read it")
+        if self.data_csv is not None and self.predict_spec is not None:
+            raise InvalidConfig("data_csv and predict are both set: a fit run "
+                                "either fits a CSV or scores a saved model")
+        if self.model_out is not None and self.data_csv is None:
+            raise InvalidConfig("model_out is set without data_csv: only a "
+                                "CSV fit writes a model")
         require_integers(self, ("replications", "test_size", "threads", "seed"))
         require_booleans(self, ("impute",))
         if self.replications < 1:
@@ -143,9 +158,8 @@ Cell = tuple[SimConfig, ContaminationSpec, SelectionConfig]
 def _simulates(cfg: ExperimentConfig) -> bool:
     """Whether ``run_experiment`` runs the simulation grid: every mode but
     ``selftest`` and the ``fit`` runs with a ``data_csv`` or ``predict``."""
-    if cfg.mode == "fit":
-        return cfg.data_csv is None and cfg.predict_spec is None
-    return cfg.mode != "selftest"
+    return (cfg.mode != "selftest" and cfg.data_csv is None
+            and cfg.predict_spec is None)
 
 
 def _grid_cells(cfg: ExperimentConfig) -> list[Cell]:

@@ -138,6 +138,11 @@ class ContaminationSpec:
             raise InvalidConfig("mixture scenarios need alpha2 > 0")
         if self.scenario not in ("Clean",) and self.alpha <= 0:
             raise InvalidConfig(f"{self.scenario} needs alpha > 0")
+        for name in ("leverage_c", "marginal_shift", "gamma_corr",
+                     "beta_distort"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or not np.isfinite(value):
+                raise InvalidConfig(f"{name}={value!r} must be a finite number")
 
 
 def block_covariance(cfg: SimConfig) -> np.ndarray:

@@ -604,6 +604,30 @@ def test_malformed_predict_section_is_a_config_error(tmp_path, monkeypatch,
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+PREDICT = {"model": "m.json", "X": "x.csv", "out": "p.csv"}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"mode": "sweep-k", "data_csv": example_csv_path()},
+     "data_csv is set, but the sweep-k mode does not read it"),
+    ({"mode": "sweep-contamination", "model_out": "m.json"},
+     "model_out is set, but the sweep-contamination mode does not read it"),
+    ({"mode": "selftest", "predict": PREDICT},
+     "predict is set, but the selftest mode does not read it"),
+    ({"mode": "fit", "data_csv": example_csv_path(), "model_out": "m.json",
+      "predict": PREDICT}, "data_csv and predict are both set"),
+    ({"mode": "fit", "model_out": "m.json"},
+     "model_out is set without data_csv"),
+])
+def test_config_field_the_run_would_ignore_exits_1(tmp_path, monkeypatch,
+                                                   capsys, doc, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    assert main(["--config", "cfg.json"]) == 1
+    assert message in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 @pytest.mark.parametrize("case", ["model", "X", "empty X", "header-only X",
                                   "data_csv"])
 def test_missing_or_empty_input_path_exits_2(tmp_path, capsys, case):
@@ -700,6 +724,12 @@ def test_grid_config_error_exits_1_without_csv(tmp_path, capsys, updates,
     ({"selection": {"intercept": 0}}, "intercept=0 must be a boolean"),
     ({"impute": "no"}, "impute='no' must be a boolean"),
     ({"impute": None}, "impute=None must be a boolean"),
+    ({"contamination": {"scenario": "MixtureCorrelation", "alpha": 0.1,
+                        "alpha2": 0.05, "marginal_shift": float("inf")}},
+     "marginal_shift=inf must be a finite number"),
+    ({"contamination": {"scenario": "Casewise", "alpha": 0.1,
+                        "leverage_c": float("nan")}},
+     "leverage_c=nan must be a finite number"),
 ])
 def test_non_integer_count_or_nan_exits_1_without_csv(tmp_path, capsys,
                                                       updates, message):

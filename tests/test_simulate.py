@@ -195,6 +195,17 @@ def test_sim_config_rejects(field, value):
         generate_clean(headline_cfg(**{field: value}))
 
 
+@pytest.mark.parametrize("field", ["leverage_c", "marginal_shift",
+                                   "gamma_corr", "beta_distort"])
+@pytest.mark.parametrize("value", [float("inf"), -float("inf"), float("nan"),
+                                   "10"])
+def test_contamination_spec_rejects_non_finite_constants(field, value):
+    spec = ContaminationSpec(scenario="MixtureCorrelation", alpha=0.1,
+                             alpha2=0.05, **{field: value})
+    with pytest.raises(InvalidConfig, match=re.escape(f"{field}={value!r}")):
+        spec.validate()
+
+
 def test_casewise_rows_sit_on_least_variance_direction():
     # the row mean of the leverage points estimates leverage_c * u
     cfg = headline_cfg(n=400, p=6, sparsity=4, block_size=2)
