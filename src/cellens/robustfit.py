@@ -279,20 +279,16 @@ class _Stack:
     def reweighted(self, ks: np.ndarray, theta: np.ndarray, w: np.ndarray,
                    live: np.ndarray):
         """:func:`_weighted_ls` of every row of the block under its weights
-        ``w`` (len(ks), r, n), and the residuals of the result, ``(theta,
-        R)``; one stacked call of each per column count. A row that is not
+        ``w`` (len(ks), r, n), one stacked call per column count, and the
+        :meth:`residuals` of the result: ``(theta, R)``. A row that is not
         ``live`` (mask (len(ks), r)) keeps its coefficients from ``theta``
         (len(ks), r, width): its solve is thrown away."""
-        theta = theta.copy()
-        R = np.empty(w.shape)
+        solved = np.zeros(theta.shape)
         for c, Dt, y, idx in self._groups(ks):
-            th = _weighted_ls(np.swapaxes(Dt, 1, 2)[:, None], y[:, None],
-                              w[idx])
-            kept = ~live[idx]
-            th[kept] = theta[idx, :, :c][kept]
-            theta[idx, :, :c] = th
-            R[idx] = y[:, None] - th @ Dt
-        return theta, R
+            solved[idx, :, :c] = _weighted_ls(np.swapaxes(Dt, 1, 2)[:, None],
+                                              y[:, None], w[idx])
+        theta = np.where(live[..., None], solved, theta)
+        return theta, self.residuals(ks, theta)
 
 
 def _weights(R: np.ndarray, sigma: np.ndarray, live: np.ndarray,
