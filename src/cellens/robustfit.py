@@ -377,10 +377,10 @@ def _s_stage(stack: _Stack, models: np.ndarray, start0: np.ndarray,
             stack, models[b], th, R, C_BREAKDOWN, max_iter=PREVIEW_STEPS,
             scale_rtol=PREVIEW_RTOL, final_rtol=PREVIEW_RTOL)
     order = np.argsort(sigmas, axis=1, kind="stable")
-    theta = thetas[np.arange(len(models)), order[:, 0]]
-    sigma = np.zeros(len(models))
+    lead = np.arange(len(models)), order[:, 0]
+    theta, sigma = thetas[lead], np.zeros(len(models))
     # an exact fit (sigma 0) is final: no refinement
-    going = np.flatnonzero(sigmas.min(axis=1) > 0.0)
+    going = np.flatnonzero(sigmas[lead] > 0.0)
     ks = models[going]
     finalists = thetas[going[:, None], order[going, :N_FINALISTS]]
     th, sg = _irls_s_stage(stack, ks, finalists, stack.residuals(ks, finalists),
