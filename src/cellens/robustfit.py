@@ -291,18 +291,6 @@ class _Stack:
         return theta, self.residuals(ks, theta)
 
 
-def _weights(R: np.ndarray, sigma: np.ndarray, live: np.ndarray,
-             c: float) -> np.ndarray:
-    """Bisquare weights (tuning constant ``c``) of the ``live`` rows of
-    ``R`` at their scales ``sigma``, unit weights for the other rows. A
-    live row whose weights all vanish leaves ``live``, in place."""
-    w = np.ones(R.shape)
-    w[live] = bisquare_weight(R[live] / sigma[live, None], c)
-    live &= w.any(axis=-1)
-    w[~live] = 1.0
-    return w
-
-
 def _irls_s_stage(stack: _Stack, ks: np.ndarray, theta: np.ndarray,
                   R: np.ndarray, c0: float, scale_rtol: float,
                   max_iter: int = S_STAGE_MAX_ITER,
@@ -329,7 +317,12 @@ def _irls_s_stage(stack: _Stack, ks: np.ndarray, theta: np.ndarray,
                            scale_rtol).reshape(R.shape[:2])
     live = sigma > 0
     for _ in range(max_iter):
-        w = _weights(R, sigma, live, c0)
+        w = np.ones(R.shape)
+        w[live] = bisquare_weight(R[live] / sigma[live, None], c0)
+        # a start whose weights all vanish stops; stopped starts get unit
+        # weights
+        live &= w.any(axis=-1)
+        w[~live] = 1.0
         models = live.any(axis=1)
         if not models.any():
             break
@@ -397,8 +390,8 @@ def _m_stage(stack: _Stack, ks: np.ndarray, theta: np.ndarray,
     ``theta`` (one row per sub-model of ``ks``, scale ``sigma[i] > 0``);
     returns ``(theta, converged, iterations)``.
 
-    Each sub-model is a block of one row, and every live row steps in one
-    :meth:`_Stack.reweighted` call until it stops on its own: converged
+    Each sub-model is a block of one row, and the live rows step in one
+    :meth:`_Stack.reweighted` call until each stops on its own: converged
     once its largest residual move is below ``M_STAGE_TOL`` in units of
     its scale; not converged when a step would raise its objective (a
     descent violation only numerics cause; the previous iterate is kept),
@@ -410,28 +403,31 @@ def _m_stage(stack: _Stack, ks: np.ndarray, theta: np.ndarray,
     objective = bisquare_rho(R / sigma[:, None], C_EFFICIENCY).mean(axis=1)
     converged = np.zeros(len(ks), dtype=bool)
     iterations = np.zeros(len(ks), dtype=int)
-    live = np.ones(len(ks), dtype=bool)
+    rows = np.arange(len(ks))
     for it in range(1, M_STAGE_MAX_ITER + 1):
-        iterations[live] = it
-        w = _weights(R, sigma, live, C_EFFICIENCY)
-        rows = np.flatnonzero(live)
         if not rows.size:
             break
-        th, R_new = stack.reweighted(ks[rows], theta[rows], w[rows, None],
-                                     live[rows, None])
+        iterations[rows] = it
+        sig = sigma[rows]
+        w = bisquare_weight(R[rows] / sig[:, None], C_EFFICIENCY)
+        # a row whose weights all vanish stops
+        keep = w.any(axis=1)
+        rows, w, sig = rows[keep], w[keep, None], sig[keep]
+        th, R_new = stack.reweighted(ks[rows], theta[rows], w,
+                                     np.ones(w.shape[:2], dtype=bool))
         R_new = R_new[:, 0]
-        obj_new = bisquare_rho(R_new / sigma[rows, None],
-                               C_EFFICIENCY).mean(axis=1)
+        obj_new = bisquare_rho(R_new / sig[:, None], C_EFFICIENCY).mean(axis=1)
         obj = objective[rows]
         # descent property of reweighting violated only by numerics: the
         # row stops on its previous iterate
-        step = ~(obj_new > obj + 1e-12 * (1 + np.abs(obj)))
-        live[rows], rows = step, rows[step]
+        keep = ~(obj_new > obj + 1e-12 * (1 + np.abs(obj)))
+        rows, th, R_new, obj_new, sig = (rows[keep], th[keep], R_new[keep],
+                                         obj_new[keep], sig[keep])
         # scale-free stop: the largest residual move in units of sigma
-        delta = np.abs(R_new[step] - R[rows]).max(axis=1) / sigma[rows]
-        theta[rows], R[rows], objective[rows] = th[step], R_new[step], obj_new[step]
+        delta = np.abs(R_new - R[rows]).max(axis=1) / sig
+        theta[rows], R[rows], objective[rows] = th, R_new, obj_new
         converged[rows] = delta < M_STAGE_TOL
-        live[rows] = ~converged[rows]
+        rows = rows[~converged[rows]]
     return theta[:, 0], converged, iterations
 
 
