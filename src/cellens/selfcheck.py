@@ -30,7 +30,8 @@ from .simulate import SimConfig, generate_clean
 logger = logging.getLogger("cellens.selfcheck")
 
 # inputs of check_s_stage_oracle on which the fast-S search misses the
-# least scale (runs 0 and 5, by 79% and 18%; ROADMAP item 3)
+# least scale (runs 0 and 5, by 79% and 18%): more elemental starts would
+# lower it
 S_ORACLE_MISSES = 2
 
 
@@ -322,7 +323,8 @@ def check_s_stage_oracle(n_runs: int = 30, n: int = 14,
         scale = robustfit.mm_fit(X, y, seed=run).scale
         P, _, e = prepare_design(np.column_stack([y, X]), True)
         stack = robustfit._Stack([P], True)
-        theta, R = stack.reweighted(ks, np.zeros(W.shape[:2] + (3,)), W, every)
+        theta, R = stack.reweighted(ks, np.zeros(W.shape[:2] + (stack.width,)),
+                                    W, every)
         _, sigma = robustfit._irls_s_stage(stack, ks, theta, R,
                                            robustfit.C_BREAKDOWN,
                                            scale_rtol=1e-8)

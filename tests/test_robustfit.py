@@ -116,12 +116,12 @@ def test_s_stage_stops_at_scale_accuracy(monkeypatch):
     monkeypatch.setattr(robustfit, "_weighted_ls", counted)
     stack, ks, theta0 = _one_model(D, y), np.zeros(1, dtype=int), theta0[None, None]
     R0 = stack.residuals(ks, theta0)
-    _, sigma = _irls_s_stage(stack, ks, theta0, R0, C_BREAKDOWN,
-                             scale_rtol=1e-5)
+    _, (sigma,) = _irls_s_stage(stack, ks, theta0, R0, C_BREAKDOWN,
+                                scale_rtol=1e-5)
     assert len(rounds) < S_STAGE_MAX_ITER
-    _, converged = _irls_s_stage(stack, ks, theta0, R0, C_BREAKDOWN,
-                                 max_iter=10_000, scale_rtol=1e-13)
-    assert sigma[0, 0] == pytest.approx(converged[0, 0], rel=1e-4)
+    _, (converged,) = _irls_s_stage(stack, ks, theta0, R0, C_BREAKDOWN,
+                                    max_iter=10_000, scale_rtol=1e-13)
+    assert sigma[0] == pytest.approx(converged[0], rel=1e-4)
 
 
 def _binary_design(seed, n=60):
