@@ -45,7 +45,7 @@ FLAG_CUTOFF = 2.5758293035489004
 # available CPU, and products per task block, which bounds each thread's
 # buffers (see _partner_pass)
 PARTNER_PARALLEL_PRODUCTS = 2**24
-PARTNER_BLOCK_PRODUCTS = 2**15
+PARTNER_BLOCK_PRODUCTS = 2**17
 # table slots re-ranked at once when partner offers are merged, which
 # bounds each merge's buffers (see partner_table)
 PARTNER_MERGE_SLOTS = 2**12
@@ -212,15 +212,72 @@ def robust_standardize(Z: np.ndarray):
     return Zs, RobustScale(location=med, scale=scale)
 
 
+def _block_buffers(n: int, width: int):
+    """One thread's work buffers for (n, w) blocks, ``w <= width``: two
+    float buffers (the products, and their magnitudes) and one bool buffer
+    (the mask), each of ``n * width`` entries."""
+    return (np.empty(n * width), np.empty(n * width),
+            np.empty(n * width, dtype=bool))
+
+
+def _trimmed_block_means(P, A_buf, M_buf, keep: int) -> np.ndarray:
+    """Each column's trimmed mean of the C-ordered (n, w) block ``P``.
+
+    A column keeps its ``keep`` smallest magnitudes and every magnitude
+    tied with the largest of them, the threshold; their sum over axis 0,
+    which adds the rows in order when ``w >= 2``, is divided by their
+    count. ``P`` is overwritten, and ``A_buf`` and ``M_buf`` are the float
+    and bool work buffers of :func:`_block_buffers`.
+
+    The threshold is read from a sorted (w, n) transposed copy of the
+    magnitudes, whose rows numpy sorts contiguously (with its SIMD sort
+    where it has one). It is that value whatever algorithm finds it, so
+    the bits do not depend on the sort. The copy's buffer then holds the
+    (n, w) magnitudes for the mask.
+    """
+    n, w = P.shape
+    T = A_buf[: n * w].reshape(w, n)
+    np.abs(P.T, out=T)
+    T.sort(axis=1)
+    thr = T[:, keep - 1].copy()
+    # magnitudes tied with thr past position keep - 1 follow it in a
+    # sorted row, so there are some only where T[:, keep] == thr
+    kept = np.full(w, keep)
+    if keep < n:
+        tied = np.flatnonzero(T[:, keep] == thr)
+        if tied.size:
+            kept[tied] += (T[tied, keep:] == thr[tied, None]).sum(axis=1)
+    A = A_buf[: n * w].reshape(n, w)
+    M = M_buf[: n * w].reshape(n, w)
+    np.less_equal(np.abs(P, out=A), thr, out=M)
+    np.multiply(P, M, out=P)
+    return P.sum(axis=0) / kept
+
+
 def _trimmed_second_moments(Zs: np.ndarray, trim: float) -> np.ndarray:
-    """Per-column mean of squared scores after trimming the largest squares."""
-    n = Zs.shape[0]
+    """Per-column mean of squared scores after trimming the largest squares.
+
+    Runs over blocks of the partner pass's width (see :func:`_partner_pass`)
+    in buffers of its size, each block of at least two columns, so each
+    column's sum adds the rows in order, as over the whole array.
+    """
+    n, C = Zs.shape
     keep = n - int(np.floor(trim * n))
-    sq = Zs**2
-    thr = np.partition(sq, keep - 1, axis=0)[keep - 1]
-    mask = sq <= thr
-    sq *= mask
-    return sq.sum(axis=0) / mask.sum(axis=0)
+    width = _partner_width(n, C)
+    P_buf, A_buf, M_buf = _block_buffers(n, width)
+    t2 = np.empty(C)
+    for a in range(0, C, width):
+        b = min(a + width, C)
+        lo = max(0, min(a, b - 2))
+        P = P_buf[: n * (b - lo)].reshape(n, b - lo)
+        np.square(Zs[:, lo:b], out=P)
+        t2[a:b] = _trimmed_block_means(P, A_buf, M_buf, keep)[a - lo:]
+    return t2
+
+
+def _partner_width(n: int, C: int) -> int:
+    """Columns per task block of the partner pass over an ``(n, C)`` input."""
+    return min(max(2, PARTNER_BLOCK_PRODUCTS // n), C)
 
 
 def _available_cpus() -> int:
@@ -256,29 +313,18 @@ def _fill_partner_blocks(Zs, t2, keep, emit, tasks, width):
     ``j`` and ``a + i``, a fresh array.
 
     Every block is computed over at least two columns (the one before
-    ``a`` when a block has one), in C-ordered buffers allocated once, so
-    each column's axis-0 sum adds the rows in order: numpy sums a
-    one-column slice, or a column of an F-ordered array, pairwise.
+    ``a`` when a block has one), in C-ordered buffers allocated once (see
+    :func:`_trimmed_block_means`), so each column's axis-0 sum adds the
+    rows in order: numpy sums a one-column slice, or a column of an
+    F-ordered array, pairwise.
     """
     n = Zs.shape[0]
-    P_buf = np.empty(n * width)
-    A_buf = np.empty(n * width)
-    M_buf = np.empty(n * width, dtype=bool)
+    P_buf, A_buf, M_buf = _block_buffers(n, width)
     for j, a, b in tasks:
         lo = max(0, min(a, b - 2))
-        w = b - lo
-        P = P_buf[: n * w].reshape(n, w)
-        A = A_buf[: n * w].reshape(n, w)
-        M = M_buf[: n * w].reshape(n, w)
+        P = P_buf[: n * (b - lo)].reshape(n, b - lo)
         np.multiply(Zs[:, lo:b], Zs[:, j:j + 1], out=P)
-        np.abs(P, out=A)
-        A.partition(keep - 1, axis=0)
-        thr = A[keep - 1].copy()
-        # the first keep magnitudes are at most thr, the rest at least thr
-        kept = keep + (A[keep:] == thr).sum(axis=0)
-        np.less_equal(np.abs(P, out=A), thr, out=M)
-        np.multiply(P, M, out=P)
-        row = P.sum(axis=0) / kept
+        row = _trimmed_block_means(P, A_buf, M_buf, keep)
         row /= np.sqrt(t2[j] * t2[lo:b])
         emit(j, a, row[a - lo:])
 
@@ -292,6 +338,10 @@ def _partner_pass(Zs: np.ndarray, trim: float, emit) -> None:
     row to ``emit``). For each pair, the mean of cross products is taken
     after trimming the ``trim`` fraction of largest absolute products and
     divided by ``sqrt(t2[j] * t2[h])``, the same-trimmed second moments.
+    Both trimmed means come from :func:`_trimmed_block_means`, whose
+    threshold is read from a sort, in each thread's two float buffers and
+    one bool buffer of ``n * width`` entries, about
+    ``PARTNER_BLOCK_PRODUCTS`` each.
 
     From ``PARTNER_PARALLEL_PRODUCTS`` products ``n * C**2`` on, the tasks
     run on one thread per CPU in the process's affinity mask (numpy
@@ -303,7 +353,7 @@ def _partner_pass(Zs: np.ndarray, trim: float, emit) -> None:
     n, C = Zs.shape
     keep = n - int(np.floor(trim * n))
     t2 = _trimmed_second_moments(Zs, trim)
-    width = min(max(2, PARTNER_BLOCK_PRODUCTS // n), C)
+    width = _partner_width(n, C)
     # (j, a, b): row j's columns a..b-1 of the upper triangle
     tasks = [(j, a, min(a + width, C))
              for j in range(C) for a in range(j, C, width)]
@@ -409,9 +459,10 @@ def partner_table(Zs: np.ndarray, cfg: DdcConfig | None = None):
     computed which pair first. Unused slots hold index -1 and value NaN.
 
     Each task of :func:`_partner_pass` offers its pairs that pass the cut
-    to both columns, under a lock. Offers are merged into the tables once
-    they reach a quarter of the tables' ``C * k`` slots, and a merge
-    re-ranks a bounded number of rows at a time (see
+    to both columns, under a lock: its own row only its top ``k``, and no
+    row an entry strictly below that row's last slot. Offers are merged
+    into the tables once they reach a quarter of the tables' ``C * k``
+    slots, and a merge re-ranks a bounded number of rows at a time (see
     :func:`_merge_partners`), so what is held stays O(C * k) whatever the
     data, and no C x C array is made.
 
@@ -426,6 +477,10 @@ def partner_table(Zs: np.ndarray, cfg: DdcConfig | None = None):
     k = min(cfg.k_neighbors, C - 1)
     index = np.full((C, k), -1)
     value = np.full((C, k), np.nan)
+    # each row's cut: its last slot's |value| once the row is full, and
+    # min_abs_corr before; a row's last slot only rises, so a cut read
+    # without the lock only drops offers that the merge would drop too
+    cut = np.full(C, float(cfg.min_abs_corr))
     lock = threading.Lock()
     held = []  # pairs offered since the last merge, as (t, h, v) arrays
     count = 0
@@ -434,23 +489,30 @@ def partner_table(Zs: np.ndarray, cfg: DdcConfig | None = None):
         nonlocal count
         t, h, v = (np.concatenate(a) for a in zip(*held))
         _merge_partners(index, value, t, h, v)
+        np.fmax(np.abs(value[:, k - 1]), cfg.min_abs_corr, out=cut)
         held.clear()
         count = 0
 
     def emit(j, a, row):
         nonlocal count
-        hit = np.flatnonzero(np.abs(row) >= cfg.min_abs_corr)
+        mag = np.abs(row)
         if a == j:  # the task starts at the diagonal
-            hit = hit[hit > 0]
-        if not hit.size:
+            mag[0] = np.nan
+        # row j takes at most k of this task's pairs, and only its top k in
+        # the table's order (ties to the lower index: the pairs ascend)
+        own = np.flatnonzero(mag >= cut[j])
+        if own.size > k:
+            own = own[np.argsort(-mag[own], kind="stable")[:k]]
+        # each partner row h is offered its pair if it reaches h's cut
+        part = np.flatnonzero(mag >= cut[a:a + mag.size])
+        if not own.size + part.size:
             return
-        h = hit + a
-        v = row[hit]
-        j_rep = np.full(hit.size, j)
+        t = np.concatenate([np.full(own.size, j), part + a])
+        h = np.concatenate([own + a, np.full(part.size, j)])
+        v = np.concatenate([row[own], row[part]])
         with lock:
-            held.append((np.concatenate([j_rep, h]), np.concatenate([h, j_rep]),
-                         np.concatenate([v, v])))
-            count += 2 * hit.size
+            held.append((t, h, v))
+            count += t.size
             if count >= index.size // 4:
                 merge()
 

@@ -231,7 +231,8 @@ def test_ddc_config_rejects_out_of_range(field, bad, good):
 
 @pytest.mark.parametrize("trim, discrete", [(0.10, False), (0.0, False),
                                             (0.25, True), (0.10, True)])
-def test_partner_correlations_match_pair_oracle(trim, discrete):
+def test_partner_correlations_match_pair_oracle(monkeypatch, trim, discrete):
+    monkeypatch.setattr(cellwise, "PARTNER_BLOCK_PRODUCTS", 32700)
     # the second shape is above the work cut, so its pairs run on every
     # available CPU; it is checked on five rows and three random ones: in
     # blocks of 327 columns, row 0 has two blocks, row 92 ends in a
@@ -367,7 +368,9 @@ def partner_corr_on_cpus(Zs, cpus, any_size=False):
                                             (100, 328, False),
                                             (100, 329, True),
                                             (100, 420, True)])
-def test_partner_correlations_independent_of_worker_count(n, C, discrete):
+def test_partner_correlations_independent_of_worker_count(monkeypatch, n, C,
+                                                         discrete):
+    monkeypatch.setattr(cellwise, "PARTNER_BLOCK_PRODUCTS", 32700)
     # at n = 100 the blocks have 327 columns, so C = 328 and 329 end rows
     # in a block of one and of two columns; C = 420 is above the work cut
     assert cellwise.PARTNER_BLOCK_PRODUCTS // 100 == 327
@@ -393,30 +396,45 @@ def test_partner_correlations_independent_of_worker_count(n, C, discrete):
 
 
 def test_partner_kept_count_with_tied_magnitudes():
-    # each column's kept count is read from the partitioned tail; with
-    # magnitudes tied at the trimming threshold the bits must equal those
-    # of counting the whole mask
-    Zs, _ = robust_standardize(np.round(block_factor_matrix(33, 40, 7)))
-    n, C = Zs.shape
-    keep = n - int(np.floor(0.1 * n))
-    t2 = cellwise._trimmed_second_moments(Zs, 0.1)
-    corr = np.empty((C, C))
-
-    def emit(j, a, row):
-        corr[j, a:] = row
-
-    cellwise._fill_partner_blocks(Zs, t2, keep, emit,
-                                  iter([(j, j, C) for j in range(C)]), C)
+    # each pair's threshold is read from a sorted copy of its block, and its
+    # kept count from the ties that follow the threshold there; the bits
+    # must equal those of a partition along axis 0 and a count of the whole
+    # mask, with ties that cross the keep boundary (rounded data), with no
+    # ties (unrounded data) and with no trimmed tail (trim = 0, keep = n);
+    # at n = 300 the default width is 436 columns, so C = 437 ends row 0 in
+    # a one-column block (five of its rows are checked)
     straddled = 0
-    for j in range(C):
-        lo = min(j, C - 2)
-        P = Zs[:, lo:] * Zs[:, j:j + 1]
-        thr = np.partition(np.abs(P), keep - 1, axis=0)[keep - 1]
-        M = np.abs(P) <= thr
-        straddled += int((M.sum(axis=0) > keep).sum())
-        row = (P * M).sum(axis=0) / M.sum(axis=0)
-        row /= np.sqrt(t2[j] * t2[lo:])
-        assert corr[j, j:].tobytes() == row[j - lo:].tobytes()
+    for n, C in ((30, 9), (50, 9), (100, 9), (300, 437)):
+        Z = block_factor_matrix(33, n, C)
+        width = cellwise._partner_width(n, C)
+        tasks = [(j, a, min(a + width, C))
+                 for j in range(C) for a in range(j, C, width)]
+        for rounded, trim in ((True, 0.1), (True, 0.0), (False, 0.1),
+                              (False, 0.0)):
+            Zs, _ = robust_standardize(np.round(2 * Z) / 2 if rounded else Z)
+            Zs = np.ascontiguousarray(Zs)  # as the partner pass takes it
+            keep = n - int(np.floor(trim * n))
+            t2 = cellwise._trimmed_second_moments(Zs, trim)
+            corr = np.empty((C, C))
+
+            def emit(j, a, row):
+                corr[j, a:a + len(row)] = row
+
+            cellwise._fill_partner_blocks(Zs, t2, keep, emit, iter(tasks),
+                                          width)
+            for j in (range(C) if C < 20 else (0, 1, 2, C // 2, C - 2)):
+                lo = min(j, C - 2)
+                P = Zs[:, lo:] * Zs[:, j:j + 1]
+                thr = np.partition(np.abs(P), keep - 1, axis=0)[keep - 1]
+                M = np.abs(P) <= thr
+                crossed = int((M.sum(axis=0) > keep).sum())
+                if rounded and trim:
+                    straddled += crossed
+                else:
+                    assert crossed == 0
+                row = (P * M).sum(axis=0) / M.sum(axis=0)
+                row /= np.sqrt(t2[j] * t2[lo:])
+                assert corr[j, j:].tobytes() == row[j - lo:].tobytes()
     assert straddled > 0  # ties at the threshold cross the keep boundary
 
 
@@ -491,6 +509,62 @@ def test_ddc_impute_memory_is_linear_in_columns():
     corr = robust_partner_correlations(robust_standardize(Z)[0])
     assert np.abs(corr).min() >= DdcConfig().min_abs_corr
     assert peak < C * C * 8 / 4
+
+
+def test_partner_offers_pruned_before_the_merge(monkeypatch):
+    # one factor: every pair passes min_abs_corr, so offering each pair to
+    # both columns would send C * (C - 1) = 2,248,500 offers to merges.
+    # Serially, each row's one task offers the row itself at most its top k
+    # (C * k in all). A partner row takes an offer only at or above its
+    # last slot; its partners' values arrive in random order (the columns
+    # are exchangeable), and of m values in random order about
+    # k * (1 + ln(m / k)) enter a top k, about C * k * ln(C / k) summed over
+    # the rows. One more C * k covers cuts that lag by up to one merge.
+    monkeypatch.setattr(cellwise, "_available_cpus", lambda: 1)
+    offers = []
+    merge = cellwise._merge_partners
+
+    def spy(index, value, t, h, v):
+        offers.append(t.size)
+        merge(index, value, t, h, v)
+
+    monkeypatch.setattr(cellwise, "_merge_partners", spy)
+    rng = np.random.default_rng(43)
+    n, C = 30, 1500
+    Z = 0.95 * rng.standard_normal((n, 1)) + 0.3 * rng.standard_normal((n, C))
+    Zs, _ = robust_standardize(Z)
+    cfg = DdcConfig()
+    k = cfg.k_neighbors
+    assert cellwise._partner_width(n, C) == C  # one task per row
+    index, value = partner_table(Zs, cfg)
+    assert not np.isnan(value).any()  # every row filled its k slots
+    assert sum(offers) <= C * k * (2 + np.log(C / k))  # 148,616
+    want_index, want_value = dense_partner_rule(
+        robust_partner_correlations(Zs, cfg.trim), cfg)
+    assert np.array_equal(index, want_index)
+    assert value.tobytes() == want_value.tobytes()
+
+
+def test_partner_table_memory_is_its_buffers_and_tables(monkeypatch):
+    # one serial call holds two float buffers and one bool buffer of
+    # PARTNER_BLOCK_PRODUCTS entries (17 bytes an entry) and the (C, k)
+    # tables (16 bytes a slot); three quarters of a float buffer more
+    # covers the task list (2,692 tasks of about 130 bytes), numpy's
+    # iteration buffers and one task's temporaries. A third float buffer
+    # would exceed it. Few pairs pass min_abs_corr, so merges hold little.
+    monkeypatch.setattr(cellwise, "_available_cpus", lambda: 1)
+    n, C = 100, 2001
+    Zs, _ = robust_standardize(np.random.default_rng(45).standard_normal((n, C)))
+    partner_table(Zs[:, :20])  # first-call allocations
+    tracemalloc.start()
+    try:
+        partner_table(Zs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    B = cellwise.PARTNER_BLOCK_PRODUCTS
+    k = DdcConfig().k_neighbors
+    assert peak <= 17 * B + 16 * C * k + 6 * B
 
 
 def test_partner_workers_rule(monkeypatch):
