@@ -1,7 +1,7 @@
-"""Exception types shared across the package, and the integer and
+"""Exception types shared across the package, and the integer, number and
 boolean checks that config validators raise :class:`InvalidConfig` from."""
 
-from numbers import Integral
+from numbers import Integral, Real
 
 
 class CellensError(Exception):
@@ -65,6 +65,22 @@ def require_integers(config, names: tuple[str, ...]) -> None:
         value = getattr(config, name)
         if isinstance(value, bool) or not isinstance(value, Integral):
             raise InvalidConfig(f"{name}={value!r} must be an integer")
+
+
+def require_numbers(config, names: tuple[str, ...]) -> None:
+    """Raise InvalidConfig unless every named field of ``config`` is a real
+    number, or a tuple or list of them, whose entries are checked one by one.
+
+    Booleans and strings are rejected, naming the field (and the entry).
+    """
+    for name in names:
+        value = getattr(config, name)
+        entries = (enumerate(value) if isinstance(value, (tuple, list))
+                   else [(None, value)])
+        for i, entry in entries:
+            if isinstance(entry, bool) or not isinstance(entry, Real):
+                label = name if i is None else f"{name}[{i}]"
+                raise InvalidConfig(f"{label}={entry!r} must be a number")
 
 
 def require_booleans(config, names: tuple[str, ...]) -> None:

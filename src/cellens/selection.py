@@ -27,7 +27,8 @@ import numpy as np
 from . import corrlars
 from .cellwise import CorrelationStructure, ImputationResult
 from .errors import (InvalidConfig, InvariantViolation, NotPositiveDefinite,
-                     RankDeficient, require_booleans, require_integers)
+                     RankDeficient, require_booleans, require_integers,
+                     require_numbers)
 # ols_fit is unused here but stays importable: perfbench/tracing.py wraps it
 from .linalg import ols_fit, prepare_design, solve_spd  # noqa: F401
 from .rng import make_rng
@@ -64,6 +65,7 @@ class SelectionConfig:
         only when they are given."""
         require_integers(self, ("K", "cv_folds", "seed"))
         require_booleans(self, ("intercept",))
+        require_numbers(self, ("tau",))
         if self.max_vars is not None:
             require_integers(self, ("max_vars",))
         if self.K < 1:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, GroundTruth
-from .errors import InvalidConfig, require_integers
+from .errors import InvalidConfig, require_integers, require_numbers
 from .rng import make_rng
 
 SCENARIOS = (
@@ -82,6 +82,8 @@ class SimConfig:
 
     def validate(self) -> None:
         require_integers(self, ("n", "p", "sparsity", "block_size", "seed"))
+        require_numbers(self, ("snr", "rho_within", "rho_background",
+                               "coef_range"))
         if self.n < 1 or self.p < 1:
             raise InvalidConfig(f"n={self.n}, p={self.p} must be positive")
         if not 0 <= self.sparsity <= self.p:
@@ -130,6 +132,8 @@ class ContaminationSpec:
             raise InvalidConfig(
                 f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}"
             )
+        require_numbers(self, ("alpha", "alpha2", "leverage_c",
+                               "marginal_shift", "gamma_corr", "beta_distort"))
         if not 0 <= self.alpha < 1 or not 0 <= self.alpha2 < 1:
             raise InvalidConfig("alpha and alpha2 must lie in [0, 1)")
         if self.alpha + self.alpha2 >= 1:
@@ -141,7 +145,7 @@ class ContaminationSpec:
         for name in ("leverage_c", "marginal_shift", "gamma_corr",
                      "beta_distort"):
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not np.isfinite(value):
+            if not np.isfinite(value):
                 raise InvalidConfig(f"{name}={value!r} must be a finite number")
 
 

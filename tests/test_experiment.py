@@ -706,6 +706,33 @@ def test_grid_config_error_exits_1_without_csv(tmp_path, capsys, updates,
 
 
 @pytest.mark.parametrize("updates, message", [
+    ({"contamination": {"scenario": "Casewise", "alpha": "0.1"}},
+     "alpha='0.1' must be a number"),
+    ({"sim": {"snr": "2"}}, "snr='2' must be a number"),
+    ({"selection": {"tau": "0.01"}}, "tau='0.01' must be a number"),
+    ({"sim": {"rho_within": "0.8"}}, "rho_within='0.8' must be a number"),
+    ({"sim": {"rho_background": True}},
+     "rho_background=True must be a number"),
+    ({"sim": {"coef_range": ["1", 5.0]}}, "coef_range[0]='1' must be a number"),
+    ({"sim": {"coef_range": [1.0, False]}},
+     "coef_range[1]=False must be a number"),
+    ({"contamination": {"scenario": "MixtureCorrelation", "alpha": 0.1,
+                        "alpha2": "0.05"}}, "alpha2='0.05' must be a number"),
+])
+def test_non_number_setting_exits_1_naming_the_field(tmp_path, capsys,
+                                                     updates, message):
+    # a string or boolean where a number belongs is named, not compared
+    doc = _grid_doc(tmp_path)
+    for key, value in updates.items():
+        doc[key] = {**doc.get(key, {}), **value}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(doc))
+    assert main(["--config", str(p)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "grid.csv").exists()
+
+
+@pytest.mark.parametrize("updates, message", [
     ({"replications": 1.5}, "replications=1.5 must be an integer"),
     ({"test_size": 50.0}, "test_size=50.0 must be an integer"),
     ({"threads": True}, "threads=True must be an integer"),
