@@ -142,9 +142,10 @@ class CorrelationStructure:
 
     The p x p predictor correlation matrix ``R_X`` is never formed: the
     selection engine reads it through :meth:`columns`, which computes each
-    column once (from elementwise products and axis-0 sums, no BLAS) and
-    keeps it. So every entry is exactly symmetric, ``R_X[i, j] ==
-    R_X[j, i]``, and its bits do not depend on the BLAS thread count.
+    column once (by ``np.einsum``, which sums the products down axis 0 in
+    row order without BLAS) and keeps it. So every entry is exactly
+    symmetric, ``R_X[i, j] == R_X[j, i]``, and its bits do not depend on
+    the BLAS thread count.
     Columns are clipped to [-1, 1] and have a unit diagonal, and ``r_y``
     is formed and clipped the same way.
     """
@@ -156,7 +157,7 @@ class CorrelationStructure:
 
     def _column(self, j: int) -> np.ndarray:
         """Column ``j`` of ``R_X``, computed afresh."""
-        col = (self.U[:, 1:] * self.U[:, j + 1:j + 2]).sum(axis=0)
+        col = np.einsum("ij,i->j", self.U[:, 1:], self.U[:, j + 1])
         np.clip(col, -1.0, 1.0, out=col)
         col[j] = 1.0
         return col
@@ -636,6 +637,6 @@ def correlation_structure(imp: ImputationResult) -> CorrelationStructure:
     if bad.size:
         raise DegenerateColumn(int(bad[0]))
     U /= norms
-    r_y = (U[:, 1:] * U[:, :1]).sum(axis=0)
+    r_y = np.einsum("ij,i->j", U[:, 1:], U[:, 0])
     np.clip(r_y, -1.0, 1.0, out=r_y)
     return CorrelationStructure(U=U, r_y=r_y)

@@ -45,12 +45,21 @@ EQUICORR_TOL = 1e-8
 
 @dataclass
 class SubModelState:
-    """One sub-model's position on its correlation-space path."""
+    """One sub-model's position on its correlation-space path.
+
+    ``direction`` is kept by :func:`propose`: the correlation structure it
+    read, ``a_k`` and ``inner`` of a nonempty active set's equiangular
+    direction and every predictor's entry step along it, computed on the
+    first proposal from this state and reused by every later one on the
+    same structure (all depend on the state alone). :meth:`copy` and
+    :func:`apply_step` return states without it.
+    """
 
     corr_state: np.ndarray
     active: list[int] = field(default_factory=list)
     signs: list[float] = field(default_factory=list)
     active_level: float = 0.0
+    direction: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @classmethod
     def initial(cls, r_y: np.ndarray) -> "SubModelState":
@@ -162,6 +171,12 @@ def propose(corr, state: SubModelState,
     the row sits in the matrix). The pool enters only through the argmin
     that picks the candidate and its step, so removing any predictor
     other than the candidate leaves the whole proposal unchanged.
+
+    So the direction ``(a_k, inner)`` of a nonempty active set, and every
+    predictor's entry step along it, are computed once per state: the
+    first call stores them on ``state.direction``, and later calls on the
+    same ``corr`` take only the argmin over the pool, returning the same
+    ``inner`` array.
     """
     r = state.corr_state
     if not state.active:
@@ -170,17 +185,20 @@ def propose(corr, state: SubModelState,
         inner = sign * corr.columns([j_star])[:, 0]
         return LarsProposal(candidate=j_star, step=float(abs(r[j_star])),
                             inner=inner, entry_sign=sign, a_active=1.0)
-    cols = corr.columns(state.active)
-    a_k, w_k = _geometry(cols[state.active], state.signs)
-    s = np.asarray(state.signs, dtype=float)
-    r_avail = r[available]
-    inner = (cols * s) @ w_k
-    a_vec = inner[available]
-    level = state.active_level
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gp = np.where(a_k - a_vec > 0, (level - r_avail) / (a_k - a_vec), np.inf)
-        gm = np.where(a_k + a_vec > 0, (level + r_avail) / (a_k + a_vec), np.inf)
-    gamma = np.minimum(gp, gm)
+    if state.direction is None or state.direction[0] is not corr:
+        cols = corr.columns(state.active)
+        a_k, w_k = _geometry(cols[state.active], state.signs)
+        s = np.asarray(state.signs, dtype=float)
+        inner = (cols * s) @ w_k
+        level = state.active_level
+        # every predictor's entry step, elementwise; the active ones are
+        # never read (their denominators are rounding noise)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            gp = np.where(a_k - inner > 0, (level - r) / (a_k - inner), np.inf)
+            gm = np.where(a_k + inner > 0, (level + r) / (a_k + inner), np.inf)
+        state.direction = (corr, a_k, inner, np.minimum(gp, gm))
+    _, a_k, inner, gamma = state.direction
+    gamma = gamma[available]
     best = int(np.argmin(gamma))
     step = float(gamma[best])
     if not np.isfinite(step):

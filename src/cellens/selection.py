@@ -19,7 +19,9 @@ of (inputs, seed).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -27,10 +29,10 @@ import numpy as np
 from . import corrlars
 from .cellwise import CorrelationStructure, ImputationResult
 from .errors import (InvalidConfig, InvariantViolation, NotPositiveDefinite,
-                     RankDeficient, require_booleans, require_integers,
-                     require_numbers)
+                     RankDeficient, ShapeMismatch, require_booleans,
+                     require_integers, require_numbers)
 # ols_fit is unused here but stays importable: perfbench/tracing.py wraps it
-from .linalg import ols_fit, prepare_design, solve_spd  # noqa: F401
+from .linalg import PIVOT_RTOL, ols_fit, prepare_design  # noqa: F401
 from .rng import make_rng
 
 STOP_BELOW_TOLERANCE = "BelowTolerance"
@@ -137,60 +139,177 @@ def fold_assignment(n: int, v: int, rng: np.random.Generator) -> np.ndarray:
     return labels
 
 
-def cv_error(imp: ImputationResult, subset, folds: np.ndarray,
-             intercept: bool) -> float:
-    """Out-of-fold mean squared error of least squares on a predictor subset.
+@dataclass(frozen=True)
+class _CVDesign:
+    """A run's one cross-validation layout.
 
-    ``[y, X_S]`` is one ``prepare_design`` design. Its full-sample centering
-    absorbs the intercept before the per-fold origin fits, which makes the
-    arbitration exactly location-invariant (per-fold constants would not:
-    training-fold means of centered data are O(1/sqrt(n)) away from zero
-    and flip near-boundary decisions). The error is in units of y², exact
-    from ``y``'s exponent. The empty subset predicts the global mean (with
-    ``intercept``) or zero. All ``v`` training Grams are one stack solved
-    by ``solve_spd``; each row is predicted by the fit that holds it out.
+    ``D`` is all of ``[y, X]`` (``imp.Z_imp``, C-ordered) as one
+    :func:`~cellens.linalg.prepare_design` design, prepared once per run;
+    every score reads its columns, so a subset's score does not depend on
+    which other columns it is scored with. ``e_y`` is the exponent of
+    ``y``'s power-of-two scale; ``train`` (v, n) is 1.0 on fold f's
+    training rows in row f and 0.0 elsewhere, and ``ty`` is ``train * y``.
+    ``held`` indexes each row's own fold in a flattened (v, n) array.
+    """
+
+    D: np.ndarray
+    e_y: int
+    held: np.ndarray
+    train: np.ndarray
+    ty: np.ndarray
+    min_train: int
+
+
+@dataclass
+class _CVFit:
+    """The out-of-fold least-squares fit of a subset, kept so that a move
+    borders it by one column instead of refactoring v fold Grams.
+
+    pred : (n,); row i predicted by the fit that holds out its fold
+    err : mean squared out-of-fold error, in prepared units
+
+    A bordered fit holds its parent's basis and its own new row, and joins
+    them on the first call of :meth:`basis`: a move that never wins keeps
+    one (v, n) row, not a copy of its model's basis.
+    """
+
+    pred: np.ndarray
+    err: float
+    _basis: np.ndarray
+    _row: Optional[np.ndarray] = None
+
+    def basis(self) -> np.ndarray:
+        """(v, q, n); slice f is ``L_f^-1 X_S'`` over all n rows, for the
+        Cholesky factor ``L_f`` of fold f's training Gram of the subset's
+        columns in subset order: on the training rows its rows are
+        orthonormal."""
+        if self._row is not None:
+            self._basis = np.concatenate([self._basis, self._row[:, None, :]],
+                                         axis=1)
+            self._row = None
+        return self._basis
+
+
+def _cv_design(imp: ImputationResult, folds: np.ndarray,
+               intercept: bool) -> _CVDesign:
+    D, _, e = prepare_design(np.ascontiguousarray(imp.Z_imp, dtype=float),
+                             intercept)
+    n = len(folds)
+    v = int(folds.max()) + 1
+    train = (folds != np.arange(v)[:, None]).astype(float)
+    min_train = n - int(np.bincount(folds, minlength=v).max())
+    return _CVDesign(D=D, e_y=int(e[0]), held=folds * n + np.arange(n),
+                     train=train, ty=train * D[:, 0], min_train=min_train)
+
+
+def _cv_fit(cv: _CVDesign, subset: list[int],
+            parent: Optional[_CVFit]) -> _CVFit:
+    """The fit of ``subset``, bordered from ``parent``, the fit of
+    ``subset[:-1]`` (None for the empty subset, which predicts 0: the
+    prepared ``y`` is centered with an intercept).
+
+    With ``t`` fold f's training mask and ``x`` the new column, ``l = W
+    (t x)`` for the parent's basis ``W`` is the new row of ``L_f`` and
+    ``s = d - |l|^2``, ``d = |t x|^2``, its squared last pivot. So ``s / d``
+    is exactly the new column's Cholesky pivot ratio (1 - R^2 on the
+    earlier columns), and the degeneracy rule of
+    :func:`~cellens.linalg.solve_spd` applies as it stands. The new basis
+    row is ``(x - W' l) / sqrt(s)``, and each fold's predictions gain its
+    projection times its inner product with the training ``y``.
 
     Raises
     ------
     RankDeficient
-        If any fold's design is singular; callers treat the proposal as
-        having benefit -inf rather than aborting the run.
-    InvalidConfig
-        If the subset is too large for the smallest training fold.
+        If a fold's pivot ratio ``s / d`` is at most ``PIVOT_RTOL``.
     """
-    err, e = _prepared_cv_error(imp, subset, folds, intercept)
-    return float(np.ldexp(err, 2 * e))
+    y = cv.D[:, 0]
+    n = len(y)
+    if parent is None:
+        pred, W, row = np.zeros(n), np.empty((len(cv.train), 0, n)), None
+    else:
+        W = parent.basis()
+        x = cv.D[:, subset[-1] + 1]
+        tx = cv.train * x
+        lrow = np.einsum("fqn,fn->fq", W, tx)
+        d = np.einsum("fn,fn->f", tx, tx)
+        s = d - np.einsum("fq,fq->f", lrow, lrow)
+        bad = s <= PIVOT_RTOL * d
+        if bad.any():
+            f = int(np.argmax(bad))
+            ratio = s[f] / d[f] if d[f] > 0 else 0.0
+            raise RankDeficient(
+                f"pivot ratio {ratio:.3e} of column {subset[-1]} in fold "
+                f"{f} is at most {PIVOT_RTOL:.0e}"
+            )
+        row = x - np.einsum("fq,fqn->fn", lrow, W)
+        row /= np.sqrt(s)[:, None]
+        gain = np.einsum("fn,fn->f", row, cv.ty)
+        pred = parent.pred + (row * gain[:, None]).take(cv.held)
+    return _CVFit(pred=pred, err=float(((y - pred) ** 2).sum() / n),
+                  _basis=W, _row=row)
 
 
-def _prepared_cv_error(imp: ImputationResult, subset, folds: np.ndarray,
-                       intercept: bool) -> tuple[float, int]:
-    """:func:`cv_error` in units of the prepared ``y``: returns the error
-    and the exponent ``e`` of ``y``'s power-of-two scale, so that the error
-    in units of y² is ``2**(2 e)`` times it, exactly."""
+def cv_error(imp: ImputationResult, subset, folds: np.ndarray,
+             intercept: bool) -> float:
+    """Out-of-fold mean squared error of least squares on a predictor subset.
+
+    ``[y, X]`` is one ``prepare_design`` design (see :class:`_CVDesign`).
+    Its full-sample centering absorbs the intercept before the per-fold
+    origin fits, which makes the arbitration exactly location-invariant
+    (per-fold constants would not: training-fold means of centered data
+    are O(1/sqrt(n)) away from zero and flip near-boundary decisions). The
+    error is in units of y², exact from ``y``'s exponent. The empty subset
+    predicts the global mean (with ``intercept``) or zero. The fit is
+    bordered from the empty subset one column at a time, in the order of
+    ``subset``, by the code a tournament move runs (:func:`_cv_fit`), so a
+    move's recorded ``cv_new`` equals this function's value bit for bit.
+    Each row is predicted by the fit that holds out its fold.
+
+    Raises
+    ------
+    RankDeficient
+        If a column's pivot ratio in any fold's training design is at most
+        ``PIVOT_RTOL``; callers treat the proposal as having benefit -inf
+        rather than aborting the run.
+    InvalidConfig
+        Naming ``subset``, if an entry is not an integer or not a predictor
+        index, or if the subset is too large for the smallest training
+        fold; naming ``folds``, if a label is not an integer in [0, n).
+    ShapeMismatch
+        Naming ``folds``, unless it holds one label per row.
+    """
+    n, C = imp.Z_imp.shape
     subset = list(subset)
-    n = imp.Z_imp.shape[0]
-    v = int(folds.max()) + 1
-    min_train = n - max(np.bincount(folds, minlength=v))
-    if len(subset) + int(intercept) >= min_train:
+    for j in subset:
+        if isinstance(j, bool) or not isinstance(j, Integral):
+            raise InvalidConfig(f"subset entry {j!r} must be an integer")
+        if not 0 <= j < C - 1:
+            raise InvalidConfig(f"subset entry {j} is not in [0, p={C - 1})")
+    subset = [int(j) for j in subset]
+    folds = np.asarray(folds)
+    if folds.shape != (n,):
+        raise ShapeMismatch(f"folds has shape {folds.shape}, expected ({n},)")
+    if folds.dtype.kind not in "iu" or ((folds < 0) | (folds >= n)).any():
+        raise InvalidConfig(f"folds must hold integer labels in [0, n={n})")
+    cv = _cv_design(imp, folds, intercept)
+    if len(subset) + int(intercept) >= cv.min_train:
         raise InvalidConfig(
             f"subset of size {len(subset)} (+intercept={intercept}) needs more "
-            f"than {min_train} training rows per fold"
+            f"than {cv.min_train} training rows per fold"
         )
-    D, _, e = prepare_design(imp.Z_imp[:, [0] + [j + 1 for j in subset]], intercept)
-    y, X = D[:, 0], D[:, 1:]
-    pred = 0.0
-    if subset:
-        # slice f of the (v, q, n) stack is X.T with fold f's rows zeroed,
-        # so its products with X and y are fold f's training Gram and moment
-        train = (folds != np.arange(v)[:, None]).astype(float)
-        Xt = np.ascontiguousarray(X.T) * train[:, None, :]
-        try:
-            coef = solve_spd(Xt @ X, Xt @ y)
-        except NotPositiveDefinite as exc:
-            raise RankDeficient(str(exc)) from exc
-        # row i is predicted by the fit that held out its fold
-        pred = (X @ coef.T)[np.arange(n), folds]
-    return float(((y - pred) ** 2).sum() / n), int(e[0])
+    fit = _cv_fit(cv, [], None)
+    for q in range(len(subset)):
+        fit = _cv_fit(cv, subset[:q + 1], fit)
+    return _in_y2_units(fit.err, cv.e_y)
+
+
+def _in_y2_units(x: float, e: int) -> float:
+    """A prepared-units error or gain ``x`` in units of y², ``x * 2**(2 e)``:
+    exact, and infinite beyond the float range."""
+    try:
+        return math.ldexp(x, 2 * e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def run_selection(structure: CorrelationStructure, imp: ImputationResult,
@@ -198,15 +317,28 @@ def run_selection(structure: CorrelationStructure, imp: ImputationResult,
     """Run the full K-model competition.
 
     Only the round's winner changes state, and a move (``corrlars.propose``
-    plus ``cv_error``) is a function of the path state: the pool enters it
-    only through the choice of candidate and step, which changes only when
-    the candidate leaves. So one move is kept per active set, and it is
-    dropped when the winner takes its candidate. Only empty models share
-    a set, as the sets are disjoint; each records the shared move as its
-    own ``Proposal`` on the same ``lars``. A model that sits out a round
+    plus its cross-validation score) is a function of the path state: the
+    pool enters it only through the choice of candidate and step, which
+    changes only when the candidate leaves. So one move is kept per active
+    set, and it is dropped when the winner takes its candidate. Only empty
+    models share a set, as the sets are disjoint; each records the shared
+    move as its own ``Proposal`` on the same ``lars``. A model that sits out a round
     (at fold-training capacity, collinear active set, or no finite step)
     sits out for the rest of the run: none of these depend on the pool,
     and a model that makes no proposal cannot win and change its state.
+
+    No move makes a LAPACK call once its model's direction is known. The
+    model's ``SubModelState`` keeps its equiangular direction and entry
+    steps, so a model that lost its candidate proposes again by an argmin
+    over the pool alone. Each model also keeps its current
+    cross-validation fit (per fold, the whitened columns and the
+    out-of-fold predictions, on ``imp.Z_imp`` prepared once for the run),
+    and a move borders it by the candidate's column (:func:`_cv_fit`); a
+    pivot ratio at most ``PIVOT_RTOL`` in any fold makes the move rank
+    deficient. The winning move's fit becomes its model's, and the fit it
+    replaces is dropped with the moves on the taken candidate. So a
+    recorded ``cv_new`` equals :func:`cv_error` of the model's active set
+    plus the candidate, bit for bit.
 
     Scores and every decision (best benefit, ties, ``tau``) are in units
     of the prepared ``y`` (``y`` scaled by its ``prepare_design`` power of
@@ -231,9 +363,9 @@ def run_selection(structure: CorrelationStructure, imp: ImputationResult,
     ------
     InvariantViolation
         Naming the response, when the empty model's cross-validation error
-        is not finite; naming the model and candidate, when ``cv_error``
-        scores a proposal with a non-finite error (a rank-deficient subset
-        is not such a case: its proposal gets benefit -inf).
+        is not finite; naming the model and candidate, when a proposal
+        scores a non-finite error (a rank-deficient subset is not such a
+        case: its proposal gets benefit -inf).
     """
     p = len(structure.r_y)
     n = imp.Z_imp.shape[0]
@@ -244,26 +376,26 @@ def run_selection(structure: CorrelationStructure, imp: ImputationResult,
         raise InvalidConfig("imputed data and correlations disagree on p")
     max_vars = cfg.resolved_max_vars(n, p)
     rng = make_rng(cfg.seed)
-    folds = fold_assignment(n, cfg.cv_folds, rng)
-    min_train = n - max(np.bincount(folds, minlength=cfg.cv_folds))
+    cv = _cv_design(imp, fold_assignment(n, cfg.cv_folds, rng), cfg.intercept)
 
     states = [corrlars.SubModelState.initial(structure.r_y) for _ in range(cfg.K)]
     available = np.arange(p)
-    empty_cv, e_y = _prepared_cv_error(imp, [], folds, cfg.intercept)
-    if not np.isfinite(empty_cv):
+    empty = _cv_fit(cv, [], None)
+    if not np.isfinite(empty.err):
         raise InvariantViolation(
-            f"cross-validation error of the empty model is {empty_cv}: the "
+            f"cross-validation error of the empty model is {empty.err}: the "
             f"response y holds a non-finite cell"
         )
-    current_cv = [empty_cv] * cfg.K  # each model's prepared-units error
+    fits = [empty] * cfg.K  # each model's current fit, errors in prepared units
     trace: list[CompetitionRecord] = []
 
-    def fresh_move(k: int) -> Optional[tuple[Proposal, float, float]]:
-        """Model k's move on the current pool, with its gain and error in
-        prepared units; None when it sits out."""
+    def fresh_move(k: int) -> Optional[tuple[Proposal, float, Optional[_CVFit]]]:
+        """Model k's move on the current pool, with its gain in prepared
+        units and its bordered fit (None when rank deficient); None when
+        it sits out."""
         # A model at fold-training capacity stops proposing; the rest
         # keep competing.
-        if len(states[k].active) + 1 + int(cfg.intercept) >= min_train:
+        if len(states[k].active) + 1 + int(cfg.intercept) >= cv.min_train:
             return None
         try:
             prop = corrlars.propose(structure, states[k], available)
@@ -272,26 +404,24 @@ def run_selection(structure: CorrelationStructure, imp: ImputationResult,
         if prop.candidate is None:
             return None
         try:
-            new_cv = _prepared_cv_error(imp, states[k].active + [prop.candidate],
-                                        folds, cfg.intercept)[0]
+            fit = _cv_fit(cv, states[k].active + [prop.candidate], fits[k])
         except RankDeficient:
-            new_cv = np.inf
-            gain = -np.inf
+            fit, new_cv, gain = None, np.inf, -np.inf
         else:
+            new_cv = fit.err
             if not np.isfinite(new_cv):
                 raise InvariantViolation(
                     f"model {k}: cross-validation error of candidate "
                     f"{prop.candidate} is {new_cv}"
                 )
-            gain = current_cv[k] - new_cv
-        with np.errstate(over="ignore"):
-            benefit, cv_new = np.ldexp([gain, new_cv], 2 * e_y)
+            gain = fits[k].err - new_cv
         return (Proposal(model=k, candidate=prop.candidate, gamma=prop.step,
-                         benefit=float(benefit), lars=prop, cv_new=float(cv_new)),
-                gain, new_cv)
+                         benefit=_in_y2_units(gain, cv.e_y), lars=prop,
+                         cv_new=_in_y2_units(new_cv, cv.e_y)),
+                gain, fit)
 
     # one move per active set (None: its models sit out); see the docstring
-    moves: dict[tuple, Optional[tuple[Proposal, float, float]]] = {}
+    moves: dict[tuple, Optional[tuple[Proposal, float, Optional[_CVFit]]]] = {}
 
     while True:
         # checked before each round, so a limit that a winner reaches is
@@ -326,12 +456,14 @@ def run_selection(structure: CorrelationStructure, imp: ImputationResult,
             pick = tied[min(int(u * len(tied)), len(tied) - 1)]
         else:
             pick = tied[0]
-        base = current_cv[pick.model]
+        base = fits[pick.model].err
         accept = best > 0 and base > 0 and best / base > cfg.tau
         if not accept:
             stop_reason = STOP_BELOW_TOLERANCE
             break
-        current_cv[pick.model] = moves[tuple(states[pick.model].active)][2]
+        # the winning move's fit becomes the model's; the fit it replaces
+        # and every move on the taken candidate are dropped
+        fits[pick.model] = moves[tuple(states[pick.model].active)][2]
         states[pick.model] = corrlars.apply_step(states[pick.model], pick.lars,
                                                  available)
         available = available[available != pick.candidate]

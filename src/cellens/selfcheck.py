@@ -18,7 +18,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from . import corrlars, reference, robustfit
+from . import corrlars, reference, robustfit, selection
 from .cellwise import CorrelationStructure, correlation_structure, ddc_impute
 from .errors import CellensError
 from .linalg import prepare_design
@@ -341,11 +341,15 @@ def check_s_stage_oracle(n_runs: int = 30, n: int = 14,
 
 def check_cv_oracle(n_runs: int = 20, n: int = 47, p: int = 30,
                     folds: int = 5, tol: float = 1e-10) -> list[str]:
-    """The stacked cross-validation error must match the fold-by-fold oracle.
+    """The cross-validation error must match the fold-by-fold oracle.
 
     One seeded input with uneven folds (``n`` not a multiple of
     ``folds``); each run scores a random subset of 1 to 10 predictors,
-    with the intercept on in even runs and off in odd ones.
+    with the intercept on in even runs and off in odd ones. Half the runs
+    (``run % 4`` of 2 or 3) also grow the subset one column at a time as
+    the tournament does, bordering each kept fit by the next column: every
+    prefix must match the oracle, and the whole subset must score what
+    :func:`cv_error` gives, bit for bit. A run reports its first failure.
     """
     failures = []
     y, X = _generic_dataset(seed=1414, n=n, p=p)
@@ -361,7 +365,30 @@ def check_cv_oracle(n_runs: int = 20, n: int = 47, p: int = 30,
         if not abs(got - want) <= tol:
             failures.append(f"cv-oracle run {run}: {got!r} against oracle "
                             f"{want!r}")
+        elif run % 4 >= 2:
+            problem = _grown_cv_problem(imp, y, X, subset, labels, intercept,
+                                        got, tol)
+            if problem:
+                failures.append(f"cv-oracle run {run}: {problem}")
     return failures
+
+
+def _grown_cv_problem(imp, y, X, subset, labels, intercept, whole,
+                      tol) -> str:
+    """The first disagreement of a subset grown one column at a time from
+    its kept fits, against the oracle (each prefix) and against ``whole``,
+    the :func:`cv_error` of the subset (bit for bit); empty if none."""
+    cv = selection._cv_design(imp, labels, intercept)
+    fit = selection._cv_fit(cv, [], None)
+    for q in range(1, len(subset) + 1):
+        fit = selection._cv_fit(cv, subset[:q], fit)
+        got = float(np.ldexp(fit.err, 2 * cv.e_y))
+        want = reference.cv_error_oracle(y, X, subset[:q], labels, intercept)
+        if not abs(got - want) <= tol:
+            return f"grown prefix of {q} {got!r} against oracle {want!r}"
+    if got != whole:
+        return f"grown subset {got!r} against cv_error {whole!r}"
+    return ""
 
 
 EDGE_KINDS = ("plain", "duplicate", "binary", "rounded", "near-square")

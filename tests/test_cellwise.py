@@ -601,6 +601,22 @@ def test_partner_worker_error_reaches_the_caller(monkeypatch):
         robust_partner_correlations(Zs)
 
 
+@pytest.mark.parametrize("n, p", [(3, 2), (50, 200), (300, 300)])
+def test_correlation_columns_keep_the_product_sum_bits(n, p):
+    # columns and r_y come from einsum; they must keep the bits of the
+    # elementwise product summed down axis 0 that formed them before
+    rng = make_rng(n * p)
+    structure = correlation_structure(
+        passthrough_imputation(rng.standard_normal((n, p + 1))))
+    U = structure.U
+    r_y = np.clip((U[:, 1:] * U[:, :1]).sum(axis=0), -1.0, 1.0)
+    assert structure.r_y.tobytes() == r_y.tobytes()
+    for j in range(p):
+        col = np.clip((U[:, 1:] * U[:, j + 1:j + 2]).sum(axis=0), -1.0, 1.0)
+        col[j] = 1.0
+        assert structure.columns([j])[:, 0].tobytes() == col.tobytes(), j
+
+
 def test_correlation_structure_columns_on_demand():
     imp = ddc_impute(correlated_matrix(25, n=40, p=9))
     structure = correlation_structure(imp)

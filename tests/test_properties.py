@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from cellens import cellwise, pipeline, robustfit, selfcheck
+from cellens import cellwise, pipeline, robustfit, selection, selfcheck
 from cellens.errors import DegenerateColumn
 from cellens.pipeline import passthrough_imputation
 
@@ -92,6 +92,24 @@ def test_cv_oracle_check_catches_off_arbiter(monkeypatch):
     failures = selfcheck.check_cv_oracle(n_runs=3)
     assert [f.split(":")[0] for f in failures] == [
         f"cv-oracle run {run}" for run in range(3)]
+
+
+def test_cv_oracle_check_catches_a_wrong_grown_prefix(monkeypatch):
+    # a fit that scores every two-column subset wrong is caught on the
+    # prefixes of the runs that grow their subsets as the tournament does
+    border = selection._cv_fit
+
+    def off_at_two(cv, subset, parent):
+        fit = border(cv, subset, parent)
+        if len(subset) == 2:
+            fit.err *= 1 + 1e-6
+        return fit
+
+    monkeypatch.setattr(selection, "_cv_fit", off_at_two)
+    failures = selfcheck.check_cv_oracle()
+    grown = [f for f in failures if "grown prefix of 2" in f]
+    assert grown and all(int(f.split(":")[0].split()[-1]) % 4 >= 2
+                         for f in grown)
 
 
 def test_edge_inputs_property():

@@ -1,13 +1,19 @@
+import hashlib
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import cellens.selection
-from cellens import (InvalidConfig, InvariantViolation, SelectionConfig,
-                     correlation_structure,
-                     cv_error, fold_assignment, make_rng, run_selection,
-                     trace_to_csv)
+from cellens import (ContaminationSpec, InvalidConfig, InvariantViolation,
+                     SelectionConfig, ShapeMismatch, SimConfig,
+                     block_covariance, contaminate, correlation_structure,
+                     cv_error, ddc_impute, fold_assignment, generate_clean,
+                     make_rng, run_selection, trace_to_csv)
 from cellens.corrlars import SubModelState, apply_step, greedy_path, propose
 from cellens.errors import RankDeficient
+from cellens.linalg import PIVOT_RTOL, pivot_ratios, prepare_design
 from cellens.pipeline import passthrough_imputation
 from cellens.reference import (classical_lars_path, cv_error_oracle,
                                standardize_columns)
@@ -135,19 +141,70 @@ def test_cv_error_column_inside_one_fold_is_rank_deficient(intercept):
         cv_error(imp, [0, 3], folds, intercept)
 
 
+@pytest.mark.parametrize("subset, folds, error, match", [
+    ([-1], None, InvalidConfig, r"subset entry -1 is not in \[0, p=4\)"),
+    ([4], None, InvalidConfig, r"subset entry 4 is not in \[0, p=4\)"),
+    ([1.0], None, InvalidConfig, r"subset entry 1.0 must be an integer"),
+    ([True], None, InvalidConfig, r"subset entry True must be an integer"),
+    ([1], "float", InvalidConfig, r"folds must hold integer labels"),
+    ([1], "short", ShapeMismatch, r"folds has shape \(29,\)"),
+    ([1], "out of range", InvalidConfig, r"folds must hold integer labels"),
+])
+def test_cv_error_names_a_bad_argument(subset, folds, error, match):
+    rng = make_rng(5)
+    X = rng.standard_normal((30, 4))
+    imp = make_imp(X[:, 0] + rng.standard_normal(30), X)
+    good = fold_assignment(30, 5, make_rng(6))
+    labels = {None: good, "float": good.astype(float), "short": good[:-1],
+              "out of range": good - 1}[folds]
+    with pytest.raises(error, match=match):
+        cv_error(imp, subset, labels, True)
+    # numpy integers and a list of labels are valid
+    assert np.isfinite(cv_error(imp, [np.int64(1)], list(good), True))
+
+
+@pytest.mark.parametrize("intercept", [True, False])
+def test_near_collinear_column_matches_oracle_or_is_rank_deficient(intercept):
+    # column 2 is column 0 plus noise of a shrinking scale: a bordered score
+    # matches the oracle while the last Cholesky pivot ratio of every fold's
+    # training Gram is above PIVOT_RTOL, and is RankDeficient once one is
+    # at or below it
+    y, X = signal_data(49, n=60, p=3, nact=2)
+    folds = fold_assignment(60, 5, make_rng(50))
+    noise = make_rng(51).standard_normal(60)
+    rank_deficient = []
+    for scale in (1e-3, 1e-4, 10**-4.5, 10**-4.8, 1e-5, 10**-5.2, 1e-6):
+        X[:, 2] = X[:, 0] + scale * noise
+        D = prepare_design(np.column_stack([y, X]), intercept)[0][:, 1:]
+        ratio = min(pivot_ratios(D[folds != f].T @ D[folds != f])[-1]
+                    for f in range(5))
+        rank_deficient.append(ratio <= PIVOT_RTOL)
+        if ratio <= PIVOT_RTOL:
+            with pytest.raises(RankDeficient, match="pivot ratio"):
+                cv_error(make_imp(y, X), [0, 1, 2], folds, intercept)
+            continue
+        got = cv_error(make_imp(y, X), [0, 1, 2], folds, intercept)
+        want = cv_error_oracle(y, X, [0, 1, 2], folds, intercept)
+        # both sides lose accuracy as the ratio falls; the largest relative
+        # gaps seen here were 2.4e-9 down to scale 1e-4 and 4.9e-8 below
+        rel = 1e-7 if scale >= 1e-4 else 1e-6
+        assert got == pytest.approx(want, rel=rel), scale
+    assert rank_deficient == [False] * 4 + [True] * 3
+
+
 def test_non_finite_cv_error_raises_invariant_violation(monkeypatch):
     y, X = signal_data(45, n=50, p=10, nact=4)
     imp = make_imp(y, X)
     structure = correlation_structure(imp)
     cfg = SelectionConfig(K=3, tau=0.01, cv_folds=5, seed=46)
-    cv = cellens.selection._prepared_cv_error
+    cv = cellens.selection._cv_fit
 
-    def nan_for_candidate(imp, subset, folds, intercept):
-        err, e = cv(imp, subset, folds, intercept)
-        return (np.nan if subset and subset[-1] == 2 else err), e
+    def nan_for_candidate(design, subset, parent):
+        fit = cv(design, subset, parent)
+        return (replace(fit, err=np.nan) if subset and subset[-1] == 2
+                else fit)
 
-    monkeypatch.setattr(cellens.selection, "_prepared_cv_error",
-                        nan_for_candidate)
+    monkeypatch.setattr(cellens.selection, "_cv_fit", nan_for_candidate)
     with pytest.raises(InvariantViolation,
                        match=r"model \d: cross-validation error of candidate 2 "
                              r"is nan"):
@@ -335,12 +392,29 @@ def test_run_selection_rejects_inconsistent_inputs():
         run_selection(bad, imp, SelectionConfig(K=2, cv_folds=5, seed=1))
 
 
+def distinct_directions(res):
+    """Distinct equiangular directions in the trace: one per nonempty
+    active set, plus one per first-step move (its inner array is the
+    candidate's column)."""
+    grown = {}
+    directions = set()
+    for rec in res.trace:
+        for pr in rec.proposals:
+            active = tuple(grown.get(pr.model, ()))
+            directions.add(active if active else ((), pr.candidate))
+        if rec.winner is not None:
+            k, j = rec.winner
+            grown[k] = grown.get(k, []) + [j]
+    return len(directions)
+
+
 def test_reused_proposal_is_same_object():
     # a model that neither won nor lost its candidate re-enters the same
     # move (on this input the very Proposal of the previous round; a second
-    # empty model would record a shared move afresh each round), so each
-    # move's inner array is stored once however many rounds and models
-    # record it
+    # empty model would record a shared move afresh each round), and a
+    # model that lost its candidate proposes again from the direction its
+    # state keeps, so each direction's inner array is stored once however
+    # many moves, rounds and models record it
     y, X = signal_data(31, n=60, p=15, nact=6)
     imp = make_imp(y, X)
     structure = correlation_structure(imp)
@@ -359,7 +433,7 @@ def test_reused_proposal_is_same_object():
                 reused += 1
     assert reused > 0
     arrays = {id(pr.lars.inner) for rec in res.trace for pr in rec.proposals}
-    assert len(arrays) == distinct_moves(res)
+    assert len(arrays) == distinct_directions(res) < distinct_moves(res)
     assert all(pr.lars.inner.shape == (15,) for rec in res.trace
                for pr in rec.proposals)
 
@@ -398,14 +472,13 @@ def test_zero_max_vars_records_one_empty_round():
 def count_cv_calls(monkeypatch):
     """Subsets that ``run_selection`` scores, in call order."""
     calls = []
-    score = cellens.selection._prepared_cv_error
+    score = cellens.selection._cv_fit
 
-    def counting_cv_error(imp, subset, folds, intercept):
+    def counting_cv_error(design, subset, parent):
         calls.append(list(subset))
-        return score(imp, subset, folds, intercept)
+        return score(design, subset, parent)
 
-    monkeypatch.setattr(cellens.selection, "_prepared_cv_error",
-                        counting_cv_error)
+    monkeypatch.setattr(cellens.selection, "_cv_fit", counting_cv_error)
     return calls
 
 
@@ -515,3 +588,58 @@ def test_inner_independent_of_rest_of_pool():
         assert part.candidate == full.candidate
         assert part.step == full.step
         assert part.inner.tobytes() == full.inner.tobytes()
+
+
+# perfbench's deep and study workloads: data, contamination and settings
+SHAPED = {
+    "deep": (SimConfig(n=300, p=300, sparsity=150, snr=1.0, block_size=25),
+             dict(K=20, tau=1e-5, cv_folds=5, max_vars=80)),
+    "study": (SimConfig(n=50, p=200, sparsity=20, snr=1.0, block_size=10),
+              dict(K=10, tau=0.01, cv_folds=5)),
+}
+
+
+def shaped_selection_input(shape, seed):
+    """A cleaned, seeded input of a benchmark workload's shape, with its
+    correlation structure and selection settings."""
+    sim, sel = SHAPED[shape]
+    sim = replace(sim, seed=seed)
+    obs = contaminate(generate_clean(sim),
+                      ContaminationSpec(scenario="MixtureCorrelation",
+                                        alpha=0.1, alpha2=0.05),
+                      block_covariance(sim), seed=seed + 1)
+    imp = ddc_impute(np.column_stack([obs.y, obs.X]))
+    return correlation_structure(imp), imp, SelectionConfig(seed=seed + 2, **sel)
+
+
+@pytest.mark.parametrize("shape, seed, winners, digest", [
+    ("deep", 7, 80, "66cc068af810c984"),
+    ("deep", 8, 80, "c1cad8e296dcca96"),
+    ("study", 7, 45, "c765892ca84b7fcc"),
+    ("study", 8, 21, "f93f85cd88afac35"),
+])
+def test_seeded_selections_are_pinned(shape, seed, winners, digest):
+    # sets and winner sequences recorded from the implementation that
+    # refactored every move's LARS direction and fold Grams from scratch
+    res = run_selection(*shaped_selection_input(shape, seed))
+    h = hashlib.sha256()
+    h.update(repr(res.sets).encode())
+    h.update(repr(res.winner_sequence()).encode())
+    assert len(res.winner_sequence()) == winners
+    assert h.hexdigest()[:16] == digest
+
+
+def test_selection_memory_holds_only_current_fits():
+    # the deep-shaped run peaks at 2.7 MiB: the prepared [y, X] (0.69 MiB),
+    # one (5, 300) basis row per selected predictor and per pending move,
+    # and the trace. Keeping the fit of every scored move (384 on this
+    # input, a 12 KiB row each) peaks at 8.4 MiB; the implementation that
+    # refactored each move peaked at 2.2 MiB
+    structure, imp, cfg = shaped_selection_input("deep", 7)
+    tracemalloc.start()
+    try:
+        run_selection(structure, imp, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
