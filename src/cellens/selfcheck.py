@@ -382,7 +382,7 @@ def _grown_cv_problem(imp, y, X, subset, labels, intercept, whole,
     fit = selection._cv_fit(cv, [], None)
     for q in range(1, len(subset) + 1):
         fit = selection._cv_fit(cv, subset[:q], fit)
-        got = float(np.ldexp(fit.err, 2 * cv.e_y))
+        got = selection._in_y2_units(fit.err, cv.e_y)
         want = reference.cv_error_oracle(y, X, subset[:q], labels, intercept)
         if not abs(got - want) <= tol:
             return f"grown prefix of {q} {got!r} against oracle {want!r}"
