@@ -60,7 +60,8 @@ print(f"max |imputed' - (c * imputed + a)|: "
 # the cleaned matrix yields the correlation structure used downstream
 # ---------------------------------------------------------------------------
 structure = correlation_structure(imp)
-R_X = structure.dense()  # a fit reads only the columns it needs
+# a fit reads only the columns it needs; the demo asks for all p of them
+R_X = structure.columns(range(len(structure.r_y)))
 print(f"\npredictor correlation matrix: {R_X.shape}, "
       f"min eigenvalue {np.linalg.eigvalsh(R_X).min():.2e}")
 raw_ry = np.corrcoef(np.column_stack([obs.y, obs.X]), rowvar=False)[0, 1:]

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateColumn, InvalidConfig, TooFewColumns,
-                     require_integers)
+                     require_integers, require_numbers)
 from .linalg import prepare_design
 
 # abs standardized residual above which a cell is flagged; equals the
@@ -74,6 +74,8 @@ class DdcConfig:
 
         Written as positive range tests so that NaN fails every one.
         """
+        require_numbers(self, ("trim", "min_abs_corr", "ratio_floor",
+                               "flag_cutoff"))
         if not 0 <= self.trim < 1:
             raise InvalidConfig(f"trim={self.trim} outside [0, 1)")
         require_integers(self, ("k_neighbors",))
@@ -169,24 +171,6 @@ class CorrelationStructure:
             if j not in self._columns:
                 self._columns[j] = self._column(j)
         return np.stack([self._columns[j] for j in idx], axis=1)
-
-    def dense(self) -> np.ndarray:
-        """The full p x p ``R_X``, for tests and inspection; a fit never
-        forms it."""
-        p = len(self.r_y)
-        R = np.empty((p, p))
-        for j in range(p):
-            R[:, j] = self._columns[j] if j in self._columns else self._column(j)
-        return R
-
-    def validate(self, atol: float = 1e-8) -> None:
-        R, r = self.dense(), self.r_y
-        if not np.allclose(R, R.T, atol=atol):
-            raise ValueError("R_X is not symmetric within tolerance")
-        if not np.allclose(np.diag(R), 1.0, atol=atol):
-            raise ValueError("R_X diagonal is not 1 within tolerance")
-        if np.max(np.abs(R)) > 1 + atol or np.max(np.abs(r)) > 1 + atol:
-            raise ValueError("correlation entries exceed 1 in magnitude")
 
 
 def robust_standardize(Z: np.ndarray):

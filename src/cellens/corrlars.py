@@ -111,7 +111,17 @@ class DenseCorrelation:
 
 
 def _geometry(sub: np.ndarray, signs):
-    """``(a_k, w_k)`` from the active submatrix ``sub`` and the signs."""
+    """Normalization ``a_k`` and weights ``w_k`` of the equiangular direction.
+
+    With ``A = D R_S D`` (the active submatrix ``sub`` of ``R_X``, signed),
+    ``a_k = (1' A^-1 1)^(-1/2)`` and ``w_k = a_k * A^-1 1``.
+
+    Raises
+    ------
+    NotPositiveDefinite
+        If ``A`` is not positive definite, i.e. the active predictors are
+        exactly collinear.
+    """
     s = np.asarray(signs, dtype=float)
     A = sub * np.outer(s, s)
     ones = np.ones(len(s))
@@ -122,24 +132,6 @@ def _geometry(sub: np.ndarray, signs):
     a_k = 1.0 / np.sqrt(total)
     w_k = a_k * u
     return a_k, w_k
-
-
-def equiangular_geometry(corr, state: SubModelState):
-    """Normalization ``a_k`` and weights ``w_k`` of the equiangular direction.
-
-    With ``A = D R_S D`` (signed active correlation submatrix, read from
-    ``corr.columns(state.active)``), ``a_k = (1' A^-1 1)^(-1/2)`` and
-    ``w_k = a_k * A^-1 1``.
-
-    Raises
-    ------
-    NotPositiveDefinite
-        If the signed submatrix is not positive definite, i.e. the active
-        predictors are exactly collinear.
-    """
-    if not state.active:
-        raise InvariantViolation("equiangular geometry needs a nonempty active set")
-    return _geometry(corr.columns(state.active)[state.active], state.signs)
 
 
 def propose(corr, state: SubModelState,

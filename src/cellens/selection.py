@@ -253,7 +253,9 @@ def cv_error(imp: ImputationResult, subset, folds: np.ndarray,
              intercept: bool) -> float:
     """Out-of-fold mean squared error of least squares on a predictor subset.
 
-    ``[y, X]`` is one ``prepare_design`` design (see :class:`_CVDesign`).
+    ``y`` and the subset's columns are one ``prepare_design`` design, with
+    the bits a run's whole ``[y, X]`` design gives them (see
+    :class:`_CVDesign`), so one call costs O(n * len(subset)) to prepare.
     Its full-sample centering absorbs the intercept before the per-fold
     origin fits, which makes the arbitration exactly location-invariant
     (per-fold constants would not: training-fold means of centered data
@@ -291,15 +293,24 @@ def cv_error(imp: ImputationResult, subset, folds: np.ndarray,
         raise ShapeMismatch(f"folds has shape {folds.shape}, expected ({n},)")
     if folds.dtype.kind not in "iu" or ((folds < 0) | (folds >= n)).any():
         raise InvalidConfig(f"folds must hold integer labels in [0, n={n})")
-    cv = _cv_design(imp, folds, intercept)
+    # y and the subset's columns, in subset order, prepared as in the whole
+    # design; an empty subset keeps one predictor, as numpy sums a lone
+    # column pairwise and a wider array row by row
+    cols = [0] + [j + 1 for j in subset] if subset else [0, 1]
+    cv = _cv_design(replace(imp, Z_imp=imp.Z_imp[:, cols]), folds, intercept)
     if len(subset) + int(intercept) >= cv.min_train:
         raise InvalidConfig(
             f"subset of size {len(subset)} (+intercept={intercept}) needs more "
             f"than {cv.min_train} training rows per fold"
         )
     fit = _cv_fit(cv, [], None)
-    for q in range(len(subset)):
-        fit = _cv_fit(cv, subset[:q + 1], fit)
+    for q, j in enumerate(subset):
+        try:
+            fit = _cv_fit(cv, list(range(q + 1)), fit)
+        except RankDeficient as exc:
+            # name the predictor, not its column in the narrow design
+            raise RankDeficient(str(exc).replace(
+                f"of column {q} in", f"of column {j} in")) from None
     return _in_y2_units(fit.err, cv.e_y)
 
 

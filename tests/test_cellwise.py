@@ -143,10 +143,13 @@ def test_correlation_structure_examples():
     Z = np.column_stack([y, X])
     imp = ddc_impute(Z)
     structure = correlation_structure(imp)
-    R_X = structure.dense()
+    R_X = structure.columns(range(10))
     assert R_X[0, 9] == 1.0
     assert structure.r_y[0] == 1.0
-    structure.validate()
+    assert np.allclose(R_X, R_X.T, atol=1e-8)
+    assert np.allclose(np.diag(R_X), 1.0, atol=1e-8)
+    assert np.max(np.abs(R_X)) <= 1 + 1e-8
+    assert np.max(np.abs(structure.r_y)) <= 1 + 1e-8
     assert np.min(np.linalg.eigvalsh(R_X)) >= -1e-8
 
 
@@ -161,7 +164,8 @@ def test_correlation_structure_bits_survive_power_of_two_scaling(exponent):
         Zs = Z.copy()
         Zs[:, j] *= 2.0 ** exponent
         scaled = correlation_structure(passthrough_imputation(Zs))
-        assert scaled.dense().tobytes() == base.dense().tobytes()
+        assert (scaled.columns(range(5)).tobytes()
+                == base.columns(range(5)).tobytes())
         assert scaled.r_y.tobytes() == base.r_y.tobytes()
 
 
@@ -171,7 +175,7 @@ def test_correlation_matches_pearson_oracle():
     imp = ddc_impute(Z)
     structure = correlation_structure(imp)
     ref = pearson_matrix(imp.Z_imp[:, 1:])
-    assert np.max(np.abs(structure.dense() - ref)) < 1e-12
+    assert np.max(np.abs(structure.columns(range(10)) - ref)) < 1e-12
 
 
 def test_correlation_sign_flip_rule():
@@ -184,7 +188,8 @@ def test_correlation_sign_flip_rule():
     imp2 = ddc_impute(Z * c + a)
     s2 = correlation_structure(imp2)
     signs = np.sign(c[1:])
-    assert np.allclose(s2.dense(), s1.dense() * np.outer(signs, signs),
+    assert np.allclose(s2.columns(range(7)),
+                       s1.columns(range(7)) * np.outer(signs, signs),
                        atol=1e-10)
     assert np.allclose(s2.r_y, s1.r_y * np.sign(c[0]) * signs, atol=1e-10)
 
@@ -211,11 +216,11 @@ def test_flag_cutoff_constant():
 
 
 @pytest.mark.parametrize("field, bad, good", [
-    ("trim", [-0.5, 1.0, 1.5], [0.0, 0.99]),
+    ("trim", [-0.5, 1.0, 1.5, "0.1", None, False], [0.0, 0.99]),
     ("k_neighbors", [0, -1, 2.5, True], [1]),
-    ("min_abs_corr", [-0.1, 1.5, 2.0], [0.0, 1.0]),
-    ("ratio_floor", [-0.1], [0.0]),
-    ("flag_cutoff", [0.0, -1.0], [0.5]),
+    ("min_abs_corr", [-0.1, 1.5, 2.0, True, "0.5"], [0.0, 1.0]),
+    ("ratio_floor", [-0.1, None, "0.1"], [0.0]),
+    ("flag_cutoff", [0.0, -1.0, "2.5", True], [0.5]),
 ])
 def test_ddc_config_rejects_out_of_range(field, bad, good):
     Z = correlated_matrix(25, n=20, p=5)
@@ -620,7 +625,7 @@ def test_correlation_columns_keep_the_product_sum_bits(n, p):
 def test_correlation_structure_columns_on_demand():
     imp = ddc_impute(correlated_matrix(25, n=40, p=9))
     structure = correlation_structure(imp)
-    R_X = structure.dense()
+    R_X = correlation_structure(imp).columns(range(8))
     assert np.array_equal(R_X, R_X.T)
     assert np.array_equal(np.diag(R_X), np.ones(8))
     ref = pearson_matrix(imp.Z_imp)

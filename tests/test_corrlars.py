@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from cellens import InvariantViolation, NotPositiveDefinite, make_rng
-from cellens.corrlars import (DenseCorrelation, SubModelState, apply_step,
-                              equiangular_geometry, greedy_path, propose)
+from cellens.corrlars import (DenseCorrelation, SubModelState, _geometry,
+                              apply_step, greedy_path, propose)
 from cellens.reference import classical_lars_path, standardize_columns
 
 
@@ -30,7 +30,7 @@ def standardized_problem(seed, n=60, p=10, nact=4):
 def test_geometry_single_variable():
     R = np.eye(3)
     st = make_state([0.5, 0.2, 0.1], active=[0], signs=[1.0], level=0.5)
-    a_k, w_k = equiangular_geometry(DenseCorrelation(R), st)
+    a_k, w_k = _geometry(R[np.ix_(st.active, st.active)], st.signs)
     assert a_k == pytest.approx(1.0)
     assert np.allclose(w_k, [1.0])
 
@@ -38,7 +38,7 @@ def test_geometry_single_variable():
 def test_geometry_two_variable_closed_form():
     R = np.array([[1.0, 0.5], [0.5, 1.0]])
     st = make_state([0.5, 0.5], active=[0, 1], signs=[1.0, 1.0], level=0.5)
-    a_k, w_k = equiangular_geometry(DenseCorrelation(R), st)
+    a_k, w_k = _geometry(R[np.ix_(st.active, st.active)], st.signs)
     assert a_k == pytest.approx((2 / 1.5) ** -0.5, abs=1e-10)
     assert np.allclose(w_k, [0.57735, 0.57735], atol=1e-5)
 
@@ -48,8 +48,8 @@ def test_geometry_sign_conjugation():
     R2 = np.array([[1.0, -0.5], [-0.5, 1.0]])
     st1 = make_state([0.5, -0.5], active=[0, 1], signs=[1.0, -1.0], level=0.5)
     st2 = make_state([0.5, 0.5], active=[0, 1], signs=[1.0, 1.0], level=0.5)
-    a1, w1 = equiangular_geometry(DenseCorrelation(R1), st1)
-    a2, w2 = equiangular_geometry(DenseCorrelation(R2), st2)
+    a1, w1 = _geometry(R1[np.ix_(st1.active, st1.active)], st1.signs)
+    a2, w2 = _geometry(R2[np.ix_(st2.active, st2.active)], st2.signs)
     assert a1 == pytest.approx(a2, abs=1e-12)
     assert np.allclose(w1, w2, atol=1e-12)
 
@@ -58,7 +58,7 @@ def test_geometry_rejects_collinear():
     R = np.array([[1.0, 1.0], [1.0, 1.0]])
     st = make_state([0.5, 0.5], active=[0, 1], signs=[1.0, 1.0], level=0.5)
     with pytest.raises(NotPositiveDefinite):
-        equiangular_geometry(DenseCorrelation(R), st)
+        _geometry(R[np.ix_(st.active, st.active)], st.signs)
 
 
 def test_propose_empty_active():
@@ -96,7 +96,7 @@ def test_nonpositive_denominator_branch_is_infinite():
     R = np.array([[1.0, 0.0, c], [0.0, 1.0, c], [c, c, 1.0]])
     assert np.min(np.linalg.eigvalsh(R)) > 0
     st = make_state([0.5, 0.5, 0.4], active=[0, 1], signs=[1.0, 1.0], level=0.5)
-    a_k, w_k = equiangular_geometry(DenseCorrelation(R), st)
+    a_k, w_k = _geometry(R[np.ix_(st.active, st.active)], st.signs)
     assert a_k == pytest.approx(1 / np.sqrt(2.0), abs=1e-12)
     prop = propose(DenseCorrelation(R), st, [2])
     a_j = prop.inner[2]
@@ -205,7 +205,8 @@ def test_a_active_in_unit_interval():
         R = X.T @ X
         order, sizes, states = greedy_path(R, X.T @ y, 6)
         for state in states[1:]:
-            a_k, _ = equiangular_geometry(DenseCorrelation(R), state)
+            a_k, _ = _geometry(R[np.ix_(state.active, state.active)],
+                               state.signs)
             assert 0 < a_k <= 1 + 1e-12
 
 

@@ -234,6 +234,60 @@ def test_cv_error_capacity_guard():
         cv_error(imp, list(range(9)), folds, intercept=True)
 
 
+def whole_design_cv_error(imp, subset, folds, intercept):
+    """cv_error scored on the whole prepared [y, X], as a run scores it."""
+    cv = cellens.selection._cv_design(imp, folds, intercept)
+    fit = cellens.selection._cv_fit(cv, [], None)
+    for q in range(len(subset)):
+        fit = cellens.selection._cv_fit(cv, subset[:q + 1], fit)
+    return cellens.selection._in_y2_units(fit.err, cv.e_y)
+
+
+@pytest.mark.parametrize("n, p", [(30, 6), (100, 40), (301, 3)])
+@pytest.mark.parametrize("intercept", [True, False])
+def test_cv_error_of_empty_and_singleton_subsets_keeps_whole_design_bits(
+        n, p, intercept):
+    # y alone would be summed pairwise when centered, not row by row as in
+    # the whole design: the empty subset's score must not depend on that
+    rng = make_rng(n + p)
+    X = rng.standard_normal((n, p)) * rng.uniform(0.1, 1e3, p) + 7.0
+    imp = make_imp(3.0 + X[:, 0] + rng.standard_normal(n), X)
+    folds = fold_assignment(n, 5, make_rng(n))
+    for subset in [[]] + [[j] for j in range(p)] + [[p - 1, 0]]:
+        got = cv_error(imp, subset, folds, intercept)
+        assert got == whole_design_cv_error(imp, subset, folds, intercept), \
+            subset
+
+
+def test_cv_error_rank_deficiency_names_the_predictor():
+    y, X = signal_data(45, n=30, p=6)
+    X[:, 4] = 2.0 * X[:, 1]
+    folds = fold_assignment(30, 5, make_rng(46))
+    with pytest.raises(RankDeficient, match="of column 4 in fold"):
+        cv_error(make_imp(y, X), [1, 4], folds, True)
+    with pytest.raises(RankDeficient, match="of column 1 in fold"):
+        cv_error(make_imp(y, X), [5, 4, 1], folds, True)
+
+
+def test_cv_error_prepares_only_the_subset():
+    # one call at n=100, p=2000 allocates under an eighth of one copy of
+    # the whole (n, p+1) design (1.6 MB); it measured 19 kB and 41 kB
+    n, p = 100, 2000
+    whole = n * (p + 1) * 8
+    rng = make_rng(47)
+    imp = make_imp(rng.standard_normal(n), rng.standard_normal((n, p)))
+    folds = fold_assignment(n, 5, make_rng(48))
+    for subset in ([], [3, 1500, 17]):
+        cv_error(imp, subset, folds, True)
+        tracemalloc.start()
+        try:
+            cv_error(imp, subset, folds, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < whole / 8, (subset, peak)
+
+
 def test_forced_first_winner():
     # one dominant predictor: both models propose it; tie-break resolves
     rng = make_rng(11)
@@ -578,7 +632,7 @@ def test_inner_independent_of_rest_of_pool():
     p = 20
     y, X = signal_data(0, n=60, p=p, nact=10)
     structure = correlation_structure(make_imp(y, X))
-    _, _, states = greedy_path(structure.dense(), structure.r_y, 8)
+    _, _, states = greedy_path(structure.columns(range(p)), structure.r_y, 8)
     state = states[7]
     pool = np.setdiff1d(np.arange(p), state.active)
     full = propose(structure, state, pool)

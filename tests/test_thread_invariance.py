@@ -107,7 +107,7 @@ y = 2.0 * X[:, 3] - 1.5 * X[:, 260] + X[:, 511] + rng.standard_normal(n)
 cells = rng.random((n, p)) < 0.05
 X[cells] += rng.choice([-1.0, 1.0], cells.sum()) * rng.uniform(4, 10, cells.sum())
 fit = fit_ensemble(y, X, SelectionConfig(K=5, tau=0.01, seed=18))
-columns = hashlib.sha256(fit.structure.dense().tobytes())
+columns = hashlib.sha256(fit.structure.columns(range(p)).tobytes())
 columns.update(fit.structure.r_y.tobytes())
 coef = hashlib.sha256()
 for f in fit.model.fits:
