@@ -98,7 +98,9 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Check settings, including every grid cell's ``sim``,
         ``contamination`` and ``selection`` settings, and that a ``predict``
-        section is an object whose ``model``, ``X`` and ``out`` are strings.
+        section is an object whose ``model``, ``X`` and ``out`` are strings,
+        as are ``output``, ``data_csv`` and ``model_out``; the grids are
+        lists, and ``scenario_grid`` holds strings.
         ``data_csv``, ``model_out`` and ``predict`` belong to the ``fit``
         mode alone, ``data_csv`` and ``predict`` exclude each other, and
         ``model_out`` needs ``data_csv``: a run never ignores a field.
@@ -110,6 +112,20 @@ class ExperimentConfig:
         """
         if self.mode not in MODES:
             raise InvalidConfig(f"mode {self.mode!r} not one of {MODES}")
+        for key, value in (("output", self.output_path),
+                           ("data_csv", self.data_csv),
+                           ("model_out", self.model_out)):
+            if not (isinstance(value, str)
+                    or value is None and key != "output"):
+                raise InvalidConfig(f"{key}={value!r} must be a string")
+        for key in ("k_grid", "scenario_grid", "alpha_grid"):
+            value = getattr(self, key)
+            if not isinstance(value, (list, tuple)):
+                raise InvalidConfig(f"{key}={value!r} must be a list")
+        for i, scen in enumerate(self.scenario_grid):
+            if not isinstance(scen, str):
+                raise InvalidConfig(
+                    f"scenario_grid[{i}]={scen!r} must be a string")
         for key, value in (("data_csv", self.data_csv),
                            ("model_out", self.model_out),
                            ("predict", self.predict_spec)):

@@ -757,6 +757,16 @@ def test_non_number_setting_exits_1_naming_the_field(tmp_path, capsys,
     ({"contamination": {"scenario": "Casewise", "alpha": 0.1,
                         "leverage_c": float("nan")}},
      "leverage_c=nan must be a finite number"),
+    ({"output": 5}, "output=5 must be a string"),
+    ({"data_csv": 3}, "data_csv=3 must be a string"),
+    ({"data_csv": "x.csv", "model_out": 7}, "model_out=7 must be a string"),
+    ({"mode": "sweep-k", "k_grid": 3}, "k_grid=3 must be a list"),
+    ({"mode": "sweep-contamination", "scenario_grid": "Clean"},
+     "scenario_grid='Clean' must be a list"),
+    ({"mode": "sweep-contamination", "scenario_grid": ["Clean", 3]},
+     "scenario_grid[1]=3 must be a string"),
+    ({"mode": "sweep-contamination", "alpha_grid": 0.1},
+     "alpha_grid=0.1 must be a list"),
 ])
 def test_non_integer_count_or_nan_exits_1_without_csv(tmp_path, capsys,
                                                       updates, message):

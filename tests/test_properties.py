@@ -1,6 +1,8 @@
 """Structural property suites at reduced budgets (full budgets run in
 test_acceptance.py)."""
 
+import contextlib
+import io
 import logging
 import re
 
@@ -149,15 +151,36 @@ def test_passthrough_imputation_identity():
     assert not imp.flags.any()
 
 
-def test_run_all_passes():
-    assert selfcheck.run_all()
+@pytest.fixture(scope="module")
+def run_all_once():
+    """One ``selfcheck.run_all`` call for the module: its return value, what
+    it printed, and the records it logged to ``cellens`` at INFO."""
+    log = logging.getLogger("cellens")
+    records = []
+    handler = logging.Handler(logging.INFO)
+    handler.emit = records.append
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            ok = selfcheck.run_all()
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
+    return ok, out.getvalue(), records
 
 
-def test_run_all_logs_its_report_and_prints_nothing(capsys, caplog):
-    with caplog.at_level(logging.INFO, logger="cellens"):
-        assert selfcheck.run_all()
-    assert capsys.readouterr().out == ""
-    lines = [r.getMessage() for r in caplog.records
+def test_run_all_passes(run_all_once):
+    assert run_all_once[0]
+
+
+def test_run_all_logs_its_report_and_prints_nothing(run_all_once):
+    ok, out, records = run_all_once
+    assert ok
+    assert out == ""
+    lines = [r.getMessage() for r in records
              if r.name == "cellens.selfcheck"]
     assert len(lines) == 10
     assert all(re.fullmatch(r"selfcheck [a-z-]+: PASS", line) for line in lines)
