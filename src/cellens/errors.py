@@ -67,16 +67,23 @@ def require_integers(config, names: tuple[str, ...]) -> None:
             raise InvalidConfig(f"{name}={value!r} must be an integer")
 
 
-def require_numbers(config, names: tuple[str, ...]) -> None:
+def require_numbers(config, names: tuple[str, ...],
+                    sequences: tuple[str, ...] = ()) -> None:
     """Raise InvalidConfig unless every named field of ``config`` is a real
-    number, or a tuple or list of them, whose entries are checked one by one.
+    number; a field also named in ``sequences`` must instead be a tuple or
+    list of them, whose entries are checked one by one.
 
-    Booleans and strings are rejected, naming the field (and the entry).
+    Booleans, strings and (outside ``sequences``) tuples and lists are
+    rejected, naming the field (and the entry).
     """
     for name in names:
         value = getattr(config, name)
-        entries = (enumerate(value) if isinstance(value, (tuple, list))
-                   else [(None, value)])
+        if name not in sequences:
+            entries = [(None, value)]
+        elif isinstance(value, (tuple, list)):
+            entries = enumerate(value)
+        else:
+            raise InvalidConfig(f"{name}={value!r} must be a list of numbers")
         for i, entry in entries:
             if isinstance(entry, bool) or not isinstance(entry, Real):
                 label = name if i is None else f"{name}[{i}]"

@@ -216,7 +216,7 @@ def _build_config(doc: dict) -> ExperimentConfig:
             bad = set(value) - {f.name for f in fields(section)}
             if bad:
                 raise InvalidConfig(f"unknown {key} fields: {sorted(bad)}")
-            if "coef_range" in value:
+            if isinstance(value.get("coef_range"), list):
                 value = {**value, "coef_range": tuple(value["coef_range"])}
             updates[key] = replace(section(), **value)
         elif key in known:

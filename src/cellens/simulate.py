@@ -83,7 +83,7 @@ class SimConfig:
     def validate(self) -> None:
         require_integers(self, ("n", "p", "sparsity", "block_size", "seed"))
         require_numbers(self, ("snr", "rho_within", "rho_background",
-                               "coef_range"))
+                               "coef_range"), sequences=("coef_range",))
         if self.n < 1 or self.p < 1:
             raise InvalidConfig(f"n={self.n}, p={self.p} must be positive")
         if not 0 <= self.sparsity <= self.p:

@@ -718,6 +718,15 @@ def test_grid_config_error_exits_1_without_csv(tmp_path, capsys, updates,
      "coef_range[1]=False must be a number"),
     ({"contamination": {"scenario": "MixtureCorrelation", "alpha": 0.1,
                         "alpha2": "0.05"}}, "alpha2='0.05' must be a number"),
+    ({"sim": {"snr": [2]}}, "snr=[2] must be a number"),
+    ({"sim": {"rho_within": [0.8, 0.9]}},
+     "rho_within=[0.8, 0.9] must be a number"),
+    ({"contamination": {"scenario": "Casewise", "alpha": [0.1]}},
+     "alpha=[0.1] must be a number"),
+    ({"selection": {"tau": [0.01]}}, "tau=[0.01] must be a number"),
+    ({"sim": {"coef_range": 3}}, "coef_range=3 must be a list of numbers"),
+    ({"sim": {"coef_range": "15"}},
+     "coef_range='15' must be a list of numbers"),
 ])
 def test_non_number_setting_exits_1_naming_the_field(tmp_path, capsys,
                                                      updates, message):
