@@ -22,6 +22,11 @@ positive semi-definite by construction.
 No phase holds a C x C array: partners come from a (C, k_neighbors)
 table (:func:`partner_table`), and the selection engine reads predictor
 correlations one column at a time (:class:`CorrelationStructure`).
+
+On large inputs the partner table screens its pairs in float32 first and
+computes float64 correlations only for pairs that may reach
+``min_abs_corr``; a proven rounding margin makes the screen exact, so
+the table keeps the bits of the float64 rule (see :func:`_screen_block`).
 """
 
 from __future__ import annotations
@@ -49,6 +54,18 @@ PARTNER_BLOCK_PRODUCTS = 2**17
 # table slots re-ranked at once when partner offers are merged, which
 # bounds each merge's buffers (see partner_table)
 PARTNER_MERGE_SLOTS = 2**12
+
+# float32 screen of partner_table (see _screen_block): the float32 unit
+# roundoff, the half-width of the threshold's band (8 units), and the
+# magnitudes outside which no pair is screened
+_U32 = 2.0**-24
+_BAND = 8 * _U32
+_SCREEN_MIN_THR = 2.0**-60
+_SCREEN_MAX_ABS = 2.0**60
+_SCREEN_MAX_ROWS = 2**20
+# most float64 blocks a thread runs between two screens (see
+# _screen_partner_blocks)
+_SCREEN_MAX_SKIP = 64
 
 
 @dataclass(frozen=True)
@@ -314,7 +331,232 @@ def _fill_partner_blocks(Zs, t2, keep, emit, tasks, width):
         emit(j, a, row[a - lo:])
 
 
-def _partner_pass(Zs: np.ndarray, trim: float, emit) -> None:
+def _screens(Zs: np.ndarray) -> bool:
+    """Whether :func:`partner_table` screens the pairs of ``Zs`` in float32.
+
+    From ``PARTNER_PARALLEL_PRODUCTS`` products on, below which the
+    screen costs more than it saves, and only for finite inputs of at most
+    ``_SCREEN_MAX_ROWS`` rows whose magnitudes stay within
+    ``_SCREEN_MAX_ABS`` (see :func:`_screen_block`) and small enough that
+    no float32 sum of ``n`` products overflows.
+    """
+    n, C = Zs.shape
+    if n * C * C < PARTNER_PARALLEL_PRODUCTS or n > _SCREEN_MAX_ROWS:
+        return False
+    big = max(Zs.max(), -Zs.min())  # NaN fails both comparisons
+    return bool(big <= _SCREEN_MAX_ABS and n * big * big < 2.0**127)
+
+
+def _screen_buffers(n: int, width: int):
+    """One thread's work buffers for the screened pass: two float64
+    buffers of ``n * h`` entries and one bool buffer of ``n * width``.
+
+    ``h``, the most columns of a float64 chunk, is the whole width where
+    the two float64 buffers together hold at most
+    ``PARTNER_BLOCK_PRODUCTS`` entries, and half of it (at least 2)
+    elsewhere; read as float32, each float64 buffer holds an (n, width)
+    block. On wide blocks the three come to about half the bytes of
+    :func:`_block_buffers`, which pays for the float32 copy of the input.
+    """
+    h = min(width, max(2, -(-width // 2), PARTNER_BLOCK_PRODUCTS // (2 * n)))
+    return (np.empty(n * h), np.empty(n * h), np.empty(n * width, dtype=bool))
+
+
+def _screen_block(Z32, j, lo, b, keep, floor, rt, bufs):
+    """Screen the pairs of column ``j`` with columns ``lo..b-1`` in float32.
+
+    Returns ``(cand, gap, M)``: the block positions of the pairs whose
+    float64 correlation may reach ``floor`` (every other one is proven
+    below it), whether each position's float32 trimming mask ``M[:, i]``
+    (an (n, w) view of the bool buffer) is the float64 one, and ``M``.
+    ``Z32`` is the float32 copy of the finite input ``Zs``, whose
+    magnitudes are at most 2**60 (:func:`_screens`), and ``rt`` holds the
+    square roots of the trimmed second moments ``t2``.
+
+    The block's float32 products ``p32`` are formed, and their magnitudes
+    ``b_i`` sorted as in :func:`_trimmed_block_means`; ``thr32`` is the
+    ``keep``-th smallest. With ``u = 2**-24``, a float32 product of the
+    rounded factors is within ``3.01 u a_i + 2**-88`` of the float64
+    magnitude ``a_i`` (two conversions and one product, subnormals
+    included). So where ``thr32 >= 2**-60``, which makes ``2**-88`` at
+    most ``u / 16`` of it, ``b_i <= thr32`` gives ``a_i < thr32 (1 + 3.1 u)``
+    and ``b_i >= thr32`` gives ``a_i > thr32 (1 - 3.1 u)``; the float64
+    threshold ``thr64`` lies between those two values, because ``keep``
+    magnitudes lie below the one and ``n - keep + 1`` above the other.
+    Hence a magnitude below the band ``thr32 (1 -/+ 8 u)`` is kept in
+    float64 and one above it is trimmed.
+
+    * Gap test, ``T[:, keep] > thr32 (1 + 8 u)`` (exact in float64, and
+      true when ``keep == n``): every magnitude outside the ``keep`` of
+      the float32 mask ``M`` lies above the band, so float64 trims it;
+      the float64 kept set has at least ``keep`` members, so it is
+      exactly ``M``, and the kept count is ``keep``.
+    * Otherwise the float64 kept set lies between ``L``, the magnitudes
+      below the band, and ``L`` with the ``nu`` magnitudes inside it.
+      Both the float32 masked sum and the float64 kept sum differ from the
+      sum over ``L`` by at most ``nu`` band terms of magnitude at most
+      ``thr32 (1 + 16 u)``, so the bound adds ``2 nu thr32 (1 + 16 u)``.
+
+    The masked sum ``s32`` adds ``n`` float32 terms in row order, so it is
+    within ``gamma_{n-1}`` times the sum of the ``m`` kept magnitudes
+    (``m = keep`` where the gap holds, at most ``n`` elsewhere) of their
+    exact sum, and the conversions move each kept term by at most
+    ``3.1 u thr32``; ``3.25 u`` covers the latter with the float64 sum,
+    mean and normalization. The margin per kept term is thus
+    ``gamma_{n-1} + 3.25 u`` times ``thr32``, and the float64 kept count is
+    at least ``keep``, so with ``s = sqrt(t2[j] * t2[h])``, ``|r64|`` is at
+    most::
+
+        (|s32| + thr32 (m (gamma_{n-1} + 3.25 u) + 2 nu (1 + 16 u)))
+            / (keep * s)
+
+    A pair is ruled out only where this bound, with a relative slack of
+    ``2**-40`` for its own roundings (``s`` is taken as
+    ``rt[j] * rt[h]``), is below ``floor``. A NaN or infinite bound keeps
+    the pair, and ``thr32 < 2**-60`` keeps it and fails its gap test.
+    """
+    n = Z32.shape[0]
+    w = b - lo
+    X1, X2, M_buf = bufs
+    P = X1.view(np.float32)[: n * w].reshape(n, w)
+    np.multiply(Z32[:, lo:b], Z32[:, j:j + 1], out=P)
+    T = X2.view(np.float32)[: n * w].reshape(w, n)
+    np.abs(P.T, out=T)
+    T.sort(axis=1)
+    thr32 = T[:, keep - 1].copy()
+    thr = thr32.astype(float)  # thr * (1 +/- 8u) is exact in float64
+    gamma = (n - 1) * _U32 / (1 - (n - 1) * _U32) + 3.25 * _U32
+    margin = thr * (keep * gamma)
+    gap = (T[:, keep] > thr * (1 + _BAND) if keep < n
+           else np.ones(w, dtype=bool))
+    if not gap.all():
+        # the band counts are read from T before its buffer is reused,
+        # a few rows at a time to bound the temporaries
+        low = np.flatnonzero(~gap)
+        step = max(1, w // 8)
+        for c in range(0, low.size, step):
+            r = low[c:c + step]
+            Tr = T[r]
+            band = np.count_nonzero(
+                (Tr >= (thr[r] * (1 - _BAND))[:, None])
+                & (Tr <= (thr[r] * (1 + _BAND))[:, None]), axis=1)
+            margin[r] = thr[r] * (n * gamma + 2 * band * (1 + 16 * _U32))
+    A = X2.view(np.float32)[: n * w].reshape(n, w)
+    M = M_buf[: n * w].reshape(n, w)
+    np.less_equal(np.abs(P, out=A), thr32, out=M)
+    np.multiply(P, M, out=P)
+    margin += np.abs(P.sum(axis=0))
+    ruled_out = margin < rt[lo:b] * (floor * keep * rt[j] / (1 + 2.0**-40))
+    if thr32.min() < _SCREEN_MIN_THR:
+        tiny = thr32 < _SCREEN_MIN_THR
+        ruled_out &= ~tiny
+        gap &= ~tiny
+    return np.flatnonzero(~ruled_out), gap, M
+
+
+def _exact_partners(Zs, j, lo, pos, keep, bufs, mask=None):
+    """Trimmed means of the float64 products of column ``j`` with columns
+    ``lo + pos``, bit for bit those of :func:`_fill_partner_blocks`.
+
+    ``pos`` is a slice of at least two block positions, or an array of
+    them. The columns run in C-ordered chunks of at most
+    ``len(bufs[0]) // n`` columns in the buffers of
+    :func:`_screen_buffers`, each of at least two columns (a lone gathered
+    column is taken twice, a lone sliced one with the column before it),
+    so each column's axis-0 sum adds the rows in order. Without ``mask``,
+    each chunk goes through :func:`_trimmed_block_means`. With ``mask``,
+    the (n, w) float32 mask of the block where it is the float64 one (the
+    gap test of :func:`_screen_block`), a column's mean is its products
+    times that mask summed over axis 0 and divided by ``keep``: the same
+    operations without the sort. Only a call without ``mask`` overwrites
+    the bool buffer.
+    """
+    n = Zs.shape[0]
+    X1, X2, M_buf = bufs
+    step = X1.size // n
+    if isinstance(pos, slice):
+        a, b = lo + pos.start, lo + pos.stop
+        parts = []
+        for c in range(a, b, step):
+            e = min(c + step, b)
+            s = min(c, e - 2)
+            P = X1[: n * (e - s)].reshape(n, e - s)
+            np.multiply(Zs[:, s:e], Zs[:, j:j + 1], out=P)
+            parts.append(_trimmed_block_means(P, X2, M_buf, keep)[c - s:])
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    out = np.empty(pos.size)
+    for c in range(0, pos.size, step):
+        idx = pos[c:c + step]
+        if idx.size == 1:
+            idx = np.repeat(idx, 2)
+        P = X1[: n * idx.size].reshape(n, idx.size)
+        np.take(Zs, lo + idx, axis=1, out=P, mode="clip")
+        np.multiply(P, Zs[:, j:j + 1], out=P)
+        if mask is None:
+            means = _trimmed_block_means(P, X2, M_buf, keep)
+        else:
+            M = X2.view(bool)[: P.size].reshape(P.shape)
+            np.take(mask, idx, axis=1, out=M, mode="clip")
+            np.multiply(P, M, out=P)
+            means = P.sum(axis=0) / keep
+        out[c:c + step] = means[:out.size - c]
+    return out
+
+
+def _screen_partner_blocks(Zs, Z32, t2, keep, floor, emit, tasks, width):
+    """:func:`_fill_partner_blocks` for :func:`partner_table`, with each
+    task's block screened in float32 first (:func:`_screen_block`).
+
+    Only the candidates get float64 values (:func:`_exact_partners`):
+    where the gap test holds, from the float32 mask, and elsewhere from
+    :func:`_trimmed_block_means` on the gathered columns. Every other
+    pair, and the diagonal, is NaN in the row handed to ``emit``, so it
+    never reaches ``floor``; a task with no candidate emits nothing.
+
+    A screen that leaves candidates in more than half its block gains
+    little, so the thread runs its next tasks as float64 blocks over all
+    their columns, with no screen: one task after the first such screen,
+    and twice as many after each further one in a row, up to
+    ``_SCREEN_MAX_SKIP``; a screen that rules out at least half its block
+    starts the count again. So an input on which every pair passes (one
+    common factor, or ties that fail the gap test everywhere) pays for
+    few screens.
+    """
+    n = Zs.shape[0]
+    bufs = _screen_buffers(n, width)
+    rt = np.sqrt(t2)
+    skip = 0  # float64 blocks left to run before the next screen
+    span = 1  # float64 blocks after the next screen that gains little
+    for j, a, b in tasks:
+        lo = max(0, min(a, b - 2))
+        if skip:
+            skip -= 1
+            row = _exact_partners(Zs, j, lo, slice(0, b - lo), keep, bufs)
+            row /= np.sqrt(t2[j] * t2[lo:b])
+            emit(j, a, row[a - lo:])
+            continue
+        cand, gap, M = _screen_block(Z32, j, lo, b, keep, floor, rt, bufs)
+        if cand.size:  # neither the diagonal nor a column before a
+            cand = cand[cand >= a - lo + (a == j)]
+        if 2 * cand.size > b - lo:
+            skip, span = span, min(2 * span, _SCREEN_MAX_SKIP)
+        else:
+            span = 1
+        if not cand.size:
+            continue
+        row = np.full(b - lo, np.nan)
+        held = cand[gap[cand]]
+        if held.size:  # reads the float32 mask before the next call
+            row[held] = _exact_partners(Zs, j, lo, held, keep, bufs, M)
+        rest = cand[~gap[cand]]
+        if rest.size:
+            row[rest] = _exact_partners(Zs, j, lo, rest, keep, bufs)
+        row[cand] /= np.sqrt(t2[j] * t2[lo + cand])
+        emit(j, a, row[a - lo:])
+
+
+def _partner_pass(Zs: np.ndarray, trim: float, emit,
+                  floor: float | None = None) -> None:
     """Compute each of the C(C+1)/2 pair correlations of ``Zs`` once.
 
     ``Zs`` is C-ordered. The pairs run in tasks of one row ``j`` and a
@@ -327,6 +569,12 @@ def _partner_pass(Zs: np.ndarray, trim: float, emit) -> None:
     threshold is read from a sort, in each thread's two float buffers and
     one bool buffer of ``n * width`` entries, about
     ``PARTNER_BLOCK_PRODUCTS`` each.
+
+    With ``floor`` (:func:`partner_table`'s ``min_abs_corr``), where
+    :func:`_screens` allows, the tasks run through
+    :func:`_screen_partner_blocks` on a float32 copy of ``Zs`` instead:
+    each row holds NaN for a pair proven below ``floor``, and the float64
+    value of every other pair, the same bits.
 
     From ``PARTNER_PARALLEL_PRODUCTS`` products ``n * C**2`` on, the tasks
     run on one thread per CPU in the process's affinity mask (numpy
@@ -343,15 +591,25 @@ def _partner_pass(Zs: np.ndarray, trim: float, emit) -> None:
     tasks = [(j, a, min(a + width, C))
              for j in range(C) for a in range(j, C, width)]
     workers = min(_partner_workers(n, C), len(tasks))
-    args = (Zs, t2, keep, emit, iter(tasks), width)
+    if floor is not None and _screens(Zs):
+        args = (Zs, Zs.astype(np.float32), t2, keep, floor, emit,
+                iter(tasks), width)
+
+        def fill():
+            _screen_partner_blocks(*args)
+    else:
+        args = (Zs, t2, keep, emit, iter(tasks), width)
+
+        def fill():
+            _fill_partner_blocks(*args)
     if workers == 1:
-        _fill_partner_blocks(*args)
+        fill()
         return
     errors = []
 
     def work():
         try:
-            _fill_partner_blocks(*args)
+            fill()
         except BaseException as exc:  # re-raised in the calling thread
             errors.append(exc)
 
@@ -443,6 +701,22 @@ def partner_table(Zs: np.ndarray, cfg: DdcConfig | None = None):
     order is total, so the tables are the same bits whichever thread
     computed which pair first. Unused slots hold index -1 and value NaN.
 
+    From ``PARTNER_PARALLEL_PRODUCTS`` products on (:func:`_screens`),
+    each task's block is screened in float32 first, on one float32 copy of
+    ``Zs``: the float32 products, their sorted magnitudes' threshold, a
+    gap test at position ``keep`` and the masked sum give an upper bound
+    on each pair's float64 ``|corr|``, with a proven float32 rounding
+    margin of about ``(n + 3) 2**-24`` times the threshold over the
+    normalizer, and twice the threshold for each magnitude in the
+    threshold's float32 band where the gap test fails. A pair is ruled out
+    only where that bound is below ``min_abs_corr``; every other pair gets
+    its float64 value by the same operations as the dense pass (see
+    :func:`_screen_block` for the proof and :func:`_exact_partners`). So
+    the tables are bit for bit those of the dense rule over
+    :func:`robust_partner_correlations`. A thread whose screen leaves
+    most of a block as candidates runs its next blocks in float64 alone
+    (:func:`_screen_partner_blocks`).
+
     Each task of :func:`_partner_pass` offers its pairs that pass the cut
     to both columns, under a lock: its own row only its top ``k``, and no
     row an entry strictly below that row's last slot. Offers are merged
@@ -501,7 +775,7 @@ def partner_table(Zs: np.ndarray, cfg: DdcConfig | None = None):
             if count >= index.size // 4:
                 merge()
 
-    _partner_pass(Zs, cfg.trim, emit)
+    _partner_pass(Zs, cfg.trim, emit, cfg.min_abs_corr)
     if held:
         merge()
     return index, value

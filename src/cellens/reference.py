@@ -150,6 +150,27 @@ def trimmed_correlation_pair(z_j, z_h, trim: float) -> float:
                              * trimmed_mean([b * b for b in z_h]))
 
 
+def dense_partner_rule(corr: np.ndarray, cfg):
+    """Partner tables read from a dense correlation matrix, by definition.
+
+    Row ``j`` holds the ``k = min(cfg.k_neighbors, C - 1)`` largest
+    off-diagonal ``|corr[j, h]|`` at or above ``cfg.min_abs_corr``, ordered
+    by ``|corr|`` descending with ties to the lowest index; unused slots
+    hold index -1 and value NaN. Returns ``(index, value)``.
+    """
+    C = len(corr)
+    k = min(cfg.k_neighbors, C - 1)
+    index = np.full((C, k), -1)
+    value = np.full((C, k), np.nan)
+    for j in range(C):
+        cand = np.flatnonzero(np.abs(corr[j]) >= cfg.min_abs_corr)
+        cand = cand[cand != j]
+        top = cand[np.argsort(-np.abs(corr[j, cand]), kind="stable")][:k]
+        index[j, :top.size] = top
+        value[j, :top.size] = corr[j, top]
+    return index, value
+
+
 def gaussian_elimination_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a dense linear system by partial-pivot elimination."""
     A = np.array(A, dtype=float, copy=True)

@@ -1,5 +1,6 @@
 """Built-in property suites: invariances, stability, path equivalence,
-the cross-validation arbiter, the robust stage's S-scale and its search.
+the cross-validation arbiter, the robust stage's S-scale and its search,
+and the partner tables.
 
 Each check runs the real pipeline (or, for the S-scale, the robust
 stage's scale solve) on seeded synthetic data and verifies a structural
@@ -12,14 +13,17 @@ human-readable failure strings (empty means the property held).
 from __future__ import annotations
 
 import logging
+import math
 import warnings
 from dataclasses import replace
 from itertools import combinations, product
 
 import numpy as np
 
-from . import corrlars, reference, robustfit, selection
-from .cellwise import CorrelationStructure, correlation_structure, ddc_impute
+from . import cellwise, corrlars, reference, robustfit, selection
+from .cellwise import (CorrelationStructure, DdcConfig, correlation_structure,
+                       ddc_impute, partner_table, robust_partner_correlations,
+                       robust_standardize)
 from .errors import CellensError
 from .linalg import prepare_design
 from .pipeline import fit_ensemble, passthrough_imputation
@@ -528,6 +532,38 @@ def check_extreme_inputs() -> list[str]:
     return _typed_or_finite(cases())
 
 
+def check_partner_table(n: int = 100) -> list[str]:
+    """Partner tables must equal the dense rule bit for bit.
+
+    Runs :func:`partner_table` on one seeded ``[y, X]`` of each
+    ``EXTREME_KINDS`` class of :func:`_extreme_input`, with ``n`` rows and
+    just enough columns to reach ``cellwise.PARTNER_PARALLEL_PRODUCTS``,
+    so its pairs are screened in float32 as in a fit, and on a Cauchy input
+    with one cell of 1e30, whose pairs are not screened. Each table must
+    be :func:`reference.dense_partner_rule` over
+    :func:`robust_partner_correlations`, index and value bits alike.
+    """
+    p = math.ceil(math.sqrt(cellwise.PARTNER_PARALLEL_PRODUCTS / n))
+    cfg = DdcConfig()
+    failures = []
+    for run, kind in enumerate(EXTREME_KINDS + ("outlier",)):
+        y, X = _extreme_input("cauchy" if kind == "outlier" else kind, n, p,
+                              split_seed(2525, run))
+        if kind == "outlier":
+            X[run % n, run % p] = 1e30
+        Zs, _ = robust_standardize(np.column_stack([y, X]))
+        index, value = partner_table(Zs, cfg)
+        want_index, want_value = reference.dense_partner_rule(
+            robust_partner_correlations(Zs, cfg.trim), cfg)
+        differ = np.flatnonzero((index != want_index).any(axis=1)
+                                | (value.view(np.int64)
+                                   != want_value.view(np.int64)).any(axis=1))
+        if differ.size:
+            failures.append(f"partner table {kind} n={n} C={p + 1}: rows "
+                            f"{differ[:5].tolist()} differ from the dense rule")
+    return failures
+
+
 def run_all() -> bool:
     """Run every property suite; True when all pass.
 
@@ -547,6 +583,7 @@ def run_all() -> bool:
         ("cv-oracle", check_cv_oracle),
         ("s-scale", lambda: check_s_scale() + check_s_stage_oracle()),
         ("edge-inputs", lambda: check_edge_inputs() + check_extreme_inputs()),
+        ("partner-table", check_partner_table),
     ]
     ok = True
     for name, fn in suites:

@@ -17,7 +17,8 @@ from cellens import cellwise
 from cellens.cellwise import (FLAG_CUTOFF, median_ratio_slopes,
                               partner_table, robust_partner_correlations)
 from cellens.pipeline import passthrough_imputation
-from cellens.reference import pearson_matrix, trimmed_correlation_pair
+from cellens.reference import (dense_partner_rule, pearson_matrix,
+                               trimmed_correlation_pair)
 
 
 def correlated_matrix(seed, n=100, p=20, rho=0.8):
@@ -216,11 +217,11 @@ def test_flag_cutoff_constant():
 
 
 @pytest.mark.parametrize("field, bad, good", [
-    ("trim", [-0.5, 1.0, 1.5, "0.1", None, False], [0.0, 0.99]),
+    ("trim", [-0.5, 1.0, 1.5, "0.1", None, False, [0.1]], [0.0, 0.99]),
     ("k_neighbors", [0, -1, 2.5, True], [1]),
-    ("min_abs_corr", [-0.1, 1.5, 2.0, True, "0.5"], [0.0, 1.0]),
-    ("ratio_floor", [-0.1, None, "0.1"], [0.0]),
-    ("flag_cutoff", [0.0, -1.0, "2.5", True], [0.5]),
+    ("min_abs_corr", [-0.1, 1.5, 2.0, True, "0.5", (0.5,)], [0.0, 1.0]),
+    ("ratio_floor", [-0.1, None, "0.1", [0.1]], [0.0]),
+    ("flag_cutoff", [0.0, -1.0, "2.5", True, [2.5]], [0.5]),
 ])
 def test_ddc_config_rejects_out_of_range(field, bad, good):
     Z = correlated_matrix(25, n=20, p=5)
@@ -443,52 +444,115 @@ def test_partner_kept_count_with_tied_magnitudes():
     assert straddled > 0  # ties at the threshold cross the keep boundary
 
 
-def dense_partner_rule(corr, cfg):
-    """Each row's ``k_neighbors`` largest off-diagonal ``|corr|`` at or above
-    ``min_abs_corr``, ties to the lowest index, read from the dense matrix."""
-    C = len(corr)
-    k = min(cfg.k_neighbors, C - 1)
-    index = np.full((C, k), -1)
-    value = np.full((C, k), np.nan)
-    for j in range(C):
-        cand = np.flatnonzero(np.abs(corr[j]) >= cfg.min_abs_corr)
-        cand = cand[cand != j]
-        top = cand[np.argsort(-np.abs(corr[j, cand]), kind="stable")][:k]
-        index[j, :top.size] = top
-        value[j, :top.size] = corr[j, top]
-    return index, value
+def screen_edge_input(kind, n, C):
+    """Standardized input at one edge of partner_table's float32 screen,
+    and extra min_abs_corr values to run it at.
 
-
-@pytest.mark.parametrize("n, C, k, min_abs_corr, cpus", [
-    (40, 60, 15, 0.5, 1), (40, 60, 4, 0.5, 3), (40, 60, 6, 0.0, 2),
-    (40, 60, 10**9, 0.0, 2),
-    (100, 420, 15, 0.5, 2), (100, 420, 3, 0.3, 8)])
-def test_partner_table_matches_dense_rule(monkeypatch, n, C, k, min_abs_corr,
-                                          cpus):
-    # columns 3, 7 and 50 are duplicates, so every column sees their |corr|
-    # tied bit for bit and must rank them 3, 7, 50; many threads switching
-    # often, and merges a few rows at a time, must not change a bit
-    Z = block_factor_matrix(41, n, C)
-    Z[:, 7] = Z[:, 50] = Z[:, 3]
+    near-cut: the values within 5e-7 of, at, and one ulp above the |corr|
+    of the 4 pairs nearest 0.5, so pairs lie just on each side of the cut;
+    tied: rounded cells (tied products at the threshold), with column 6
+    column 5 scaled by 1 + 2**-30, and column 5 so scaled in its odd rows
+    (products within one float32 ulp, not tied in float64), run at the
+    |corr| of column 5's 6 strongest pairs; huge: one cell about
+    2**70 times its column's MAD (no pair is screened); zeros: columns 4
+    and 9 at their medians in disjoint 45% of the rows (exact zeros, and
+    a zero threshold for their pair), columns 11 and 12 within 1e-30 MADs
+    of theirs in 5 rows, and column 0 scaled by 1e-24 in 92% of its rows
+    with column 1 twice column 0 (products that underflow float32, so the
+    pair's float32 threshold is 0 while its correlation is 1); factor: one
+    common factor, so every pair passes and the threads fall back to
+    float64 blocks.
+    """
+    if kind == "factor":
+        rng = np.random.default_rng(49)
+        Z = (0.95 * rng.standard_normal((n, 1))
+             + 0.3 * rng.standard_normal((n, C)))
+    else:
+        Z = block_factor_matrix(49, n, C)
+    if kind == "tied":
+        Z = np.round(2 * Z) / 2
+    med = np.median(Z, axis=0)
+    mad = np.median(np.abs(Z - med), axis=0)
+    if kind == "huge":
+        Z[5, 2] = med[2] + 2.0**70 * mad[2]
+    if kind == "zeros":
+        rows = np.random.default_rng(50).permutation(n)
+        Z[rows[:n * 45 // 100], 4] = med[4]
+        Z[rows[n * 45 // 100:n * 90 // 100], 9] = med[9]
+        Z[rows[:5], 11] = med[11] + 1e-30 * mad[11]
+        Z[rows[:5], 12] = med[12] - 1e-30 * mad[12]
     Zs, _ = robust_standardize(Z)
-    cfg = DdcConfig(k_neighbors=k, min_abs_corr=min_abs_corr)
-    corr = robust_partner_correlations(Zs, cfg.trim)
-    want_index, want_value = dense_partner_rule(corr, cfg)
+    if kind == "tied":
+        Zs[:, 6] = Zs[:, 5] * (1 + 2.0**-30)
+        Zs[1::2, 5] *= 1 + 2.0**-30
+    if kind == "zeros":
+        Zs[rows[:n * 92 // 100], 0] *= 1e-24
+        Zs[:, 1] = 2 * Zs[:, 0]
+    floors = []
+    if kind in ("near-cut", "tied"):
+        corr = robust_partner_correlations(Zs)
+        if kind == "near-cut":
+            mag = np.abs(corr[np.triu_indices(C, 1)])
+            for c in mag[np.argsort(np.abs(mag - 0.5))[:4]]:
+                floors += [c - 5e-7, c, np.nextafter(c, 2.0), c + 5e-7]
+        else:
+            mag = np.abs(corr[5, 7:])
+            floors += list(np.sort(mag)[-6:])
+    return Zs, [float(f) for f in floors]
+
+
+SCREEN_EDGES = ("near-cut", "tied", "huge", "zeros", "zero-floor", "factor")
+DENSE_RULE_CASES = [
+    (40, 60, 15, 0.5, 1, "block"), (40, 60, 4, 0.5, 3, "block"),
+    (40, 60, 6, 0.0, 2, "block"), (40, 60, 10**9, 0.0, 2, "block"),
+    (100, 420, 15, 0.5, 2, "block"), (100, 420, 3, 0.3, 8, "block")] + [
+    (60, 90, 15, 0.0 if kind == "zero-floor" else 0.5, cpus, kind)
+    for kind in SCREEN_EDGES for cpus in (1, 2, 8)]
+
+
+@pytest.mark.parametrize(
+    "n, C, k, min_abs_corr, cpus, kind", DENSE_RULE_CASES,
+    ids=["-".join(map(str, case[:5])) if case[5] == "block"
+         else f"{case[5]}-{case[4]}" for case in DENSE_RULE_CASES])
+def test_partner_table_matches_dense_rule(monkeypatch, n, C, k, min_abs_corr,
+                                          cpus, kind):
+    # block: columns 3, 7 and 50 are duplicates, so every column sees their
+    # |corr| tied bit for bit and must rank them 3, 7, 50; many threads
+    # switching often, and merges a few rows at a time, must not change a
+    # bit. The other kinds are the edges of the float32 screen (see
+    # screen_edge_input), in blocks of 34 columns and float64 chunks of 17,
+    # so tasks, gathered candidates and fallback blocks span several chunks
+    # and some end in a lone column.
+    if kind == "block":
+        Z = block_factor_matrix(41, n, C)
+        Z[:, 7] = Z[:, 50] = Z[:, 3]
+        Zs, _ = robust_standardize(Z)
+        floors = []
+    else:
+        monkeypatch.setattr(cellwise, "PARTNER_BLOCK_PRODUCTS", 2**11)
+        Zs, floors = screen_edge_input(kind, n, C)
+    assert (np.abs(Zs).max() > 2.0**60) == (kind == "huge")
+    corr = robust_partner_correlations(Zs, DdcConfig.trim)
+    monkeypatch.setattr(cellwise, "_available_cpus", lambda: cpus)
+    monkeypatch.setattr(cellwise, "PARTNER_PARALLEL_PRODUCTS", 0)
+    monkeypatch.setattr(cellwise, "PARTNER_MERGE_SLOTS", 5 * min(k, C))
+    for floor in [min_abs_corr] + floors:
+        cfg = DdcConfig(k_neighbors=k, min_abs_corr=floor)
+        want_index, want_value = dense_partner_rule(corr, cfg)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            index, value = partner_table(Zs, cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(index, want_index), floor
+        assert value.tobytes() == want_value.tobytes(), floor
+    if kind != "block":
+        return
     assert np.array_equal(corr[3], corr[7]) and np.array_equal(corr[3], corr[50])
     # rows that hold two or more of the tied columns
     tied = [j for j in range(C) if len({3, 7, 50} & set(want_index[j])) > 1]
     assert tied
-    monkeypatch.setattr(cellwise, "_available_cpus", lambda: cpus)
-    monkeypatch.setattr(cellwise, "PARTNER_PARALLEL_PRODUCTS", 0)
-    monkeypatch.setattr(cellwise, "PARTNER_MERGE_SLOTS", 5 * min(k, C))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        index, value = partner_table(Zs, cfg)
-    finally:
-        sys.setswitchinterval(interval)
-    assert np.array_equal(index, want_index)
-    assert value.tobytes() == want_value.tobytes()
     for j in tied:
         row = list(index[j])
         held = [h for h in row if h in (3, 7, 50)]
@@ -551,12 +615,15 @@ def test_partner_offers_pruned_before_the_merge(monkeypatch):
 
 
 def test_partner_table_memory_is_its_buffers_and_tables(monkeypatch):
-    # one serial call holds two float buffers and one bool buffer of
-    # PARTNER_BLOCK_PRODUCTS entries (17 bytes an entry) and the (C, k)
-    # tables (16 bytes a slot); three quarters of a float buffer more
-    # covers the task list (2,692 tasks of about 130 bytes), numpy's
-    # iteration buffers and one task's temporaries. A third float buffer
-    # would exceed it. Few pairs pass min_abs_corr, so merges hold little.
+    # one serial call holds the float32 copy of Zs (4 * n * C bytes, about
+    # 6 * B), the screen's two float64 buffers of n * ceil(w / 2) entries
+    # (each also read as an (n, w) float32 block) and its bool buffer of
+    # n * w entries, B = PARTNER_BLOCK_PRODUCTS >= n * w (about 9 * B in
+    # all), and the (C, k) tables (16 bytes a slot); the rest covers the
+    # task list (2,692 tasks of about 130 bytes), numpy's iteration
+    # buffers and one task's temporaries. A float64 block buffer (8 * B)
+    # beside the float32 ones would exceed it. Few pairs pass
+    # min_abs_corr, so merges hold little.
     monkeypatch.setattr(cellwise, "_available_cpus", lambda: 1)
     n, C = 100, 2001
     Zs, _ = robust_standardize(np.random.default_rng(45).standard_normal((n, C)))
@@ -570,6 +637,35 @@ def test_partner_table_memory_is_its_buffers_and_tables(monkeypatch):
     B = cellwise.PARTNER_BLOCK_PRODUCTS
     k = DdcConfig().k_neighbors
     assert peak <= 17 * B + 16 * C * k + 6 * B
+
+
+def test_partner_screen_gives_float64_values_to_few_pairs(monkeypatch):
+    # the Gaussian input above: of its 2,001,000 pairs, few reach
+    # min_abs_corr, so the float32 screen must see every pair and hand at
+    # most 1% of them to the float64 values; a screen switched off, or one
+    # that rules nothing out, fails one of the two counts
+    monkeypatch.setattr(cellwise, "_available_cpus", lambda: 1)
+    n, C = 100, 2001
+    Zs, _ = robust_standardize(np.random.default_rng(45).standard_normal((n, C)))
+    screened, exact = [], []
+    screen, values = cellwise._screen_block, cellwise._exact_partners
+
+    def screen_spy(Z32, j, lo, b, *args):
+        screened.append(b - lo)
+        return screen(Z32, j, lo, b, *args)
+
+    def values_spy(Zs, j, lo, pos, *args):
+        exact.append(pos.stop - pos.start if isinstance(pos, slice)
+                     else pos.size)
+        return values(Zs, j, lo, pos, *args)
+
+    monkeypatch.setattr(cellwise, "_screen_block", screen_spy)
+    monkeypatch.setattr(cellwise, "_exact_partners", values_spy)
+    index, _ = partner_table(Zs)
+    pairs = C * (C - 1) // 2
+    assert sum(screened) >= pairs
+    assert 0 < sum(exact) <= pairs // 100
+    assert (index >= 0).any()
 
 
 def test_partner_workers_rule(monkeypatch):

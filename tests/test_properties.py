@@ -182,5 +182,5 @@ def test_run_all_logs_its_report_and_prints_nothing(run_all_once):
     assert out == ""
     lines = [r.getMessage() for r in records
              if r.name == "cellens.selfcheck"]
-    assert len(lines) == 10
+    assert len(lines) == 11
     assert all(re.fullmatch(r"selfcheck [a-z-]+: PASS", line) for line in lines)
