@@ -513,14 +513,14 @@ def _screen_partner_blocks(Zs, Z32, t2, keep, floor, emit, tasks, width):
     pair, and the diagonal, is NaN in the row handed to ``emit``, so it
     never reaches ``floor``; a task with no candidate emits nothing.
 
-    A screen that leaves candidates in more than half its block gains
-    little, so the thread runs its next tasks as float64 blocks over all
-    their columns, with no screen: one task after the first such screen,
-    and twice as many after each further one in a row, up to
-    ``_SCREEN_MAX_SKIP``; a screen that rules out at least half its block
-    starts the count again. So an input on which every pair passes (one
-    common factor, or ties that fail the gap test everywhere) pays for
-    few screens.
+    A screen gains little when more than half its block are candidates,
+    or more than an eighth are candidates that fail the gap test (their
+    float64 values need the sort). The thread then runs its next tasks as float64 blocks over
+    all their columns, with no screen: one task after the first such
+    screen, and twice as many after each further one in a row, up to
+    ``_SCREEN_MAX_SKIP``; a screen that gains starts the count again. So
+    an input on which most pairs pass (one common factor), or on which
+    ties fail the gap test in most pairs, pays for few screens.
     """
     n = Zs.shape[0]
     bufs = _screen_buffers(n, width)
@@ -538,17 +538,17 @@ def _screen_partner_blocks(Zs, Z32, t2, keep, floor, emit, tasks, width):
         cand, gap, M = _screen_block(Z32, j, lo, b, keep, floor, rt, bufs)
         if cand.size:  # neither the diagonal nor a column before a
             cand = cand[cand >= a - lo + (a == j)]
-        if 2 * cand.size > b - lo:
+        held = cand[gap[cand]]
+        rest = cand[~gap[cand]]
+        if 2 * cand.size > b - lo or 8 * rest.size > b - lo:
             skip, span = span, min(2 * span, _SCREEN_MAX_SKIP)
         else:
             span = 1
         if not cand.size:
             continue
         row = np.full(b - lo, np.nan)
-        held = cand[gap[cand]]
         if held.size:  # reads the float32 mask before the next call
             row[held] = _exact_partners(Zs, j, lo, held, keep, bufs, M)
-        rest = cand[~gap[cand]]
         if rest.size:
             row[rest] = _exact_partners(Zs, j, lo, rest, keep, bufs)
         row[cand] /= np.sqrt(t2[j] * t2[lo + cand])
