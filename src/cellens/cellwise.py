@@ -515,12 +515,12 @@ def _screen_partner_blocks(Zs, Z32, t2, keep, floor, emit, tasks, width):
 
     A screen gains little when more than half its block are candidates,
     or more than an eighth are candidates that fail the gap test (their
-    float64 values need the sort). The thread then runs its next tasks as float64 blocks over
-    all their columns, with no screen: one task after the first such
-    screen, and twice as many after each further one in a row, up to
-    ``_SCREEN_MAX_SKIP``; a screen that gains starts the count again. So
-    an input on which most pairs pass (one common factor), or on which
-    ties fail the gap test in most pairs, pays for few screens.
+    float64 values need the sort). The thread then runs its next tasks as
+    float64 blocks over all their columns, with no screen: one task after
+    the first such screen, and twice as many after each further one in a
+    row, up to ``_SCREEN_MAX_SKIP``; a screen that gains starts the count
+    again. So an input on which most pairs pass (one common factor), or on
+    which ties fail the gap test in most pairs, pays for few screens.
     """
     n = Zs.shape[0]
     bufs = _screen_buffers(n, width)
@@ -714,8 +714,8 @@ def partner_table(Zs: np.ndarray, cfg: DdcConfig | None = None):
     :func:`_screen_block` for the proof and :func:`_exact_partners`). So
     the tables are bit for bit those of the dense rule over
     :func:`robust_partner_correlations`. A thread whose screen leaves
-    most of a block as candidates runs its next blocks in float64 alone
-    (:func:`_screen_partner_blocks`).
+    most of a block as candidates, or many that fail the gap test, runs
+    its next blocks in float64 alone (:func:`_screen_partner_blocks`).
 
     Each task of :func:`_partner_pass` offers its pairs that pass the cut
     to both columns, under a lock: its own row only its top ``k``, and no
