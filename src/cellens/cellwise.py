@@ -362,16 +362,14 @@ def _screen_buffers(n: int, width: int):
     return (np.empty(n * h), np.empty(n * h), np.empty(n * width, dtype=bool))
 
 
-def _screen_block(Z32, j, lo, b, keep, floor, rt, bufs):
-    """Screen the pairs of column ``j`` with columns ``lo..b-1`` in float32.
+def _screen_block(Z32, j, a, b, keep, floor, rt, bufs):
+    """Screen the pairs of column ``j`` with columns ``a..b-1`` in float32.
 
-    Returns ``(cand, gap, M)``: the block positions of the pairs whose
-    float64 correlation may reach ``floor`` (every other one is proven
-    below it), whether each position's float32 trimming mask ``M[:, i]``
-    (an (n, w) view of the bool buffer) is the float64 one, and ``M``.
-    ``Z32`` is the float32 copy of the finite input ``Zs``, whose
-    magnitudes are at most 2**60 (:func:`_screens`), and ``rt`` holds the
-    square roots of the trimmed second moments ``t2``.
+    Returns the block positions of the pairs whose float64 correlation
+    may reach ``floor``; every other one is proven below it. ``Z32`` is
+    the float32 copy of the finite input ``Zs``, whose magnitudes are at
+    most 2**60 (:func:`_screens`), and ``rt`` holds the square roots of
+    the trimmed second moments ``t2``.
 
     The block's float32 products ``p32`` are formed, and their magnitudes
     ``b_i`` sorted as in :func:`_trimmed_block_means`; ``thr32`` is the
@@ -413,13 +411,13 @@ def _screen_block(Z32, j, lo, b, keep, floor, rt, bufs):
     A pair is ruled out only where this bound, with a relative slack of
     ``2**-40`` for its own roundings (``s`` is taken as
     ``rt[j] * rt[h]``), is below ``floor``. A NaN or infinite bound keeps
-    the pair, and ``thr32 < 2**-60`` keeps it and fails its gap test.
+    the pair, and so does ``thr32 < 2**-60``.
     """
     n = Z32.shape[0]
-    w = b - lo
+    w = b - a
     X1, X2, M_buf = bufs
     P = X1.view(np.float32)[: n * w].reshape(n, w)
-    np.multiply(Z32[:, lo:b], Z32[:, j:j + 1], out=P)
+    np.multiply(Z32[:, a:b], Z32[:, j:j + 1], out=P)
     T = X2.view(np.float32)[: n * w].reshape(w, n)
     np.abs(P.T, out=T)
     T.sort(axis=1)
@@ -446,39 +444,31 @@ def _screen_block(Z32, j, lo, b, keep, floor, rt, bufs):
     np.less_equal(np.abs(P, out=A), thr32, out=M)
     np.multiply(P, M, out=P)
     margin += np.abs(P.sum(axis=0))
-    ruled_out = margin < rt[lo:b] * (floor * keep * rt[j] / (1 + 2.0**-40))
-    if thr32.min() < _SCREEN_MIN_THR:
-        tiny = thr32 < _SCREEN_MIN_THR
-        ruled_out &= ~tiny
-        gap &= ~tiny
-    return np.flatnonzero(~ruled_out), gap, M
+    ruled_out = margin < rt[a:b] * (floor * keep * rt[j] / (1 + 2.0**-40))
+    ruled_out &= thr32 >= _SCREEN_MIN_THR
+    return np.flatnonzero(~ruled_out)
 
 
-def _exact_partners(Zs, j, lo, pos, keep, bufs, mask=None):
+def _exact_partners(Zs, j, a, pos, keep, bufs):
     """Trimmed means of the float64 products of column ``j`` with columns
-    ``lo + pos``, bit for bit those of :func:`_fill_partner_blocks`.
+    ``a + pos``, bit for bit those of :func:`_fill_partner_blocks`.
 
-    ``pos`` is a slice of at least two block positions, or an array of
-    them. The columns run in C-ordered chunks of at most
-    ``len(bufs[0]) // n`` columns in the buffers of
-    :func:`_screen_buffers`, each of at least two columns (a lone gathered
-    column is taken twice, a lone sliced one with the column before it),
-    so each column's axis-0 sum adds the rows in order. Without ``mask``,
-    each chunk goes through :func:`_trimmed_block_means`. With ``mask``,
-    the (n, w) float32 mask of the block where it is the float64 one (the
-    gap test of :func:`_screen_block`), a column's mean is its products
-    times that mask summed over axis 0 and divided by ``keep``: the same
-    operations without the sort. Only a call without ``mask`` overwrites
-    the bool buffer.
+    ``pos`` is an array of block positions, or ``slice(w)`` for a whole
+    block of ``w >= 2`` columns. The columns run in C-ordered chunks of at most ``len(bufs[0]) // n``
+    columns in the buffers of :func:`_screen_buffers`, each of at least
+    two columns (a lone gathered column is taken twice, a lone sliced one
+    with the column before it), so each column's axis-0 sum adds the rows
+    in order, and each chunk goes through :func:`_trimmed_block_means`.
+    A slice is read in place: gathering every column of a block made the
+    float64 blocks of one-factor inputs about a tenth slower.
     """
     n = Zs.shape[0]
     X1, X2, M_buf = bufs
     step = X1.size // n
     if isinstance(pos, slice):
-        a, b = lo + pos.start, lo + pos.stop
         parts = []
-        for c in range(a, b, step):
-            e = min(c + step, b)
+        for c in range(a, a + pos.stop, step):
+            e = min(c + step, a + pos.stop)
             s = min(c, e - 2)
             P = X1[: n * (e - s)].reshape(n, e - s)
             np.multiply(Zs[:, s:e], Zs[:, j:j + 1], out=P)
@@ -490,15 +480,9 @@ def _exact_partners(Zs, j, lo, pos, keep, bufs, mask=None):
         if idx.size == 1:
             idx = np.repeat(idx, 2)
         P = X1[: n * idx.size].reshape(n, idx.size)
-        np.take(Zs, lo + idx, axis=1, out=P, mode="clip")
+        np.take(Zs, a + idx, axis=1, out=P, mode="clip")
         np.multiply(P, Zs[:, j:j + 1], out=P)
-        if mask is None:
-            means = _trimmed_block_means(P, X2, M_buf, keep)
-        else:
-            M = X2.view(bool)[: P.size].reshape(P.shape)
-            np.take(mask, idx, axis=1, out=M, mode="clip")
-            np.multiply(P, M, out=P)
-            means = P.sum(axis=0) / keep
+        means = _trimmed_block_means(P, X2, M_buf, keep)
         out[c:c + step] = means[:out.size - c]
     return out
 
@@ -507,52 +491,44 @@ def _screen_partner_blocks(Zs, Z32, t2, keep, floor, emit, tasks, width):
     """:func:`_fill_partner_blocks` for :func:`partner_table`, with each
     task's block screened in float32 first (:func:`_screen_block`).
 
-    Only the candidates get float64 values (:func:`_exact_partners`):
-    where the gap test holds, from the float32 mask, and elsewhere from
-    :func:`_trimmed_block_means` on the gathered columns. Every other
-    pair, and the diagonal, is NaN in the row handed to ``emit``, so it
-    never reaches ``floor``; a task with no candidate emits nothing.
+    Only the candidates get float64 values (:func:`_exact_partners`).
+    Every other pair, and the diagonal, is NaN in the row handed to
+    ``emit``, so it never reaches ``floor``; a task with no candidate
+    emits nothing.
 
-    A screen gains little when more than half its block are candidates,
-    or more than an eighth are candidates that fail the gap test (their
-    float64 values need the sort). The thread then runs its next tasks as
-    float64 blocks over all their columns, with no screen: one task after
-    the first such screen, and twice as many after each further one in a
-    row, up to ``_SCREEN_MAX_SKIP``; a screen that gains starts the count
-    again. So an input on which most pairs pass (one common factor), or on
-    which ties fail the gap test in most pairs, pays for few screens.
+    A screen gains little when more than a quarter of its block are
+    candidates, whose float64 values need the sort. The thread then runs
+    its next tasks as float64 blocks over all their columns, with no
+    screen: one task after the first such screen, and
+    twice as many after each further one in a row, up to
+    ``_SCREEN_MAX_SKIP``; a screen that gains starts the count again. So
+    an input on which most pairs pass (one common factor) pays for few
+    screens.
     """
-    n = Zs.shape[0]
-    bufs = _screen_buffers(n, width)
+    bufs = _screen_buffers(Zs.shape[0], width)
     rt = np.sqrt(t2)
     skip = 0  # float64 blocks left to run before the next screen
     span = 1  # float64 blocks after the next screen that gains little
     for j, a, b in tasks:
-        lo = max(0, min(a, b - 2))
         if skip:
             skip -= 1
-            row = _exact_partners(Zs, j, lo, slice(0, b - lo), keep, bufs)
+            lo = max(0, min(a, b - 2))
+            row = _exact_partners(Zs, j, lo, slice(b - lo), keep, bufs)
             row /= np.sqrt(t2[j] * t2[lo:b])
             emit(j, a, row[a - lo:])
             continue
-        cand, gap, M = _screen_block(Z32, j, lo, b, keep, floor, rt, bufs)
-        if cand.size:  # neither the diagonal nor a column before a
-            cand = cand[cand >= a - lo + (a == j)]
-        held = cand[gap[cand]]
-        rest = cand[~gap[cand]]
-        if 2 * cand.size > b - lo or 8 * rest.size > b - lo:
+        cand = _screen_block(Z32, j, a, b, keep, floor, rt, bufs)
+        cand = cand[cand > 0] if a == j else cand  # not the diagonal
+        if 4 * cand.size > b - a:
             skip, span = span, min(2 * span, _SCREEN_MAX_SKIP)
         else:
             span = 1
         if not cand.size:
             continue
-        row = np.full(b - lo, np.nan)
-        if held.size:  # reads the float32 mask before the next call
-            row[held] = _exact_partners(Zs, j, lo, held, keep, bufs, M)
-        if rest.size:
-            row[rest] = _exact_partners(Zs, j, lo, rest, keep, bufs)
-        row[cand] /= np.sqrt(t2[j] * t2[lo + cand])
-        emit(j, a, row[a - lo:])
+        row = np.full(b - a, np.nan)
+        row[cand] = _exact_partners(Zs, j, a, cand, keep, bufs)
+        row[cand] /= np.sqrt(t2[j] * t2[a + cand])
+        emit(j, a, row)
 
 
 def _partner_pass(Zs: np.ndarray, trim: float, emit,
@@ -714,8 +690,8 @@ def partner_table(Zs: np.ndarray, cfg: DdcConfig | None = None):
     :func:`_screen_block` for the proof and :func:`_exact_partners`). So
     the tables are bit for bit those of the dense rule over
     :func:`robust_partner_correlations`. A thread whose screen leaves
-    most of a block as candidates, or many that fail the gap test, runs
-    its next blocks in float64 alone (:func:`_screen_partner_blocks`).
+    most of a block as candidates runs its next blocks in float64 alone
+    (:func:`_screen_partner_blocks`).
 
     Each task of :func:`_partner_pass` offers its pairs that pass the cut
     to both columns, under a lock: its own row only its top ``k``, and no

@@ -650,14 +650,13 @@ def test_partner_screen_gives_float64_values_to_few_pairs(monkeypatch):
     screened, exact = [], []
     screen, values = cellwise._screen_block, cellwise._exact_partners
 
-    def screen_spy(Z32, j, lo, b, *args):
-        screened.append(b - lo)
-        return screen(Z32, j, lo, b, *args)
+    def screen_spy(Z32, j, a, b, *args):
+        screened.append(b - a)
+        return screen(Z32, j, a, b, *args)
 
-    def values_spy(Zs, j, lo, pos, *args):
-        exact.append(pos.stop - pos.start if isinstance(pos, slice)
-                     else pos.size)
-        return values(Zs, j, lo, pos, *args)
+    def values_spy(Zs, j, a, pos, *args):
+        exact.append(pos.stop if isinstance(pos, slice) else pos.size)
+        return values(Zs, j, a, pos, *args)
 
     monkeypatch.setattr(cellwise, "_screen_block", screen_spy)
     monkeypatch.setattr(cellwise, "_exact_partners", values_spy)
