@@ -395,12 +395,13 @@ def _screen_block(Z32, j, a, b, keep, floor, rt, bufs):
       sum over ``L`` by at most ``nu`` band terms of magnitude at most
       ``thr32 (1 + 16 u)``, so the bound adds ``2 nu thr32 (1 + 16 u)``.
 
-    The masked sum ``s32`` adds ``n`` float32 terms in row order, so it is
-    within ``gamma_{n-1}`` times the sum of the ``m`` kept magnitudes
-    (``m = keep`` where the gap holds, at most ``n`` elsewhere) of their
-    exact sum, and the conversions move each kept term by at most
-    ``3.1 u thr32``; ``3.25 u`` covers the latter with the float64 sum,
-    mean and normalization. The margin per kept term is thus
+    The masked sum ``s32`` adds ``n`` float32 terms (in row order, or
+    pairwise in a one-column block), so it is within ``gamma_{n-1}``
+    times the sum of the ``m`` kept magnitudes (``m = keep`` where the
+    gap holds, at most ``n`` elsewhere) of their exact sum, and the
+    conversions move each kept term by at most ``3.1 u thr32``;
+    ``3.25 u`` covers the latter with the float64 sum, mean and
+    normalization. The margin per kept term is thus
     ``gamma_{n-1} + 3.25 u`` times ``thr32``, and the float64 kept count is
     at least ``keep``, so with ``s = sqrt(t2[j] * t2[h])``, ``|r64|`` is at
     most::
@@ -454,11 +455,12 @@ def _exact_partners(Zs, j, a, pos, keep, bufs):
     ``a + pos``, bit for bit those of :func:`_fill_partner_blocks`.
 
     ``pos`` is an array of block positions, or ``slice(w)`` for a whole
-    block of ``w >= 2`` columns. The columns run in C-ordered chunks of at most ``len(bufs[0]) // n``
-    columns in the buffers of :func:`_screen_buffers`, each of at least
-    two columns (a lone gathered column is taken twice, a lone sliced one
-    with the column before it), so each column's axis-0 sum adds the rows
-    in order, and each chunk goes through :func:`_trimmed_block_means`.
+    block of ``w >= 2`` columns. The columns run in C-ordered chunks of
+    at most ``len(bufs[0]) // n`` columns in the buffers of
+    :func:`_screen_buffers`, each of at least two columns (a lone gathered
+    column is taken twice, a lone sliced one with the column before it),
+    so each column's axis-0 sum adds the rows in order, and each chunk
+    goes through :func:`_trimmed_block_means`.
     A slice is read in place: gathering every column of a block made the
     float64 blocks of one-factor inputs about a tenth slower.
     """
@@ -499,11 +501,10 @@ def _screen_partner_blocks(Zs, Z32, t2, keep, floor, emit, tasks, width):
     A screen gains little when more than a quarter of its block are
     candidates, whose float64 values need the sort. The thread then runs
     its next tasks as float64 blocks over all their columns, with no
-    screen: one task after the first such screen, and
-    twice as many after each further one in a row, up to
-    ``_SCREEN_MAX_SKIP``; a screen that gains starts the count again. So
-    an input on which most pairs pass (one common factor) pays for few
-    screens.
+    screen: one task after the first such screen, and twice as many after
+    each further one in a row, up to ``_SCREEN_MAX_SKIP``; a screen that
+    gains starts the count again. So an input on which most pairs pass
+    (one common factor) pays for few screens.
     """
     bufs = _screen_buffers(Zs.shape[0], width)
     rt = np.sqrt(t2)
