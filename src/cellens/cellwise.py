@@ -23,10 +23,13 @@ No phase holds a C x C array: partners come from a (C, k_neighbors)
 table (:func:`partner_table`), and the selection engine reads predictor
 correlations one column at a time (:class:`CorrelationStructure`).
 
-On large inputs the partner table screens its pairs in float32 first and
-computes float64 correlations only for pairs that may reach
-``min_abs_corr``; a proven rounding margin makes the screen exact, so
-the table keeps the bits of the float64 rule (see :func:`_screen_block`).
+Every pair correlation comes from one task loop (:func:`_partner_blocks`)
+whose float64 trimmed means are read from column slices
+(:func:`_slice_means`). On large inputs the partner table screens each
+task's pairs in float32 first and computes float64 correlations only for
+pairs that may reach ``min_abs_corr``; a proven rounding margin makes
+the screen exact, so the table keeps the bits of the float64 rule (see
+:func:`_screen_block`).
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ _SCREEN_MIN_THR = 2.0**-60
 _SCREEN_MAX_ABS = 2.0**60
 _SCREEN_MAX_ROWS = 2**20
 # most float64 blocks a thread runs between two screens (see
-# _screen_partner_blocks)
+# _partner_blocks)
 _SCREEN_MAX_SKIP = 64
 
 
@@ -214,12 +217,20 @@ def robust_standardize(Z: np.ndarray):
     return Zs, RobustScale(location=med, scale=scale)
 
 
-def _block_buffers(n: int, width: int):
-    """One thread's work buffers for (n, w) blocks, ``w <= width``: two
-    float buffers (the products, and their magnitudes) and one bool buffer
-    (the mask), each of ``n * width`` entries."""
-    return (np.empty(n * width), np.empty(n * width),
-            np.empty(n * width, dtype=bool))
+def _task_buffers(n: int, width: int):
+    """One thread's work buffers for partner tasks of at most ``width``
+    columns: two float64 buffers of ``n * h`` entries and one bool buffer
+    of ``n * width``.
+
+    ``h``, the most columns of a float64 chunk, is the whole width where
+    the two float64 buffers together hold at most
+    ``PARTNER_BLOCK_PRODUCTS`` entries, and half of it (at least 2)
+    elsewhere; read as float32, each float64 buffer holds an (n, width)
+    block for :func:`_screen_block`. On wide blocks the three come to
+    about ``9 * PARTNER_BLOCK_PRODUCTS`` bytes.
+    """
+    h = min(width, max(2, -(-width // 2), PARTNER_BLOCK_PRODUCTS // (2 * n)))
+    return (np.empty(n * h), np.empty(n * h), np.empty(n * width, dtype=bool))
 
 
 def _trimmed_block_means(P, A_buf, M_buf, keep: int) -> np.ndarray:
@@ -228,8 +239,8 @@ def _trimmed_block_means(P, A_buf, M_buf, keep: int) -> np.ndarray:
     A column keeps its ``keep`` smallest magnitudes and every magnitude
     tied with the largest of them, the threshold; their sum over axis 0,
     which adds the rows in order when ``w >= 2``, is divided by their
-    count. ``P`` is overwritten, and ``A_buf`` and ``M_buf`` are the float
-    and bool work buffers of :func:`_block_buffers`.
+    count. ``P`` is overwritten, and ``A_buf`` and ``M_buf`` are the
+    second float64 buffer and the bool buffer of :func:`_task_buffers`.
 
     The threshold is read from a sorted (w, n) transposed copy of the
     magnitudes, whose rows numpy sorts contiguously (with its SIMD sort
@@ -256,25 +267,32 @@ def _trimmed_block_means(P, A_buf, M_buf, keep: int) -> np.ndarray:
     return P.sum(axis=0) / kept
 
 
-def _trimmed_second_moments(Zs: np.ndarray, trim: float) -> np.ndarray:
-    """Per-column mean of squared scores after trimming the largest squares.
+def _slice_means(Zs, j, a, b, keep, bufs) -> np.ndarray:
+    """Trimmed means of the float64 products of column ``j`` with columns
+    ``a..b-1`` of ``Zs``, or of each of those columns with itself where
+    ``j`` is None (``np.multiply(x, x)`` has ``np.square``'s bits).
 
-    Runs over blocks of the partner pass's width (see :func:`_partner_pass`)
-    in buffers of its size, each block of at least two columns, so each
-    column's sum adds the rows in order, as over the whole array.
+    The columns run in C-ordered chunks of at most ``len(bufs[0]) // n``
+    columns in the buffers of :func:`_task_buffers`, each through
+    :func:`_trimmed_block_means`. A chunk of one column also takes the
+    column before it, where there is one, so each column's axis-0 sum adds
+    the rows in order: numpy sums a one-column slice pairwise. A lone
+    chunk's means are returned without a copy.
+    The columns are read in place: gathering every column of a block made
+    the float64 blocks of one-factor inputs about a tenth slower.
     """
-    n, C = Zs.shape
-    keep = n - int(np.floor(trim * n))
-    width = _partner_width(n, C)
-    P_buf, A_buf, M_buf = _block_buffers(n, width)
-    t2 = np.empty(C)
-    for a in range(0, C, width):
-        b = min(a + width, C)
-        lo = max(0, min(a, b - 2))
-        P = P_buf[: n * (b - lo)].reshape(n, b - lo)
-        np.square(Zs[:, lo:b], out=P)
-        t2[a:b] = _trimmed_block_means(P, A_buf, M_buf, keep)[a - lo:]
-    return t2
+    n = Zs.shape[0]
+    X1, X2, M_buf = bufs
+    step = X1.size // n
+    parts = []
+    for c in range(a, b, step):
+        e = min(c + step, b)
+        s = max(0, min(c, e - 2))
+        x = Zs[:, s:e]
+        P = X1[: n * (e - s)].reshape(n, e - s)
+        np.multiply(x, x if j is None else Zs[:, j:j + 1], out=P)
+        parts.append(_trimmed_block_means(P, X2, M_buf, keep)[c - s:])
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _partner_width(n: int, C: int) -> int:
@@ -306,31 +324,6 @@ def _partner_workers(n: int, C: int) -> int:
     return _available_cpus()
 
 
-def _fill_partner_blocks(Zs, t2, keep, emit, tasks, width):
-    """Compute the tasks drawn from ``tasks``, handing each to ``emit``.
-
-    ``tasks`` is one list iterator shared by all threads; each ``next`` on
-    it is atomic, so every task is drawn exactly once. Task ``(j, a, b)``
-    calls ``emit(j, a, row)`` with ``row[i]`` the correlation of columns
-    ``j`` and ``a + i``, a fresh array.
-
-    Every block is computed over at least two columns (the one before
-    ``a`` when a block has one), in C-ordered buffers allocated once (see
-    :func:`_trimmed_block_means`), so each column's axis-0 sum adds the
-    rows in order: numpy sums a one-column slice, or a column of an
-    F-ordered array, pairwise.
-    """
-    n = Zs.shape[0]
-    P_buf, A_buf, M_buf = _block_buffers(n, width)
-    for j, a, b in tasks:
-        lo = max(0, min(a, b - 2))
-        P = P_buf[: n * (b - lo)].reshape(n, b - lo)
-        np.multiply(Zs[:, lo:b], Zs[:, j:j + 1], out=P)
-        row = _trimmed_block_means(P, A_buf, M_buf, keep)
-        row /= np.sqrt(t2[j] * t2[lo:b])
-        emit(j, a, row[a - lo:])
-
-
 def _screens(Zs: np.ndarray) -> bool:
     """Whether :func:`partner_table` screens the pairs of ``Zs`` in float32.
 
@@ -345,21 +338,6 @@ def _screens(Zs: np.ndarray) -> bool:
         return False
     big = max(Zs.max(), -Zs.min())  # NaN fails both comparisons
     return bool(big <= _SCREEN_MAX_ABS and n * big * big < 2.0**127)
-
-
-def _screen_buffers(n: int, width: int):
-    """One thread's work buffers for the screened pass: two float64
-    buffers of ``n * h`` entries and one bool buffer of ``n * width``.
-
-    ``h``, the most columns of a float64 chunk, is the whole width where
-    the two float64 buffers together hold at most
-    ``PARTNER_BLOCK_PRODUCTS`` entries, and half of it (at least 2)
-    elsewhere; read as float32, each float64 buffer holds an (n, width)
-    block. On wide blocks the three come to about half the bytes of
-    :func:`_block_buffers`, which pays for the float32 copy of the input.
-    """
-    h = min(width, max(2, -(-width // 2), PARTNER_BLOCK_PRODUCTS // (2 * n)))
-    return (np.empty(n * h), np.empty(n * h), np.empty(n * width, dtype=bool))
 
 
 def _screen_block(Z32, j, a, b, keep, floor, rt, bufs):
@@ -452,30 +430,17 @@ def _screen_block(Z32, j, a, b, keep, floor, rt, bufs):
 
 def _exact_partners(Zs, j, a, pos, keep, bufs):
     """Trimmed means of the float64 products of column ``j`` with columns
-    ``a + pos``, bit for bit those of :func:`_fill_partner_blocks`.
+    ``a + pos``, ``pos`` an array of block positions, bit for bit those of
+    :func:`_slice_means`.
 
-    ``pos`` is an array of block positions, or ``slice(w)`` for a whole
-    block of ``w >= 2`` columns. The columns run in C-ordered chunks of
-    at most ``len(bufs[0]) // n`` columns in the buffers of
-    :func:`_screen_buffers`, each of at least two columns (a lone gathered
-    column is taken twice, a lone sliced one with the column before it),
-    so each column's axis-0 sum adds the rows in order, and each chunk
-    goes through :func:`_trimmed_block_means`.
-    A slice is read in place: gathering every column of a block made the
-    float64 blocks of one-factor inputs about a tenth slower.
+    The columns are gathered in C-ordered chunks of at most
+    ``len(bufs[0]) // n`` columns, each of at least two columns (a lone
+    column is taken twice), so each column's axis-0 sum adds the rows in
+    order, and each chunk goes through :func:`_trimmed_block_means`.
     """
     n = Zs.shape[0]
     X1, X2, M_buf = bufs
     step = X1.size // n
-    if isinstance(pos, slice):
-        parts = []
-        for c in range(a, a + pos.stop, step):
-            e = min(c + step, a + pos.stop)
-            s = min(c, e - 2)
-            P = X1[: n * (e - s)].reshape(n, e - s)
-            np.multiply(Zs[:, s:e], Zs[:, j:j + 1], out=P)
-            parts.append(_trimmed_block_means(P, X2, M_buf, keep)[c - s:])
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
     out = np.empty(pos.size)
     for c in range(0, pos.size, step):
         idx = pos[c:c + step]
@@ -489,34 +454,42 @@ def _exact_partners(Zs, j, a, pos, keep, bufs):
     return out
 
 
-def _screen_partner_blocks(Zs, Z32, t2, keep, floor, emit, tasks, width):
-    """:func:`_fill_partner_blocks` for :func:`partner_table`, with each
-    task's block screened in float32 first (:func:`_screen_block`).
+def _partner_blocks(Zs, Z32, t2, keep, floor, emit, tasks, width):
+    """Compute the tasks drawn from ``tasks``, handing each to ``emit``.
 
-    Only the candidates get float64 values (:func:`_exact_partners`).
+    ``tasks`` is one list iterator shared by all threads; each ``next`` on
+    it is atomic, so every task is drawn exactly once. Task ``(j, a, b)``
+    calls ``emit(j, a, row)`` with ``row[i]`` the correlation of columns
+    ``j`` and ``a + i``: the trimmed mean of their products over
+    ``sqrt(t2[j] * t2[a + i])``. Each thread allocates its buffers once
+    (:func:`_task_buffers`).
+
+    With ``Z32`` None, every task is a float64 block
+    (:func:`_slice_means`). Otherwise ``Z32`` is the float32 copy of
+    ``Zs`` and each task's block is screened first (:func:`_screen_block`):
+    only the candidates get float64 values (:func:`_exact_partners`).
     Every other pair, and the diagonal, is NaN in the row handed to
     ``emit``, so it never reaches ``floor``; a task with no candidate
     emits nothing.
 
     A screen gains little when more than a quarter of its block are
     candidates, whose float64 values need the sort. The thread then runs
-    its next tasks as float64 blocks over all their columns, with no
-    screen: one task after the first such screen, and twice as many after
-    each further one in a row, up to ``_SCREEN_MAX_SKIP``; a screen that
-    gains starts the count again. So an input on which most pairs pass
-    (one common factor) pays for few screens.
+    its next tasks as float64 blocks, with no screen: one task after the
+    first such screen, and twice as many after each further one in a row,
+    up to ``_SCREEN_MAX_SKIP``; a screen that gains starts the count
+    again. So an input on which most pairs pass (one common factor) pays
+    for few screens.
     """
-    bufs = _screen_buffers(Zs.shape[0], width)
+    bufs = _task_buffers(Zs.shape[0], width)
     rt = np.sqrt(t2)
     skip = 0  # float64 blocks left to run before the next screen
     span = 1  # float64 blocks after the next screen that gains little
     for j, a, b in tasks:
-        if skip:
-            skip -= 1
-            lo = max(0, min(a, b - 2))
-            row = _exact_partners(Zs, j, lo, slice(b - lo), keep, bufs)
-            row /= np.sqrt(t2[j] * t2[lo:b])
-            emit(j, a, row[a - lo:])
+        if skip or Z32 is None:
+            skip = max(skip - 1, 0)
+            row = _slice_means(Zs, j, a, b, keep, bufs)
+            row /= np.sqrt(t2[j] * t2[a:b])
+            emit(j, a, row)
             continue
         cand = _screen_block(Z32, j, a, b, keep, floor, rt, bufs)
         cand = cand[cand > 0] if a == j else cand  # not the diagonal
@@ -538,20 +511,18 @@ def _partner_pass(Zs: np.ndarray, trim: float, emit,
 
     ``Zs`` is C-ordered. The pairs run in tasks of one row ``j`` and a
     block of at most ``max(2, PARTNER_BLOCK_PRODUCTS // n)`` of its columns
-    ``j..C-1`` (see :func:`_fill_partner_blocks`, which hands each task's
-    row to ``emit``). For each pair, the mean of cross products is taken
+    ``j..C-1``, through :func:`_partner_blocks`, which hands each task's
+    row to ``emit``. For each pair, the mean of cross products is taken
     after trimming the ``trim`` fraction of largest absolute products and
     divided by ``sqrt(t2[j] * t2[h])``, the same-trimmed second moments.
-    Both trimmed means come from :func:`_trimmed_block_means`, whose
-    threshold is read from a sort, in each thread's two float buffers and
-    one bool buffer of ``n * width`` entries, about
-    ``PARTNER_BLOCK_PRODUCTS`` each.
+    Both trimmed means come from :func:`_slice_means`, or from
+    :func:`_exact_partners` with the same bits, in the buffers of
+    :func:`_task_buffers`.
 
     With ``floor`` (:func:`partner_table`'s ``min_abs_corr``), where
-    :func:`_screens` allows, the tasks run through
-    :func:`_screen_partner_blocks` on a float32 copy of ``Zs`` instead:
-    each row holds NaN for a pair proven below ``floor``, and the float64
-    value of every other pair, the same bits.
+    :func:`_screens` allows, each task is screened on a float32 copy of
+    ``Zs``: its row holds NaN for a pair proven below ``floor``, and the
+    float64 value of every other pair, the same bits.
 
     From ``PARTNER_PARALLEL_PRODUCTS`` products ``n * C**2`` on, the tasks
     run on one thread per CPU in the process's affinity mask (numpy
@@ -562,31 +533,22 @@ def _partner_pass(Zs: np.ndarray, trim: float, emit,
     """
     n, C = Zs.shape
     keep = n - int(np.floor(trim * n))
-    t2 = _trimmed_second_moments(Zs, trim)
     width = _partner_width(n, C)
+    t2 = _slice_means(Zs, None, 0, C, keep, _task_buffers(n, width))
     # (j, a, b): row j's columns a..b-1 of the upper triangle
     tasks = [(j, a, min(a + width, C))
              for j in range(C) for a in range(j, C, width)]
     workers = min(_partner_workers(n, C), len(tasks))
-    if floor is not None and _screens(Zs):
-        args = (Zs, Zs.astype(np.float32), t2, keep, floor, emit,
-                iter(tasks), width)
-
-        def fill():
-            _screen_partner_blocks(*args)
-    else:
-        args = (Zs, t2, keep, emit, iter(tasks), width)
-
-        def fill():
-            _fill_partner_blocks(*args)
+    Z32 = Zs.astype(np.float32) if floor is not None and _screens(Zs) else None
+    args = (Zs, Z32, t2, keep, floor, emit, iter(tasks), width)
     if workers == 1:
-        fill()
+        _partner_blocks(*args)
         return
     errors = []
 
     def work():
         try:
-            fill()
+            _partner_blocks(*args)
         except BaseException as exc:  # re-raised in the calling thread
             errors.append(exc)
 
@@ -691,8 +653,8 @@ def partner_table(Zs: np.ndarray, cfg: DdcConfig | None = None):
     :func:`_screen_block` for the proof and :func:`_exact_partners`). So
     the tables are bit for bit those of the dense rule over
     :func:`robust_partner_correlations`. A thread whose screen leaves
-    most of a block as candidates runs its next blocks in float64 alone
-    (:func:`_screen_partner_blocks`).
+    more than a quarter of a block as candidates runs its next blocks in
+    float64 alone (:func:`_partner_blocks`).
 
     Each task of :func:`_partner_pass` offers its pairs that pass the cut
     to both columns, under a lock: its own row only its top ``k``, and no

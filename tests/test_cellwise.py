@@ -355,7 +355,7 @@ def partner_corr_on_cpus(Zs, cpus, any_size=False):
     """robust_partner_correlations as if the process had ``cpus`` CPUs (and,
     with ``any_size``, no work cut); also returns how many threads ran."""
     threads = set()
-    fill = cellwise._fill_partner_blocks
+    fill = cellwise._partner_blocks
 
     def spy(*args):
         threads.add(threading.current_thread())
@@ -363,7 +363,7 @@ def partner_corr_on_cpus(Zs, cpus, any_size=False):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cellwise, "_available_cpus", lambda: cpus)
-        mp.setattr(cellwise, "_fill_partner_blocks", spy)
+        mp.setattr(cellwise, "_partner_blocks", spy)
         if any_size:
             mp.setattr(cellwise, "PARTNER_PARALLEL_PRODUCTS", 0)
         corr = robust_partner_correlations(Zs)
@@ -420,14 +420,15 @@ def test_partner_kept_count_with_tied_magnitudes():
             Zs, _ = robust_standardize(np.round(2 * Z) / 2 if rounded else Z)
             Zs = np.ascontiguousarray(Zs)  # as the partner pass takes it
             keep = n - int(np.floor(trim * n))
-            t2 = cellwise._trimmed_second_moments(Zs, trim)
+            t2 = cellwise._slice_means(Zs, None, 0, C, keep,
+                                       cellwise._task_buffers(n, width))
             corr = np.empty((C, C))
 
             def emit(j, a, row):
                 corr[j, a:a + len(row)] = row
 
-            cellwise._fill_partner_blocks(Zs, t2, keep, emit, iter(tasks),
-                                          width)
+            cellwise._partner_blocks(Zs, None, t2, keep, None, emit,
+                                     iter(tasks), width)
             for j in (range(C) if C < 20 else (0, 1, 2, C // 2, C - 2)):
                 lo = min(j, C - 2)
                 P = Zs[:, lo:] * Zs[:, j:j + 1]
@@ -454,7 +455,10 @@ def screen_edge_input(kind, n, C):
     column 5 scaled by 1 + 2**-30, and column 5 so scaled in its odd rows
     (products within one float32 ulp, not tied in float64), run at the
     |corr| of column 5's 6 strongest pairs; huge: one cell about
-    2**70 times its column's MAD (no pair is screened); zeros: columns 4
+    2**70 times its column's MAD (no pair is screened); range: one cell
+    about 2**60.3 standardized units (1.4826 MADs), beyond the screen's
+    2**60 range but with no float32 sum of 60 squares overflowing, so the
+    range gate alone leaves the pairs unscreened; zeros: columns 4
     and 9 at their medians in disjoint 45% of the rows (exact zeros, and
     a zero threshold for their pair), columns 11 and 12 within 1e-30 MADs
     of theirs in 5 rows, and column 0 scaled by 1e-24 in 92% of its rows
@@ -475,6 +479,8 @@ def screen_edge_input(kind, n, C):
     mad = np.median(np.abs(Z - med), axis=0)
     if kind == "huge":
         Z[5, 2] = med[2] + 2.0**70 * mad[2]
+    if kind == "range":
+        Z[5, 2] = med[2] + 2.0**60.3 * 1.4826 * mad[2]
     if kind == "zeros":
         rows = np.random.default_rng(50).permutation(n)
         Z[rows[:n * 45 // 100], 4] = med[4]
@@ -501,7 +507,8 @@ def screen_edge_input(kind, n, C):
     return Zs, [float(f) for f in floors]
 
 
-SCREEN_EDGES = ("near-cut", "tied", "huge", "zeros", "zero-floor", "factor")
+SCREEN_EDGES = ("near-cut", "tied", "huge", "range", "zeros", "zero-floor",
+                "factor")
 DENSE_RULE_CASES = [
     (40, 60, 15, 0.5, 1, "block"), (40, 60, 4, 0.5, 3, "block"),
     (40, 60, 6, 0.0, 2, "block"), (40, 60, 10**9, 0.0, 2, "block"),
@@ -531,7 +538,9 @@ def test_partner_table_matches_dense_rule(monkeypatch, n, C, k, min_abs_corr,
     else:
         monkeypatch.setattr(cellwise, "PARTNER_BLOCK_PRODUCTS", 2**11)
         Zs, floors = screen_edge_input(kind, n, C)
-    assert (np.abs(Zs).max() > 2.0**60) == (kind == "huge")
+    big = np.abs(Zs).max()
+    assert (big > 2.0**60) == (kind in ("huge", "range"))
+    assert (n * big * big < 2.0**127) == (kind != "huge")
     corr = robust_partner_correlations(Zs, DdcConfig.trim)
     monkeypatch.setattr(cellwise, "_available_cpus", lambda: cpus)
     monkeypatch.setattr(cellwise, "PARTNER_PARALLEL_PRODUCTS", 0)
@@ -616,13 +625,13 @@ def test_partner_offers_pruned_before_the_merge(monkeypatch):
 
 def test_partner_table_memory_is_its_buffers_and_tables(monkeypatch):
     # one serial call holds the float32 copy of Zs (4 * n * C bytes, about
-    # 6 * B), the screen's two float64 buffers of n * ceil(w / 2) entries
-    # (each also read as an (n, w) float32 block) and its bool buffer of
-    # n * w entries, B = PARTNER_BLOCK_PRODUCTS >= n * w (about 9 * B in
-    # all), and the (C, k) tables (16 bytes a slot); the rest covers the
-    # task list (2,692 tasks of about 130 bytes), numpy's iteration
-    # buffers and one task's temporaries. A float64 block buffer (8 * B)
-    # beside the float32 ones would exceed it. Few pairs pass
+    # 6 * B), the task loop's two float64 buffers of n * ceil(w / 2)
+    # entries (each also read as an (n, w) float32 block) and its bool
+    # buffer of n * w entries, B = PARTNER_BLOCK_PRODUCTS >= n * w (about
+    # 9 * B in all), and the (C, k) tables (16 bytes a slot); the rest
+    # covers the task list (2,692 tasks of about 130 bytes), numpy's
+    # iteration buffers and one task's temporaries. A float64 buffer of a
+    # whole block (8 * B) beside them would exceed it. Few pairs pass
     # min_abs_corr, so merges hold little.
     monkeypatch.setattr(cellwise, "_available_cpus", lambda: 1)
     n, C = 100, 2001
@@ -655,7 +664,7 @@ def test_partner_screen_gives_float64_values_to_few_pairs(monkeypatch):
         return screen(Z32, j, a, b, *args)
 
     def values_spy(Zs, j, a, pos, *args):
-        exact.append(pos.stop if isinstance(pos, slice) else pos.size)
+        exact.append(pos.size)
         return values(Zs, j, a, pos, *args)
 
     monkeypatch.setattr(cellwise, "_screen_block", screen_spy)
@@ -686,7 +695,7 @@ def test_partner_workers_serial_in_pool_worker():
 
 def test_partner_worker_error_reaches_the_caller(monkeypatch):
     caller = threading.current_thread()
-    fill = cellwise._fill_partner_blocks
+    fill = cellwise._partner_blocks
 
     def failing(*args):
         if threading.current_thread() is not caller:
@@ -695,7 +704,7 @@ def test_partner_worker_error_reaches_the_caller(monkeypatch):
 
     monkeypatch.setattr(cellwise, "_available_cpus", lambda: 2)
     monkeypatch.setattr(cellwise, "PARTNER_PARALLEL_PRODUCTS", 0)
-    monkeypatch.setattr(cellwise, "_fill_partner_blocks", failing)
+    monkeypatch.setattr(cellwise, "_partner_blocks", failing)
     Zs, _ = robust_standardize(correlated_matrix(26, n=30, p=8))
     with pytest.raises(RuntimeError, match="worker failed"):
         robust_partner_correlations(Zs)
