@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import require_finite
 from .errors import (DegenerateColumn, InvalidConfig, TooFewColumns,
                      require_integers, require_numbers)
 from .linalg import prepare_design
@@ -59,8 +60,9 @@ PARTNER_BLOCK_PRODUCTS = 2**17
 PARTNER_MERGE_SLOTS = 2**12
 
 # float32 screen of partner_table (see _screen_block): the float32 unit
-# roundoff, the half-width of the threshold's band (8 units), and the
-# magnitudes outside which no pair is screened
+# roundoff, the gap test's margin over the threshold (8 units; a pair
+# that fails the test is not ruled out), and the magnitudes outside which
+# no pair is ruled out
 _U32 = 2.0**-24
 _BAND = 8 * _U32
 _SCREEN_MIN_THR = 2.0**-60
@@ -202,10 +204,14 @@ def robust_standardize(Z: np.ndarray):
 
     Raises
     ------
+    NonFiniteValue
+        Naming the first column that holds a NaN or infinite cell.
     DegenerateColumn
         For any column with zero MAD (constant or near-constant).
     """
     Z = np.asarray(Z, dtype=float)
+    cols = Z.reshape(len(Z), -1)  # a vector is one column
+    require_finite(cols[:, 0], cols[:, 1:])
     med = np.median(Z, axis=0)
     Zs = Z - med
     mad = np.median(np.abs(Zs), axis=0, overwrite_input=True)
@@ -356,41 +362,26 @@ def _screen_block(Z32, j, a, b, keep, floor, rt, bufs):
     magnitude ``a_i`` (two conversions and one product, subnormals
     included). So where ``thr32 >= 2**-60``, which makes ``2**-88`` at
     most ``u / 16`` of it, ``b_i <= thr32`` gives ``a_i < thr32 (1 + 3.1 u)``
-    and ``b_i >= thr32`` gives ``a_i > thr32 (1 - 3.1 u)``; the float64
-    threshold ``thr64`` lies between those two values, because ``keep``
-    magnitudes lie below the one and ``n - keep + 1`` above the other.
-    Hence a magnitude below the band ``thr32 (1 -/+ 8 u)`` is kept in
-    float64 and one above it is trimmed.
+    and ``b_i > thr32 (1 + 8 u)`` gives ``a_i > thr32 (1 + 4.9 u)``.
 
-    * Gap test, ``T[:, keep] > thr32 (1 + 8 u)`` (exact in float64, and
-      true when ``keep == n``): every magnitude outside the ``keep`` of
-      the float32 mask ``M`` lies above the band, so float64 trims it;
-      the float64 kept set has at least ``keep`` members, so it is
-      exactly ``M``, and the kept count is ``keep``.
-    * Otherwise the float64 kept set lies between ``L``, the magnitudes
-      below the band, and ``L`` with the ``nu`` magnitudes inside it.
-      Both the float32 masked sum and the float64 kept sum differ from the
-      sum over ``L`` by at most ``nu`` band terms of magnitude at most
-      ``thr32 (1 + 16 u)``, so the bound adds ``2 nu thr32 (1 + 16 u)``.
+    Gap test, ``T[:, keep] > thr32 (1 + 8 u)`` (exact in float64, and
+    true when ``keep == n``): the float32 mask ``M`` then holds exactly
+    ``keep`` magnitudes, and every float64 magnitude outside it exceeds
+    every one inside, so the float64 kept set is exactly ``M`` and the
+    kept count is ``keep``. The masked sum ``s32`` adds ``n`` float32
+    terms (in row order, or pairwise in a one-column block), so it is
+    within ``gamma_{n-1}`` times the sum of the ``keep`` kept magnitudes of
+    their exact sum, and the conversions move each kept term by at most
+    ``3.1 u thr32``; ``3.25 u`` covers the latter with the float64 sum,
+    mean and normalization. So with ``s = sqrt(t2[j] * t2[h])``,
+    ``|r64|`` is at most::
 
-    The masked sum ``s32`` adds ``n`` float32 terms (in row order, or
-    pairwise in a one-column block), so it is within ``gamma_{n-1}``
-    times the sum of the ``m`` kept magnitudes (``m = keep`` where the
-    gap holds, at most ``n`` elsewhere) of their exact sum, and the
-    conversions move each kept term by at most ``3.1 u thr32``;
-    ``3.25 u`` covers the latter with the float64 sum, mean and
-    normalization. The margin per kept term is thus
-    ``gamma_{n-1} + 3.25 u`` times ``thr32``, and the float64 kept count is
-    at least ``keep``, so with ``s = sqrt(t2[j] * t2[h])``, ``|r64|`` is at
-    most::
+        (|s32| + thr32 keep (gamma_{n-1} + 3.25 u)) / (keep * s)
 
-        (|s32| + thr32 (m (gamma_{n-1} + 3.25 u) + 2 nu (1 + 16 u)))
-            / (keep * s)
-
-    A pair is ruled out only where this bound, with a relative slack of
-    ``2**-40`` for its own roundings (``s`` is taken as
-    ``rt[j] * rt[h]``), is below ``floor``. A NaN or infinite bound keeps
-    the pair, and so does ``thr32 < 2**-60``.
+    A pair is ruled out only where its gap test holds, ``thr32 >= 2**-60``
+    and this bound, with a relative slack of ``2**-40`` for its own
+    roundings (``s`` is taken as ``rt[j] * rt[h]``), is below ``floor``.
+    Every other pair is a candidate, a NaN or infinite bound among them.
     """
     n = Z32.shape[0]
     w = b - a
@@ -401,30 +392,18 @@ def _screen_block(Z32, j, a, b, keep, floor, rt, bufs):
     np.abs(P.T, out=T)
     T.sort(axis=1)
     thr32 = T[:, keep - 1].copy()
-    thr = thr32.astype(float)  # thr * (1 +/- 8u) is exact in float64
-    gamma = (n - 1) * _U32 / (1 - (n - 1) * _U32) + 3.25 * _U32
-    margin = thr * (keep * gamma)
-    gap = (T[:, keep] > thr * (1 + _BAND) if keep < n
-           else np.ones(w, dtype=bool))
-    if not gap.all():
-        # the band counts are read from T before its buffer is reused,
-        # a few rows at a time to bound the temporaries
-        low = np.flatnonzero(~gap)
-        step = max(1, w // 8)
-        for c in range(0, low.size, step):
-            r = low[c:c + step]
-            Tr = T[r]
-            band = np.count_nonzero(
-                (Tr >= (thr[r] * (1 - _BAND))[:, None])
-                & (Tr <= (thr[r] * (1 + _BAND))[:, None]), axis=1)
-            margin[r] = thr[r] * (n * gamma + 2 * band * (1 + 16 * _U32))
+    thr = thr32.astype(float)  # thr * (1 + 8u) is exact in float64
+    # the gap test is read from T before its buffer is reused
+    ruled_out = thr32 >= _SCREEN_MIN_THR
+    if keep < n:
+        ruled_out &= T[:, keep] > thr * (1 + _BAND)
     A = X2.view(np.float32)[: n * w].reshape(n, w)
     M = M_buf[: n * w].reshape(n, w)
     np.less_equal(np.abs(P, out=A), thr32, out=M)
     np.multiply(P, M, out=P)
-    margin += np.abs(P.sum(axis=0))
-    ruled_out = margin < rt[a:b] * (floor * keep * rt[j] / (1 + 2.0**-40))
-    ruled_out &= thr32 >= _SCREEN_MIN_THR
+    gamma = (n - 1) * _U32 / (1 - (n - 1) * _U32) + 3.25 * _U32
+    bound = np.abs(P.sum(axis=0)) + thr * (keep * gamma)
+    ruled_out &= bound < rt[a:b] * (floor * keep * rt[j] / (1 + 2.0**-40))
     return np.flatnonzero(~ruled_out)
 
 
@@ -646,9 +625,8 @@ def partner_table(Zs: np.ndarray, cfg: DdcConfig | None = None):
     gap test at position ``keep`` and the masked sum give an upper bound
     on each pair's float64 ``|corr|``, with a proven float32 rounding
     margin of about ``(n + 3) 2**-24`` times the threshold over the
-    normalizer, and twice the threshold for each magnitude in the
-    threshold's float32 band where the gap test fails. A pair is ruled out
-    only where that bound is below ``min_abs_corr``; every other pair gets
+    normalizer. A pair is ruled out only where its gap test holds and
+    that bound is below ``min_abs_corr``; every other pair gets
     its float64 value by the same operations as the dense pass (see
     :func:`_screen_block` for the proof and :func:`_exact_partners`). So
     the tables are bit for bit those of the dense rule over
@@ -758,6 +736,9 @@ def ddc_impute(Z: np.ndarray, cfg: DdcConfig | None = None) -> ImputationResult:
     ------
     InvalidConfig
         Naming the field, when ``cfg`` fails :meth:`DdcConfig.validate`.
+    NonFiniteValue
+        Naming the first column that holds a NaN or infinite cell
+        (:func:`robust_standardize`).
 
     Notes
     -----

@@ -34,9 +34,11 @@ def passthrough_imputation(Z: np.ndarray) -> ImputationResult:
     """An ImputationResult that leaves the data untouched (no cleaning).
 
     Used by ablations that skip the detection stage; correlations are
-    then computed on the raw, possibly contaminated matrix.
+    then computed on the raw, possibly contaminated matrix. A NaN or
+    infinite cell raises :class:`NonFiniteValue` naming its column.
     """
     Z = np.asarray(Z, dtype=float)
+    require_finite(Z[:, 0], Z[:, 1:])
     n, C = Z.shape
     return ImputationResult(
         Z_imp=Z.copy(),
@@ -70,7 +72,6 @@ def fit_ensemble(y: np.ndarray, X: np.ndarray, cfg: SelectionConfig,
         cell (0 is ``y``, ``j`` is ``x_j``).
     """
     y, X = regression_arrays(y, X)
-    require_finite(y, X)
     Z = np.column_stack([y, X])
     if impute:
         imp = ddc_impute(Z, ddc)

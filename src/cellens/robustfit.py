@@ -135,13 +135,20 @@ def s_scale(residuals: np.ndarray, c0: float = C_BREAKDOWN,
     Returns 0.0 when at least half the residuals are exactly zero
     (exact-fit case, where no positive solution exists). A NaN or
     infinite residual raises :class:`NonFiniteValue`.
+
+    The residuals are solved divided by ``2**e``, the power of two of
+    their largest magnitude, and the scale multiplied back, so no square
+    overflows or underflows whatever their magnitude; in the normal range
+    both products are exact and the bits are those of the plain solve.
     """
     r = np.asarray(residuals, dtype=float)
     if r.size == 0:
         raise ShapeMismatch("empty residual vector")
     if not np.isfinite(r).all():
         raise NonFiniteValue(0, "residuals")
-    return float(_solve_s_scale(r.reshape(1, -1), c0, rtol)[0])
+    e = int(np.frexp(np.abs(r).max())[1])
+    sigma = _solve_s_scale(np.ldexp(r, -e).reshape(1, -1), c0, rtol)[0]
+    return float(np.ldexp(sigma, e))
 
 
 @dataclass

@@ -36,6 +36,7 @@ def test_standardize_hand_oracle():
     expected = (col - 3.0) / 1.4826
     assert np.allclose(Z[:, 0], expected, atol=1e-12)
     assert abs(expected[0] + 1.349) < 1e-3
+    assert robust_standardize(col)[0].tobytes() == Z[:, 0].tobytes()
 
 
 def test_standardize_affine_invariance():
@@ -567,6 +568,36 @@ def test_partner_table_matches_dense_rule(monkeypatch, n, C, k, min_abs_corr,
         held = [h for h in row if h in (3, 7, 50)]
         assert held == [h for h in (3, 7, 50) if h != j][:len(held)]
         assert np.diff([row.index(h) for h in held]).tolist() == [1] * (len(held) - 1)
+
+
+def test_screen_keeps_every_pair_whose_gap_test_fails(monkeypatch):
+    # the screen's bound holds only where the float32 gap test holds (the
+    # next sorted magnitude above thr32 (1 + 8u)); on rounded data many
+    # pairs fail it, and each must be a candidate at every floor, however
+    # far its bound lies below the floor
+    monkeypatch.setattr(cellwise, "PARTNER_BLOCK_PRODUCTS", 2**11)
+    n, C = 60, 90
+    Zs, floors = screen_edge_input("tied", n, C)
+    Zs = np.ascontiguousarray(Zs)
+    Z32 = Zs.astype(np.float32)
+    keep = n - int(np.floor(DdcConfig.trim * n))
+    width = cellwise._partner_width(n, C)
+    assert width == 34
+    bufs = cellwise._task_buffers(n, width)
+    rt = np.sqrt(cellwise._slice_means(Zs, None, 0, C, keep, bufs))
+    failed = 0
+    for floor in [DdcConfig.min_abs_corr] + floors:
+        for j in range(C):
+            for a in range(j, C, width):
+                b = min(a + width, C)
+                T = np.sort(np.abs(Z32[:, a:b] * Z32[:, j:j + 1]), axis=0)
+                fails = np.flatnonzero(
+                    T[keep] <= T[keep - 1].astype(float) * (1 + 8 * 2.0**-24))
+                cand = cellwise._screen_block(Z32, j, a, b, keep, floor, rt,
+                                              bufs)
+                assert np.isin(fails, cand).all(), (floor, j, a)
+                failed += fails.size
+    assert failed == 5530  # 790 pairs (the diagonal among them) x 7 floors
 
 
 def test_ddc_impute_memory_is_linear_in_columns():

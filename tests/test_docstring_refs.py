@@ -6,7 +6,9 @@ methods and constants as ``:func:`name```, ``:class:``, ``:meth:`` and
 nothing, and no other test reads them. This test finds each reference in
 the source text and resolves it: in its own module, in the ``cellens``
 package, as a dotted ``cellens.x.y`` path, or (for a bare ``:meth:``) as
-an attribute of a class defined in the same module.
+an attribute of a class defined in the same module. Every backticked
+``cellens.…`` name in ``README.md`` must resolve too: its longest
+importable module prefix, then the rest as attributes.
 """
 
 import importlib
@@ -17,9 +19,11 @@ from types import SimpleNamespace
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "cellens"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "cellens"
 ROLES = ("func", "class", "meth", "data")
 REF = re.compile(r":(%s):`([^`]+)`" % "|".join(ROLES))
+README_NAME = re.compile(r"`(cellens(?:\.\w+)+)`")
 
 
 def references(source: str) -> list[tuple[str, str, int]]:
@@ -56,6 +60,19 @@ def resolves(module, role: str, target: str) -> bool:
                if cls.__module__ == module.__name__)
 
 
+def resolves_path(name: str) -> bool:
+    """Whether the dotted ``name`` resolves: its longest importable module
+    prefix, then the rest of it as attributes."""
+    parts = name.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            module = importlib.import_module(".".join(parts[:i]))
+        except ModuleNotFoundError:
+            continue
+        return i == len(parts) or _lookup(module, ".".join(parts[i:]))
+    return False
+
+
 @pytest.mark.parametrize("snippet, want", [
     ('"""See :func:`f`."""', [("func", "f", 1)]),
     ("# a\n# :class:`~cellens.data.Dataset` and :meth:`A.m`",
@@ -81,6 +98,11 @@ def test_resolution_rules():
     assert not resolves(cellwise, "func", "cellens.no_such_module.f")
     # a bare name resolves on a class only for :meth:
     assert not resolves(cellwise, "func", "columns")
+    assert resolves_path("cellens.reference")  # a module
+    assert resolves_path("cellens.cellwise.partner_table")
+    assert resolves_path("cellens.pivot_ratios")  # the package's
+    assert not resolves_path("cellens.cellwise.no_such_function")
+    assert not resolves_path("cellens.no_such_name")
 
 
 def test_package_references_resolve():
@@ -97,3 +119,13 @@ def test_package_references_resolve():
                 stale.append(f"{path.name}:{line} :{role}:`{target}`")
     assert seen  # the scan reaches the package's references
     assert not stale, f"references to nothing: {stale}"
+
+
+def test_readme_names_resolve():
+    text = (ROOT / "README.md").read_text()
+    names = [(m[1], text.count("\n", 0, m.start()) + 1)
+             for m in README_NAME.finditer(text)]
+    assert names  # the scan reaches the README's names
+    stale = [f"README.md:{line} `{name}`" for name, line in names
+             if not resolves_path(name)]
+    assert not stale, f"names of nothing: {stale}"

@@ -1,5 +1,6 @@
 """The robust stage's input contract: fits that do not depend on the memory
-layout of ``X``, and typed errors for bad sets, shapes and cells."""
+layout of ``X``, and typed errors for bad sets, shapes and cells (cells
+also at the cleaning stage's entry points)."""
 
 import hashlib
 
@@ -7,8 +8,9 @@ import numpy as np
 import pytest
 
 from cellens import (CellensError, NonFiniteValue, ShapeMismatch,
-                     fit_ensemble_models, make_rng, mm_fit, model_from_json,
-                     model_to_json, s_scale)
+                     ddc_impute, fit_ensemble_models, make_rng, mm_fit,
+                     model_from_json, model_to_json, passthrough_imputation,
+                     robust_standardize, s_scale)
 
 
 def _digest(fits):
@@ -70,23 +72,34 @@ def test_fitted_sets_hold_plain_indices_that_round_trip():
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("fit", ["mm_fit", "ensemble"])
+@pytest.mark.parametrize("fit", ["mm_fit", "ensemble", "ddc_impute",
+                                 "robust_standardize",
+                                 "passthrough_imputation"])
 def test_non_finite_cells_raise_a_typed_error_naming_the_column(capfd, value,
                                                                 fit):
+    # the cleaning stage's entry points take the joint matrix [y, X], whose
+    # column numbers are those of the fits
+    clean = {"ddc_impute": ddc_impute,
+             "robust_standardize": robust_standardize,
+             "passthrough_imputation": passthrough_imputation}.get(fit)
     X, y = _data(92)
     X[7, 4] = value
     with pytest.raises(NonFiniteValue) as info:
         if fit == "mm_fit":
             mm_fit(X, y)
-        else:
+        elif fit == "ensemble":
             fit_ensemble_models(y, X, [[0], [4, 1]])
+        else:
+            clean(np.column_stack([y, X]))
     assert info.value.column == 5
     y[3] = value
     with pytest.raises(NonFiniteValue) as info:
         if fit == "mm_fit":
             mm_fit(X[:, :3], y)
-        else:
+        elif fit == "ensemble":
             fit_ensemble_models(y, X, [[0]])
+        else:
+            clean(np.column_stack([y, X]))
     assert info.value.column == 0
     assert capfd.readouterr().err == ""
 
@@ -122,3 +135,15 @@ def test_s_scale_rejects_non_finite_residuals(value):
     r[4] = value
     with pytest.raises(CellensError):
         s_scale(r)
+
+
+def test_s_scale_is_defined_at_any_magnitude():
+    # the residuals are solved scaled to their largest power of two, so a
+    # power-of-two factor passes through the scale exactly, with no
+    # overflow or underflow warning, down to subnormal residuals; the
+    # residuals are multiples of 1/16, so 2**-1070 times them is exact
+    r = np.round(16 * make_rng(96).standard_normal(30)) / 16
+    sigma = s_scale(r)
+    assert 0 < sigma < np.inf
+    for k in (-1070, -600, 600, 1000):
+        assert s_scale(np.ldexp(r, k)) == np.ldexp(sigma, k), k
