@@ -26,10 +26,10 @@ correlations one column at a time (:class:`CorrelationStructure`).
 Every pair correlation comes from one task loop (:func:`_partner_blocks`)
 whose float64 trimmed means are read from column slices
 (:func:`_slice_means`). On large inputs the partner table screens each
-task's pairs in float32 first and computes float64 correlations only for
-pairs that may reach ``min_abs_corr``; a proven rounding margin makes
-the screen exact, so the table keeps the bits of the float64 rule (see
-:func:`_screen_block`).
+task's pairs in float32 first, on a (C, n) float32 copy of the input, and
+computes float64 correlations only for pairs that may reach
+``min_abs_corr``; a proven rounding margin makes the screen exact, so the
+table keeps the bits of the float64 rule (see :func:`_screen_block`).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import require_finite
+from .data import require_finite, require_matrix
 from .errors import (DegenerateColumn, InvalidConfig, TooFewColumns,
                      require_integers, require_numbers)
 from .linalg import prepare_design
@@ -54,7 +54,7 @@ FLAG_CUTOFF = 2.5758293035489004
 # available CPU, and products per task block, which bounds each thread's
 # buffers (see _partner_pass)
 PARTNER_PARALLEL_PRODUCTS = 2**24
-PARTNER_BLOCK_PRODUCTS = 2**17
+PARTNER_BLOCK_PRODUCTS = 2**18
 # table slots re-ranked at once when partner offers are merged, which
 # bounds each merge's buffers (see partner_table)
 PARTNER_MERGE_SLOTS = 2**12
@@ -204,13 +204,16 @@ def robust_standardize(Z: np.ndarray):
 
     Raises
     ------
+    ShapeMismatch
+        Unless ``Z`` is a matrix or a vector (one column).
     NonFiniteValue
         Naming the first column that holds a NaN or infinite cell.
     DegenerateColumn
         For any column with zero MAD (constant or near-constant).
     """
     Z = np.asarray(Z, dtype=float)
-    cols = Z.reshape(len(Z), -1)  # a vector is one column
+    cols = Z[:, None] if Z.ndim == 1 else Z  # a vector is one column
+    require_matrix(cols)
     require_finite(cols[:, 0], cols[:, 1:])
     med = np.median(Z, axis=0)
     Zs = Z - med
@@ -231,7 +234,7 @@ def _task_buffers(n: int, width: int):
     ``h``, the most columns of a float64 chunk, is the whole width where
     the two float64 buffers together hold at most
     ``PARTNER_BLOCK_PRODUCTS`` entries, and half of it (at least 2)
-    elsewhere; read as float32, each float64 buffer holds an (n, width)
+    elsewhere; read as float32, each float64 buffer holds a (width, n)
     block for :func:`_screen_block`. On wide blocks the three come to
     about ``9 * PARTNER_BLOCK_PRODUCTS`` bytes.
     """
@@ -351,12 +354,12 @@ def _screen_block(Z32, j, a, b, keep, floor, rt, bufs):
 
     Returns the block positions of the pairs whose float64 correlation
     may reach ``floor``; every other one is proven below it. ``Z32`` is
-    the float32 copy of the finite input ``Zs``, whose magnitudes are at
-    most 2**60 (:func:`_screens`), and ``rt`` holds the square roots of
-    the trimmed second moments ``t2``.
+    the C-ordered (C, n) float32 copy of the finite input ``Zs`` (its
+    transpose), whose magnitudes are at most 2**60 (:func:`_screens`), and
+    ``rt`` holds the square roots of the trimmed second moments ``t2``.
 
-    The block's float32 products ``p32`` are formed, and their magnitudes
-    ``b_i`` sorted as in :func:`_trimmed_block_means`; ``thr32`` is the
+    The block's (w, n) float32 products ``p32`` are formed, and their
+    magnitudes ``b_i`` sorted along each row; ``thr32`` is the
     ``keep``-th smallest. With ``u = 2**-24``, a float32 product of the
     rounded factors is within ``3.01 u a_i + 2**-88`` of the float64
     magnitude ``a_i`` (two conversions and one product, subnormals
@@ -368,8 +371,8 @@ def _screen_block(Z32, j, a, b, keep, floor, rt, bufs):
     true when ``keep == n``): the float32 mask ``M`` then holds exactly
     ``keep`` magnitudes, and every float64 magnitude outside it exceeds
     every one inside, so the float64 kept set is exactly ``M`` and the
-    kept count is ``keep``. The masked sum ``s32`` adds ``n`` float32
-    terms (in row order, or pairwise in a one-column block), so it is
+    kept count is ``keep``. The masked sum ``s32``, one reduction of the
+    products and ``M``, adds ``n`` float32 terms in any order, so it is
     within ``gamma_{n-1}`` times the sum of the ``keep`` kept magnitudes of
     their exact sum, and the conversions move each kept term by at most
     ``3.1 u thr32``; ``3.25 u`` covers the latter with the float64 sum,
@@ -383,13 +386,13 @@ def _screen_block(Z32, j, a, b, keep, floor, rt, bufs):
     roundings (``s`` is taken as ``rt[j] * rt[h]``), is below ``floor``.
     Every other pair is a candidate, a NaN or infinite bound among them.
     """
-    n = Z32.shape[0]
+    n = Z32.shape[1]
     w = b - a
     X1, X2, M_buf = bufs
-    P = X1.view(np.float32)[: n * w].reshape(n, w)
-    np.multiply(Z32[:, a:b], Z32[:, j:j + 1], out=P)
+    P = X1.view(np.float32)[: n * w].reshape(w, n)
+    np.multiply(Z32[a:b], Z32[j], out=P)
     T = X2.view(np.float32)[: n * w].reshape(w, n)
-    np.abs(P.T, out=T)
+    np.abs(P, out=T)
     T.sort(axis=1)
     thr32 = T[:, keep - 1].copy()
     thr = thr32.astype(float)  # thr * (1 + 8u) is exact in float64
@@ -397,12 +400,10 @@ def _screen_block(Z32, j, a, b, keep, floor, rt, bufs):
     ruled_out = thr32 >= _SCREEN_MIN_THR
     if keep < n:
         ruled_out &= T[:, keep] > thr * (1 + _BAND)
-    A = X2.view(np.float32)[: n * w].reshape(n, w)
-    M = M_buf[: n * w].reshape(n, w)
-    np.less_equal(np.abs(P, out=A), thr32, out=M)
-    np.multiply(P, M, out=P)
+    M = M_buf[: n * w].reshape(w, n)
+    np.less_equal(np.abs(P, out=T), thr32[:, None], out=M)
     gamma = (n - 1) * _U32 / (1 - (n - 1) * _U32) + 3.25 * _U32
-    bound = np.abs(P.sum(axis=0)) + thr * (keep * gamma)
+    bound = np.abs(np.einsum("ij,ij->i", P, M)) + thr * (keep * gamma)
     ruled_out &= bound < rt[a:b] * (floor * keep * rt[j] / (1 + 2.0**-40))
     return np.flatnonzero(~ruled_out)
 
@@ -444,8 +445,8 @@ def _partner_blocks(Zs, Z32, t2, keep, floor, emit, tasks, width):
     (:func:`_task_buffers`).
 
     With ``Z32`` None, every task is a float64 block
-    (:func:`_slice_means`). Otherwise ``Z32`` is the float32 copy of
-    ``Zs`` and each task's block is screened first (:func:`_screen_block`):
+    (:func:`_slice_means`). Otherwise ``Z32`` is the (C, n) float32 copy
+    of ``Zs``, and each task is screened first (:func:`_screen_block`):
     only the candidates get float64 values (:func:`_exact_partners`).
     Every other pair, and the diagonal, is NaN in the row handed to
     ``emit``, so it never reaches ``floor``; a task with no candidate
@@ -499,9 +500,9 @@ def _partner_pass(Zs: np.ndarray, trim: float, emit,
     :func:`_task_buffers`.
 
     With ``floor`` (:func:`partner_table`'s ``min_abs_corr``), where
-    :func:`_screens` allows, each task is screened on a float32 copy of
-    ``Zs``: its row holds NaN for a pair proven below ``floor``, and the
-    float64 value of every other pair, the same bits.
+    :func:`_screens` allows, each task is screened on a (C, n) float32
+    copy of ``Zs``: its row holds NaN for a pair proven below ``floor``,
+    and the float64 value of every other pair, the same bits.
 
     From ``PARTNER_PARALLEL_PRODUCTS`` products ``n * C**2`` on, the tasks
     run on one thread per CPU in the process's affinity mask (numpy
@@ -518,7 +519,8 @@ def _partner_pass(Zs: np.ndarray, trim: float, emit,
     tasks = [(j, a, min(a + width, C))
              for j in range(C) for a in range(j, C, width)]
     workers = min(_partner_workers(n, C), len(tasks))
-    Z32 = Zs.astype(np.float32) if floor is not None and _screens(Zs) else None
+    screen = floor is not None and _screens(Zs)
+    Z32 = np.ascontiguousarray(Zs.T, dtype=np.float32) if screen else None
     args = (Zs, Z32, t2, keep, floor, emit, iter(tasks), width)
     if workers == 1:
         _partner_blocks(*args)
@@ -555,9 +557,11 @@ def robust_partner_correlations(Zs: np.ndarray,
     from, for tests and inspection; a fit never holds it. Each pair is
     computed once by :func:`_partner_pass` and written to ``corr[j, h]``
     and ``corr[h, j]``, so the result is exactly symmetric, and bitwise
-    the same for any CPU count and any memory layout of ``Zs``.
+    the same for any CPU count and any memory layout of ``Zs``. A ``Zs``
+    that is not a matrix raises :class:`ShapeMismatch`.
     """
     Zs = np.ascontiguousarray(Zs, dtype=float)
+    require_matrix(Zs)
     C = Zs.shape[1]
     corr = np.empty((C, C))
 
@@ -620,11 +624,11 @@ def partner_table(Zs: np.ndarray, cfg: DdcConfig | None = None):
     computed which pair first. Unused slots hold index -1 and value NaN.
 
     From ``PARTNER_PARALLEL_PRODUCTS`` products on (:func:`_screens`),
-    each task's block is screened in float32 first, on one float32 copy of
-    ``Zs``: the float32 products, their sorted magnitudes' threshold, a
-    gap test at position ``keep`` and the masked sum give an upper bound
-    on each pair's float64 ``|corr|``, with a proven float32 rounding
-    margin of about ``(n + 3) 2**-24`` times the threshold over the
+    each task's block is screened in float32 first, on one (C, n) float32
+    copy of ``Zs``: the float32 products, their sorted magnitudes'
+    threshold, a gap test at position ``keep`` and the masked sum give an
+    upper bound on each pair's float64 ``|corr|``, with a proven float32
+    rounding margin of about ``(n + 3) 2**-24`` times the threshold over the
     normalizer. A pair is ruled out only where its gap test holds and
     that bound is below ``min_abs_corr``; every other pair gets
     its float64 value by the same operations as the dense pass (see
@@ -645,10 +649,16 @@ def partner_table(Zs: np.ndarray, cfg: DdcConfig | None = None):
     Returns
     -------
     (index, value) : (int ndarray, float ndarray), both of shape (C, k)
+
+    Raises
+    ------
+    ShapeMismatch
+        Unless ``Zs`` is a matrix.
     """
     if cfg is None:
         cfg = DdcConfig()
     Zs = np.ascontiguousarray(Zs, dtype=float)
+    require_matrix(Zs)
     C = Zs.shape[1]
     k = min(cfg.k_neighbors, C - 1)
     index = np.full((C, k), -1)
@@ -736,6 +746,8 @@ def ddc_impute(Z: np.ndarray, cfg: DdcConfig | None = None) -> ImputationResult:
     ------
     InvalidConfig
         Naming the field, when ``cfg`` fails :meth:`DdcConfig.validate`.
+    ShapeMismatch
+        Unless ``Z`` is a matrix.
     NonFiniteValue
         Naming the first column that holds a NaN or infinite cell
         (:func:`robust_standardize`).
@@ -758,6 +770,7 @@ def ddc_impute(Z: np.ndarray, cfg: DdcConfig | None = None) -> ImputationResult:
         cfg = DdcConfig()
     cfg.validate()
     Z = np.ascontiguousarray(Z, dtype=float)
+    require_matrix(Z)
     n, C = Z.shape
     if C < 2:
         raise TooFewColumns(f"need at least 2 columns, got {C}")

@@ -41,6 +41,13 @@ def regression_arrays(y, X) -> tuple[np.ndarray, np.ndarray]:
     return y, X
 
 
+def require_matrix(Z: np.ndarray) -> None:
+    """Raise :class:`ShapeMismatch` naming the shape of ``Z`` unless it is
+    a matrix."""
+    if Z.ndim != 2:
+        raise ShapeMismatch(f"Z must be a matrix, got shape {Z.shape}")
+
+
 def require_finite(y: np.ndarray, X: np.ndarray, columns=None) -> None:
     """Raise :class:`NonFiniteValue` naming the first column of ``[y, X]``
     (0 is ``y``, ``j`` is ``x_j``) that holds a NaN or infinite cell,

@@ -9,7 +9,7 @@ import numpy as np
 
 from .cellwise import (CorrelationStructure, DdcConfig, ImputationResult,
                        RobustScale, correlation_structure, ddc_impute)
-from .data import regression_arrays, require_finite
+from .data import regression_arrays, require_finite, require_matrix
 from .robustfit import EnsembleModel, fit_ensemble_models, predict
 from .selection import SelectionConfig, SelectionResult, run_selection
 
@@ -34,10 +34,12 @@ def passthrough_imputation(Z: np.ndarray) -> ImputationResult:
     """An ImputationResult that leaves the data untouched (no cleaning).
 
     Used by ablations that skip the detection stage; correlations are
-    then computed on the raw, possibly contaminated matrix. A NaN or
-    infinite cell raises :class:`NonFiniteValue` naming its column.
+    then computed on the raw, possibly contaminated matrix. A ``Z`` that
+    is not a matrix raises :class:`ShapeMismatch`, and a NaN or infinite
+    cell :class:`NonFiniteValue` naming its column.
     """
     Z = np.asarray(Z, dtype=float)
+    require_matrix(Z)
     require_finite(Z[:, 0], Z[:, 1:])
     n, C = Z.shape
     return ImputationResult(

@@ -402,14 +402,16 @@ def test_partner_correlations_independent_of_worker_count(monkeypatch, n, C,
         sys.setswitchinterval(interval)
 
 
-def test_partner_kept_count_with_tied_magnitudes():
+def test_partner_kept_count_with_tied_magnitudes(monkeypatch):
     # each pair's threshold is read from a sorted copy of its block, and its
     # kept count from the ties that follow the threshold there; the bits
     # must equal those of a partition along axis 0 and a count of the whole
     # mask, with ties that cross the keep boundary (rounded data), with no
     # ties (unrounded data) and with no trimmed tail (trim = 0, keep = n);
-    # at n = 300 the default width is 436 columns, so C = 437 ends row 0 in
-    # a one-column block (five of its rows are checked)
+    # at n = 300 blocks of 2**17 products are 436 columns wide, so C = 437
+    # ends row 0 in a one-column block (five of its rows are checked)
+    monkeypatch.setattr(cellwise, "PARTNER_BLOCK_PRODUCTS", 2**17)
+    assert cellwise._partner_width(300, 437) == 436
     straddled = 0
     for n, C in ((30, 9), (50, 9), (100, 9), (300, 437)):
         Z = block_factor_matrix(33, n, C)
@@ -579,7 +581,7 @@ def test_screen_keeps_every_pair_whose_gap_test_fails(monkeypatch):
     n, C = 60, 90
     Zs, floors = screen_edge_input("tied", n, C)
     Zs = np.ascontiguousarray(Zs)
-    Z32 = Zs.astype(np.float32)
+    Z32 = np.ascontiguousarray(Zs.T, dtype=np.float32)
     keep = n - int(np.floor(DdcConfig.trim * n))
     width = cellwise._partner_width(n, C)
     assert width == 34
@@ -590,14 +592,41 @@ def test_screen_keeps_every_pair_whose_gap_test_fails(monkeypatch):
         for j in range(C):
             for a in range(j, C, width):
                 b = min(a + width, C)
-                T = np.sort(np.abs(Z32[:, a:b] * Z32[:, j:j + 1]), axis=0)
+                T = np.sort(np.abs(Z32[a:b] * Z32[j]), axis=1)
                 fails = np.flatnonzero(
-                    T[keep] <= T[keep - 1].astype(float) * (1 + 8 * 2.0**-24))
+                    T[:, keep] <= T[:, keep - 1].astype(float) * (1 + 8 * 2.0**-24))
                 cand = cellwise._screen_block(Z32, j, a, b, keep, floor, rt,
                                               bufs)
                 assert np.isin(fails, cand).all(), (floor, j, a)
                 failed += fails.size
     assert failed == 5530  # 790 pairs (the diagonal among them) x 7 floors
+
+
+@pytest.mark.parametrize("kind, pairs", [("near-cut", 435), ("tied", 435),
+                                         ("zeros", 434)])
+def test_screen_keeps_every_pair_at_its_own_floor(kind, pairs):
+    # the tightest floor a pair can reach is its own float64 |corr|, so a
+    # screen run at that floor must return the pair; every off-diagonal
+    # pair with a finite nonzero |corr| is checked (each row as one task),
+    # and a bound without its rounding margin (u = 0) misses about half
+    n, C = 40, 30
+    Zs, _ = screen_edge_input(kind, n, C)
+    Zs = np.ascontiguousarray(Zs)
+    Z32 = np.ascontiguousarray(Zs.T, dtype=np.float32)
+    keep = n - int(np.floor(DdcConfig.trim * n))
+    bufs = cellwise._task_buffers(n, C)
+    rt = np.sqrt(cellwise._slice_means(Zs, None, 0, C, keep, bufs))
+    mag = np.abs(robust_partner_correlations(Zs))
+    checked = missed = 0
+    for j in range(C):
+        for h in range(j + 1, C):
+            if not 0 < mag[j, h] < np.inf:
+                continue
+            cand = cellwise._screen_block(Z32, j, j, C, keep, mag[j, h], rt,
+                                          bufs)
+            checked += 1
+            missed += h - j not in cand
+    assert (checked, missed) == (pairs, 0)
 
 
 def test_ddc_impute_memory_is_linear_in_columns():
@@ -655,14 +684,13 @@ def test_partner_offers_pruned_before_the_merge(monkeypatch):
 
 
 def test_partner_table_memory_is_its_buffers_and_tables(monkeypatch):
-    # one serial call holds the float32 copy of Zs (4 * n * C bytes, about
-    # 6 * B), the task loop's two float64 buffers of n * ceil(w / 2)
-    # entries (each also read as an (n, w) float32 block) and its bool
-    # buffer of n * w entries, B = PARTNER_BLOCK_PRODUCTS >= n * w (about
-    # 9 * B in all), and the (C, k) tables (16 bytes a slot); the rest
-    # covers the task list (2,692 tasks of about 130 bytes), numpy's
-    # iteration buffers and one task's temporaries. A float64 buffer of a
-    # whole block (8 * B) beside them would exceed it. Few pairs pass
+    # one serial call holds the (C, n) float32 copy of Zs (4 * n * C bytes,
+    # about 3 * B), the task loop's two float64 buffers of about B / 2
+    # entries (each also read as a (w, n) float32 block) and its bool buffer
+    # of n * w entries, B = PARTNER_BLOCK_PRODUCTS >= n * w (about 9 * B in
+    # all), and the (C, k) tables (16 bytes a slot); the rest covers the
+    # task list (2,001 tasks, one whole row each, of about 130 bytes),
+    # numpy's iteration buffers and one task's temporaries. Few pairs pass
     # min_abs_corr, so merges hold little.
     monkeypatch.setattr(cellwise, "_available_cpus", lambda: 1)
     n, C = 100, 2001

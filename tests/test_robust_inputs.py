@@ -11,6 +11,7 @@ from cellens import (CellensError, NonFiniteValue, ShapeMismatch,
                      ddc_impute, fit_ensemble_models, make_rng, mm_fit,
                      model_from_json, model_to_json, passthrough_imputation,
                      robust_standardize, s_scale)
+from cellens.cellwise import partner_table, robust_partner_correlations
 
 
 def _digest(fits):
@@ -126,6 +127,26 @@ def test_misshapen_inputs_raise_shape_mismatch(capfd, shape_y, shape_X, fit):
             mm_fit(X, y)
         else:
             fit_ensemble_models(y, X, [[0, 1]])
+    assert capfd.readouterr().err == ""
+
+
+# the cleaning stage takes a matrix Z; robust_standardize also takes a
+# vector as one column (test_standardize_hand_oracle)
+MISSHAPEN_CLEANING = [
+    (clean, shape) for clean in (passthrough_imputation, ddc_impute,
+                                 partner_table, robust_partner_correlations,
+                                 robust_standardize)
+    for shape in ((5,), (40, 3, 2), ())
+    if (clean, shape) != (robust_standardize, (5,))]
+
+
+@pytest.mark.parametrize(
+    "clean, shape", MISSHAPEN_CLEANING,
+    ids=[f"{clean.__name__}-{shape}" for clean, shape in MISSHAPEN_CLEANING])
+def test_misshapen_cleaning_inputs_raise_shape_mismatch(capfd, clean, shape):
+    Z = make_rng(97).standard_normal(shape)
+    with pytest.raises(ShapeMismatch, match=r"got shape \("):
+        clean(Z)
     assert capfd.readouterr().err == ""
 
 
