@@ -359,13 +359,14 @@ def _screen_block(Z32, j, a, b, keep, floor, rt, bufs):
     ``rt`` holds the square roots of the trimmed second moments ``t2``.
 
     The block's (w, n) float32 products ``p32`` are formed, and their
-    magnitudes ``b_i`` sorted along each row; ``thr32`` is the
-    ``keep``-th smallest. With ``u = 2**-24``, a float32 product of the
-    rounded factors is within ``3.01 u a_i + 2**-88`` of the float64
-    magnitude ``a_i`` (two conversions and one product, subnormals
-    included). So where ``thr32 >= 2**-60``, which makes ``2**-88`` at
-    most ``u / 16`` of it, ``b_i <= thr32`` gives ``a_i < thr32 (1 + 3.1 u)``
-    and ``b_i > thr32 (1 + 8 u)`` gives ``a_i > thr32 (1 + 4.9 u)``.
+    magnitudes ``b_i`` sorted along each row as int32 (finite non-negative
+    floats sort alike as int32, and faster); ``thr32`` is the ``keep``-th
+    smallest. With ``u = 2**-24``, a float32 product of the rounded
+    factors is within ``3.01 u a_i + 2**-88`` of the float64 magnitude
+    ``a_i`` (two conversions and one product, subnormals included). So
+    where ``thr32 >= 2**-60``, which makes ``2**-88`` at most ``u / 16``
+    of it, ``b_i <= thr32`` gives ``a_i < thr32 (1 + 3.1 u)`` and
+    ``b_i > thr32 (1 + 8 u)`` gives ``a_i > thr32 (1 + 4.9 u)``.
 
     Gap test, ``T[:, keep] > thr32 (1 + 8 u)`` (exact in float64, and
     true when ``keep == n``): the float32 mask ``M`` then holds exactly
@@ -393,7 +394,7 @@ def _screen_block(Z32, j, a, b, keep, floor, rt, bufs):
     np.multiply(Z32[a:b], Z32[j], out=P)
     T = X2.view(np.float32)[: n * w].reshape(w, n)
     np.abs(P, out=T)
-    T.sort(axis=1)
+    T.view(np.int32).sort(axis=1)
     thr32 = T[:, keep - 1].copy()
     thr = thr32.astype(float)  # thr * (1 + 8u) is exact in float64
     # the gap test is read from T before its buffer is reused
