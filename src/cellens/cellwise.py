@@ -24,8 +24,8 @@ table (:func:`partner_table`), and the selection engine reads predictor
 correlations one column at a time (:class:`CorrelationStructure`).
 
 Every pair correlation comes from one task loop (:func:`_partner_blocks`)
-whose float64 trimmed means are read from column slices
-(:func:`_slice_means`). On large inputs the partner table screens each
+whose float64 trimmed means all come from one kernel
+(:func:`_block_means`). On large inputs the partner table screens each
 task's pairs in float32 first, on a (C, n) float32 copy of the input, and
 computes float64 correlations only for pairs that may reach
 ``min_abs_corr``; a proven rounding margin makes the screen exact, so the
@@ -242,71 +242,66 @@ def _task_buffers(n: int, width: int):
     return (np.empty(n * h), np.empty(n * h), np.empty(n * width, dtype=bool))
 
 
-def _trimmed_block_means(P, A_buf, M_buf, keep: int) -> np.ndarray:
-    """Each column's trimmed mean of the C-ordered (n, w) block ``P``.
+def _block_means(Zs, j, cols, keep, bufs) -> np.ndarray:
+    """Trimmed means of the float64 products of column ``j`` of ``Zs``
+    with each of its columns ``cols`` (a ``range``, read in place, or an
+    index array, gathered), or of each of those columns with itself where
+    ``j`` is None (``np.multiply(x, x)`` has ``np.square``'s bits).
 
-    A column keeps its ``keep`` smallest magnitudes and every magnitude
-    tied with the largest of them, the threshold; their sum over axis 0,
-    which adds the rows in order when ``w >= 2``, is divided by their
-    count. ``P`` is overwritten, and ``A_buf`` and ``M_buf`` are the
-    second float64 buffer and the bool buffer of :func:`_task_buffers`.
+    The columns run in C-ordered (n, w) chunks in the buffers of
+    :func:`_task_buffers`, of at most ``len(bufs[0]) // n`` columns. A
+    column keeps its ``keep`` smallest magnitudes and every magnitude tied
+    with the largest of them, the threshold; their sum over axis 0 is
+    divided by their count. That sum adds the rows in order, as numpy does
+    for a block of two or more columns (it sums one column pairwise), so a
+    one-column chunk is gathered twice.
 
     The threshold is read from a sorted (w, n) transposed copy of the
     magnitudes, whose rows numpy sorts contiguously (with its SIMD sort
-    where it has one). It is that value whatever algorithm finds it, so
+    where it has one); it is that value whatever algorithm finds it, so
     the bits do not depend on the sort. The copy's buffer then holds the
-    (n, w) magnitudes for the mask.
-    """
-    n, w = P.shape
-    T = A_buf[: n * w].reshape(w, n)
-    np.abs(P.T, out=T)
-    T.sort(axis=1)
-    thr = T[:, keep - 1].copy()
-    # magnitudes tied with thr past position keep - 1 follow it in a
-    # sorted row, so there are some only where T[:, keep] == thr
-    kept = np.full(w, keep)
-    if keep < n:
-        tied = np.flatnonzero(T[:, keep] == thr)
-        if tied.size:
-            kept[tied] += (T[tied, keep:] == thr[tied, None]).sum(axis=1)
-    A = A_buf[: n * w].reshape(n, w)
-    M = M_buf[: n * w].reshape(n, w)
-    np.less_equal(np.abs(P, out=A), thr, out=M)
-    np.multiply(P, M, out=P)
-    return P.sum(axis=0) / kept
-
-
-def _slice_means(Zs, j, a, b, keep, bufs) -> np.ndarray:
-    """Trimmed means of the float64 products of column ``j`` with columns
-    ``a..b-1`` of ``Zs``, or of each of those columns with itself where
-    ``j`` is None (``np.multiply(x, x)`` has ``np.square``'s bits).
-
-    The columns run in C-ordered chunks of at most ``len(bufs[0]) // n``
-    columns in the buffers of :func:`_task_buffers`, each through
-    :func:`_trimmed_block_means`. A chunk of one column also takes the
-    column before it, where there is one, so each column's axis-0 sum adds
-    the rows in order: numpy sums a one-column slice pairwise. A lone
-    chunk's means are returned without a copy.
-    The columns are read in place: gathering every column of a block made
-    the float64 blocks of one-factor inputs about a tenth slower.
+    (n, w) magnitudes for the mask. Ranges are read in place because
+    gathering every column made one-factor inputs' float64 blocks about a
+    tenth slower.
     """
     n = Zs.shape[0]
     X1, X2, M_buf = bufs
     step = X1.size // n
-    parts = []
-    for c in range(a, b, step):
-        e = min(c + step, b)
-        s = max(0, min(c, e - 2))
-        x = Zs[:, s:e]
-        P = X1[: n * (e - s)].reshape(n, e - s)
+    out = np.empty(len(cols))
+    for c in range(0, len(cols), step):
+        part = cols[c:c + step]
+        w = len(part)
+        part = np.resize(part, 2) if w == 1 else part
+        m = len(part)
+        P = X1[: n * m].reshape(n, m)
+        if isinstance(part, range):
+            x = Zs[:, part.start:part.stop]
+        else:
+            x = np.take(Zs, part, axis=1, out=P, mode="clip")
         np.multiply(x, x if j is None else Zs[:, j:j + 1], out=P)
-        parts.append(_trimmed_block_means(P, X2, M_buf, keep)[c - s:])
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        T = X2[: n * m].reshape(m, n)
+        np.abs(P.T, out=T)
+        T.sort(axis=1)
+        thr = T[:, keep - 1].copy()
+        # magnitudes tied with thr past position keep - 1 follow it in a
+        # sorted row, so there are some only where T[:, keep] == thr
+        kept = np.full(m, keep)
+        if keep < n:
+            tied = np.flatnonzero(T[:, keep] == thr)
+            if tied.size:
+                kept[tied] += (T[tied, keep:] == thr[tied, None]).sum(axis=1)
+        A = X2[: n * m].reshape(n, m)
+        M = M_buf[: n * m].reshape(n, m)
+        np.less_equal(np.abs(P, out=A), thr, out=M)
+        np.multiply(P, M, out=P)
+        np.divide(P.sum(axis=0)[:w], kept[:w], out=out[c:c + w])
+    return out
 
 
 def _partner_width(n: int, C: int) -> int:
-    """Columns per task block of the partner pass over an ``(n, C)`` input."""
-    return min(max(2, PARTNER_BLOCK_PRODUCTS // n), C)
+    """Columns per task block of the partner pass over an ``(n, C)`` input;
+    at least 2, which a one-column chunk of :func:`_block_means` takes."""
+    return max(2, min(PARTNER_BLOCK_PRODUCTS // n, C))
 
 
 def _available_cpus() -> int:
@@ -409,32 +404,6 @@ def _screen_block(Z32, j, a, b, keep, floor, rt, bufs):
     return np.flatnonzero(~ruled_out)
 
 
-def _exact_partners(Zs, j, a, pos, keep, bufs):
-    """Trimmed means of the float64 products of column ``j`` with columns
-    ``a + pos``, ``pos`` an array of block positions, bit for bit those of
-    :func:`_slice_means`.
-
-    The columns are gathered in C-ordered chunks of at most
-    ``len(bufs[0]) // n`` columns, each of at least two columns (a lone
-    column is taken twice), so each column's axis-0 sum adds the rows in
-    order, and each chunk goes through :func:`_trimmed_block_means`.
-    """
-    n = Zs.shape[0]
-    X1, X2, M_buf = bufs
-    step = X1.size // n
-    out = np.empty(pos.size)
-    for c in range(0, pos.size, step):
-        idx = pos[c:c + step]
-        if idx.size == 1:
-            idx = np.repeat(idx, 2)
-        P = X1[: n * idx.size].reshape(n, idx.size)
-        np.take(Zs, a + idx, axis=1, out=P, mode="clip")
-        np.multiply(P, Zs[:, j:j + 1], out=P)
-        means = _trimmed_block_means(P, X2, M_buf, keep)
-        out[c:c + step] = means[:out.size - c]
-    return out
-
-
 def _partner_blocks(Zs, Z32, t2, keep, floor, emit, tasks, width):
     """Compute the tasks drawn from ``tasks``, handing each to ``emit``.
 
@@ -445,10 +414,10 @@ def _partner_blocks(Zs, Z32, t2, keep, floor, emit, tasks, width):
     ``sqrt(t2[j] * t2[a + i])``. Each thread allocates its buffers once
     (:func:`_task_buffers`).
 
-    With ``Z32`` None, every task is a float64 block
-    (:func:`_slice_means`). Otherwise ``Z32`` is the (C, n) float32 copy
-    of ``Zs``, and each task is screened first (:func:`_screen_block`):
-    only the candidates get float64 values (:func:`_exact_partners`).
+    With ``Z32`` None, every task is a float64 block of columns read in
+    place (:func:`_block_means`). Otherwise ``Z32`` is the (C, n) float32
+    copy of ``Zs``, and each task is screened first (:func:`_screen_block`):
+    only the candidates get float64 values, from gathered columns.
     Every other pair, and the diagonal, is NaN in the row handed to
     ``emit``, so it never reaches ``floor``; a task with no candidate
     emits nothing.
@@ -468,7 +437,7 @@ def _partner_blocks(Zs, Z32, t2, keep, floor, emit, tasks, width):
     for j, a, b in tasks:
         if skip or Z32 is None:
             skip = max(skip - 1, 0)
-            row = _slice_means(Zs, j, a, b, keep, bufs)
+            row = _block_means(Zs, j, range(a, b), keep, bufs)
             row /= np.sqrt(t2[j] * t2[a:b])
             emit(j, a, row)
             continue
@@ -481,7 +450,7 @@ def _partner_blocks(Zs, Z32, t2, keep, floor, emit, tasks, width):
         if not cand.size:
             continue
         row = np.full(b - a, np.nan)
-        row[cand] = _exact_partners(Zs, j, a, cand, keep, bufs)
+        row[cand] = _block_means(Zs, j, a + cand, keep, bufs)
         row[cand] /= np.sqrt(t2[j] * t2[a + cand])
         emit(j, a, row)
 
@@ -496,8 +465,7 @@ def _partner_pass(Zs: np.ndarray, trim: float, emit,
     row to ``emit``. For each pair, the mean of cross products is taken
     after trimming the ``trim`` fraction of largest absolute products and
     divided by ``sqrt(t2[j] * t2[h])``, the same-trimmed second moments.
-    Both trimmed means come from :func:`_slice_means`, or from
-    :func:`_exact_partners` with the same bits, in the buffers of
+    Both trimmed means come from :func:`_block_means`, in the buffers of
     :func:`_task_buffers`.
 
     With ``floor`` (:func:`partner_table`'s ``min_abs_corr``), where
@@ -515,7 +483,7 @@ def _partner_pass(Zs: np.ndarray, trim: float, emit,
     n, C = Zs.shape
     keep = n - int(np.floor(trim * n))
     width = _partner_width(n, C)
-    t2 = _slice_means(Zs, None, 0, C, keep, _task_buffers(n, width))
+    t2 = _block_means(Zs, None, range(C), keep, _task_buffers(n, width))
     # (j, a, b): row j's columns a..b-1 of the upper triangle
     tasks = [(j, a, min(a + width, C))
              for j in range(C) for a in range(j, C, width)]
@@ -523,9 +491,6 @@ def _partner_pass(Zs: np.ndarray, trim: float, emit,
     screen = floor is not None and _screens(Zs)
     Z32 = np.ascontiguousarray(Zs.T, dtype=np.float32) if screen else None
     args = (Zs, Z32, t2, keep, floor, emit, iter(tasks), width)
-    if workers == 1:
-        _partner_blocks(*args)
-        return
     errors = []
 
     def work():
@@ -633,7 +598,7 @@ def partner_table(Zs: np.ndarray, cfg: DdcConfig | None = None):
     normalizer. A pair is ruled out only where its gap test holds and
     that bound is below ``min_abs_corr``; every other pair gets
     its float64 value by the same operations as the dense pass (see
-    :func:`_screen_block` for the proof and :func:`_exact_partners`). So
+    :func:`_screen_block` for the proof and :func:`_block_means`). So
     the tables are bit for bit those of the dense rule over
     :func:`robust_partner_correlations`. A thread whose screen leaves
     more than a quarter of a block as candidates runs its next blocks in

@@ -423,7 +423,7 @@ def test_partner_kept_count_with_tied_magnitudes(monkeypatch):
             Zs, _ = robust_standardize(np.round(2 * Z) / 2 if rounded else Z)
             Zs = np.ascontiguousarray(Zs)  # as the partner pass takes it
             keep = n - int(np.floor(trim * n))
-            t2 = cellwise._slice_means(Zs, None, 0, C, keep,
+            t2 = cellwise._block_means(Zs, None, range(C), keep,
                                        cellwise._task_buffers(n, width))
             corr = np.empty((C, C))
 
@@ -586,7 +586,7 @@ def test_screen_keeps_every_pair_whose_gap_test_fails(monkeypatch):
     width = cellwise._partner_width(n, C)
     assert width == 34
     bufs = cellwise._task_buffers(n, width)
-    rt = np.sqrt(cellwise._slice_means(Zs, None, 0, C, keep, bufs))
+    rt = np.sqrt(cellwise._block_means(Zs, None, range(C), keep, bufs))
     failed = 0
     for floor in [DdcConfig.min_abs_corr] + floors:
         for j in range(C):
@@ -615,7 +615,7 @@ def test_screen_keeps_every_pair_at_its_own_floor(kind, pairs):
     Z32 = np.ascontiguousarray(Zs.T, dtype=np.float32)
     keep = n - int(np.floor(DdcConfig.trim * n))
     bufs = cellwise._task_buffers(n, C)
-    rt = np.sqrt(cellwise._slice_means(Zs, None, 0, C, keep, bufs))
+    rt = np.sqrt(cellwise._block_means(Zs, None, range(C), keep, bufs))
     mag = np.abs(robust_partner_correlations(Zs))
     checked = missed = 0
     for j in range(C):
@@ -716,18 +716,19 @@ def test_partner_screen_gives_float64_values_to_few_pairs(monkeypatch):
     n, C = 100, 2001
     Zs, _ = robust_standardize(np.random.default_rng(45).standard_normal((n, C)))
     screened, exact = [], []
-    screen, values = cellwise._screen_block, cellwise._exact_partners
+    screen, values = cellwise._screen_block, cellwise._block_means
 
     def screen_spy(Z32, j, a, b, *args):
         screened.append(b - a)
         return screen(Z32, j, a, b, *args)
 
-    def values_spy(Zs, j, a, pos, *args):
-        exact.append(pos.size)
-        return values(Zs, j, a, pos, *args)
+    def values_spy(Zs, j, cols, *args):
+        if not isinstance(cols, range):  # a screen's candidates
+            exact.append(len(cols))
+        return values(Zs, j, cols, *args)
 
     monkeypatch.setattr(cellwise, "_screen_block", screen_spy)
-    monkeypatch.setattr(cellwise, "_exact_partners", values_spy)
+    monkeypatch.setattr(cellwise, "_block_means", values_spy)
     index, _ = partner_table(Zs)
     pairs = C * (C - 1) // 2
     assert sum(screened) >= pairs
