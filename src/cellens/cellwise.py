@@ -205,7 +205,7 @@ def robust_standardize(Z: np.ndarray):
     Raises
     ------
     ShapeMismatch
-        Unless ``Z`` is a matrix or a vector (one column).
+        Unless ``Z`` is a nonempty matrix or vector (one column).
     NonFiniteValue
         Naming the first column that holds a NaN or infinite cell.
     DegenerateColumn
@@ -231,7 +231,8 @@ def _task_buffers(n: int, width: int):
     columns: two float64 buffers of ``n * h`` entries and one bool buffer
     of ``n * width``.
 
-    ``h``, the most columns of a float64 chunk, is the whole width where
+    ``h``, the most columns of a :func:`_block_means` chunk, is the whole
+    width where
     the two float64 buffers together hold at most
     ``PARTNER_BLOCK_PRODUCTS`` entries, and half of it (at least 2)
     elsewhere; read as float32, each float64 buffer holds a (width, n)
@@ -524,8 +525,10 @@ def robust_partner_correlations(Zs: np.ndarray,
     computed once by :func:`_partner_pass` and written to ``corr[j, h]``
     and ``corr[h, j]``, so the result is exactly symmetric, and bitwise
     the same for any CPU count and any memory layout of ``Zs``. A ``Zs``
-    that is not a matrix raises :class:`ShapeMismatch`.
+    that is not a nonempty matrix raises :class:`ShapeMismatch`, and a
+    ``trim`` outside [0, 1) :class:`InvalidConfig`.
     """
+    DdcConfig(trim=trim).validate()
     Zs = np.ascontiguousarray(Zs, dtype=float)
     require_matrix(Zs)
     C = Zs.shape[1]
@@ -618,11 +621,14 @@ def partner_table(Zs: np.ndarray, cfg: DdcConfig | None = None):
 
     Raises
     ------
+    InvalidConfig
+        Naming the field, when ``cfg`` fails :meth:`DdcConfig.validate`.
     ShapeMismatch
-        Unless ``Zs`` is a matrix.
+        Unless ``Zs`` is a nonempty matrix.
     """
     if cfg is None:
         cfg = DdcConfig()
+    cfg.validate()
     Zs = np.ascontiguousarray(Zs, dtype=float)
     require_matrix(Zs)
     C = Zs.shape[1]
@@ -713,7 +719,7 @@ def ddc_impute(Z: np.ndarray, cfg: DdcConfig | None = None) -> ImputationResult:
     InvalidConfig
         Naming the field, when ``cfg`` fails :meth:`DdcConfig.validate`.
     ShapeMismatch
-        Unless ``Z`` is a matrix.
+        Unless ``Z`` is a nonempty matrix.
     NonFiniteValue
         Naming the first column that holds a NaN or infinite cell
         (:func:`robust_standardize`).

@@ -43,9 +43,10 @@ def regression_arrays(y, X) -> tuple[np.ndarray, np.ndarray]:
 
 def require_matrix(Z: np.ndarray) -> None:
     """Raise :class:`ShapeMismatch` naming the shape of ``Z`` unless it is
-    a matrix."""
-    if Z.ndim != 2:
-        raise ShapeMismatch(f"Z must be a matrix, got shape {Z.shape}")
+    a matrix with at least one row and one column."""
+    if Z.ndim != 2 or not Z.size:
+        raise ShapeMismatch(
+            f"Z must be a nonempty matrix, got shape {Z.shape}")
 
 
 def require_finite(y: np.ndarray, X: np.ndarray, columns=None) -> None:

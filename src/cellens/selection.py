@@ -131,6 +131,8 @@ def fold_assignment(n: int, v: int, rng: np.random.Generator) -> np.ndarray:
 
     Returns an integer label array; fold sizes differ by at most one.
     """
+    if isinstance(v, bool) or not isinstance(v, Integral):
+        raise InvalidConfig(f"cv_folds={v!r} must be an integer")
     if v < 1 or v > n:
         raise InvalidConfig(f"cv_folds={v} outside [1, n={n}]")
     labels = np.empty(n, dtype=int)

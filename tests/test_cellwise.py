@@ -225,15 +225,25 @@ def test_flag_cutoff_constant():
     ("flag_cutoff", [0.0, -1.0, "2.5", True, [2.5]], [0.5]),
 ])
 def test_ddc_config_rejects_out_of_range(field, bad, good):
+    # partner_table and robust_partner_correlations (trim) are public too
     Z = correlated_matrix(25, n=20, p=5)
+    Zs, _ = robust_standardize(Z)
     for value in bad + [float("nan")]:
         cfg = DdcConfig(**{field: value})
         with pytest.raises(InvalidConfig, match=rf"^{field}="):
             cfg.validate()
         with pytest.raises(InvalidConfig, match=rf"^{field}="):
             ddc_impute(Z, cfg)
+        with pytest.raises(InvalidConfig, match=rf"^{field}="):
+            partner_table(Zs, cfg)
+        if field == "trim":
+            with pytest.raises(InvalidConfig, match=r"^trim="):
+                robust_partner_correlations(Zs, value)
     for value in good:
         ddc_impute(Z, DdcConfig(**{field: value}))
+        partner_table(Zs, DdcConfig(**{field: value}))
+        if field == "trim":
+            robust_partner_correlations(Zs, value)
 
 
 @pytest.mark.parametrize("trim, discrete", [(0.10, False), (0.0, False),
@@ -409,7 +419,9 @@ def test_partner_kept_count_with_tied_magnitudes(monkeypatch):
     # mask, with ties that cross the keep boundary (rounded data), with no
     # ties (unrounded data) and with no trimmed tail (trim = 0, keep = n);
     # at n = 300 blocks of 2**17 products are 436 columns wide, so C = 437
-    # ends row 0 in a one-column block (five of its rows are checked)
+    # ends row 0 in a one-column block (five of its rows are checked); each
+    # checked row's columns, gathered by index as a screen's candidates
+    # are, must give the bits of the blocks read in place
     monkeypatch.setattr(cellwise, "PARTNER_BLOCK_PRODUCTS", 2**17)
     assert cellwise._partner_width(300, 437) == 436
     straddled = 0
@@ -423,8 +435,8 @@ def test_partner_kept_count_with_tied_magnitudes(monkeypatch):
             Zs, _ = robust_standardize(np.round(2 * Z) / 2 if rounded else Z)
             Zs = np.ascontiguousarray(Zs)  # as the partner pass takes it
             keep = n - int(np.floor(trim * n))
-            t2 = cellwise._block_means(Zs, None, range(C), keep,
-                                       cellwise._task_buffers(n, width))
+            bufs = cellwise._task_buffers(n, width)
+            t2 = cellwise._block_means(Zs, None, range(C), keep, bufs)
             corr = np.empty((C, C))
 
             def emit(j, a, row):
@@ -445,6 +457,10 @@ def test_partner_kept_count_with_tied_magnitudes(monkeypatch):
                 row = (P * M).sum(axis=0) / M.sum(axis=0)
                 row /= np.sqrt(t2[j] * t2[lo:])
                 assert corr[j, j:].tobytes() == row[j - lo:].tobytes()
+                gathered = cellwise._block_means(Zs, j, np.arange(j, C), keep,
+                                                 bufs)
+                gathered /= np.sqrt(t2[j] * t2[j:])
+                assert gathered.tobytes() == row[j - lo:].tobytes()
     assert straddled > 0  # ties at the threshold cross the keep boundary
 
 
@@ -684,14 +700,15 @@ def test_partner_offers_pruned_before_the_merge(monkeypatch):
 
 
 def test_partner_table_memory_is_its_buffers_and_tables(monkeypatch):
-    # one serial call holds the (C, n) float32 copy of Zs (4 * n * C bytes,
-    # about 3 * B), the task loop's two float64 buffers of about B / 2
-    # entries (each also read as a (w, n) float32 block) and its bool buffer
-    # of n * w entries, B = PARTNER_BLOCK_PRODUCTS >= n * w (about 9 * B in
-    # all), and the (C, k) tables (16 bytes a slot); the rest covers the
-    # task list (2,001 tasks, one whole row each, of about 130 bytes),
-    # numpy's iteration buffers and one task's temporaries. Few pairs pass
-    # min_abs_corr, so merges hold little.
+    # one serial call holds the task loop's buffers (two float64 buffers of
+    # at most B / 2 entries and an n * w bool buffer, 2.30 MB, with
+    # B = PARTNER_BLOCK_PRODUCTS >= n * w), the (C, n) float32 copy of Zs
+    # (0.80 MB), the (C, k) tables (16 bytes a slot, 0.48 MB) and the task
+    # list (2,001 tasks, one whole row each, under 100 bytes a task). The
+    # margin of 2 * B bytes covers t2, one task's temporaries, numpy's
+    # iteration buffers and the offers held between merges (few pairs pass
+    # min_abs_corr). It is less than one float64 (n, w) block of 8 * n * w
+    # bytes (1.60 MB), so a block held beside the buffers fails the test.
     monkeypatch.setattr(cellwise, "_available_cpus", lambda: 1)
     n, C = 100, 2001
     Zs, _ = robust_standardize(np.random.default_rng(45).standard_normal((n, C)))
@@ -704,7 +721,10 @@ def test_partner_table_memory_is_its_buffers_and_tables(monkeypatch):
         tracemalloc.stop()
     B = cellwise.PARTNER_BLOCK_PRODUCTS
     k = DdcConfig().k_neighbors
-    assert peak <= 17 * B + 16 * C * k + 6 * B
+    w = cellwise._partner_width(n, C)
+    assert w == C and 2 * B < 8 * n * w
+    held = (8 * B + n * w) + 4 * n * C + 16 * C * k + 100 * C
+    assert peak <= held + 2 * B
 
 
 def test_partner_screen_gives_float64_values_to_few_pairs(monkeypatch):

@@ -130,13 +130,14 @@ def test_misshapen_inputs_raise_shape_mismatch(capfd, shape_y, shape_X, fit):
     assert capfd.readouterr().err == ""
 
 
-# the cleaning stage takes a matrix Z; robust_standardize also takes a
-# vector as one column (test_standardize_hand_oracle)
+# the cleaning stage takes a matrix Z with at least one row and one column;
+# robust_standardize also takes a vector as one column
+# (test_standardize_hand_oracle)
 MISSHAPEN_CLEANING = [
     (clean, shape) for clean in (passthrough_imputation, ddc_impute,
                                  partner_table, robust_partner_correlations,
                                  robust_standardize)
-    for shape in ((5,), (40, 3, 2), ())
+    for shape in ((5,), (40, 3, 2), (), (0, 3), (4, 0), (0,))
     if (clean, shape) != (robust_standardize, (5,))]
 
 

@@ -70,6 +70,12 @@ def test_fold_assignment_sizes():
     assert np.array_equal(np.sort(np.bincount(loo)), np.ones(10, dtype=int))
 
 
+@pytest.mark.parametrize("v", [0, 11, 1.5, 2.0, True, "5", None])
+def test_fold_assignment_rejects_bad_fold_counts(v):
+    with pytest.raises(InvalidConfig, match=r"^cv_folds="):
+        fold_assignment(10, v, make_rng(1))
+
+
 def test_fold_assignment_deterministic():
     a = fold_assignment(23, 5, make_rng(9))
     b = fold_assignment(23, 5, make_rng(9))
