@@ -232,8 +232,7 @@ def _task_buffers(n: int, width: int):
     of ``n * width``.
 
     ``h``, the most columns of a :func:`_block_means` chunk, is the whole
-    width where
-    the two float64 buffers together hold at most
+    width where the two float64 buffers together hold at most
     ``PARTNER_BLOCK_PRODUCTS`` entries, and half of it (at least 2)
     elsewhere; read as float32, each float64 buffer holds a (width, n)
     block for :func:`_screen_block`. On wide blocks the three come to
