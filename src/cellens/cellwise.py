@@ -212,7 +212,8 @@ def robust_standardize(Z: np.ndarray):
         For any column with zero MAD (constant or near-constant).
     """
     Z = np.asarray(Z, dtype=float)
-    cols = Z[:, None] if Z.ndim == 1 else Z  # a vector is one column
+    # a nonempty vector is one column; an empty one is named as given
+    cols = Z[:, None] if Z.ndim == 1 and Z.size else Z
     require_matrix(cols)
     require_finite(cols[:, 0], cols[:, 1:])
     med = np.median(Z, axis=0)
@@ -528,8 +529,9 @@ def robust_partner_correlations(Zs: np.ndarray,
     ``trim`` outside [0, 1) :class:`InvalidConfig`.
     """
     DdcConfig(trim=trim).validate()
-    Zs = np.ascontiguousarray(Zs, dtype=float)
+    Zs = np.asarray(Zs, dtype=float)
     require_matrix(Zs)
+    Zs = np.ascontiguousarray(Zs)
     C = Zs.shape[1]
     corr = np.empty((C, C))
 
@@ -628,8 +630,9 @@ def partner_table(Zs: np.ndarray, cfg: DdcConfig | None = None):
     if cfg is None:
         cfg = DdcConfig()
     cfg.validate()
-    Zs = np.ascontiguousarray(Zs, dtype=float)
+    Zs = np.asarray(Zs, dtype=float)
     require_matrix(Zs)
+    Zs = np.ascontiguousarray(Zs)
     C = Zs.shape[1]
     k = min(cfg.k_neighbors, C - 1)
     index = np.full((C, k), -1)
@@ -740,8 +743,9 @@ def ddc_impute(Z: np.ndarray, cfg: DdcConfig | None = None) -> ImputationResult:
     if cfg is None:
         cfg = DdcConfig()
     cfg.validate()
-    Z = np.ascontiguousarray(Z, dtype=float)
+    Z = np.asarray(Z, dtype=float)
     require_matrix(Z)
+    Z = np.ascontiguousarray(Z)
     n, C = Z.shape
     if C < 2:
         raise TooFewColumns(f"need at least 2 columns, got {C}")

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable, Optional, TypeVar
 
 import numpy as np
 
-from .errors import EmptyTruth, ShapeMismatch
+from .errors import EmptyTruth, InvalidConfig, ShapeMismatch
 
 T = TypeVar("T")
 
@@ -32,11 +34,24 @@ def mspe(y_true: np.ndarray, y_hat: np.ndarray, noise_var: float = 1.0) -> float
     """Mean squared prediction error, optionally normalized by noise variance.
 
     With ``noise_var`` set to the true error variance the optimum is 1.0.
+
+    Raises
+    ------
+    InvalidConfig
+        Unless ``noise_var`` is a finite positive number.
+    ShapeMismatch
+        If the two arrays differ in shape or hold no value.
     """
+    if (isinstance(noise_var, bool) or not isinstance(noise_var, Real)
+            or not 0 < noise_var < math.inf):
+        raise InvalidConfig(f"noise_var={noise_var!r} must be finite and "
+                            f"positive")
     y_true = np.asarray(y_true, dtype=float)
     y_hat = np.asarray(y_hat, dtype=float)
     if y_true.shape != y_hat.shape:
         raise ShapeMismatch(f"shapes {y_true.shape} and {y_hat.shape} differ")
+    if not y_true.size:
+        raise ShapeMismatch(f"no values to compare, got shape {y_true.shape}")
     return float(np.mean((y_true - y_hat) ** 2) / noise_var)
 
 

@@ -11,7 +11,10 @@ all of them are one stacked solve; the M-stage stops on residual moves
 relative to the scale, a test unchanged by rescaling ``y`` or a column.
 The K sub-models run every stage together, each as a block of rows
 that stays whole in every product, so a sub-model's fit is that of a fit
-alone.
+alone. Each phase (a batch of previews, the finalists, the M-stages)
+stacks its sub-models' operands once. A sub-model whose rows have all
+stopped stays stopped until the phase ends, so it is dropped from them
+once and no later step of the phase solves it.
 
 Tuning constants: ``C_BREAKDOWN = 1.5476`` gives the scale stage a 50%
 breakdown point at the Gaussian model, ``C_EFFICIENCY = 4.685`` gives
@@ -210,108 +213,89 @@ def _weighted_ls(D: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
     return theta
 
 
-class _Stack:
-    """The prepared sub-models of one fit, stacked by column count.
+def _operands(P: list[np.ndarray], ks: np.ndarray, intercept: bool) -> list:
+    """The operands of one phase over sub-models ``ks``: ``(c, Dt, y,
+    idx)`` for each column count c, where sub-models ``ks[idx]`` have c
+    columns.
 
     Sub-model k has ``P[k]``, its ``[y, X]`` as :func:`prepare_design`
-    returns it, and its design (n, c_k): ``[1, X]`` with an intercept,
-    else ``X``. The sub-models with one column count are held as two
-    C-contiguous stacks: their responses ``y`` (m, n) and their transposed
-    designs ``Dt`` (m, c, n).
-
-    A stacked phase holds a block of r rows (starts or iterates) for each
-    of its sub-models ``ks`` (ascending): coefficients (len(ks), r, max
-    c_k), zero beyond each sub-model's own c_k columns, and residuals
-    (len(ks), r, n). The bits of a matrix product depend on its row count,
-    so every product takes all r rows of a sub-model, stopped or not, as
-    in a fit of it alone.
+    returns it, and its design (n, c): ``[1, X]`` with an intercept, else
+    ``X``. Each count's sub-models are held as two C-contiguous stacks:
+    their responses ``y`` (len(idx), n) and their transposed designs
+    ``Dt`` (len(idx), c, n).
     """
-
-    def __init__(self, P: list[np.ndarray], intercept: bool):
-        self.n = P[0].shape[0]
-        self.ncol = np.array([Pk.shape[1] - 1 + intercept for Pk in P])
-        self.width = int(self.ncol.max())
-        counts, self.group = np.unique(self.ncol, return_inverse=True)
-        self.slot = np.zeros(len(P), dtype=int)
-        self._recent: dict[tuple[int, ...], tuple] = {}
-        self._ks, self._ks_groups = b"", []
-        self._y, self._Dt = [], []
-        for g, c in enumerate(counts):
-            members = np.flatnonzero(self.group == g)
-            self.slot[members] = np.arange(members.size)
-            self._y.append(np.stack([P[k][:, 0] for k in members]))
-            # the row of ones stays in place with an intercept
-            Dt = np.ones((members.size, c, self.n))
-            for Dk, k in zip(Dt, members):
-                Dk[int(intercept):] = P[k][:, 1:].T
-            self._Dt.append(Dt)
-
-    def operands(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(Dt, y)`` of sub-models ``ks`` (ascending, one column count):
-        shapes (len, c, n) and (len, n)."""
-        g = self.group[ks[0]]
-        Dt, y = self._Dt[g], self._y[g]
-        if len(ks) < len(y):
-            idx = self.slot[ks]
-            Dt, y = Dt[idx], y[idx]
-        return Dt, y
-
-    def _groups(self, ks: np.ndarray) -> list[tuple]:
-        """``(c, Dt, y, idx)`` for each column count of sub-models ``ks``:
-        the :meth:`operands` of ``ks[idx]``."""
-        key = ks.tobytes()
-        if key == self._ks:
-            return self._ks_groups
-        group = self.group[ks]
-        # the live sub-models of a column count keep their set for many
-        # steps: reuse the stacks made for the previous sub-models
-        recent, self._recent, groups = self._recent, {}, []
-        for g in np.unique(group):
-            idx = np.flatnonzero(group == g)
-            gk = tuple(ks[idx].tolist())
-            Dt, y = self._recent[gk] = recent.get(gk) or self.operands(ks[idx])
-            groups.append((int(self.ncol[gk[0]]), Dt, y, idx))
-        self._ks, self._ks_groups = key, groups
-        return groups
-
-    def residuals(self, ks: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """``y - theta @ Dt`` for the block ``theta`` (len(ks), r, width):
-        residuals (len(ks), r, n), one product per sub-model, stacked per
-        column count."""
-        R = np.empty(theta.shape[:2] + (self.n,))
-        for c, Dt, y, idx in self._groups(ks):
-            R[idx] = y[:, None] - theta[idx, :, :c] @ Dt
-        return R
-
-    def reweighted(self, ks: np.ndarray, theta: np.ndarray, w: np.ndarray,
-                   live: np.ndarray):
-        """:func:`_weighted_ls` of every row of the block under its weights
-        ``w`` (len(ks), r, n), one stacked call per column count, and the
-        :meth:`residuals` of the result: ``(theta, R)``. A row that is not
-        ``live`` (mask (len(ks), r)) keeps its coefficients from ``theta``
-        (len(ks), r, width): its solve is thrown away."""
-        solved = np.zeros(theta.shape)
-        for c, Dt, y, idx in self._groups(ks):
-            solved[idx, :, :c] = _weighted_ls(np.swapaxes(Dt, 1, 2)[:, None],
-                                              y[:, None], w[idx])
-        theta = np.where(live[..., None], solved, theta)
-        return theta, self.residuals(ks, theta)
+    ncol = np.array([P[k].shape[1] - 1 + intercept for k in ks], dtype=int)
+    groups = []
+    for c in np.unique(ncol):
+        idx = np.flatnonzero(ncol == c)
+        members = [P[k] for k in ks[idx]]
+        y = np.stack([Pk[:, 0] for Pk in members])
+        # the row of ones stays in place with an intercept
+        Dt = np.ones((idx.size, c, y.shape[1]))
+        for Dk, Pk in zip(Dt, members):
+            Dk[int(intercept):] = Pk[:, 1:].T
+        groups.append((int(c), Dt, y, idx))
+    return groups
 
 
-def _irls_s_stage(stack: _Stack, ks: np.ndarray, theta: np.ndarray,
-                  R: np.ndarray, c0: float, scale_rtol: float,
-                  max_iter: int = S_STAGE_MAX_ITER,
+def _residuals(groups: list, theta: np.ndarray, n: int) -> np.ndarray:
+    """``y - theta @ Dt`` for a block of r rows (starts or iterates) of
+    each sub-model of ``groups`` (:func:`_operands`): coefficients
+    ``theta`` (m, r, width), zero beyond each sub-model's own c columns,
+    give residuals (m, r, n).
+
+    The bits of a matrix product depend on its row count, so each
+    sub-model's product takes all r of its rows, as in a fit of it alone.
+    """
+    R = np.empty(theta.shape[:2] + (n,))
+    for c, Dt, y, idx in groups:
+        R[idx] = y[:, None] - theta[idx, :, :c] @ Dt
+    return R
+
+
+def _reweight(groups: list, theta: np.ndarray, R: np.ndarray, w: np.ndarray,
+              live: np.ndarray) -> None:
+    """One reweighting step of the block ``theta`` and its residuals
+    ``R``, in place: :func:`_weighted_ls` under weights ``w`` (m, r, n),
+    one stacked call per column count, then the :func:`_residuals` of the
+    result.
+
+    Only the rows ``live`` (mask (m, r)) take their solve. A sub-model
+    with no live row has stopped for the rest of its phase, so it is
+    dropped from ``groups`` (which this changes) once, and no later step
+    solves it. A sub-model with a live row solves all r of its rows, the
+    others under their weights, and those solves are thrown away: the
+    bits of a product depend on its row count.
+    """
+    models = live.any(axis=-1)
+    kept = []
+    for c, Dt, y, idx in groups:
+        keep = models[idx]
+        if keep.all():
+            kept.append((c, Dt, y, idx))
+        elif keep.any():
+            kept.append((c, Dt[keep], y[keep], idx[keep]))
+    groups[:] = kept
+    for c, Dt, y, idx in groups:
+        solved = _weighted_ls(np.swapaxes(Dt, 1, 2)[:, None], y[:, None],
+                              w[idx])
+        theta[idx, :, :c] = np.where(live[idx, :, None], solved,
+                                     theta[idx, :, :c])
+        R[idx] = y[:, None] - theta[idx, :, :c] @ Dt
+
+
+def _irls_s_stage(groups: list, theta: np.ndarray, R: np.ndarray, c0: float,
+                  scale_rtol: float, max_iter: int = S_STAGE_MAX_ITER,
                   final_rtol: float = S_SCALE_RTOL):
     """Iterate reweighted LS toward a local minimum of the S-scale.
 
-    ``theta`` is a block of r starts for each sub-model of ``ks``, shape
-    (len(ks), r, width), and ``R`` their residuals (len(ks), r, n); the
-    returned ``(theta, sigma)`` have shapes (len(ks), r, width) and
-    (len(ks), r). Each start is iterated on its own: every iterate solves
-    all rows of the sub-models with a live start in one
-    :meth:`_Stack.reweighted` call, a stopped start keeping its
-    coefficients (its solve runs under unit weights and is thrown away),
-    and the scales of the live starts in one row-wise call, so a start's
+    ``theta`` is a block of r starts for each of the m sub-models of
+    ``groups`` (:func:`_operands`), shape (m, r, width), and ``R`` their
+    residuals (m, r, n); the returned ``(theta, sigma)`` have shapes (m,
+    r, width) and (m, r). Neither argument changes. Each start is
+    iterated on its own: every iterate takes one :func:`_reweight` step,
+    a stopped start keeping its coefficients (under unit weights), and
+    the scales of the live starts are one row-wise call, so a start's
     result does not depend on the others. The scale is re-solved each
     iterate by a Newton solve warm-started at the previous scale, to
     ``scale_rtol``; the returned scale is re-solved at ``final_rtol``. A
@@ -319,8 +303,8 @@ def _irls_s_stage(stack: _Stack, ks: np.ndarray, theta: np.ndarray,
     the accuracy each scale is solved to, once its weights all vanish, or
     once its scale reaches zero (exact fit).
     """
-    theta, R = np.array(theta, dtype=float), R.copy()
-    sigma = _solve_s_scale(R.reshape(-1, stack.n), c0,
+    groups, theta, R = list(groups), np.array(theta, dtype=float), R.copy()
+    sigma = _solve_s_scale(R.reshape(-1, R.shape[-1]), c0,
                            scale_rtol).reshape(R.shape[:2])
     live = sigma > 0
     for _ in range(max_iter):
@@ -330,11 +314,9 @@ def _irls_s_stage(stack: _Stack, ks: np.ndarray, theta: np.ndarray,
         # weights
         live &= w.any(axis=-1)
         w[~live] = 1.0
-        models = live.any(axis=1)
-        if not models.any():
+        if not live.any():
             break
-        theta[models], R[models] = stack.reweighted(
-            ks[models], theta[models], w[models], live[models])
+        _reweight(groups, theta, R, w, live)
         sigma_live = sigma[live]
         sigma_new = _solve_s_scale(R[live], c0, scale_rtol, guess=sigma_live)
         # the objective is the scale itself: stop once it stalls (the
@@ -348,8 +330,8 @@ def _irls_s_stage(stack: _Stack, ks: np.ndarray, theta: np.ndarray,
     return theta, sigma
 
 
-def _s_stage(stack: _Stack, models: np.ndarray, start0: np.ndarray,
-             subsets: list[np.ndarray]):
+def _s_stage(P: list[np.ndarray], intercept: bool, models: np.ndarray,
+             start0: np.ndarray, subsets: list[np.ndarray]):
     """High-breakdown ``(theta, sigma)`` of each sub-model in ``models``
     (ascending, each with at least one column), from its OLS start (a row
     of ``start0``) and its elemental starts, exact fits to the rows that
@@ -358,32 +340,35 @@ def _s_stage(stack: _Stack, models: np.ndarray, start0: np.ndarray,
     # full convergence only for each sub-model's N_FINALISTS most promising
     # candidates. The previews run in batches of sub-models whose blocks of
     # residuals hold at most STACK_CELLS entries; the finalists all at once
+    n = P[0].shape[0]
     per = 1 + N_ELEMENTAL_STARTS
-    thetas = np.zeros((len(models), per, stack.width))
+    thetas = np.zeros((len(models), per, start0.shape[1]))
     thetas[:, 0] = start0
     sigmas = np.zeros((len(models), per))
-    size = max(1, STACK_CELLS // (per * stack.n))
+    size = max(1, STACK_CELLS // (per * n))
     for lo in range(0, len(models), size):
         b = slice(lo, lo + size)
         # an elemental start is weighted LS under 0/1 row weights; the OLS
         # start keeps its coefficients
-        W = np.zeros((len(models[b]), per, stack.n))
+        W = np.zeros((len(models[b]), per, n))
         W[:, 0] = 1.0
         for Wk, rows in zip(W[:, 1:], subsets[b]):
             Wk[np.arange(N_ELEMENTAL_STARTS)[:, None], rows] = 1.0
         elemental = np.broadcast_to(np.arange(per) > 0, W.shape[:2])
-        th, R = stack.reweighted(models[b], thetas[b], W, elemental)
+        groups = _operands(P, models[b], intercept)
+        R = _residuals(groups, thetas[b], n)
+        _reweight(groups, thetas[b], R, W, elemental)
         thetas[b], sigmas[b] = _irls_s_stage(
-            stack, models[b], th, R, C_BREAKDOWN, max_iter=PREVIEW_STEPS,
+            groups, thetas[b], R, C_BREAKDOWN, max_iter=PREVIEW_STEPS,
             scale_rtol=PREVIEW_RTOL, final_rtol=PREVIEW_RTOL)
     order = np.argsort(sigmas, axis=1, kind="stable")
     lead = np.arange(len(models)), order[:, 0]
     theta, sigma = thetas[lead], np.zeros(len(models))
     # an exact fit (sigma 0) is final: no refinement
     going = np.flatnonzero(sigmas[lead] > 0.0)
-    ks = models[going]
     finalists = thetas[going[:, None], order[going, :N_FINALISTS]]
-    th, sg = _irls_s_stage(stack, ks, finalists, stack.residuals(ks, finalists),
+    groups = _operands(P, models[going], intercept)
+    th, sg = _irls_s_stage(groups, finalists, _residuals(groups, finalists, n),
                            C_BREAKDOWN, scale_rtol=FINALIST_RTOL)
     best = np.argmin(sg, axis=1)
     theta[going] = th[np.arange(going.size), best]
@@ -391,50 +376,48 @@ def _s_stage(stack: _Stack, models: np.ndarray, start0: np.ndarray,
     return theta, sigma
 
 
-def _m_stage(stack: _Stack, ks: np.ndarray, theta: np.ndarray,
-             sigma: np.ndarray):
+def _m_stage(P: list[np.ndarray], intercept: bool, ks: np.ndarray,
+             theta: np.ndarray, sigma: np.ndarray):
     """Reweighted LS at fixed scale with the wider tuning constant, from
     ``theta`` (one row per sub-model of ``ks``, scale ``sigma[i] > 0``);
     returns ``(theta, converged, iterations)``.
 
-    Each sub-model is a block of one row, and the live rows step in one
-    :meth:`_Stack.reweighted` call until each stops on its own: converged
-    once its largest residual move is below ``M_STAGE_TOL`` in units of
-    its scale; not converged when a step would raise its objective (a
-    descent violation only numerics cause; the previous iterate is kept),
-    when all its weights vanish, or at the cap of ``M_STAGE_MAX_ITER``
-    steps. A stopped row is frozen.
+    Each sub-model is a block of one row, and the live rows step through
+    :func:`_reweight` until each stops on its own: converged once its
+    largest residual move is below ``M_STAGE_TOL`` in units of its scale;
+    not converged when a step would raise its objective (a descent
+    violation only numerics cause; the previous iterate is kept), when
+    all its weights vanish, or at the cap of ``M_STAGE_MAX_ITER`` steps. A
+    stopped row is frozen.
     """
+    groups = _operands(P, ks, intercept)
     theta = np.array(theta[:, None], dtype=float)
-    R = stack.residuals(ks, theta)[:, 0]
-    objective = bisquare_rho(R / sigma[:, None], C_EFFICIENCY).mean(axis=1)
+    R = _residuals(groups, theta, P[0].shape[0])
+    objective = bisquare_rho(R[:, 0] / sigma[:, None], C_EFFICIENCY).mean(axis=1)
     converged = np.zeros(len(ks), dtype=bool)
     iterations = np.zeros(len(ks), dtype=int)
-    rows = np.arange(len(ks))
+    live = np.ones((len(ks), 1), dtype=bool)
     for it in range(1, M_STAGE_MAX_ITER + 1):
-        if not rows.size:
+        if not live.any():
             break
-        iterations[rows] = it
-        sig = sigma[rows]
-        w = bisquare_weight(R[rows] / sig[:, None], C_EFFICIENCY)
+        iterations[live[:, 0]] = it
+        w = bisquare_weight(R / sigma[:, None, None], C_EFFICIENCY)
         # a row whose weights all vanish stops
-        keep = w.any(axis=1)
-        rows, w, sig = rows[keep], w[keep, None], sig[keep]
-        th, R_new = stack.reweighted(ks[rows], theta[rows], w,
-                                     np.ones(w.shape[:2], dtype=bool))
-        R_new = R_new[:, 0]
-        obj_new = bisquare_rho(R_new / sig[:, None], C_EFFICIENCY).mean(axis=1)
-        obj = objective[rows]
+        live &= w.any(axis=-1)
+        last_theta, last_R = theta.copy(), R.copy()
+        _reweight(groups, theta, R, w, live)
+        obj_new = bisquare_rho(R[:, 0] / sigma[:, None],
+                               C_EFFICIENCY).mean(axis=1)
         # descent property of reweighting violated only by numerics: the
         # row stops on its previous iterate
-        keep = ~(obj_new > obj + 1e-12 * (1 + np.abs(obj)))
-        rows, th, R_new, obj_new, sig = (rows[keep], th[keep], R_new[keep],
-                                         obj_new[keep], sig[keep])
+        worse = live[:, 0] & (obj_new > objective + 1e-12 * (1 + np.abs(objective)))
+        theta[worse], R[worse], live[worse] = last_theta[worse], last_R[worse], False
+        step = live[:, 0]
         # scale-free stop: the largest residual move in units of sigma
-        delta = np.abs(R_new - R[rows]).max(axis=1) / sig
-        theta[rows], R[rows], objective[rows] = th, R_new, obj_new
-        converged[rows] = delta < M_STAGE_TOL
-        rows = rows[~converged[rows]]
+        delta = np.abs(R[step, 0] - last_R[step, 0]).max(axis=1) / sigma[step]
+        objective[step] = obj_new[step]
+        converged[step] = delta < M_STAGE_TOL
+        live[converged] = False
     return theta[:, 0], converged, iterations
 
 
@@ -456,7 +439,7 @@ def _checked_inputs(y, X, sets=None):
 def _fit_models(designs, y: np.ndarray, intercept: bool,
                 seeds: list[int]) -> list[RobustFit]:
     """Two-stage robust fits of ``y`` on each design (an iterable, one per
-    seed), run as one stack.
+    seed), run together.
 
     Each sub-model is prepared, started and stopped as if fitted alone,
     and its fit is bit for bit that of a fit on its own: the stages run
@@ -487,29 +470,30 @@ def _fit_models(designs, y: np.ndarray, intercept: bool,
             subsets.append(np.array([
                 rng.choice(n, size=q + intercept, replace=False)
                 for _ in range(N_ELEMENTAL_STARTS)]))
-    stack = _Stack(P_list, intercept)
-    del P_list  # the stack holds its own copies
+    ncol = np.array([P.shape[1] - 1 + intercept for P in P_list])
+    width = int(ncol.max())
     K = len(scales)
-    theta = np.zeros((K, stack.width))
+    theta = np.zeros((K, width))
     sigma = np.zeros(K)
     converged = np.ones(K, dtype=bool)
     iterations = np.zeros(K, dtype=int)
-    empty = np.flatnonzero(stack.ncol == 0)
+    empty = np.flatnonzero(ncol == 0)
     if empty.size:
-        sigma[empty] = _solve_s_scale(stack.operands(empty)[1], C_BREAKDOWN,
-                                      S_SCALE_RTOL)
-    models = np.flatnonzero(stack.ncol > 0)
-    start0 = np.zeros((models.size, stack.width))
+        sigma[empty] = _solve_s_scale(np.stack([P_list[k][:, 0] for k in empty]),
+                                      C_BREAKDOWN, S_SCALE_RTOL)
+    models = np.flatnonzero(ncol > 0)
+    start0 = np.zeros((models.size, width))
     for row, start in zip(start0, starts):
         row[:start.size] = start
-    theta[models], sigma[models] = _s_stage(stack, models, start0, subsets)
+    theta[models], sigma[models] = _s_stage(P_list, intercept, models, start0,
+                                            subsets)
     # an exact fit (sigma 0) already interpolates the tightest half
     m = models[sigma[models] > 0.0]
-    theta[m], converged[m], iterations[m] = _m_stage(stack, m, theta[m],
-                                                     sigma[m])
+    theta[m], converged[m], iterations[m] = _m_stage(P_list, intercept, m,
+                                                     theta[m], sigma[m])
     fits = []
     for k, (means, e) in enumerate(scales):
-        th = theta[k, :stack.ncol[k]]
+        th = theta[k, :ncol[k]]
         coef = np.ldexp(th[int(intercept):], e[0] - e[1:])
         b0 = (means[0] + np.ldexp(th[0], e[0]) - means[1:] @ coef
               if intercept else 0.0)
@@ -580,7 +564,8 @@ def fit_ensemble_models(imp_y: np.ndarray, imp_X: np.ndarray,
     rows of all sub-models (they share the rows of ``imp_y``), and the
     weighted solves are one stacked call per column count over every row
     of each sub-model with a live row. A row stops on its own rules and
-    keeps its coefficients from then on.
+    keeps its coefficients from then on; a sub-model with no live row
+    left is solved no more in that phase.
 
     Raises
     ------

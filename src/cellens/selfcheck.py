@@ -326,10 +326,11 @@ def check_s_stage_oracle(n_runs: int = 30, n: int = 14,
         y, X = _s_oracle_input(run, n)
         scale = robustfit.mm_fit(X, y, seed=run).scale
         P, _, e = prepare_design(np.column_stack([y, X]), True)
-        stack = robustfit._Stack([P], True)
-        theta, R = stack.reweighted(ks, np.zeros(W.shape[:2] + (stack.width,)),
-                                    W, every)
-        _, sigma = robustfit._irls_s_stage(stack, ks, theta, R,
+        groups = robustfit._operands([P], ks, True)
+        theta = np.zeros(W.shape[:2] + (P.shape[1],))
+        R = robustfit._residuals(groups, theta, n)
+        robustfit._reweight(groups, theta, R, W, every)
+        _, sigma = robustfit._irls_s_stage(groups, theta, R,
                                            robustfit.C_BREAKDOWN,
                                            scale_rtol=1e-8)
         best = np.ldexp(sigma.min(), e[0])

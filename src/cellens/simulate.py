@@ -40,7 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, GroundTruth
-from .errors import InvalidConfig, require_integers, require_numbers
+from .errors import (InvalidConfig, ShapeMismatch, require_integers,
+                     require_numbers)
 from .rng import make_rng
 
 SCENARIOS = (
@@ -226,13 +227,18 @@ def make_test_set(cfg: SimConfig, m: int, beta: np.ndarray, noise_sd: float,
 
     Uses the same block design as :func:`generate_clean` but a caller
     supplied seed, so a training set and its test set never share draws.
+    ``beta`` has shape (p,); any other shape raises
+    :class:`ShapeMismatch`.
     """
     cfg.validate()
     if m < 1:
         raise InvalidConfig(f"test size m={m} must be >= 1")
+    beta = np.asarray(beta, dtype=float)
+    if beta.shape != (cfg.p,):
+        raise ShapeMismatch(f"beta must have shape ({cfg.p},), got shape "
+                            f"{beta.shape}")
     rng = make_rng(seed)
     X = _draw_design(rng, m, cfg)
-    beta = np.asarray(beta, dtype=float)
     y = (X * beta).sum(axis=1) + noise_sd * rng.standard_normal(m)
     truth = GroundTruth(
         beta=beta,
@@ -334,12 +340,17 @@ def contaminate(data: Dataset, spec: ContaminationSpec, sigma: np.ndarray,
 
     ``sigma`` must be the covariance used to generate the clean rows (see
     :func:`block_covariance`); correlation-structured cell corruption
-    reads eigenvectors of its small submatrices. The input dataset is not
+    reads eigenvectors of its small submatrices. A ``sigma`` of any shape
+    but (p, p) raises :class:`ShapeMismatch`. The input dataset is not
     modified.
     """
     spec.validate()
     if data.truth is None:
         raise InvalidConfig("contaminate requires a dataset carrying ground truth")
+    p = data.X.shape[1]
+    if np.shape(sigma) != (p, p):
+        raise ShapeMismatch(f"sigma must have shape ({p}, {p}), got shape "
+                            f"{np.shape(sigma)}")
     out = Dataset(
         y=data.y.copy(),
         X=data.X.copy(),

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cellens import EmptyTruth, ShapeMismatch, make_rng, mspe, selection_scores, timed
+from cellens import (EmptyTruth, InvalidConfig, ShapeMismatch, make_rng, mspe,
+                     selection_scores, timed)
 
 
 def test_mspe_zero_when_exact():
@@ -35,6 +36,23 @@ def test_mspe_normalized_approaches_one():
 def test_mspe_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         mspe(np.zeros(3), np.zeros(4))
+
+
+@pytest.mark.parametrize("noise_var", [0.0, -1.0, np.inf, -np.inf, np.nan,
+                                       True, "1.0", None])
+def test_mspe_rejects_bad_noise_var(noise_var):
+    with pytest.raises(InvalidConfig, match="noise_var"):
+        mspe(np.zeros(3), np.ones(3), noise_var=noise_var)
+
+
+def test_mspe_accepts_numpy_noise_var():
+    assert mspe(np.zeros(4), np.ones(4), noise_var=np.float64(0.5)) == 2.0
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3)])
+def test_mspe_rejects_empty_input(shape):
+    with pytest.raises(ShapeMismatch, match=r"got shape \(0,"):
+        mspe(np.zeros(shape), np.zeros(shape))
 
 
 def test_selection_scores_examples():

@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cellens import (ContaminationSpec, InvalidConfig, NonFiniteValue,
-                     SelectionConfig, ShapeMismatch, SimConfig,
+from cellens import (ContaminationSpec, DdcConfig, InvalidConfig,
+                     NonFiniteValue, SelectionConfig, ShapeMismatch, SimConfig,
                      block_covariance, contaminate, fit_ensemble,
                      generate_clean, make_rng)
 
@@ -187,3 +187,28 @@ def test_wide_fit_holds_no_columns_squared_array():
         tracemalloc.stop()
     assert sum(map(len, fit.model.sets)) >= 5
     assert peak < 12 * 2**20
+
+
+def _contaminated_input():
+    sim = SimConfig(n=40, p=30, sparsity=6, snr=1.0, block_size=3, seed=11)
+    obs = contaminate(generate_clean(sim),
+                      ContaminationSpec(scenario="CellwiseMarginal", alpha=0.05),
+                      block_covariance(sim), seed=12)
+    return obs.y, obs.X, SelectionConfig(K=3, seed=13)
+
+
+def test_ddc_config_reaches_the_cleaning_stage():
+    y, X, cfg = _contaminated_input()
+    default = fit_ensemble(y, X, cfg)
+    assert default.imputation.flags.sum() > 0
+    # a cutoff no standardized residual reaches flags nothing, so the
+    # imputed matrix is the input
+    lax = fit_ensemble(y, X, cfg, ddc=DdcConfig(flag_cutoff=1e300))
+    assert not lax.imputation.flags.any()
+    assert np.array_equal(lax.imputation.Z_imp, np.column_stack([y, X]))
+
+
+def test_ddc_config_is_validated_by_fit_ensemble():
+    y, X, cfg = _contaminated_input()
+    with pytest.raises(InvalidConfig, match="trim"):
+        fit_ensemble(y, X, cfg, ddc=DdcConfig(trim=1.5))

@@ -88,9 +88,10 @@ def test_s_scale_scale_equivariance_tight(kind):
 
 
 def _one_model(D, y):
-    """The stack of one sub-model with design ``D`` (first column the
+    """The operands of one sub-model with design ``D`` (first column the
     constant) and response ``y``."""
-    return robustfit._Stack([np.column_stack([y, D[:, 1:]])], True)
+    return robustfit._operands([np.column_stack([y, D[:, 1:]])],
+                               np.zeros(1, dtype=int), True)
 
 
 def test_s_stage_stops_at_scale_accuracy(monkeypatch):
@@ -114,12 +115,12 @@ def test_s_stage_stops_at_scale_accuracy(monkeypatch):
         return weighted_ls(*args)
 
     monkeypatch.setattr(robustfit, "_weighted_ls", counted)
-    stack, ks, theta0 = _one_model(D, y), np.zeros(1, dtype=int), theta0[None, None]
-    R0 = stack.residuals(ks, theta0)
-    _, (sigma,) = _irls_s_stage(stack, ks, theta0, R0, C_BREAKDOWN,
+    groups, theta0 = _one_model(D, y), theta0[None, None]
+    R0 = robustfit._residuals(groups, theta0, n)
+    _, (sigma,) = _irls_s_stage(groups, theta0, R0, C_BREAKDOWN,
                                 scale_rtol=1e-5)
     assert len(rounds) < S_STAGE_MAX_ITER
-    _, (converged,) = _irls_s_stage(stack, ks, theta0, R0, C_BREAKDOWN,
+    _, (converged,) = _irls_s_stage(groups, theta0, R0, C_BREAKDOWN,
                                     max_iter=10_000, scale_rtol=1e-13)
     assert sigma[0] == pytest.approx(converged[0], rel=1e-4)
 
@@ -200,17 +201,17 @@ def test_stacked_previews_match_serial_starts():
     starts += [truth + rng.standard_normal(4) * scale
                for scale in np.geomspace(1e-3, 30.0, 19)]
     starts = np.array(starts)
-    stack, ks = _one_model(D, y), np.zeros(1, dtype=int)
-    thetas, sigmas = _irls_s_stage(stack, ks, starts[None],
-                                   stack.residuals(ks, starts[None]),
+    groups, n = _one_model(D, y), len(y)
+    thetas, sigmas = _irls_s_stage(groups, starts[None],
+                                   robustfit._residuals(groups, starts[None], n),
                                    C_BREAKDOWN, max_iter=2,
                                    scale_rtol=1e-3, final_rtol=1e-3)
     thetas, sigmas = thetas[0], sigmas[0]
     assert thetas.shape == starts.shape and sigmas.shape == (len(starts),)
     for start, theta, sigma in zip(starts, thetas, sigmas):
         start = start[None, None]
-        want_theta, want_sigma = _irls_s_stage(stack, ks, start,
-                                               stack.residuals(ks, start),
+        want_theta, want_sigma = _irls_s_stage(groups, start,
+                                               robustfit._residuals(groups, start, n),
                                                C_BREAKDOWN, max_iter=2,
                                                scale_rtol=1e-3,
                                                final_rtol=1e-3)
@@ -344,6 +345,26 @@ def test_stacked_fits_match_solo_mm_fit(monkeypatch, kind, intercept, cap):
     if robustfit.C_EFFICIENCY < 1e-6:
         assert all(f.iterations == 1 and not f.converged
                    for f in model.fits if f.scale > 0)
+
+
+@pytest.mark.parametrize("intercept, calls, rows", [(True, 347, 1499),
+                                                    (False, 237, 1063)])
+def test_stopped_sub_models_are_not_solved(monkeypatch, intercept, calls,
+                                           rows):
+    # weighted solves of one seeded ensemble: the calls and the rows they
+    # solve. A sub-model solves all its rows while one of them is live and
+    # none once all have stopped, so solving stopped sub-models adds rows
+    solved = []
+    weighted_ls = robustfit._weighted_ls
+
+    def counted(D, y, w):
+        solved.append(int(np.prod(w.shape[:-1])))
+        return weighted_ls(D, y, w)
+
+    monkeypatch.setattr(robustfit, "_weighted_ls", counted)
+    X, y = _ensemble_input("mixed")
+    fit_ensemble_models(y, X, ENSEMBLE_SETS, intercept=intercept, seed=5)
+    assert (len(solved), sum(solved)) == (calls, rows)
 
 
 @pytest.mark.parametrize("cells", [1, 2000])

@@ -3,8 +3,8 @@ import re
 import numpy as np
 import pytest
 
-from cellens import (ContaminationSpec, InvalidConfig, SimConfig,
-                     block_covariance, contaminate, generate_clean,
+from cellens import (ContaminationSpec, InvalidConfig, ShapeMismatch,
+                     SimConfig, block_covariance, contaminate, generate_clean,
                      make_test_set)
 from cellens.simulate import _least_variance_direction
 
@@ -157,6 +157,28 @@ def test_make_test_set_deterministic():
     assert np.array_equal(t1.X, t2.X) and np.array_equal(t1.y, t2.y)
     single = make_test_set(cfg, 1, data.truth.beta, data.truth.noise_sd, seed=1)
     assert single.X.shape == (1, 20)
+
+
+@pytest.mark.parametrize("scenario", ["Clean", "CellwiseCorrelation",
+                                      "MixtureCorrelation"])
+@pytest.mark.parametrize("shape", [(5, 5), (30, 29), (30,)])
+def test_contaminate_rejects_misshapen_sigma(scenario, shape):
+    cfg = headline_cfg(n=20, p=30, sparsity=10, block_size=5)
+    data = generate_clean(cfg)
+    with pytest.raises(ShapeMismatch, match=re.escape(
+            f"sigma must have shape (30, 30), got shape {shape}")):
+        contaminate(data, ContaminationSpec(scenario=scenario, alpha=0.1,
+                                              alpha2=0.05),
+                    np.eye(*shape) if len(shape) == 2 else np.ones(shape),
+                    seed=1)
+
+
+@pytest.mark.parametrize("shape", [(7,), (31,), (30, 1), ()])
+def test_make_test_set_rejects_misshapen_beta(shape):
+    cfg = headline_cfg(n=20, p=30, sparsity=10, block_size=5)
+    with pytest.raises(ShapeMismatch, match=re.escape(
+            f"beta must have shape (30,), got shape {shape}")):
+        make_test_set(cfg, 5, np.ones(shape), 1.0, seed=2)
 
 
 def test_make_test_set_size():
