@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
@@ -71,8 +71,6 @@ class GroundTruth:
     ----------
     beta : ndarray of shape (p,)
         True coefficient vector.
-    active_set : set of int
-        Indices j with ``beta[j] != 0``.
     mask_X : ndarray of shape (n, p), values in {0, 1}
         1 where a predictor cell was rewritten by contamination.
     mask_y : ndarray of shape (n,), values in {0, 1}
@@ -82,18 +80,17 @@ class GroundTruth:
     """
 
     beta: np.ndarray
-    active_set: set = field(default_factory=set)
-    mask_X: Optional[np.ndarray] = None
-    mask_y: Optional[np.ndarray] = None
+    mask_X: np.ndarray
+    mask_y: np.ndarray
     noise_sd: float = 1.0
 
     def __post_init__(self):
         self.beta = np.asarray(self.beta, dtype=float)
-        expected = {int(j) for j in np.flatnonzero(self.beta)}
-        if not self.active_set:
-            self.active_set = expected
-        elif set(self.active_set) != expected:
-            raise ShapeMismatch("active_set does not match nonzeros of beta")
+
+    @property
+    def active_set(self) -> set[int]:
+        """Indices j with ``beta[j] != 0``."""
+        return {int(j) for j in np.flatnonzero(self.beta)}
 
 
 @dataclass
@@ -136,12 +133,11 @@ def dataset_to_csv(data: Dataset, path: str, mask_path: str | None = None) -> No
             writer.writerow([repr(float(data.y[i]))]
                             + [repr(float(v)) for v in data.X[i]])
     if mask_path is not None:
-        my = data.truth.mask_y if data.truth is not None else None
-        mX = data.truth.mask_X if data.truth is not None else None
-        if my is None:
+        if data.truth is None:
             my = np.zeros(data.n, dtype=int)
-        if mX is None:
             mX = np.zeros((data.n, data.p), dtype=int)
+        else:
+            my, mX = data.truth.mask_y, data.truth.mask_X
         with open(mask_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(_header(data.p))

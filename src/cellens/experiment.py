@@ -243,12 +243,8 @@ def load_config(path: str) -> ExperimentConfig:
     return _build_config(doc)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _fmt(value: Optional[float]) -> str:
+    return "" if value is None else repr(value)
 
 
 def run_single(sim: SimConfig, cont: ContaminationSpec, sel: SelectionConfig,

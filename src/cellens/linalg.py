@@ -1,13 +1,12 @@
 """Dense linear-algebra primitives: SPD solves and least squares.
 
-All routines work on plain ``numpy`` arrays with explicit shapes. Each
-accepts a stack of independent systems along leading axes (``(..., m, m)``
-matrices, ``(..., n, q)`` designs) and factors every slice in one batched
-LAPACK call; operand shapes must agree exactly, no broadcasting is relied
-upon. A system is degenerate when a Cholesky pivot ratio ``L_kk^2 / A_kk``
-(:func:`pivot_ratios`) is small: it is 1 - R^2 of column k regressed on the
-columns before it, so the rule is unchanged by rescaling any column (or
-row and column of ``A``) by a positive factor.
+All routines work on plain ``numpy`` arrays with explicit shapes: one
+(m, m) system or one (n, q) design. Only :func:`pivot_ratios` also takes
+a stack of matrices along leading axes, for the robust stage's stacked
+weighted solves. A system is degenerate when a Cholesky pivot ratio
+``L_kk^2 / A_kk`` (:func:`pivot_ratios`) is small: it is 1 - R^2 of
+column k regressed on the columns before it, so the rule is unchanged by
+rescaling any column (or row and column of ``A``) by a positive factor.
 """
 
 from __future__ import annotations
@@ -52,57 +51,50 @@ def pivot_ratios(A: np.ndarray) -> np.ndarray:
 def solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``A x = b`` for symmetric positive definite ``A``.
 
-    ``A`` has shape (..., m, m). ``b`` holds one right-hand side per
-    slice, shape (..., m), or k of them, shape (..., m, k), with the same
-    leading axes; ``x`` has the shape of ``b``. Every slice is checked by
-    its pivot ratios and then solved by LU, all slices in one call each.
+    ``A`` has shape (m, m) and ``b`` shape (m,). The system is checked by
+    its pivot ratios and then solved by LU.
 
     Raises
     ------
     ShapeMismatch
-        If ``A`` is not square or ``b`` has neither shape.
+        If ``A`` is not a square matrix or ``b`` not a vector of its size.
     NotPositiveDefinite
-        Naming the slice and pivot, if any pivot ratio is at most
-        ``PIVOT_RTOL``, which signals a degenerate (collinear) system.
+        Naming the pivot, if any pivot ratio is at most ``PIVOT_RTOL``,
+        which signals a degenerate (collinear) system.
     """
-    b = np.asarray(b, dtype=float)
     A = np.asarray(A, dtype=float)
-    ratios = pivot_ratios(A)
-    vector = b.shape == A.shape[:-1]
-    if not vector and b.shape[:-1] != A.shape[:-1]:
+    b = np.asarray(b, dtype=float)
+    if A.ndim != 2 or b.shape != A.shape[:1]:
         raise ShapeMismatch(f"A is {A.shape}, b is {b.shape}")
-    bad = np.argwhere(ratios <= PIVOT_RTOL)
+    ratios = pivot_ratios(A)
+    bad = np.flatnonzero(ratios <= PIVOT_RTOL)
     if bad.size:
-        idx = tuple(bad[0].tolist())
-        where = f" of slice {idx[:-1]}" if len(idx) > 1 else ""
         raise NotPositiveDefinite(
-            f"pivot ratio {ratios[idx]:.3e} at index {idx[-1]}{where} is at "
+            f"pivot ratio {ratios[bad[0]]:.3e} at index {bad[0]} is at "
             f"most {PIVOT_RTOL:.0e}"
         )
-    # the ratios certify every slice; one LU solve then costs a single
+    # the ratios certify the system; one LU solve then costs a single
     # LAPACK call where two triangular solves take two
-    if vector:
-        return np.linalg.solve(A, b[..., None])[..., 0]
-    return np.linalg.solve(A, b)
+    return np.linalg.solve(A, b[:, None])[:, 0]
 
 
 def prepare_design(X: np.ndarray, intercept: bool):
     """Center (with an intercept) and power-of-two scale design columns.
 
     The one rule that makes a least-squares design scale-free: with an
-    intercept each column of ``X`` (shape (..., n, q)) is centered at its
+    intercept each column of ``X`` (shape (n, q)) is centered at its
     mean, then each is scaled by the ``2**-e`` that puts its largest
     magnitude in [1/2, 1) (``e`` is 0 for a zero column). That is exact
     barring subnormals, so a power-of-two rescaling of a column changes no
     bit of ``D``, and no Gram of ``D`` overflows or underflows. Returns
-    ``(D, means, e)``; ``means`` (shape (..., q)) is None without an
+    ``(D, means, e)``; ``means`` (shape (q,)) is None without an
     intercept. A coefficient ``t`` on ``D`` is ``2**-e * t`` on ``X``.
     """
-    means = X.mean(axis=-2) if intercept else None
-    D = X - means[..., None, :] if intercept else X
-    e = np.frexp(np.abs(D).max(axis=-2, initial=0.0))[1]
+    means = X.mean(axis=0) if intercept else None
+    D = X - means if intercept else X
+    e = np.frexp(np.abs(D).max(axis=0, initial=0.0))[1]
     # the centered copy is the function's own: scale it in place
-    D = np.ldexp(D, -e[..., None, :], out=D if intercept else None)
+    D = np.ldexp(D, -e, out=D if intercept else None)
     return D, means, e
 
 
@@ -117,46 +109,45 @@ def ols_fit(X: np.ndarray, y: np.ndarray, intercept: bool = False):
 
     Parameters
     ----------
-    X : ndarray of shape (n, q) or (..., n, q)
-        Design matrix, full column rank, or a stack of them. ``q`` may be
-        0, in which case only the intercept (or nothing) is fitted. A
-        vector is one column.
-    y : ndarray of shape (n,) or (..., n)
-        Response, with the same leading axes as ``X``.
+    X : ndarray of shape (n, q)
+        Design matrix, full column rank. ``q`` may be 0, in which case
+        only the intercept (or nothing) is fitted. A vector is one column.
+    y : ndarray of shape (n,)
+        Response.
     intercept : bool
         Fit a constant besides the columns of ``X``.
 
     Returns
     -------
     (coef, intercept_value)
-        Least-squares coefficients of shape (..., q) for the columns of
-        ``X`` and the fitted constant (0.0 when ``intercept`` is False):
-        a float for one design, an array of shape (...) for a stack.
+        Least-squares coefficients of shape (q,) for the columns of ``X``
+        and the fitted constant (0.0 when ``intercept`` is False).
 
     Raises
     ------
+    ShapeMismatch
+        Unless ``X`` is a matrix (or a vector) with one row per entry of
+        the vector ``y``.
     RankDeficient
-        If any prepared design's Gram matrix is singular within tolerance.
+        If the prepared design's Gram matrix is singular within tolerance.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
-    if y.shape != X.shape[:-1]:
+    if X.ndim != 2 or y.shape != X.shape[:1]:
         raise ShapeMismatch(f"X is {X.shape}, y is {y.shape}")
-    stacked = X.ndim > 2
-    b0 = y.mean(axis=-1) if intercept else np.zeros(y.shape[:-1])
-    if X.shape[-1] == 0:
-        return np.zeros(X.shape[:-2] + (0,)), b0 if stacked else float(b0)
+    b0 = y.mean() if intercept else 0.0
+    if X.shape[1] == 0:
+        return np.zeros(0), float(b0)
     D, means, e = prepare_design(X, intercept)
     if intercept:
-        y = y - b0[..., None]
-    Dt = np.swapaxes(D, -1, -2)
+        y = y - b0
     try:
-        theta = solve_spd(Dt @ D, (Dt @ y[..., None])[..., 0])
+        theta = solve_spd(D.T @ D, (D.T @ y[:, None])[:, 0])
     except NotPositiveDefinite as exc:
         raise RankDeficient(str(exc)) from exc
     coef = np.ldexp(theta, -e)
     if intercept:
-        b0 = b0 - (means * coef).sum(axis=-1)
-    return coef, b0 if stacked else float(b0)
+        b0 = b0 - (means * coef).sum()
+    return coef, float(b0)

@@ -130,11 +130,11 @@ def _solve_s_scale(R: np.ndarray, c0: float, rtol: float,
     return 1.0 / np.sqrt(s)
 
 
-def s_scale(residuals: np.ndarray, c0: float = C_BREAKDOWN,
-            rtol: float = S_SCALE_RTOL) -> float:
+def s_scale(residuals: np.ndarray) -> float:
     """Bisquare S-scale: sigma with mean rho(r/sigma) equal to half its max.
 
-    Solved by Newton's method in 1/sigma^2 to relative tolerance ``rtol``.
+    The tuning constant is ``C_BREAKDOWN``, and the scale is solved by
+    Newton's method in 1/sigma^2 to relative tolerance ``S_SCALE_RTOL``.
     Returns 0.0 when at least half the residuals are exactly zero
     (exact-fit case, where no positive solution exists). A NaN or
     infinite residual raises :class:`NonFiniteValue`.
@@ -150,7 +150,8 @@ def s_scale(residuals: np.ndarray, c0: float = C_BREAKDOWN,
     if not np.isfinite(r).all():
         raise NonFiniteValue(0, "residuals")
     e = int(np.frexp(np.abs(r).max())[1])
-    sigma = _solve_s_scale(np.ldexp(r, -e).reshape(1, -1), c0, rtol)[0]
+    sigma = _solve_s_scale(np.ldexp(r, -e).reshape(1, -1), C_BREAKDOWN,
+                           S_SCALE_RTOL)[0]
     return float(np.ldexp(sigma, e))
 
 
@@ -597,15 +598,12 @@ def predict(model: EnsembleModel, Xnew: np.ndarray) -> np.ndarray:
     Raises
     ------
     ShapeMismatch
-        If ``Xnew`` is not a matrix (or a vector, one row) with the
-        training predictor count.
+        If ``Xnew`` is not a matrix with the training predictor count.
     NonFiniteValue
         Naming the first predictor ``x_j`` of ``Xnew`` (in any column, not
         only the selected ones) that holds a NaN or infinite cell.
     """
     Xnew = np.asarray(Xnew, dtype=float)
-    if Xnew.ndim == 1:
-        Xnew = Xnew[None, :]
     if Xnew.ndim != 2:
         raise ShapeMismatch(f"Xnew must be a matrix, got shape {Xnew.shape}")
     if Xnew.shape[1] != model.p:

@@ -282,7 +282,7 @@ def check_s_scale(n_runs: int = 9, tol: float = 1e-6) -> list[str]:
         else:
             r = np.append(rng.standard_normal(2), 0.0)
         r *= rng.uniform(0.5, 3.0)
-        got = robustfit.s_scale(r, c0)
+        got = robustfit.s_scale(r)
         want = reference.s_scale_grid(r, c0)
         if not abs(got - want) <= tol:
             failures.append(f"s-scale run {run}: {got!r} against oracle "

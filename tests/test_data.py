@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from cellens import (ContaminationSpec, Dataset, ShapeMismatch, SimConfig,
-                     block_covariance, contaminate, dataset_from_csv,
-                     dataset_to_csv, generate_clean)
+from cellens import (ContaminationSpec, Dataset, GroundTruth, ShapeMismatch,
+                     SimConfig, block_covariance, contaminate,
+                     dataset_from_csv, dataset_to_csv, generate_clean)
 
 
 def test_dataset_csv_roundtrip(tmp_path):
@@ -44,3 +44,18 @@ def test_csv_errors_are_line_precise(tmp_path):
     noheader.write_text("a,b\n1,2\n")
     with pytest.raises(ShapeMismatch, match="must be 'y'"):
         dataset_from_csv(str(noheader))
+
+
+def test_ground_truth_active_set_follows_beta():
+    truth = GroundTruth(beta=[0.0, 1.5, 0.0, -2.0], mask_X=np.zeros((2, 4)),
+                        mask_y=np.zeros(2))
+    assert truth.active_set == {1, 3}
+    truth.beta[0] = 0.5
+    assert truth.active_set == {0, 1, 3}
+
+
+def test_mask_csv_of_data_without_truth_is_zero(tmp_path):
+    data = Dataset(y=np.arange(3.0), X=np.ones((3, 2)))
+    dpath, mpath = tmp_path / "d.csv", tmp_path / "m.csv"
+    dataset_to_csv(data, str(dpath), mask_path=str(mpath))
+    assert mpath.read_text().splitlines() == ["y,x1,x2"] + ["0,0,0"] * 3

@@ -62,7 +62,7 @@ def test_s_scale_property():
 def test_s_scale_check_catches_off_solver(monkeypatch):
     s_scale = robustfit.s_scale
     monkeypatch.setattr(robustfit, "s_scale",
-                        lambda r, c0: s_scale(r, c0) * (1 + 1e-5))
+                        lambda r: s_scale(r) * (1 + 1e-5))
     failures = selfcheck.check_s_scale(n_runs=3)
     assert [f.split(":")[0] for f in failures] == [
         f"s-scale run {run}" for run in range(3)]

@@ -24,14 +24,14 @@ def test_s_scale_scale_equivariance():
 def test_s_scale_gaussian_consistency():
     rng = make_rng(1)
     r = rng.standard_normal(100_000)
-    assert s_scale(r, C_BREAKDOWN) == pytest.approx(1.0, rel=0.02)
+    assert s_scale(r) == pytest.approx(1.0, rel=0.02)
 
 
 def test_s_scale_pm_one_closed_form():
     # mean rho(1/sigma) = 1/2 has the closed form
     # sigma = 1 / (c * sqrt(1 - 2^(-1/3)))
     r = np.array([1.0, -1.0])
-    got = s_scale(r, C_BREAKDOWN)
+    got = s_scale(r)
     closed = 1.0 / (C_BREAKDOWN * np.sqrt(1 - 2 ** (-1 / 3)))
     assert got == pytest.approx(closed, rel=1e-9)
     assert got == pytest.approx(s_scale_grid(r, C_BREAKDOWN), abs=1e-7)
@@ -74,7 +74,7 @@ def test_s_scale_matches_grid_oracle_hard_cases(kind):
 @pytest.mark.parametrize("factor", [1e-6, 1e6])
 def test_s_scale_warm_start_far_from_root(kind, factor):
     r = _hard_residuals(kind)
-    root = s_scale(r, rtol=1e-14)
+    root = _solve_s_scale(r[None], C_BREAKDOWN, 1e-14)[0]
     got = _solve_s_scale(r[None], C_BREAKDOWN, 1e-12,
                          guess=np.array([factor * root]))
     assert got[0] == pytest.approx(root, rel=1e-10)
@@ -579,6 +579,17 @@ def test_predict_shape_mismatch():
         sets=[[0]], p=3, intercept=False)
     with pytest.raises(ShapeMismatch):
         predict(model, np.zeros((4, 2)))
+
+
+def test_predict_takes_a_matrix():
+    # a vector is not one row: regression_arrays reads it as one column
+    model = EnsembleModel(
+        fits=[RobustFit(coefficients=np.array([1.0]), intercept=0.0, scale=1.0,
+                        converged=True, iterations=1)],
+        sets=[[0]], p=3, intercept=False)
+    with pytest.raises(ShapeMismatch, match=re.escape(
+            "Xnew must be a matrix, got shape (3,)")):
+        predict(model, np.zeros(3))
 
 
 def test_model_json_roundtrip():
