@@ -22,9 +22,11 @@ selftest
     ``cellens`` logger; the command line prints it and exits nonzero on
     failure.
 
-Exit codes: 0 success, 1 config error (a results path that cannot be
-written is one), 2 runtime error, 3 selftest failure. The results CSV
-replaces its path only once every replication has run.
+Exit codes: 0 success, 1 config error (a results, model or prediction
+path that cannot be written is one), 2 runtime error, 3 selftest
+failure. The results CSV replaces its path only once every replication
+has run, and the model JSON and the predictions only once they are
+complete.
 """
 
 from __future__ import annotations
@@ -408,8 +410,9 @@ def _replacing(path: Path):
     """Yield a new text file next to ``path`` that replaces it on success.
 
     The file is created before the block runs, so a path that cannot be
-    written fails before any replication; if the block raises, the file is
-    removed and an earlier file at ``path`` is left as it was.
+    written fails before the block's work (the replications, or the fit);
+    if the block raises, the file is removed and an earlier file at
+    ``path`` is left as it was.
 
     Raises
     ------
@@ -441,10 +444,14 @@ def fit_csv(data_path: str, sel: SelectionConfig, model_out: str) -> str:
     """Fit the full pipeline on a ``y,x1..xp`` CSV and save the model JSON.
 
     Returns a human-readable selection summary; ``run_experiment`` logs it
-    at INFO, which the command line prints.
+    at INFO, which the command line prints. The model file is opened
+    before the fit and replaces ``model_out`` only once the fit succeeds
+    (see :func:`_replacing`).
 
     Raises
     ------
+    InvalidConfig
+        Naming ``model_out``, when it cannot be written.
     ShapeMismatch
         On malformed CSV input or fewer than 10 rows.
     DegenerateColumn
@@ -455,13 +462,13 @@ def fit_csv(data_path: str, sel: SelectionConfig, model_out: str) -> str:
     data = dataset_from_csv(data_path)
     if data.n < 10:
         raise ShapeMismatch(f"{data_path}: need at least 10 rows, found {data.n}")
-    try:
-        result = fit_ensemble(data.y, data.X, sel)
-    except (DegenerateColumn, NonFiniteValue) as exc:
-        name = "y" if exc.column == 0 else f"x{exc.column}"
-        raise type(exc)(exc.column, name) from None
-    doc = model_to_json(result.model)
-    Path(model_out).write_text(doc)
+    with _replacing(Path(model_out)) as fh:
+        try:
+            result = fit_ensemble(data.y, data.X, sel)
+        except (DegenerateColumn, NonFiniteValue) as exc:
+            name = "y" if exc.column == 0 else f"x{exc.column}"
+            raise type(exc)(exc.column, name) from None
+        fh.write(model_to_json(result.model))
     lines = [f"fitted {sel.K} sub-models on {data.n}x{data.p} data"]
     for k, subset in enumerate(result.model.sets):
         cols = ", ".join(f"x{j + 1}" for j in subset) if subset else "(empty)"
@@ -475,10 +482,13 @@ def predict_csv(model_path: str, X_path: str, out_path: str) -> None:
     """Score a saved model on predictor rows, one prediction per row.
 
     The predictor CSV uses a ``x1..xp`` header (a leading ``y`` column is
-    also accepted and ignored).
+    also accepted and ignored). The predictions replace ``out_path`` as
+    the results CSV does (see :func:`_replacing`).
 
     Raises
     ------
+    InvalidConfig
+        Naming ``out_path``, when it cannot be written.
     ShapeMismatch
         Naming the path of a model or predictor file that cannot be
         opened, or of a predictor file that is empty or has no data rows;
@@ -511,7 +521,7 @@ def predict_csv(model_path: str, X_path: str, out_path: str) -> None:
             rows.append(values)
     X = np.asarray(rows, dtype=float)
     preds = predict(model, X)
-    with open(out_path, "w", newline="") as fh:
+    with _replacing(Path(out_path)) as fh:
         writer = csv.writer(fh)
         writer.writerow(["prediction"])
         for v in preds:

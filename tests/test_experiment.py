@@ -438,6 +438,40 @@ def test_unwritable_results_path_exits_1_before_any_replication(
                                             "results.csv"]
 
 
+@pytest.mark.parametrize("case", ["model_out", "predict out"])
+def test_unwritable_model_or_prediction_path_exits_1(tmp_path, monkeypatch,
+                                                     capsys, case):
+    model = tmp_path / "model.json"
+    fit_csv(example_csv_path(), SelectionConfig(K=2, tau=0.01, cv_folds=5,
+                                                seed=4), str(model))
+    (tmp_path / "a_file").write_text("not a directory\n")
+    calls = []
+    real = cellens.experiment.fit_ensemble
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cellens.experiment, "fit_ensemble", counting)
+    out = tmp_path / "a_file" / "out"
+    doc = ({"mode": "fit", "data_csv": example_csv_path(),
+            "model_out": str(out)} if case == "model_out" else
+           {"mode": "fit", "predict": {"model": str(model),
+                                       "X": example_csv_path(),
+                                       "out": str(out)}})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    before = sorted(os.listdir(tmp_path))
+    assert main(["--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write results to {out} (")
+    assert err.count("\n") == 1
+    # the model file is opened before the fit, and nothing is left behind
+    assert calls == []
+    assert sorted(os.listdir(tmp_path)) == before
+    assert (tmp_path / "a_file").read_text() == "not a directory\n"
+
+
 def test_cli_threads_validation(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"mode": "fit", "threads": 0}))
