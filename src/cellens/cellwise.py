@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import require_finite, require_matrix
+from .data import real_array, require_finite, require_matrix
 from .errors import (DegenerateColumn, InvalidConfig, TooFewColumns,
                      require_integers, require_numbers)
 from .linalg import prepare_design
@@ -205,13 +205,13 @@ def robust_standardize(Z: np.ndarray):
     Raises
     ------
     ShapeMismatch
-        Unless ``Z`` is a nonempty matrix or vector (one column).
+        Unless ``Z`` is a real, nonempty matrix or vector (one column).
     NonFiniteValue
         Naming the first column that holds a NaN or infinite cell.
     DegenerateColumn
         For any column with zero MAD (constant or near-constant).
     """
-    Z = np.asarray(Z, dtype=float)
+    Z = real_array(Z)
     # a nonempty vector is one column; an empty one is named as given
     cols = Z[:, None] if Z.ndim == 1 and Z.size else Z
     require_matrix(cols)
@@ -510,6 +510,20 @@ def _partner_pass(Zs: np.ndarray, trim: float, emit,
         raise errors[0]
 
 
+def _cleaning_input(Z, cfg: DdcConfig | None):
+    """``(Z, cfg)`` at an entry point of the cleaning stage: ``cfg`` (the
+    defaults when None) validated, and ``Z`` a C-contiguous float copy of
+    a real, nonempty matrix of finite cells, or :class:`InvalidConfig`,
+    :class:`ShapeMismatch` or :class:`NonFiniteValue` (naming the first
+    such column) raised."""
+    cfg = DdcConfig() if cfg is None else cfg
+    cfg.validate()
+    Z = real_array(Z)
+    require_matrix(Z)
+    require_finite(Z[:, 0], Z[:, 1:])
+    return np.ascontiguousarray(Z), cfg
+
+
 def robust_partner_correlations(Zs: np.ndarray,
                                 trim: float = DdcConfig.trim) -> np.ndarray:
     """Outlier-resistant correlation matrix of standardized columns.
@@ -526,12 +540,10 @@ def robust_partner_correlations(Zs: np.ndarray,
     and ``corr[h, j]``, so the result is exactly symmetric, and bitwise
     the same for any CPU count and any memory layout of ``Zs``. A ``Zs``
     that is not a nonempty matrix raises :class:`ShapeMismatch`, and a
-    ``trim`` outside [0, 1) :class:`InvalidConfig`.
+    ``trim`` outside [0, 1) :class:`InvalidConfig`, and a NaN or infinite
+    cell :class:`NonFiniteValue` naming its column.
     """
-    DdcConfig(trim=trim).validate()
-    Zs = np.asarray(Zs, dtype=float)
-    require_matrix(Zs)
-    Zs = np.ascontiguousarray(Zs)
+    Zs, _ = _cleaning_input(Zs, DdcConfig(trim=trim))
     C = Zs.shape[1]
     corr = np.empty((C, C))
 
@@ -625,14 +637,11 @@ def partner_table(Zs: np.ndarray, cfg: DdcConfig | None = None):
     InvalidConfig
         Naming the field, when ``cfg`` fails :meth:`DdcConfig.validate`.
     ShapeMismatch
-        Unless ``Zs`` is a nonempty matrix.
+        Unless ``Zs`` is a real, nonempty matrix.
+    NonFiniteValue
+        Naming the first column that holds a NaN or infinite cell.
     """
-    if cfg is None:
-        cfg = DdcConfig()
-    cfg.validate()
-    Zs = np.asarray(Zs, dtype=float)
-    require_matrix(Zs)
-    Zs = np.ascontiguousarray(Zs)
+    Zs, cfg = _cleaning_input(Zs, cfg)
     C = Zs.shape[1]
     k = min(cfg.k_neighbors, C - 1)
     index = np.full((C, k), -1)
@@ -721,10 +730,9 @@ def ddc_impute(Z: np.ndarray, cfg: DdcConfig | None = None) -> ImputationResult:
     InvalidConfig
         Naming the field, when ``cfg`` fails :meth:`DdcConfig.validate`.
     ShapeMismatch
-        Unless ``Z`` is a nonempty matrix.
+        Unless ``Z`` is a real, nonempty matrix.
     NonFiniteValue
-        Naming the first column that holds a NaN or infinite cell
-        (:func:`robust_standardize`).
+        Naming the first column that holds a NaN or infinite cell.
 
     Notes
     -----
@@ -740,12 +748,7 @@ def ddc_impute(Z: np.ndarray, cfg: DdcConfig | None = None) -> ImputationResult:
     :func:`median_ratio_slopes` call, and each column's weighted
     prediction adds its partners in rank order. No C x C array is held.
     """
-    if cfg is None:
-        cfg = DdcConfig()
-    cfg.validate()
-    Z = np.asarray(Z, dtype=float)
-    require_matrix(Z)
-    Z = np.ascontiguousarray(Z)
+    Z, cfg = _cleaning_input(Z, cfg)
     n, C = Z.shape
     if C < 2:
         raise TooFewColumns(f"need at least 2 columns, got {C}")

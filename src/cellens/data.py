@@ -20,13 +20,22 @@ import numpy as np
 from .errors import NonFiniteValue, ShapeMismatch
 
 
+def real_array(a) -> np.ndarray:
+    """``a`` as a float array. Complex input, whose imaginary parts a cast
+    would drop, raises :class:`ShapeMismatch` naming its dtype."""
+    a = np.asarray(a)
+    if np.iscomplexobj(a):
+        raise ShapeMismatch(f"expected real values, got dtype {a.dtype}")
+    return a.astype(float, copy=False)
+
+
 def regression_arrays(y, X) -> tuple[np.ndarray, np.ndarray]:
     """``(y, X)`` as float arrays: a vector and a matrix with the same
     nonzero number of rows. A one-column ``y`` counts as a vector and a
-    vector ``X`` as one predictor; anything else raises
+    vector ``X`` as one predictor; anything else, or complex input, raises
     :class:`ShapeMismatch`."""
-    y = np.asarray(y, dtype=float)
-    X = np.asarray(X, dtype=float)
+    y = real_array(y)
+    X = real_array(X)
     if y.ndim == 2 and y.shape[1] == 1:
         y = y[:, 0]
     if X.ndim == 1:

@@ -9,7 +9,8 @@ import numpy as np
 
 from .cellwise import (CorrelationStructure, DdcConfig, ImputationResult,
                        RobustScale, correlation_structure, ddc_impute)
-from .data import regression_arrays, require_finite, require_matrix
+from .data import (real_array, regression_arrays, require_finite,
+                   require_matrix)
 from .robustfit import EnsembleModel, fit_ensemble_models, predict
 from .selection import SelectionConfig, SelectionResult, run_selection
 
@@ -35,10 +36,10 @@ def passthrough_imputation(Z: np.ndarray) -> ImputationResult:
 
     Used by ablations that skip the detection stage; correlations are
     then computed on the raw, possibly contaminated matrix. A ``Z`` that
-    is not a matrix raises :class:`ShapeMismatch`, and a NaN or infinite
-    cell :class:`NonFiniteValue` naming its column.
+    is not a real matrix raises :class:`ShapeMismatch`, and a NaN or
+    infinite cell :class:`NonFiniteValue` naming its column.
     """
-    Z = np.asarray(Z, dtype=float)
+    Z = real_array(Z)
     require_matrix(Z)
     require_finite(Z[:, 0], Z[:, 1:])
     n, C = Z.shape

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import regression_arrays, require_finite
+from .data import real_array, regression_arrays, require_finite
 from .errors import NonFiniteValue, RankDeficient, ShapeMismatch
 from .linalg import ols_fit, pivot_ratios, prepare_design
 from .rng import make_rng
@@ -598,12 +598,13 @@ def predict(model: EnsembleModel, Xnew: np.ndarray) -> np.ndarray:
     Raises
     ------
     ShapeMismatch
-        If ``Xnew`` is not a matrix with the training predictor count.
+        If ``Xnew`` is not a real matrix with the training predictor
+        count.
     NonFiniteValue
         Naming the first predictor ``x_j`` of ``Xnew`` (in any column, not
         only the selected ones) that holds a NaN or infinite cell.
     """
-    Xnew = np.asarray(Xnew, dtype=float)
+    Xnew = real_array(Xnew)
     if Xnew.ndim != 2:
         raise ShapeMismatch(f"Xnew must be a matrix, got shape {Xnew.shape}")
     if Xnew.shape[1] != model.p:

@@ -8,9 +8,10 @@ import re
 import numpy as np
 import pytest
 
-from cellens import (CellensError, NonFiniteValue, ShapeMismatch,
-                     ddc_impute, fit_ensemble_models, make_rng, mm_fit,
-                     model_from_json, model_to_json, passthrough_imputation,
+from cellens import (CellensError, NonFiniteValue, SelectionConfig,
+                     ShapeMismatch, ddc_impute, fit_ensemble,
+                     fit_ensemble_models, make_rng, mm_fit, model_from_json,
+                     model_to_json, passthrough_imputation, predict,
                      robust_standardize, s_scale)
 from cellens.cellwise import partner_table, robust_partner_correlations
 
@@ -103,6 +104,58 @@ def test_non_finite_cells_raise_a_typed_error_naming_the_column(capfd, value,
         else:
             clean(np.column_stack([y, X]))
     assert info.value.column == 0
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("partners", [partner_table,
+                                      robust_partner_correlations])
+def test_partner_entry_points_reject_non_finite_cells(capfd, value, partners):
+    # a standardized (30, 6) input with one bad cell: it made NaN
+    # correlations, or a RuntimeWarning, before it reached the kernel
+    Zs, _ = robust_standardize(make_rng(98).standard_normal((30, 6)))
+    Zs[11, 4] = value
+    with pytest.raises(NonFiniteValue) as info:
+        partners(Zs)
+    assert info.value.column == 4
+    assert capfd.readouterr().err == ""
+
+
+COMPLEX_INPUTS = {
+    "fit_ensemble": lambda y, X: fit_ensemble(y, X, SelectionConfig(K=2)),
+    "mm_fit": lambda y, X: mm_fit(X, y),
+    "ddc_impute": lambda y, X: ddc_impute(np.column_stack([y, X])),
+    "partner_table": lambda y, X: partner_table(np.column_stack([y, X])),
+    "robust_partner_correlations":
+        lambda y, X: robust_partner_correlations(np.column_stack([y, X])),
+    "robust_standardize": lambda y, X: robust_standardize(X),
+    "passthrough_imputation":
+        lambda y, X: passthrough_imputation(np.column_stack([y, X])),
+    "predict": lambda y, X: predict(
+        fit_ensemble_models(y.real, X.real, [[0, 1]]), X),
+}
+
+
+# robust_standardize and predict read only X here
+COMPLEX_CASES = [(entry, which) for entry in COMPLEX_INPUTS
+                 for which in ("y", "X")
+                 if which == "X" or entry not in ("robust_standardize",
+                                                  "predict")]
+
+
+@pytest.mark.parametrize("entry, which", COMPLEX_CASES,
+                         ids=[f"{e}-{w}" for e, w in COMPLEX_CASES])
+def test_complex_input_raises_shape_mismatch_naming_the_dtype(capfd, entry,
+                                                              which):
+    # a cast to float would drop the imaginary parts
+    X, y = _data(99)
+    if which == "y":
+        y = y.astype(complex)
+    else:
+        X = X + 0.5j
+    with pytest.raises(ShapeMismatch, match=re.escape(
+            "expected real values, got dtype complex128")):
+        COMPLEX_INPUTS[entry](y, X)
     assert capfd.readouterr().err == ""
 
 
