@@ -77,14 +77,18 @@ def test_fitted_sets_hold_plain_indices_that_round_trip():
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("fit", ["mm_fit", "ensemble", "ddc_impute",
                                  "robust_standardize",
-                                 "passthrough_imputation"])
+                                 "passthrough_imputation", "partner_table",
+                                 "robust_partner_correlations"])
 def test_non_finite_cells_raise_a_typed_error_naming_the_column(capfd, value,
                                                                 fit):
     # the cleaning stage's entry points take the joint matrix [y, X], whose
     # column numbers are those of the fits
     clean = {"ddc_impute": ddc_impute,
              "robust_standardize": robust_standardize,
-             "passthrough_imputation": passthrough_imputation}.get(fit)
+             "passthrough_imputation": passthrough_imputation,
+             "partner_table": partner_table,
+             "robust_partner_correlations": robust_partner_correlations
+             }.get(fit)
     X, y = _data(92)
     X[7, 4] = value
     with pytest.raises(NonFiniteValue) as info:
@@ -104,20 +108,6 @@ def test_non_finite_cells_raise_a_typed_error_naming_the_column(capfd, value,
         else:
             clean(np.column_stack([y, X]))
     assert info.value.column == 0
-    assert capfd.readouterr().err == ""
-
-
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("partners", [partner_table,
-                                      robust_partner_correlations])
-def test_partner_entry_points_reject_non_finite_cells(capfd, value, partners):
-    # a standardized (30, 6) input with one bad cell: it made NaN
-    # correlations, or a RuntimeWarning, before it reached the kernel
-    Zs, _ = robust_standardize(make_rng(98).standard_normal((30, 6)))
-    Zs[11, 4] = value
-    with pytest.raises(NonFiniteValue) as info:
-        partners(Zs)
-    assert info.value.column == 4
     assert capfd.readouterr().err == ""
 
 

@@ -579,14 +579,7 @@ def test_predict_shape_mismatch():
         sets=[[0]], p=3, intercept=False)
     with pytest.raises(ShapeMismatch):
         predict(model, np.zeros((4, 2)))
-
-
-def test_predict_takes_a_matrix():
     # a vector is not one row: regression_arrays reads it as one column
-    model = EnsembleModel(
-        fits=[RobustFit(coefficients=np.array([1.0]), intercept=0.0, scale=1.0,
-                        converged=True, iterations=1)],
-        sets=[[0]], p=3, intercept=False)
     with pytest.raises(ShapeMismatch, match=re.escape(
             "Xnew must be a matrix, got shape (3,)")):
         predict(model, np.zeros(3))
