@@ -512,10 +512,10 @@ def _partner_pass(Zs: np.ndarray, trim: float, emit,
 
 def _cleaning_input(Z, cfg: DdcConfig | None):
     """``(Z, cfg)`` at an entry point of the cleaning stage: ``cfg`` (the
-    defaults when None) validated, and ``Z`` a C-contiguous float copy of
-    a real, nonempty matrix of finite cells, or :class:`InvalidConfig`,
-    :class:`ShapeMismatch` or :class:`NonFiniteValue` (naming the first
-    such column) raised."""
+    defaults when None) validated, and ``Z`` as a C-contiguous float
+    array, once it is known to be a real, nonempty matrix of finite cells.
+    Otherwise raises :class:`InvalidConfig`, :class:`ShapeMismatch` or
+    :class:`NonFiniteValue` (naming the first such column)."""
     cfg = DdcConfig() if cfg is None else cfg
     cfg.validate()
     Z = real_array(Z)
@@ -539,9 +539,9 @@ def robust_partner_correlations(Zs: np.ndarray,
     computed once by :func:`_partner_pass` and written to ``corr[j, h]``
     and ``corr[h, j]``, so the result is exactly symmetric, and bitwise
     the same for any CPU count and any memory layout of ``Zs``. A ``Zs``
-    that is not a nonempty matrix raises :class:`ShapeMismatch`, and a
-    ``trim`` outside [0, 1) :class:`InvalidConfig`, and a NaN or infinite
-    cell :class:`NonFiniteValue` naming its column.
+    that is not a real, nonempty matrix raises :class:`ShapeMismatch`, a
+    NaN or infinite cell :class:`NonFiniteValue` naming its column, and a
+    ``trim`` outside [0, 1) :class:`InvalidConfig`.
     """
     Zs, _ = _cleaning_input(Zs, DdcConfig(trim=trim))
     C = Zs.shape[1]
