@@ -134,17 +134,13 @@ class ImputationResult:
         Standardization used during detection.
     marginal : ndarray of shape (p+1,), bool
         True for a column that had no usable partner and so fell back to
-        marginal detection. All False when omitted.
+        marginal detection.
     """
 
     Z_imp: np.ndarray
     flags: np.ndarray
     scales: RobustScale
-    marginal: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.marginal is None:
-            self.marginal = np.zeros(self.Z_imp.shape[1], dtype=bool)
+    marginal: np.ndarray
 
     @property
     def y_imp(self) -> np.ndarray:
@@ -695,15 +691,13 @@ def median_ratio_slopes(z: np.ndarray, Zh: np.ndarray,
                         usable: np.ndarray) -> np.ndarray:
     """Median-of-ratios slopes of ``z`` on each column of ``Zh`` at once.
 
-    ``z`` is one column (shape (n,)) or one per column of ``Zh`` (its
-    shape). Column ``i`` of the result is ``np.median(z_i[u] / Zh[u, i])``
-    with ``u = usable[:, i]``, bit for bit: the ratios are sorted with
-    ``inf`` in the unusable rows, and the median of the ``m`` usable ones
-    is ``(R[(m-1)//2] + R[m//2]) / 2``. Every column needs at least one
-    usable row.
+    ``z`` has one column per column of ``Zh`` (its shape), or one column
+    for all of them (shape (n, 1)). Column ``i`` of the result is
+    ``np.median(z_i[u] / Zh[u, i])`` with ``u = usable[:, i]``, bit for
+    bit: the ratios are sorted with ``inf`` in the unusable rows, and the
+    median of the ``m`` usable ones is ``(R[(m-1)//2] + R[m//2]) / 2``.
+    Every column needs at least one usable row.
     """
-    if z.ndim == 1:
-        z = z[:, None]
     R = np.divide(z, Zh, out=np.full(Zh.shape, np.inf), where=usable)
     R.sort(axis=0)
     m = usable.sum(axis=0)

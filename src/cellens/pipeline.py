@@ -47,6 +47,7 @@ def passthrough_imputation(Z: np.ndarray) -> ImputationResult:
         Z_imp=Z.copy(),
         flags=np.zeros((n, C), dtype=bool),
         scales=RobustScale(location=np.zeros(C), scale=np.ones(C)),
+        marginal=np.zeros(C, dtype=bool),
     )
 
 

@@ -236,10 +236,11 @@ def cv_error_oracle(y: np.ndarray, X: np.ndarray, subset, folds: np.ndarray,
     return total / n
 
 
-def s_scale_grid(residuals: np.ndarray, c0: float, tol: float = 1e-8) -> float:
-    """S-scale by bracketed grid refinement (no bisection reuse)."""
+def s_scale_grid(residuals: np.ndarray, c0: float) -> float:
+    """S-scale by bracketed grid refinement (no bisection reuse), to a
+    bracket narrower than 1e-8."""
     r = np.abs(np.asarray(residuals, dtype=float))
-    rho_max_frac = 0.5
+    rho_max_frac, tol = 0.5, 1e-8
 
     def mean_rho(sigma):
         z = np.minimum((r / sigma / c0) ** 2, 1.0)

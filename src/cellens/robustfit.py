@@ -75,14 +75,14 @@ def bisquare_weight(u: np.ndarray, c: float) -> np.ndarray:
     return np.maximum(1.0 - z, 0.0) ** 2
 
 
-def _solve_s_scale(R: np.ndarray, c0: float, rtol: float,
+def _solve_s_scale(R: np.ndarray, rtol: float,
                    guess: np.ndarray | None = None) -> np.ndarray:
     """Row-wise Newton solve of the S-scale equation on residuals ``R``.
 
     ``R`` has shape (m, n): each row is solved on its own and the result
     has shape (m,).
 
-    With a_i = (r_i / c0)^2 and s = 1 / sigma^2, mean
+    With a_i = (r_i / C_BREAKDOWN)^2 and s = 1 / sigma^2, mean
     rho(r / sigma) is ``1 - mean((1 - min(a s, 1))^3)``: concave and
     nondecreasing in s. From the left of the root Newton therefore rises
     to it without overshooting, and from the right its first step lands
@@ -100,10 +100,10 @@ def _solve_s_scale(R: np.ndarray, c0: float, rtol: float,
     if not fit.all():
         sigma = np.zeros(m)
         if fit.any():
-            sigma[fit] = _solve_s_scale(R[fit], c0, rtol,
+            sigma[fit] = _solve_s_scale(R[fit], rtol,
                                         None if guess is None else guess[fit])
         return sigma
-    a = np.square(R / c0)
+    a = np.square(R / C_BREAKDOWN)
     # 1 - (1 - x)^3 < 3x, so mean rho < 3 s_low mean(a) = 1/2: s_low lies
     # below the root, and Newton rises from it monotonically
     s_low = n / (6.0 * a.sum(axis=1))
@@ -150,8 +150,7 @@ def s_scale(residuals: np.ndarray) -> float:
     if not np.isfinite(r).all():
         raise NonFiniteValue(0, "residuals")
     e = int(np.frexp(np.abs(r).max())[1])
-    sigma = _solve_s_scale(np.ldexp(r, -e).reshape(1, -1), C_BREAKDOWN,
-                           S_SCALE_RTOL)[0]
+    sigma = _solve_s_scale(np.ldexp(r, -e).reshape(1, -1), S_SCALE_RTOL)[0]
     return float(np.ldexp(sigma, e))
 
 
@@ -285,7 +284,7 @@ def _reweight(groups: list, theta: np.ndarray, R: np.ndarray, w: np.ndarray,
         R[idx] = y[:, None] - theta[idx, :, :c] @ Dt
 
 
-def _irls_s_stage(groups: list, theta: np.ndarray, R: np.ndarray, c0: float,
+def _irls_s_stage(groups: list, theta: np.ndarray, R: np.ndarray,
                   scale_rtol: float, max_iter: int = S_STAGE_MAX_ITER,
                   final_rtol: float = S_SCALE_RTOL):
     """Iterate reweighted LS toward a local minimum of the S-scale.
@@ -305,12 +304,12 @@ def _irls_s_stage(groups: list, theta: np.ndarray, R: np.ndarray, c0: float,
     once its scale reaches zero (exact fit).
     """
     groups, theta, R = list(groups), np.array(theta, dtype=float), R.copy()
-    sigma = _solve_s_scale(R.reshape(-1, R.shape[-1]), c0,
+    sigma = _solve_s_scale(R.reshape(-1, R.shape[-1]),
                            scale_rtol).reshape(R.shape[:2])
     live = sigma > 0
     for _ in range(max_iter):
         w = np.ones(R.shape)
-        w[live] = bisquare_weight(R[live] / sigma[live, None], c0)
+        w[live] = bisquare_weight(R[live] / sigma[live, None], C_BREAKDOWN)
         # a start whose weights all vanish stops; stopped starts get unit
         # weights
         live &= w.any(axis=-1)
@@ -319,15 +318,14 @@ def _irls_s_stage(groups: list, theta: np.ndarray, R: np.ndarray, c0: float,
             break
         _reweight(groups, theta, R, w, live)
         sigma_live = sigma[live]
-        sigma_new = _solve_s_scale(R[live], c0, scale_rtol, guess=sigma_live)
+        sigma_new = _solve_s_scale(R[live], scale_rtol, guess=sigma_live)
         # the objective is the scale itself: stop once it stalls (the
         # fixed-scale stage polishes the coefficients afterwards)
         sigma[live] = sigma_new
         live[live] = (sigma_new > 0) & (sigma_new < sigma_live * (1 - scale_rtol))
     if final_rtol < scale_rtol:
         rows = sigma > 0
-        sigma[rows] = _solve_s_scale(R[rows], c0, final_rtol,
-                                     guess=sigma[rows])
+        sigma[rows] = _solve_s_scale(R[rows], final_rtol, guess=sigma[rows])
     return theta, sigma
 
 
@@ -360,7 +358,7 @@ def _s_stage(P: list[np.ndarray], intercept: bool, models: np.ndarray,
         R = _residuals(groups, thetas[b], n)
         _reweight(groups, thetas[b], R, W, elemental)
         thetas[b], sigmas[b] = _irls_s_stage(
-            groups, thetas[b], R, C_BREAKDOWN, max_iter=PREVIEW_STEPS,
+            groups, thetas[b], R, max_iter=PREVIEW_STEPS,
             scale_rtol=PREVIEW_RTOL, final_rtol=PREVIEW_RTOL)
     order = np.argsort(sigmas, axis=1, kind="stable")
     lead = np.arange(len(models)), order[:, 0]
@@ -370,7 +368,7 @@ def _s_stage(P: list[np.ndarray], intercept: bool, models: np.ndarray,
     finalists = thetas[going[:, None], order[going, :N_FINALISTS]]
     groups = _operands(P, models[going], intercept)
     th, sg = _irls_s_stage(groups, finalists, _residuals(groups, finalists, n),
-                           C_BREAKDOWN, scale_rtol=FINALIST_RTOL)
+                           scale_rtol=FINALIST_RTOL)
     best = np.argmin(sg, axis=1)
     theta[going] = th[np.arange(going.size), best]
     sigma[going] = sg[np.arange(going.size), best]
@@ -481,7 +479,7 @@ def _fit_models(designs, y: np.ndarray, intercept: bool,
     empty = np.flatnonzero(ncol == 0)
     if empty.size:
         sigma[empty] = _solve_s_scale(np.stack([P_list[k][:, 0] for k in empty]),
-                                      C_BREAKDOWN, S_SCALE_RTOL)
+                                      S_SCALE_RTOL)
     models = np.flatnonzero(ncol > 0)
     start0 = np.zeros((models.size, width))
     for row, start in zip(start0, starts):

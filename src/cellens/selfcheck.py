@@ -39,7 +39,7 @@ logger = logging.getLogger("cellens.selfcheck")
 S_ORACLE_MISSES = 2
 
 
-def _generic_dataset(seed: int, n: int = 50, p: int = 80):
+def _generic_dataset(seed: int, n: int, p: int):
     """Clean block-correlated data with clear signal; generic position a.s."""
     cfg = SimConfig(n=n, p=p, sparsity=10, snr=2.0, block_size=5,
                     rho_within=0.8, rho_background=0.2, seed=seed)
@@ -47,8 +47,9 @@ def _generic_dataset(seed: int, n: int = 50, p: int = 80):
     return data.y, data.X
 
 
-def _selection_cfg(seed: int, K: int = 5) -> SelectionConfig:
-    return SelectionConfig(K=K, seed=seed)
+def _selection_cfg(seed: int) -> SelectionConfig:
+    """The self-check's selection setting: K = 5 sub-models."""
+    return SelectionConfig(K=5, seed=seed)
 
 
 def _affine_maps(rng: np.random.Generator, count: int):
@@ -57,8 +58,12 @@ def _affine_maps(rng: np.random.Generator, count: int):
     return c, a
 
 
-def check_affine_invariance(n_runs: int = 20, n: int = 50, p: int = 80) -> list[str]:
-    """Per-column affine maps of [y, X] must not change the selected sets."""
+def check_affine_invariance(n_runs: int = 20) -> list[str]:
+    """Per-column affine maps of [y, X] must not change the selected sets.
+
+    Each run maps one seeded 50 x 80 input.
+    """
+    n, p = 50, 80
     failures = []
     for run in range(n_runs):
         y, X = _generic_dataset(seed=split_seed(101, run), n=n, p=p)
@@ -74,16 +79,16 @@ def check_affine_invariance(n_runs: int = 20, n: int = 50, p: int = 80) -> list[
     return failures
 
 
-def check_scale_shift_equivariance(n_runs: int = 12, n: int = 50, p: int = 80,
-                                   exact: bool = False) -> list[str]:
+def check_scale_shift_equivariance(n_runs: int = 12, exact: bool = False) -> list[str]:
     """Scaling and shifting ``y`` and every column must carry the fit along.
 
-    Each column ``x`` of ``[y, X]`` becomes ``c * x + a`` with factor
-    ``c = ±u * 10**k`` (``k`` a uniform integer in [-150, 150], ``u`` in
-    [1, 10)) and shift ``a = b * |c| * sd(x)`` (``|b| <= 1e6``). The
-    selected sets, the winner sequence and every sub-model's ``converged``
-    flag and iteration count must not change, and the predictions on the
-    mapped rows must be ``c_y * pred + a_y`` within
+    Each run maps one seeded 50 x 80 input: each column ``x`` of
+    ``[y, X]`` becomes ``c * x + a`` with factor ``c = ±u * 10**k`` (``k``
+    a uniform integer in [-150, 150], ``u`` in [1, 10)) and shift
+    ``a = b * |c| * sd(x)`` (``|b| <= 1e6``). The selected sets, the
+    winner sequence and every sub-model's ``converged`` flag and
+    iteration count must not change, and the predictions on the mapped
+    rows must be ``c_y * pred + a_y`` within
     ``1e-12 * (|c_y| * sd(y) + |a_y|)``. With ``exact`` the factors are
     ``±2**k`` (``k`` in [-400, 400]) and there are no shifts: predictions
     must then be ``c_y * pred`` and every proposal's benefit ``c_y**2``
@@ -92,6 +97,7 @@ def check_scale_shift_equivariance(n_runs: int = 12, n: int = 50, p: int = 80,
     (``2**±600 * y`` with ``exact``), whose squares leave the float range;
     they check all of the above but the benefits.
     """
+    n, p = 50, 80
     failures = []
     label = "power-of-two" if exact else "scale-shift"
     fixed = [2.0 ** 600, 2.0 ** -600] if exact else [1e200, 1e-200]
@@ -144,9 +150,12 @@ def check_scale_shift_equivariance(n_runs: int = 12, n: int = 50, p: int = 80,
     return failures
 
 
-def check_permutation_equivariance(n_runs: int = 20, n: int = 50,
-                                   p: int = 80) -> list[str]:
-    """Column permutation must permute the selected sets (up to model labels)."""
+def check_permutation_equivariance(n_runs: int = 20) -> list[str]:
+    """Column permutation must permute the selected sets (up to model labels).
+
+    Each run permutes one seeded 50 x 80 input.
+    """
+    n, p = 50, 80
     failures = []
     for run in range(n_runs):
         y, X = _generic_dataset(seed=split_seed(404, run), n=n, p=p)
@@ -164,14 +173,15 @@ def check_permutation_equivariance(n_runs: int = 20, n: int = 50,
     return failures
 
 
-def check_intercept_invariance(n_runs: int = 20, n: int = 50,
-                               p: int = 40) -> list[str]:
+def check_intercept_invariance(n_runs: int = 20) -> list[str]:
     """The winner sequence must ignore the intercept on column-centered data.
 
     The selection stage consumes the cleaned matrix, so that is what gets
-    centered: one shared foundation is built, its columns are centered,
-    and the competition runs with the intercept on and off.
+    centered: one shared foundation is built from a seeded 50 x 40 input,
+    its columns are centered, and the competition runs with the intercept
+    on and off.
     """
+    n, p = 50, 40
     failures = []
     for run in range(n_runs):
         y, X = _generic_dataset(seed=split_seed(707, run), n=n, p=p)
@@ -201,9 +211,13 @@ class _PerturbedStructure(CorrelationStructure):
         return super()._column(j) + self._noise[:, j]
 
 
-def check_local_stability(n_runs: int = 20, n: int = 50, p: int = 80,
-                          eps: float = 1e-9) -> list[str]:
-    """Entrywise perturbations of the cleaned inputs must not move any decision."""
+def check_local_stability(n_runs: int = 20) -> list[str]:
+    """Entrywise perturbations of the cleaned inputs must not move any decision.
+
+    Each run cleans one seeded 50 x 80 input and perturbs every entry of
+    its cleaned matrix and correlation structure by up to 1e-9.
+    """
+    n, p, eps = 50, 80, 1e-9
     failures = []
     for run in range(n_runs):
         y, X = _generic_dataset(seed=split_seed(909, run), n=n, p=p)
@@ -216,11 +230,8 @@ def check_local_stability(n_runs: int = 20, n: int = 50, p: int = 80,
         pert = _PerturbedStructure(
             structure, rng.uniform(-eps, eps, (p, p)),
             structure.r_y + rng.uniform(-eps, eps, structure.r_y.shape))
-        imp2 = type(imp)(
-            Z_imp=imp.Z_imp + rng.uniform(-eps, eps, imp.Z_imp.shape),
-            flags=imp.flags.copy(),
-            scales=imp.scales,
-        )
+        imp2 = replace(imp, Z_imp=imp.Z_imp + rng.uniform(-eps, eps,
+                                                          imp.Z_imp.shape))
         res2 = run_selection(pert, imp2, cfg)
         same = (res1.winner_sequence() == res2.winner_sequence()
                 and res1.stop_reason == res2.stop_reason)
@@ -229,9 +240,13 @@ def check_local_stability(n_runs: int = 20, n: int = 50, p: int = 80,
     return failures
 
 
-def check_path_equivalence(n_runs: int = 50, n: int = 60, p: int = 25,
-                           steps: int = 20, tol: float = 1e-8) -> list[str]:
-    """Correlation-space path must match data-space least-angle regression."""
+def check_path_equivalence(n_runs: int = 50) -> list[str]:
+    """Correlation-space path must match data-space least-angle regression.
+
+    Each run draws a seeded 60 x 25 input and compares the first 20 steps:
+    the entry order exactly, the step sizes within 1e-8.
+    """
+    n, p, steps, tol = 60, 25, 20, 1e-8
     failures = []
     for run in range(n_runs):
         rng = make_rng(split_seed(1212, run))
@@ -262,15 +277,15 @@ def check_path_equivalence(n_runs: int = 50, n: int = 60, p: int = 25,
     return failures
 
 
-def check_s_scale(n_runs: int = 9, tol: float = 1e-6) -> list[str]:
-    """The robust stage's S-scale must match the grid-refinement oracle.
+def check_s_scale(n_runs: int = 9) -> list[str]:
+    """The robust stage's S-scale must match the grid-refinement oracle
+    within 1e-6.
 
     Runs cycle through heavy-tailed (t with 2 degrees of freedom)
     residuals, residuals with 45% gross outliers that saturate the
     bisquare at the root, and tiny samples with one exact zero.
     """
     failures = []
-    c0 = robustfit.C_BREAKDOWN
     for run in range(n_runs):
         rng = make_rng(split_seed(1313, run))
         kind = run % 3
@@ -283,8 +298,8 @@ def check_s_scale(n_runs: int = 9, tol: float = 1e-6) -> list[str]:
             r = np.append(rng.standard_normal(2), 0.0)
         r *= rng.uniform(0.5, 3.0)
         got = robustfit.s_scale(r)
-        want = reference.s_scale_grid(r, c0)
-        if not abs(got - want) <= tol:
+        want = reference.s_scale_grid(r, robustfit.C_BREAKDOWN)
+        if not abs(got - want) <= 1e-6:
             failures.append(f"s-scale run {run}: {got!r} against oracle "
                             f"{want!r}")
     return failures
@@ -303,10 +318,9 @@ def _s_oracle_input(run: int, n: int):
     return y, X
 
 
-def check_s_stage_oracle(n_runs: int = 30, n: int = 14,
-                         max_misses: int = S_ORACLE_MISSES) -> list[str]:
+def check_s_stage_oracle(max_misses: int = S_ORACLE_MISSES) -> list[str]:
     """The S-stage's search must find the least S-scale an exhaustive
-    search finds, on all but ``max_misses`` of ``n_runs`` tiny inputs.
+    search finds, on all but ``max_misses`` of 30 inputs of 14 rows.
 
     Each input (:func:`_s_oracle_input`, with an intercept) is fitted by
     :func:`robustfit.mm_fit`, which searches from its OLS start and
@@ -317,6 +331,7 @@ def check_s_stage_oracle(n_runs: int = 30, n: int = 14,
     miss when ``mm_fit``'s scale exceeds the least refined scale by more
     than 1%.
     """
+    n_runs, n = 30, 14
     subsets = np.array(list(combinations(range(n), 3)))
     W = np.zeros((1, len(subsets), n))
     W[0, np.arange(len(subsets))[:, None], subsets] = 1.0
@@ -330,9 +345,7 @@ def check_s_stage_oracle(n_runs: int = 30, n: int = 14,
         theta = np.zeros(W.shape[:2] + (P.shape[1],))
         R = robustfit._residuals(groups, theta, n)
         robustfit._reweight(groups, theta, R, W, every)
-        _, sigma = robustfit._irls_s_stage(groups, theta, R,
-                                           robustfit.C_BREAKDOWN,
-                                           scale_rtol=1e-8)
+        _, sigma = robustfit._irls_s_stage(groups, theta, R, scale_rtol=1e-8)
         best = np.ldexp(sigma.min(), e[0])
         if scale > 1.01 * best:
             missed.append(f"run {run} ({scale / best - 1:.1%} above)")
@@ -344,18 +357,19 @@ def check_s_stage_oracle(n_runs: int = 30, n: int = 14,
             f"{robustfit.N_FINALISTS} finalists): {', '.join(missed)}"]
 
 
-def check_cv_oracle(n_runs: int = 20, n: int = 47, p: int = 30,
-                    folds: int = 5, tol: float = 1e-10) -> list[str]:
-    """The cross-validation error must match the fold-by-fold oracle.
+def check_cv_oracle(n_runs: int = 20) -> list[str]:
+    """The cross-validation error must match the fold-by-fold oracle
+    within 1e-10.
 
-    One seeded input with uneven folds (``n`` not a multiple of
-    ``folds``); each run scores a random subset of 1 to 10 predictors,
-    with the intercept on in even runs and off in odd ones. Half the runs
-    (``run % 4`` of 2 or 3) also grow the subset one column at a time as
-    the tournament does, bordering each kept fit by the next column: every
-    prefix must match the oracle, and the whole subset must score what
-    :func:`cv_error` gives, bit for bit. A run reports its first failure.
+    One seeded 47 x 30 input with 5 uneven folds; each run scores a
+    random subset of 1 to 10 predictors, with the intercept on in even
+    runs and off in odd ones. Half the runs (``run % 4`` of 2 or 3) also
+    grow the subset one column at a time as the tournament does,
+    bordering each kept fit by the next column: every prefix must match
+    the oracle, and the whole subset must score what :func:`cv_error`
+    gives, bit for bit. A run reports its first failure.
     """
+    n, p, folds, tol = 47, 30, 5, 1e-10
     failures = []
     y, X = _generic_dataset(seed=1414, n=n, p=p)
     imp = passthrough_imputation(np.column_stack([y, X]))
@@ -533,17 +547,18 @@ def check_extreme_inputs() -> list[str]:
     return _typed_or_finite(cases())
 
 
-def check_partner_table(n: int = 100) -> list[str]:
+def check_partner_table() -> list[str]:
     """Partner tables must equal the dense rule bit for bit.
 
     Runs :func:`partner_table` on one seeded ``[y, X]`` of each
-    ``EXTREME_KINDS`` class of :func:`_extreme_input`, with ``n`` rows and
+    ``EXTREME_KINDS`` class of :func:`_extreme_input`, with 100 rows and
     just enough columns to reach ``cellwise.PARTNER_PARALLEL_PRODUCTS``,
     so its pairs are screened in float32 as in a fit, and on a Cauchy input
     with one cell of 1e30, whose pairs are not screened. Each table must
     be :func:`reference.dense_partner_rule` over
     :func:`robust_partner_correlations`, index and value bits alike.
     """
+    n = 100
     p = math.ceil(math.sqrt(cellwise.PARTNER_PARALLEL_PRODUCTS / n))
     cfg = DdcConfig()
     failures = []

@@ -85,7 +85,7 @@ def test_criterion_02_equicorrelation(path_runs):
 
 def test_criterion_03_affine_invariance():
     t0 = time.perf_counter()
-    failures = selfcheck.check_affine_invariance(n_runs=20, n=50, p=80)
+    failures = selfcheck.check_affine_invariance(n_runs=20)
     elapsed = time.perf_counter() - t0
     ok = not failures and elapsed < 120
     report(3, "affine invariance, 20 runs", ok,
@@ -94,7 +94,7 @@ def test_criterion_03_affine_invariance():
 
 def test_criterion_04_permutation_equivariance():
     t0 = time.perf_counter()
-    failures = selfcheck.check_permutation_equivariance(n_runs=20, n=50, p=80)
+    failures = selfcheck.check_permutation_equivariance(n_runs=20)
     elapsed = time.perf_counter() - t0
     ok = not failures and elapsed < 120
     report(4, "permutation equivariance, 20 runs", ok,
@@ -108,7 +108,7 @@ def test_criterion_05_intercept_invariance():
 
 
 def test_criterion_06_local_stability():
-    failures = selfcheck.check_local_stability(n_runs=20, eps=1e-9)
+    failures = selfcheck.check_local_stability(n_runs=20)
     report(6, "local stability at 1e-9 noise", not failures,
            f"({failures if failures else 'traces identical'})")
 

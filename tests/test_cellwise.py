@@ -297,11 +297,11 @@ def test_median_ratio_slopes_equal_np_median():
     Zh[[3, 11], 5] = [2.0, -0.5]  # only two usable rows
     usable = np.abs(Zh) > 0.1
     assert list(usable.sum(axis=0)[[0, 1, 4, 5]]) == [20, 17, 1, 2]
-    slopes = median_ratio_slopes(z, Zh, usable)
+    slopes = median_ratio_slopes(z[:, None], Zh, usable)
     for i in range(6):
         u = usable[:, i]
         assert slopes[i] == np.median(z[u] / Zh[u, i])
-    assert median_ratio_slopes(z, Zh[:, :0], usable[:, :0]).shape == (0,)
+    assert median_ratio_slopes(z[:, None], Zh[:, :0], usable[:, :0]).shape == (0,)
 
 
 def block_factor_matrix(seed, n, C, block=25, alpha=0.1):

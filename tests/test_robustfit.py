@@ -74,9 +74,8 @@ def test_s_scale_matches_grid_oracle_hard_cases(kind):
 @pytest.mark.parametrize("factor", [1e-6, 1e6])
 def test_s_scale_warm_start_far_from_root(kind, factor):
     r = _hard_residuals(kind)
-    root = _solve_s_scale(r[None], C_BREAKDOWN, 1e-14)[0]
-    got = _solve_s_scale(r[None], C_BREAKDOWN, 1e-12,
-                         guess=np.array([factor * root]))
+    root = _solve_s_scale(r[None], 1e-14)[0]
+    got = _solve_s_scale(r[None], 1e-12, guess=np.array([factor * root]))
     assert got[0] == pytest.approx(root, rel=1e-10)
 
 
@@ -117,11 +116,10 @@ def test_s_stage_stops_at_scale_accuracy(monkeypatch):
     monkeypatch.setattr(robustfit, "_weighted_ls", counted)
     groups, theta0 = _one_model(D, y), theta0[None, None]
     R0 = robustfit._residuals(groups, theta0, n)
-    _, (sigma,) = _irls_s_stage(groups, theta0, R0, C_BREAKDOWN,
-                                scale_rtol=1e-5)
+    _, (sigma,) = _irls_s_stage(groups, theta0, R0, scale_rtol=1e-5)
     assert len(rounds) < S_STAGE_MAX_ITER
-    _, (converged,) = _irls_s_stage(groups, theta0, R0, C_BREAKDOWN,
-                                    max_iter=10_000, scale_rtol=1e-13)
+    _, (converged,) = _irls_s_stage(groups, theta0, R0, max_iter=10_000,
+                                    scale_rtol=1e-13)
     assert sigma[0] == pytest.approx(converged[0], rel=1e-4)
 
 
@@ -204,16 +202,14 @@ def test_stacked_previews_match_serial_starts():
     groups, n = _one_model(D, y), len(y)
     thetas, sigmas = _irls_s_stage(groups, starts[None],
                                    robustfit._residuals(groups, starts[None], n),
-                                   C_BREAKDOWN, max_iter=2,
-                                   scale_rtol=1e-3, final_rtol=1e-3)
+                                   max_iter=2, scale_rtol=1e-3, final_rtol=1e-3)
     thetas, sigmas = thetas[0], sigmas[0]
     assert thetas.shape == starts.shape and sigmas.shape == (len(starts),)
     for start, theta, sigma in zip(starts, thetas, sigmas):
         start = start[None, None]
         want_theta, want_sigma = _irls_s_stage(groups, start,
                                                robustfit._residuals(groups, start, n),
-                                               C_BREAKDOWN, max_iter=2,
-                                               scale_rtol=1e-3,
+                                               max_iter=2, scale_rtol=1e-3,
                                                final_rtol=1e-3)
         want_theta, want_sigma = want_theta[0, 0], want_sigma[0, 0]
         assert sigma > 0
