@@ -417,14 +417,16 @@ def _replacing(path: Path):
     Raises
     ------
     InvalidConfig
-        Naming ``path``, when the file cannot be created or moved there.
+        Naming ``path``, when the file cannot be created or moved there,
+        and the cause: an ancestor of ``path`` that is not a directory, or
+        the system's error.
     """
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fh = open(tmp, "w", newline="")
     except OSError as exc:
-        raise InvalidConfig(f"cannot write results to {path} ({exc})") from None
+        raise _unwritable(path, exc) from None
     try:
         with fh:
             yield fh
@@ -437,7 +439,15 @@ def _replacing(path: Path):
     except OSError as exc:
         with suppress(OSError):
             tmp.unlink()
-        raise InvalidConfig(f"cannot write results to {path} ({exc})") from None
+        raise _unwritable(path, exc) from None
+
+
+def _unwritable(path: Path, exc: OSError) -> InvalidConfig:
+    """The error for a ``path`` that cannot be written: the cause is its
+    nearest existing ancestor when that is not a directory, else ``exc``."""
+    held = next(parent for parent in path.parents if parent.exists())
+    cause = exc if held.is_dir() else f"{held} is not a directory"
+    return InvalidConfig(f"cannot write {path} ({cause})")
 
 
 def fit_csv(data_path: str, sel: SelectionConfig, model_out: str) -> str:

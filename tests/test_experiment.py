@@ -424,7 +424,10 @@ def test_unwritable_results_path_exits_1_before_any_replication(
     out = tmp_path / out_name
     assert main(["--config", str(cfg), "--out", str(out), "--threads", "1"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: cannot write results to {out} (")
+    assert err.startswith(f"config error: cannot write {out} (")
+    cause = (f"{tmp_path / 'a_file'} is not a directory" if out_name == "a_file/x.csv"
+             else "Is a directory")
+    assert cause in err
     assert err.count("\n") == 1
     # a path that cannot be created fails before any replication; one that
     # cannot be replaced (a directory) after them
@@ -464,7 +467,8 @@ def test_unwritable_model_or_prediction_path_exits_1(tmp_path, monkeypatch,
     before = sorted(os.listdir(tmp_path))
     assert main(["--config", str(cfg)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: cannot write results to {out} (")
+    assert err.startswith(f"config error: cannot write {out} (")
+    assert err.endswith(f" ({tmp_path / 'a_file'} is not a directory)\n")
     assert err.count("\n") == 1
     # the model file is opened before the fit, and nothing is left behind
     assert calls == []

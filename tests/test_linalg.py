@@ -108,7 +108,9 @@ def test_ols_shift_moves_only_the_constant():
         coef2, b02 = ols_fit(X2, y + 1e8, intercept=True)
         pred = b0 + np.einsum("ij,j->i", X, coef)
         pred2 = b02 - 1e8 + np.einsum("ij,j->i", X2, coef2)
-        assert np.max(np.abs(pred2 - pred)) <= 1e-14 * shift
+        # y + 1e8 and b02 - 1e8 each round by up to half an ulp of 1e8
+        assert (np.max(np.abs(pred2 - pred))
+                <= 1e-14 * shift + 2 * np.spacing(1e8))
         assert np.max(np.abs(coef2 - coef)) <= 1e-6 * np.max(np.abs(coef))
 
 
