@@ -138,9 +138,9 @@ def _set_by(call: ast.Call, positional: list, defaults: dict) -> set:
         if isinstance(arg, ast.Starred):
             done.update(p for p in positional[i:] if p in defaults)
             break
-        if i < len(positional) and positional[i] in defaults \
-                and not _same(arg, defaults[positional[i]]):
-            done.add(positional[i])
+        name = positional[i] if i < len(positional) else None
+        if name in defaults and not _same(arg, defaults[name]):
+            done.add(name)
     for kw in call.keywords:
         if kw.arg is None:
             done.update(defaults)
