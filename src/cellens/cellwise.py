@@ -42,8 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import real_array, require_finite, require_matrix
-from .errors import (DegenerateColumn, InvalidConfig, TooFewColumns,
-                     require_integers, require_numbers)
+from .errors import DegenerateColumn, TooFewColumns
 from .linalg import prepare_design
 
 # abs standardized residual above which a cell is flagged; equals the
@@ -73,9 +72,9 @@ _SCREEN_MAX_ROWS = 2**20
 _SCREEN_MAX_SKIP = 64
 
 
-@dataclass(frozen=True)
 class DdcConfig:
-    """Tuning constants for cell detection.
+    """The fixed tuning of cell detection, one value each (class attributes;
+    no call sets other values).
 
     k_neighbors : most-correlated partner columns used per target column
     min_abs_corr : partners below this robust correlation are ignored
@@ -85,32 +84,11 @@ class DdcConfig:
     flag_cutoff : standardized-residual flag threshold
     """
 
-    k_neighbors: int = 15
-    min_abs_corr: float = 0.5
-    trim: float = 0.10
-    ratio_floor: float = 0.1
-    flag_cutoff: float = FLAG_CUTOFF
-
-    def validate(self) -> None:
-        """Raise InvalidConfig naming the first out-of-range field.
-
-        Written as positive range tests so that NaN fails every one.
-        """
-        require_numbers(self, ("trim", "min_abs_corr", "ratio_floor",
-                               "flag_cutoff"))
-        if not 0 <= self.trim < 1:
-            raise InvalidConfig(f"trim={self.trim} outside [0, 1)")
-        require_integers(self, ("k_neighbors",))
-        if not self.k_neighbors >= 1:
-            raise InvalidConfig(f"k_neighbors={self.k_neighbors} must be >= 1")
-        if not 0 <= self.min_abs_corr <= 1:
-            raise InvalidConfig(
-                f"min_abs_corr={self.min_abs_corr} outside [0, 1]")
-        if not self.ratio_floor >= 0:
-            raise InvalidConfig(f"ratio_floor={self.ratio_floor} must be >= 0")
-        if not self.flag_cutoff > 0:
-            raise InvalidConfig(
-                f"flag_cutoff={self.flag_cutoff} must be positive")
+    k_neighbors = 15
+    min_abs_corr = 0.5
+    trim = 0.10
+    ratio_floor = 0.1
+    flag_cutoff = FLAG_CUTOFF
 
 
 @dataclass
@@ -191,6 +169,17 @@ class CorrelationStructure:
         return np.stack([self._columns[j] for j in idx], axis=1)
 
 
+def _cleaning_input(Z) -> np.ndarray:
+    """``Z`` at an entry point of the cleaning stage, as a C-contiguous
+    float array, once it is known to be a real, nonempty matrix of finite
+    cells. Otherwise raises :class:`ShapeMismatch`, or
+    :class:`NonFiniteValue` naming the first such column."""
+    Z = real_array(Z)
+    require_matrix(Z)
+    require_finite(Z[:, 0], Z[:, 1:])
+    return np.ascontiguousarray(Z)
+
+
 def robust_standardize(Z: np.ndarray):
     """Center by column medians and scale by 1.4826 * MAD.
 
@@ -201,17 +190,13 @@ def robust_standardize(Z: np.ndarray):
     Raises
     ------
     ShapeMismatch
-        Unless ``Z`` is a real, nonempty matrix or vector (one column).
+        Unless ``Z`` is a real, nonempty matrix.
     NonFiniteValue
         Naming the first column that holds a NaN or infinite cell.
     DegenerateColumn
         For any column with zero MAD (constant or near-constant).
     """
-    Z = real_array(Z)
-    # a nonempty vector is one column; an empty one is named as given
-    cols = Z[:, None] if Z.ndim == 1 and Z.size else Z
-    require_matrix(cols)
-    require_finite(cols[:, 0], cols[:, 1:])
+    Z = _cleaning_input(Z)
     med = np.median(Z, axis=0)
     Zs = Z - med
     mad = np.median(np.abs(Zs), axis=0, overwrite_input=True)
@@ -452,16 +437,15 @@ def _partner_blocks(Zs, Z32, t2, keep, floor, emit, tasks, width):
         emit(j, a, row)
 
 
-def _partner_pass(Zs: np.ndarray, trim: float, emit,
-                  floor: float | None = None) -> None:
+def _partner_pass(Zs: np.ndarray, emit, floor: float | None = None) -> None:
     """Compute each of the C(C+1)/2 pair correlations of ``Zs`` once.
 
     ``Zs`` is C-ordered. The pairs run in tasks of one row ``j`` and a
     block of at most ``max(2, PARTNER_BLOCK_PRODUCTS // n)`` of its columns
     ``j..C-1``, through :func:`_partner_blocks`, which hands each task's
     row to ``emit``. For each pair, the mean of cross products is taken
-    after trimming the ``trim`` fraction of largest absolute products and
-    divided by ``sqrt(t2[j] * t2[h])``, the same-trimmed second moments.
+    after trimming the ``DdcConfig.trim`` fraction of largest absolute
+    products and divided by ``sqrt(t2[j] * t2[h])``, the same-trimmed second moments.
     Both trimmed means come from :func:`_block_means`, in the buffers of
     :func:`_task_buffers`.
 
@@ -478,7 +462,7 @@ def _partner_pass(Zs: np.ndarray, trim: float, emit,
     thread computes it.
     """
     n, C = Zs.shape
-    keep = n - int(np.floor(trim * n))
+    keep = n - int(np.floor(DdcConfig.trim * n))
     width = _partner_width(n, C)
     t2 = _block_means(Zs, None, range(C), keep, _task_buffers(n, width))
     # (j, a, b): row j's columns a..b-1 of the upper triangle
@@ -506,28 +490,13 @@ def _partner_pass(Zs: np.ndarray, trim: float, emit,
         raise errors[0]
 
 
-def _cleaning_input(Z, cfg: DdcConfig | None):
-    """``(Z, cfg)`` at an entry point of the cleaning stage: ``cfg`` (the
-    defaults when None) validated, and ``Z`` as a C-contiguous float
-    array, once it is known to be a real, nonempty matrix of finite cells.
-    Otherwise raises :class:`InvalidConfig`, :class:`ShapeMismatch` or
-    :class:`NonFiniteValue` (naming the first such column)."""
-    cfg = DdcConfig() if cfg is None else cfg
-    cfg.validate()
-    Z = real_array(Z)
-    require_matrix(Z)
-    require_finite(Z[:, 0], Z[:, 1:])
-    return np.ascontiguousarray(Z), cfg
-
-
-def robust_partner_correlations(Zs: np.ndarray,
-                                trim: float = DdcConfig.trim) -> np.ndarray:
+def robust_partner_correlations(Zs: np.ndarray) -> np.ndarray:
     """Outlier-resistant correlation matrix of standardized columns.
 
     For each pair, the mean of cross products is taken after trimming the
-    ``trim`` fraction of largest absolute products, then normalized by the
-    same-trimmed second moments so the estimate is near the true
-    correlation for Gaussian data. Trimming by absolute magnitude makes
+    ``DdcConfig.trim`` fraction of largest absolute products, then
+    normalized by the same-trimmed second moments so the estimate is near
+    the true correlation for Gaussian data. Trimming by absolute magnitude makes
     the estimate flip sign exactly under per-column sign flips.
 
     This is the dense form of the pairs :func:`partner_table` selects
@@ -535,11 +504,10 @@ def robust_partner_correlations(Zs: np.ndarray,
     computed once by :func:`_partner_pass` and written to ``corr[j, h]``
     and ``corr[h, j]``, so the result is exactly symmetric, and bitwise
     the same for any CPU count and any memory layout of ``Zs``. A ``Zs``
-    that is not a real, nonempty matrix raises :class:`ShapeMismatch`, a
-    NaN or infinite cell :class:`NonFiniteValue` naming its column, and a
-    ``trim`` outside [0, 1) :class:`InvalidConfig`.
+    that is not a real, nonempty matrix raises :class:`ShapeMismatch`, and
+    a NaN or infinite cell :class:`NonFiniteValue` naming its column.
     """
-    Zs, _ = _cleaning_input(Zs, DdcConfig(trim=trim))
+    Zs = _cleaning_input(Zs)
     C = Zs.shape[1]
     corr = np.empty((C, C))
 
@@ -547,7 +515,7 @@ def robust_partner_correlations(Zs: np.ndarray,
         corr[j, a:a + len(row)] = row
         corr[a:a + len(row), j] = row
 
-    _partner_pass(Zs, trim, emit)
+    _partner_pass(Zs, emit)
     return corr
 
 
@@ -590,14 +558,14 @@ def _merge_partners(index, value, t, h, v) -> None:
         value[T, rank] = V[order]
 
 
-def partner_table(Zs: np.ndarray, cfg: DdcConfig | None = None):
+def partner_table(Zs: np.ndarray):
     """Each column's ranked partners among the robust partner correlations.
 
     Row ``j`` of the ``(C, k)`` tables, ``k = min(k_neighbors, C - 1)``,
     holds the columns ``h != j`` with ``|corr[j, h]| >= min_abs_corr``, at
-    most ``k`` of them,
-    ordered by ``|corr|`` descending with ties to the lowest index, where
-    ``corr`` is :func:`robust_partner_correlations` ``(Zs, trim)``. That
+    most ``k`` of them, ordered by ``|corr|`` descending with ties to the
+    lowest index, where ``corr`` is :func:`robust_partner_correlations`
+    and the settings are those of :class:`DdcConfig`. That
     order is total, so the tables are the same bits whichever thread
     computed which pair first. Unused slots hold index -1 and value NaN.
 
@@ -630,22 +598,21 @@ def partner_table(Zs: np.ndarray, cfg: DdcConfig | None = None):
 
     Raises
     ------
-    InvalidConfig
-        Naming the field, when ``cfg`` fails :meth:`DdcConfig.validate`.
     ShapeMismatch
         Unless ``Zs`` is a real, nonempty matrix.
     NonFiniteValue
         Naming the first column that holds a NaN or infinite cell.
     """
-    Zs, cfg = _cleaning_input(Zs, cfg)
+    Zs = _cleaning_input(Zs)
     C = Zs.shape[1]
-    k = min(cfg.k_neighbors, C - 1)
+    k = min(DdcConfig.k_neighbors, C - 1)
+    floor = DdcConfig.min_abs_corr
     index = np.full((C, k), -1)
     value = np.full((C, k), np.nan)
     # each row's cut: its last slot's |value| once the row is full, and
     # min_abs_corr before; a row's last slot only rises, so a cut read
     # without the lock only drops offers that the merge would drop too
-    cut = np.full(C, float(cfg.min_abs_corr))
+    cut = np.full(C, float(floor))
     lock = threading.Lock()
     held = []  # pairs offered since the last merge, as (t, h, v) arrays
     count = 0
@@ -654,7 +621,7 @@ def partner_table(Zs: np.ndarray, cfg: DdcConfig | None = None):
         nonlocal count
         t, h, v = (np.concatenate(a) for a in zip(*held))
         _merge_partners(index, value, t, h, v)
-        np.fmax(np.abs(value[:, k - 1]), cfg.min_abs_corr, out=cut)
+        np.fmax(np.abs(value[:, k - 1]), floor, out=cut)
         held.clear()
         count = 0
 
@@ -681,7 +648,7 @@ def partner_table(Zs: np.ndarray, cfg: DdcConfig | None = None):
             if count >= index.size // 4:
                 merge()
 
-    _partner_pass(Zs, cfg.trim, emit, cfg.min_abs_corr)
+    _partner_pass(Zs, emit, floor)
     if held:
         merge()
     return index, value
@@ -705,7 +672,7 @@ def median_ratio_slopes(z: np.ndarray, Zh: np.ndarray,
     return (R[(m - 1) // 2, cols] + R[m // 2, cols]) / 2
 
 
-def ddc_impute(Z: np.ndarray, cfg: DdcConfig | None = None) -> ImputationResult:
+def ddc_impute(Z: np.ndarray) -> ImputationResult:
     """Detect deviating cells in the joint matrix and impute them.
 
     Parameters
@@ -713,7 +680,6 @@ def ddc_impute(Z: np.ndarray, cfg: DdcConfig | None = None) -> ImputationResult:
     Z : ndarray of shape (n, C)
         Joint data matrix, response in column 0. ``C >= 2`` and no
         constant columns.
-    cfg : DdcConfig, optional
 
     Returns
     -------
@@ -721,8 +687,6 @@ def ddc_impute(Z: np.ndarray, cfg: DdcConfig | None = None) -> ImputationResult:
 
     Raises
     ------
-    InvalidConfig
-        Naming the field, when ``cfg`` fails :meth:`DdcConfig.validate`.
     ShapeMismatch
         Unless ``Z`` is a real, nonempty matrix.
     NonFiniteValue
@@ -741,14 +705,15 @@ def ddc_impute(Z: np.ndarray, cfg: DdcConfig | None = None) -> ImputationResult:
     ranks, for all columns at once: each rank's slopes come from one
     :func:`median_ratio_slopes` call, and each column's weighted
     prediction adds its partners in rank order. No C x C array is held.
+    The settings are those of :class:`DdcConfig`.
     """
-    Z, cfg = _cleaning_input(Z, cfg)
+    Z = _cleaning_input(Z)
     n, C = Z.shape
     if C < 2:
         raise TooFewColumns(f"need at least 2 columns, got {C}")
     Zs, scales = robust_standardize(Z)
-    index, value = partner_table(Zs, cfg)
-    usable = np.abs(Zs) > cfg.ratio_floor
+    index, value = partner_table(Zs)
+    usable = np.abs(Zs) > DdcConfig.ratio_floor
     valid = index >= 0
     valid[valid] = usable.any(axis=0)[index[valid]]
     pred = np.zeros((n, C))
@@ -767,7 +732,7 @@ def ddc_impute(Z: np.ndarray, cfg: DdcConfig | None = None) -> ImputationResult:
     # no usable partner: zhat stays 0, i.e. marginal detection only
     marginal = wsum == 0.0
     zhat = np.divide(pred, wsum, out=pred, where=~marginal)
-    flags = np.abs(Zs - zhat) > cfg.flag_cutoff
+    flags = np.abs(Zs - zhat) > DdcConfig.flag_cutoff
     # zhat's buffer becomes Z_imp: the destandardized prediction where a
     # cell is flagged, the input bits elsewhere
     zhat *= scales.scale

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the integer, number and
+"""Exception types shared across the package, the one rule each for "an
+integer" and "a real number" (neither a bool), and the integer, number and
 boolean checks that config validators raise :class:`InvalidConfig` from."""
 
 from numbers import Integral, Real
@@ -56,22 +57,33 @@ class InvalidConfig(CellensError):
     """A configuration value is inconsistent or out of range."""
 
 
-def require_integers(config, names: tuple[str, ...]) -> None:
-    """Raise InvalidConfig unless every named field of ``config`` is an integer.
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer; a bool is not, although Python
+    counts it as one."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
-    Booleans are rejected although Python counts them as integers.
-    """
+
+def is_number(value) -> bool:
+    """Whether ``value`` is a real number; a bool is not, although Python
+    counts it as one."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def require_integers(config, names: tuple[str, ...]) -> None:
+    """Raise InvalidConfig unless every named field of ``config`` is an
+    integer (:func:`is_integer`)."""
     for name in names:
         value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, Integral):
+        if not is_integer(value):
             raise InvalidConfig(f"{name}={value!r} must be an integer")
 
 
 def require_numbers(config, names: tuple[str, ...],
                     sequences: tuple[str, ...] = ()) -> None:
     """Raise InvalidConfig unless every named field of ``config`` is a real
-    number; a field also named in ``sequences`` must instead be a tuple or
-    list of them, whose entries are checked one by one.
+    number (:func:`is_number`); a field also named in ``sequences`` must
+    instead be a tuple or list of them, whose entries are checked one by
+    one.
 
     Booleans, strings and (outside ``sequences``) tuples and lists are
     rejected, naming the field (and the entry).
@@ -85,7 +97,7 @@ def require_numbers(config, names: tuple[str, ...],
         else:
             raise InvalidConfig(f"{name}={value!r} must be a list of numbers")
         for i, entry in entries:
-            if isinstance(entry, bool) or not isinstance(entry, Real):
+            if not is_number(entry):
                 label = name if i is None else f"{name}[{i}]"
                 raise InvalidConfig(f"{label}={entry!r} must be a number")
 

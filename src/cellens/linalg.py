@@ -111,7 +111,7 @@ def ols_fit(X: np.ndarray, y: np.ndarray, intercept: bool = False):
     ----------
     X : ndarray of shape (n, q)
         Design matrix, full column rank. ``q`` may be 0, in which case
-        only the intercept (or nothing) is fitted. A vector is one column.
+        only the intercept (or nothing) is fitted.
     y : ndarray of shape (n,)
         Response.
     intercept : bool
@@ -126,15 +126,13 @@ def ols_fit(X: np.ndarray, y: np.ndarray, intercept: bool = False):
     Raises
     ------
     ShapeMismatch
-        Unless ``X`` is a matrix (or a vector) with one row per entry of
-        the vector ``y``.
+        Unless ``X`` is a matrix with one row per entry of the vector
+        ``y``.
     RankDeficient
         If the prepared design's Gram matrix is singular within tolerance.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
     if X.ndim != 2 or y.shape != X.shape[:1]:
         raise ShapeMismatch(f"X is {X.shape}, y is {y.shape}")
     b0 = y.mean() if intercept else 0.0

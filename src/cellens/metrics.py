@@ -5,12 +5,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from numbers import Real
 from typing import Callable, Optional, TypeVar
 
 import numpy as np
 
-from .errors import EmptyTruth, InvalidConfig, ShapeMismatch
+from .errors import EmptyTruth, InvalidConfig, ShapeMismatch, is_number
 
 T = TypeVar("T")
 
@@ -42,8 +41,7 @@ def mspe(y_true: np.ndarray, y_hat: np.ndarray, noise_var: float = 1.0) -> float
     ShapeMismatch
         If the two arrays differ in shape or hold no value.
     """
-    if (isinstance(noise_var, bool) or not isinstance(noise_var, Real)
-            or not 0 < noise_var < math.inf):
+    if not is_number(noise_var) or not 0 < noise_var < math.inf:
         raise InvalidConfig(f"noise_var={noise_var!r} must be finite and "
                             f"positive")
     y_true = np.asarray(y_true, dtype=float)

@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
-from .cellwise import (CorrelationStructure, DdcConfig, ImputationResult,
+from .cellwise import (CorrelationStructure, ImputationResult,
                        RobustScale, correlation_structure, ddc_impute)
 from .data import (real_array, regression_arrays, require_finite,
                    require_matrix)
@@ -52,7 +50,6 @@ def passthrough_imputation(Z: np.ndarray) -> ImputationResult:
 
 
 def fit_ensemble(y: np.ndarray, X: np.ndarray, cfg: SelectionConfig,
-                 ddc: Optional[DdcConfig] = None,
                  impute: bool = True) -> FitResult:
     """Run the full three-stage procedure on raw data.
 
@@ -60,8 +57,6 @@ def fit_ensemble(y: np.ndarray, X: np.ndarray, cfg: SelectionConfig,
     ----------
     y, X : response and predictor matrix
     cfg : SelectionConfig
-    ddc : DdcConfig, optional
-        Detection tuning; defaults apply when omitted.
     impute : bool
         When False the detection stage is skipped and the selection runs
         on correlations of the raw data (ablation mode).
@@ -78,7 +73,7 @@ def fit_ensemble(y: np.ndarray, X: np.ndarray, cfg: SelectionConfig,
     y, X = regression_arrays(y, X)
     Z = np.column_stack([y, X])
     if impute:
-        imp = ddc_impute(Z, ddc)
+        imp = ddc_impute(Z)
     else:
         imp = passthrough_imputation(Z)
     structure = correlation_structure(imp)

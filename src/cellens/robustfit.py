@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import real_array, regression_arrays, require_finite
-from .errors import NonFiniteValue, RankDeficient, ShapeMismatch
+from .errors import (NonFiniteValue, RankDeficient, ShapeMismatch,
+                     is_integer, is_number)
 from .linalg import ols_fit, pivot_ratios, prepare_design
 from .rng import make_rng
 
@@ -646,14 +647,10 @@ _MODEL_FIT_FIELDS = ("coefficients", "intercepts", "scales", "converged",
                      "iterations")
 
 
-def _is_index(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _check_set(subset, p: int, label: str) -> None:
     if not isinstance(subset, (list, tuple, range, np.ndarray)):
         raise ShapeMismatch(f"{label} is not a list")
-    wrong = [j for j in subset if not _is_index(j)]
+    wrong = [j for j in subset if not is_integer(j)]
     if wrong:
         raise ShapeMismatch(f"{label} holds {wrong[0]!r}, not an integer index")
     outside = [j for j in subset if not 0 <= j < p]
@@ -662,17 +659,13 @@ def _check_set(subset, p: int, label: str) -> None:
                             f"0..{p - 1}")
 
 
-def _is_finite_number(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
 # per-fit fields holding one scalar per set: (field, check, expected kind)
 _SCALAR_FIT_FIELDS = (
-    ("intercepts", _is_finite_number, "a finite number"),
-    ("scales", _is_finite_number, "a finite number"),
+    ("intercepts", lambda v: is_number(v) and math.isfinite(v),
+     "a finite number"),
+    ("scales", lambda v: is_number(v) and math.isfinite(v), "a finite number"),
     ("converged", lambda v: isinstance(v, bool), "a boolean"),
-    ("iterations", _is_index, "an integer"),
+    ("iterations", is_integer, "an integer"),
 )
 
 
@@ -705,7 +698,7 @@ def model_from_json(text: str) -> EnsembleModel:
         if key not in doc:
             raise ShapeMismatch(f"model field {key!r} is missing")
     p, sets = doc["p"], doc["sets"]
-    if not _is_index(p) or p < 1:
+    if not is_integer(p) or p < 1:
         raise ShapeMismatch(f"model field 'p' is {p!r}, not a positive integer")
     if not isinstance(doc["intercept"], bool):
         raise ShapeMismatch(f"model field 'intercept' is {doc['intercept']!r}, "
@@ -731,7 +724,7 @@ def model_from_json(text: str) -> EnsembleModel:
             raise ShapeMismatch(
                 f"model field 'coefficients'[{k}] has {len(coef)} entries "
                 f"for {len(subset)} indices in 'sets'[{k}]")
-        wrong = [c for c in coef if not _is_finite_number(c)]
+        wrong = [c for c in coef if not (is_number(c) and math.isfinite(c))]
         if wrong:
             raise ShapeMismatch(f"model field 'coefficients'[{k}] holds "
                                 f"{wrong[0]!r}, not a finite number")

@@ -21,7 +21,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -29,8 +28,8 @@ import numpy as np
 from . import corrlars
 from .cellwise import CorrelationStructure, ImputationResult
 from .errors import (InvalidConfig, InvariantViolation, NotPositiveDefinite,
-                     RankDeficient, ShapeMismatch, require_booleans,
-                     require_integers, require_numbers)
+                     RankDeficient, ShapeMismatch, is_integer,
+                     require_booleans, require_integers, require_numbers)
 # ols_fit is unused here but stays importable: perfbench/tracing.py wraps it
 from .linalg import PIVOT_RTOL, ols_fit, prepare_design  # noqa: F401
 from .rng import make_rng
@@ -131,7 +130,7 @@ def fold_assignment(n: int, v: int, rng: np.random.Generator) -> np.ndarray:
 
     Returns an integer label array; fold sizes differ by at most one.
     """
-    if isinstance(v, bool) or not isinstance(v, Integral):
+    if not is_integer(v):
         raise InvalidConfig(f"cv_folds={v!r} must be an integer")
     if v < 1 or v > n:
         raise InvalidConfig(f"cv_folds={v} outside [1, n={n}]")
@@ -192,10 +191,11 @@ class _CVFit:
         return self._basis
 
 
-def _cv_design(imp: ImputationResult, folds: np.ndarray,
+def _cv_design(Z: np.ndarray, folds: np.ndarray,
                intercept: bool) -> _CVDesign:
-    D, _, e = prepare_design(np.ascontiguousarray(imp.Z_imp, dtype=float),
-                             intercept)
+    """The :class:`_CVDesign` of the (n, C) matrix ``Z``, response in
+    column 0, under the fold labels ``folds``."""
+    D, _, e = prepare_design(np.ascontiguousarray(Z, dtype=float), intercept)
     n = len(folds)
     v = int(folds.max()) + 1
     train = (folds != np.arange(v)[:, None]).astype(float)
@@ -285,7 +285,7 @@ def cv_error(imp: ImputationResult, subset, folds: np.ndarray,
     n, C = imp.Z_imp.shape
     subset = list(subset)
     for j in subset:
-        if isinstance(j, bool) or not isinstance(j, Integral):
+        if not is_integer(j):
             raise InvalidConfig(f"subset entry {j!r} must be an integer")
         if not 0 <= j < C - 1:
             raise InvalidConfig(f"subset entry {j} is not in [0, p={C - 1})")
@@ -299,7 +299,7 @@ def cv_error(imp: ImputationResult, subset, folds: np.ndarray,
     # design; an empty subset keeps one predictor, as numpy sums a lone
     # column pairwise and a wider array row by row
     cols = [0] + [j + 1 for j in subset] if subset else [0, 1]
-    cv = _cv_design(replace(imp, Z_imp=imp.Z_imp[:, cols]), folds, intercept)
+    cv = _cv_design(imp.Z_imp[:, cols], folds, intercept)
     if len(subset) + int(intercept) >= cv.min_train:
         raise InvalidConfig(
             f"subset of size {len(subset)} (+intercept={intercept}) needs more "
@@ -389,7 +389,8 @@ def run_selection(structure: CorrelationStructure, imp: ImputationResult,
         raise InvalidConfig("imputed data and correlations disagree on p")
     max_vars = cfg.resolved_max_vars(n, p)
     rng = make_rng(cfg.seed)
-    cv = _cv_design(imp, fold_assignment(n, cfg.cv_folds, rng), cfg.intercept)
+    cv = _cv_design(imp.Z_imp, fold_assignment(n, cfg.cv_folds, rng),
+                    cfg.intercept)
 
     states = [corrlars.SubModelState.initial(structure.r_y) for _ in range(cfg.K)]
     available = np.arange(p)

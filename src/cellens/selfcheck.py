@@ -397,7 +397,7 @@ def _grown_cv_problem(imp, y, X, subset, labels, intercept, whole,
     """The first disagreement of a subset grown one column at a time from
     its kept fits, against the oracle (each prefix) and against ``whole``,
     the :func:`cv_error` of the subset (bit for bit); empty if none."""
-    cv = selection._cv_design(imp, labels, intercept)
+    cv = selection._cv_design(imp.Z_imp, labels, intercept)
     fit = selection._cv_fit(cv, [], None)
     for q in range(1, len(subset) + 1):
         fit = selection._cv_fit(cv, subset[:q], fit)
@@ -568,9 +568,9 @@ def check_partner_table() -> list[str]:
         if kind == "outlier":
             X[run % n, run % p] = 1e30
         Zs, _ = robust_standardize(np.column_stack([y, X]))
-        index, value = partner_table(Zs, cfg)
+        index, value = partner_table(Zs)
         want_index, want_value = reference.dense_partner_rule(
-            robust_partner_correlations(Zs, cfg.trim), cfg)
+            robust_partner_correlations(Zs), cfg)
         differ = np.flatnonzero((index != want_index).any(axis=1)
                                 | (value.view(np.int64)
                                    != want_value.view(np.int64)).any(axis=1))

@@ -91,7 +91,7 @@ def test_resolution_rules():
     assert resolves(cellwise, "func", "_partner_pass")  # its module
     assert resolves(cellwise, "func", "fit_ensemble")  # the package
     assert resolves(cellwise, "func", "cellens.selection.cv_error")
-    assert resolves(cellwise, "meth", "DdcConfig.validate")
+    assert resolves(cellwise, "meth", "CorrelationStructure.columns")
     assert resolves(cellwise, "meth", "columns")  # CorrelationStructure's
     assert not resolves(cellwise, "func", "_no_such_function")
     assert not resolves(cellwise, "meth", "no_such_method")

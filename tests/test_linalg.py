@@ -49,15 +49,15 @@ def test_cholesky_relative_tolerance():
 
 
 def test_ols_exact_line():
-    coef, b0 = ols_fit(np.array([1.0, 2.0, 3.0]), np.array([2.0, 4.0, 6.0]),
-                       intercept=False)
+    coef, b0 = ols_fit(np.array([1.0, 2.0, 3.0])[:, None],
+                       np.array([2.0, 4.0, 6.0]), intercept=False)
     assert abs(coef[0] - 2.0) < 1e-12
     assert b0 == 0.0
 
 
 def test_ols_exact_affine_line():
-    coef, b0 = ols_fit(np.array([1.0, 2.0, 3.0]), np.array([3.0, 5.0, 7.0]),
-                       intercept=True)
+    coef, b0 = ols_fit(np.array([1.0, 2.0, 3.0])[:, None],
+                       np.array([3.0, 5.0, 7.0]), intercept=True)
     assert abs(coef[0] - 2.0) < 1e-10
     assert abs(b0 - 1.0) < 1e-10
 
@@ -174,12 +174,16 @@ def test_solve_takes_one_system(A_shape, b_shape):
         solve_spd(A, np.ones(b_shape))
 
 
-@pytest.mark.parametrize("q", [3, 0])
-def test_ols_takes_one_design(q):
+@pytest.mark.parametrize("X_shape, y_shape", [
+    ((2, 20, 3), (2, 20)),  # a stack of designs
+    ((2, 20, 0), (2, 20)),
+    ((20,), (20,)),         # a vector is not read as one column
+], ids=["3", "0", "vector"])
+def test_ols_takes_one_design(X_shape, y_shape):
     rng = make_rng(35)
     with pytest.raises(ShapeMismatch, match=re.escape(
-            f"X is (2, 20, {q}), y is (2, 20)")):
-        ols_fit(rng.standard_normal((2, 20, q)), rng.standard_normal((2, 20)))
+            f"X is {X_shape}, y is {y_shape}")):
+        ols_fit(rng.standard_normal(X_shape), rng.standard_normal(y_shape))
 
 
 def test_cholesky_pivot_rule_is_scale_free():

@@ -407,12 +407,12 @@ def test_mm_resists_response_outliers():
     n = 100
     x = rng.standard_normal(n)
     y_clean = 2.0 * x + 0.5 * rng.standard_normal(n)
-    clean_slope = ols_fit(x, y_clean, intercept=True)[0][0]
+    clean_slope = ols_fit(x[:, None], y_clean, intercept=True)[0][0]
     y = y_clean.copy()
     out_rows = rng.choice(n, size=20, replace=False)
     y[out_rows] += 50.0
     robust_slope = mm_fit(x[:, None], y, intercept=True).coefficients[0]
-    ols_slope = ols_fit(x, y, intercept=True)[0][0]
+    ols_slope = ols_fit(x[:, None], y, intercept=True)[0][0]
     assert abs(robust_slope - clean_slope) < 0.05
     assert abs(ols_slope - clean_slope) > 0.5
 

@@ -12,7 +12,7 @@ from cellens import (ContaminationSpec, InvalidConfig, InvariantViolation,
                      cv_error, ddc_impute, fold_assignment, generate_clean,
                      make_rng, run_selection, trace_to_csv)
 from cellens.corrlars import SubModelState, apply_step, greedy_path, propose
-from cellens.errors import RankDeficient
+from cellens.errors import NotPositiveDefinite, RankDeficient
 from cellens.linalg import PIVOT_RTOL, pivot_ratios, prepare_design
 from cellens.pipeline import passthrough_imputation
 from cellens.reference import (classical_lars_path, cv_error_oracle,
@@ -242,7 +242,7 @@ def test_cv_error_capacity_guard():
 
 def whole_design_cv_error(imp, subset, folds, intercept):
     """cv_error scored on the whole prepared [y, X], as a run scores it."""
-    cv = cellens.selection._cv_design(imp, folds, intercept)
+    cv = cellens.selection._cv_design(imp.Z_imp, folds, intercept)
     fit = cellens.selection._cv_fit(cv, [], None)
     for q in range(len(subset)):
         fit = cellens.selection._cv_fit(cv, subset[:q + 1], fit)
@@ -589,6 +589,43 @@ def test_models_sharing_a_move_share_its_lars():
             by_lars.setdefault(id(pr.lars), []).append(pr.model)
         shared += sum(len(models) > 1 for models in by_lars.values())
     assert shared > 0
+
+
+@pytest.mark.parametrize("sit_out", ["not-positive-definite", "no-candidate"])
+def test_a_model_that_sits_out_a_round_sits_out_the_rest(monkeypatch,
+                                                         sit_out):
+    # run_selection's rule: a model whose proposer raises NotPositiveDefinite
+    # (collinear active set) or finds no finite step sits out that round and
+    # every later one, while the others keep competing. The first model to
+    # win is made to sit out on its first nonempty active set; the sets are
+    # disjoint, so its first predictor names it.
+    y, X = signal_data(44, n=80, p=20, nact=8)
+    imp = make_imp(y, X)
+    structure = correlation_structure(imp)
+    propose = cellens.selection.corrlars.propose
+    asked = []  # the active sets on which the model was asked to propose
+
+    def stub(corr, state, available):
+        if state.active and (not asked or asked[0][0] in state.active):
+            asked.append(list(state.active))
+            if sit_out == "not-positive-definite":
+                raise NotPositiveDefinite("collinear active set")
+            return replace(propose(corr, state, available), candidate=None)
+        return propose(corr, state, available)
+
+    monkeypatch.setattr(cellens.selection.corrlars, "propose", stub)
+    res = run_selection(structure, imp,
+                        SelectionConfig(K=3, tau=1e-3, cv_folds=5, seed=45))
+    assert len(asked) == 1  # the sit-out is kept, not asked again
+    k = next(m for m, s in enumerate(res.sets) if asked[0][0] in s)
+    assert res.sets[k] == asked[0]
+    won = next(i for i, rec in enumerate(res.trace) if rec.winner[0] == k)
+    later = res.trace[won + 1:]
+    assert later
+    assert all(pr.model != k for rec in later for pr in rec.proposals)
+    assert any(rec.winner is not None for rec in later)
+    union = [j for s in res.sets for j in s]
+    assert len(union) == len(set(union))
 
 
 def test_replayed_proposals_match_trace():
