@@ -73,8 +73,8 @@ _SCREEN_MAX_SKIP = 64
 
 
 class DdcConfig:
-    """The fixed tuning of cell detection, one value each (class attributes;
-    no call sets other values).
+    """Tuning constants for cell detection: class attributes, one value
+    each, which no call overrides.
 
     k_neighbors : most-correlated partner columns used per target column
     min_abs_corr : partners below this robust correlation are ignored
@@ -445,9 +445,9 @@ def _partner_pass(Zs: np.ndarray, emit, floor: float | None = None) -> None:
     ``j..C-1``, through :func:`_partner_blocks`, which hands each task's
     row to ``emit``. For each pair, the mean of cross products is taken
     after trimming the ``DdcConfig.trim`` fraction of largest absolute
-    products and divided by ``sqrt(t2[j] * t2[h])``, the same-trimmed second moments.
-    Both trimmed means come from :func:`_block_means`, in the buffers of
-    :func:`_task_buffers`.
+    products and divided by ``sqrt(t2[j] * t2[h])``, the same-trimmed
+    second moments. Both trimmed means come from :func:`_block_means`, in
+    the buffers of :func:`_task_buffers`.
 
     With ``floor`` (:func:`partner_table`'s ``min_abs_corr``), where
     :func:`_screens` allows, each task is screened on a (C, n) float32
@@ -496,8 +496,8 @@ def robust_partner_correlations(Zs: np.ndarray) -> np.ndarray:
     For each pair, the mean of cross products is taken after trimming the
     ``DdcConfig.trim`` fraction of largest absolute products, then
     normalized by the same-trimmed second moments so the estimate is near
-    the true correlation for Gaussian data. Trimming by absolute magnitude makes
-    the estimate flip sign exactly under per-column sign flips.
+    the true correlation for Gaussian data. Trimming by absolute magnitude
+    makes the estimate flip sign exactly under per-column sign flips.
 
     This is the dense form of the pairs :func:`partner_table` selects
     from, for tests and inspection; a fit never holds it. Each pair is

@@ -1,6 +1,6 @@
-"""Exception types shared across the package, the one rule each for "an
-integer" and "a real number" (neither a bool), and the integer, number and
-boolean checks that config validators raise :class:`InvalidConfig` from."""
+"""Exception types shared across the package, the integer and real-number
+predicates (a bool is neither), and the integer, number and boolean checks
+that config validators raise :class:`InvalidConfig` from."""
 
 from numbers import Integral, Real
 

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+
 import numpy as np
 
-from .cellwise import (CorrelationStructure, ImputationResult,
-                       RobustScale, correlation_structure, ddc_impute)
+from .cellwise import (CorrelationStructure, ImputationResult, RobustScale,
+                       correlation_structure, ddc_impute)
 from .data import (real_array, regression_arrays, require_finite,
                    require_matrix)
 from .robustfit import EnsembleModel, fit_ensemble_models, predict

@@ -560,7 +560,6 @@ def check_partner_table() -> list[str]:
     """
     n = 100
     p = math.ceil(math.sqrt(cellwise.PARTNER_PARALLEL_PRODUCTS / n))
-    cfg = DdcConfig()
     failures = []
     for run, kind in enumerate(EXTREME_KINDS + ("outlier",)):
         y, X = _extreme_input("cauchy" if kind == "outlier" else kind, n, p,
@@ -570,7 +569,7 @@ def check_partner_table() -> list[str]:
         Zs, _ = robust_standardize(np.column_stack([y, X]))
         index, value = partner_table(Zs)
         want_index, want_value = reference.dense_partner_rule(
-            robust_partner_correlations(Zs), cfg)
+            robust_partner_correlations(Zs), DdcConfig())
         differ = np.flatnonzero((index != want_index).any(axis=1)
                                 | (value.view(np.int64)
                                    != want_value.view(np.int64)).any(axis=1))

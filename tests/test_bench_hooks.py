@@ -69,7 +69,7 @@ BENCH_IMPORTS = [(script, module, name)
 
 @pytest.mark.parametrize(
     "script, module_name, name", BENCH_IMPORTS,
-    ids=[f"{script}-{module}-{name}" for script, module, name in BENCH_IMPORTS])
+    ids=["-".join(filter(None, case)) for case in BENCH_IMPORTS])
 def test_benchmark_import_resolves(script, module_name, name):
     # the scripts put perfbench/ on the path for their sibling tracing.py
     module = (tracing if module_name == "tracing"

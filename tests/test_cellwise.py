@@ -220,7 +220,7 @@ def test_flag_cutoff_constant():
                                             (0.25, True), (0.10, True)])
 def test_partner_correlations_match_pair_oracle(monkeypatch, trim, discrete):
     monkeypatch.setattr(cellwise, "PARTNER_BLOCK_PRODUCTS", 32700)
-    monkeypatch.setattr(cellwise.DdcConfig, "trim", trim)
+    monkeypatch.setattr(DdcConfig, "trim", trim)
     # the second shape is above the work cut, so its pairs run on every
     # available CPU; it is checked on five rows and three random ones: in
     # blocks of 327 columns, row 0 has two blocks, row 92 ends in a
